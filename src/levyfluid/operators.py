@@ -8,11 +8,16 @@ Three operators act on coefficient vectors:
   int gamma(u) E(u):E(v) dx with gamma(u) = (reg + |E(u)|^2)^((p-2)/2),
   evaluated by collocation on an oversampled grid and projected back onto
   the basis;
-* the convection form b(u, v, w) = int u_i d_i(v_j) w_j dx, assembled once
-  as a third-order tensor by exact quadrature (grid resolution 3*kmax + 1,
-  which dealiases triple products of basis modes exactly) and explicitly
-  antisymmetrized in its (first-argument, result) slots so that the
-  skew-symmetry b(u, v, v) = 0 holds to rounding inside the time loop.
+* the convection form b(u, v, w) = int u_i d_i(v_j) w_j dx, evaluated by
+  dealiased collocation (Orszag 1971): synthesize u and grad v on the
+  uniform grid of 3*kmax + 1 points per dimension, form (u . grad) v
+  pointwise and project back onto the modes.  The integrand of
+  b(u, v, w) is a trigonometric polynomial of degree at most 3*kmax,
+  which that grid integrates exactly, so the projected coefficients equal
+  the Galerkin ones up to rounding and no aliasing error enters.  The
+  skew-symmetry b(u, v, v) = -1/2 int div(u) |v|^2 dx = 0 therefore holds
+  to rounding as well: the modes are divergence-free exactly, and the
+  quadrature reproduces the exact integral.
 
 The shear factor gamma is bounded and smooth for reg > 0, so the stress
 collocation error decays spectrally in the grid size.  Measured envelope
@@ -80,7 +85,15 @@ class FluidParams:
 
 
 class SpectralOperators:
-    """Per-basis workspace: collocation arrays and the convection tensor."""
+    """Per-basis workspace: mode tables on the two collocation grids.
+
+    The stress grid has 4*(kmax + 1) points per dimension; the shear factor
+    is not polynomial, so its quadrature error decays spectrally in that
+    size (see the module docstring).  The convection grid has 3*kmax + 1
+    points per dimension, the fewest on which every triple product of
+    basis modes is integrated exactly, so convection is exact to rounding
+    and b(u, v, v) = 0 to rounding.  The tables take O(m * G) memory.
+    """
 
     def __init__(self, basis, oversample=4):
         self.basis = basis
@@ -90,25 +103,19 @@ class SpectralOperators:
         self._stress_weight = w
         self._stress_modes = mode_strains(basis, pts)  # (m, d, d, G)
 
-        n_conv = 3 * kmax + 1
-        pts_c, w_c = uniform_grid(basis.dim, n_conv)
-        vals = mode_values(basis, pts_c)      # (m, d, G)
-        grads = mode_gradients(basis, pts_c)  # (m, d, d, G)
-        # T[i, j, k] = b(phi_j, phi_k, phi_i); exact for trig products of
-        # degree <= 3*kmax, then antisymmetrized in (i, k) to pin the
-        # skew-symmetry identity to rounding.
-        half = np.einsum("jag,kbag->jkbg", vals, grads, optimize=True)
-        tensor = w_c * np.einsum("jkbg,ibg->ijk", half, vals, optimize=True)
-        self.convection_tensor = 0.5 * (tensor - tensor.transpose(2, 1, 0))
-        self._conv_points = pts_c
+        pts_c, w_c = uniform_grid(basis.dim, 3 * kmax + 1)
         self._conv_weight = w_c
-        self._conv_vals = vals
-        self._conv_grads = grads
+        self._conv_vals = mode_values(basis, pts_c)      # (m, d, G)
+        self._conv_grads = mode_gradients(basis, pts_c)  # (m, d, d, G)
 
     # -- nonlinear stress ---------------------------------------------------
 
     def shear_factor(self, strain_sq, params):
         return (params.reg + strain_sq) ** ((params.p - 2.0) / 2.0)
+
+    def _strain(self, c):
+        """Strain tensors of a batch on the stress grid, shape (P, d, d, G)."""
+        return np.einsum("pm,mabg->pabg", c, self._stress_modes, optimize=True)
 
     def nonlinear_stress(self, coeffs, params):
         """Galerkin coefficients of the shear-dependent stress.
@@ -117,7 +124,7 @@ class SpectralOperators:
         returns the same shape.
         """
         c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        strain = np.einsum("pm,mabg->pabg", c, self._stress_modes, optimize=True)
+        strain = self._strain(c)
         gamma = self.shear_factor(np.einsum("pabg,pabg->pg", strain, strain), params)
         weighted = strain * gamma[:, None, None, :]
         out = self._stress_weight * np.einsum(
@@ -128,27 +135,37 @@ class SpectralOperators:
     def stress_pairing(self, coeffs, params):
         """<Ap(u), u> for a batch of states; nonnegative to rounding."""
         c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        strain = np.einsum("pm,mabg->pabg", c, self._stress_modes, optimize=True)
+        strain = self._strain(c)
         ssq = np.einsum("pabg,pabg->pg", strain, strain)
         out = self._stress_weight * np.sum(self.shear_factor(ssq, params) * ssq, axis=1)
+        return out if np.ndim(coeffs) == 2 else float(out[0])
+
+    def strain_norm(self, coeffs):
+        """||E(u)||_L2 by quadrature on the stress grid; batched over axis 0."""
+        c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        strain = self._strain(c)
+        out = np.sqrt(self._stress_weight * np.einsum("pabg,pabg->p", strain, strain))
         return out if np.ndim(coeffs) == 2 else float(out[0])
 
     # -- convection ---------------------------------------------------------
 
     def convection(self, cu, cv):
-        """Coefficients of the convection term B(u, v); batched over axis 0."""
-        if np.ndim(cu) == 2:
-            return np.einsum("ijk,pj,pk->pi", self.convection_tensor, cu, cv, optimize=True)
-        return np.einsum("ijk,j,k->i", self.convection_tensor, cu, cv, optimize=True)
+        """Coefficients of the convection term B(u, v); batched over axis 0.
 
-    def convection_pairing(self, c):
-        """<B(u, u), u> per batch row; vanishes to rounding."""
-        c2 = np.atleast_2d(c)
-        out = np.einsum("ijk,pj,pk,pi->p", self.convection_tensor, c2, c2, c2, optimize=True)
-        return out if np.ndim(c) == 2 else float(out[0])
+        (B(u, v), w) = b(u, v, w) for every w in the truncation.  Synthesis
+        and projection are matrix products against the mode tables, so the
+        cost is O(m * G) per row with no m^3 intermediate.
+        """
+        vals, grads = self._conv_vals, self._conv_grads
+        m, d, g = vals.shape
+        u = (np.atleast_2d(cu) @ vals.reshape(m, d * g)).reshape(-1, d, g)
+        dv = (np.atleast_2d(cv) @ grads.reshape(m, d * d * g)).reshape(-1, d, d, g)
+        adv = np.einsum("pbg,pabg->pag", u, dv)  # (u . grad) v on the grid
+        out = self._conv_weight * (adv.reshape(-1, d * g) @ vals.reshape(m, d * g).T)
+        return out if np.ndim(cu) == 2 else out[0]
 
     def convection_form_grid(self, cu, cv, cw):
-        """b(u, v, w) by direct grid quadrature, independent of the tensor."""
+        """b(u, v, w) as one grid sum, without projecting onto the modes."""
         u = np.einsum("m,mag->ag", cu, self._conv_vals)
         dv = np.einsum("m,mbag->bag", cv, self._conv_grads)
         w = np.einsum("m,mag->ag", cw, self._conv_vals)
@@ -193,17 +210,19 @@ def dual_norm(field):
     return float(np.sqrt(np.sum(field.coeffs**2 / field.basis.eigenvalues)))
 
 
-def measure_korn_constants(basis, rng, n_samples=2000):
+def measure_korn_constants(ops, rng, n_samples=2000):
     """Two-sided strain/gradient norm ratio over random fields.
 
-    Returns (lo, hi) with lo * ||u||_1 <= ||E(u)||_L2 <= hi * ||u||_1.  On
-    the divergence-free torus basis both equal 1/sqrt(2) exactly; the
-    measurement certifies that.
+    Returns (lo, hi) with lo * ||u||_1 <= ||E(u)||_L2 <= hi * ||u||_1.  The
+    strain norm is measured by quadrature on the stress collocation grid,
+    the arrays the stress operator uses; |E(u)|^2 has degree 2*kmax, which
+    that grid integrates exactly.  On the divergence-free torus basis both
+    constants equal 1/sqrt(2); the measurement certifies that.
     """
-    c = rng.standard_normal((n_samples, basis.size))
-    h1 = np.sqrt((basis.ksq * c**2).sum(axis=1))
-    strain = np.sqrt((basis.ksq * c**2).sum(axis=1) / 2.0)
-    ratio = strain / h1
+    b = ops.basis
+    c = rng.standard_normal((n_samples, b.size))
+    h1 = np.sqrt((b.ksq * c**2).sum(axis=1))
+    ratio = ops.strain_norm(c) / h1
     return float(ratio.min()), float(ratio.max())
 
 
@@ -212,27 +231,31 @@ def estimate_convection_bound(ops, rng, n_starts=24, n_rounds=5):
 
     Alternating maximization: each slot of b is linear, so the optimal u
     (L2-normalized), v (gradient-normalized) and w (energy-normalized) for
-    the other two fixed have closed forms.  Randomized restarts, then the
-    best value found; deterministic for a given generator state.
+    the other two fixed have closed forms.  The gradient in u is the
+    projection of (grad v)^T w onto the modes; in v it is -B(u, w), by
+    skew-symmetry; in w it is B(u, v).  Randomized restarts, then the best
+    value found; deterministic for a given generator state.
     """
     b = ops.basis
-    T = ops.convection_tensor
     ksq = b.ksq.astype(float)
     eig = b.eigenvalues
+    vals, grads = ops._conv_vals, ops._conv_grads
     best = 0.0
     for _ in range(n_starts):
         u, v, w = rng.standard_normal((3, b.size))
         for _ in range(n_rounds):
-            q = np.einsum("ijk,k,i->j", T, v, w, optimize=True)
+            # (grad v)^T w = sum_a d_b(v_a) w_a on the grid, then projected
+            field = np.einsum("abg,ag->bg", np.tensordot(v, grads, 1), np.tensordot(w, vals, 1))
+            q = ops._conv_weight * np.tensordot(vals, field, 2)
             if np.linalg.norm(q) > 0:
                 u = q / np.linalg.norm(q)
-            r = np.einsum("ijk,j,i->k", T, u, w, optimize=True) / ksq
+            r = -ops.convection(u, w) / ksq
             if np.linalg.norm(r) > 0:
                 v = r
-            f = np.einsum("ijk,j,k->i", T, u, v, optimize=True) / eig
+            f = ops.convection(u, v) / eig
             if np.linalg.norm(f) > 0:
                 w = f
-        val = abs(np.einsum("ijk,j,k,i->", T, u, v, w, optimize=True))
+        val = abs(np.dot(ops.convection(u, v), w))
         den = (
             np.linalg.norm(u)
             * np.sqrt((ksq * v**2).sum())
@@ -253,7 +276,7 @@ def stress_jacobians(ops, coeffs, params):
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=float))
     Em = ops._stress_modes  # (m, d, d, G)
-    strain = np.einsum("pm,mabg->pabg", c, Em, optimize=True)
+    strain = ops._strain(c)
     gsq = np.einsum("pabg,pabg->pg", strain, strain)
     ex = params.p / 2.0 - 1.0
     gamma = (params.reg + gsq) ** ex

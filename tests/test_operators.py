@@ -1,7 +1,10 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from levyfluid.basis import SpectralField, build_basis, norms, uniform_grid
+from levyfluid.basis import COS, SpectralField, build_basis, norms, uniform_grid
 from levyfluid.operators import (
     FluidParams,
     SpectralOperators,
@@ -30,6 +33,44 @@ def params():
 
 def random_fields(basis, rng, n, scale=1.0):
     return scale * rng.standard_normal((n, basis.size))
+
+
+def _exp_weights(phases, derivative):
+    """c[s] with trig(theta) = sum_s c[s] exp(i s theta) for s = +1, -1.
+
+    cos -> (1/2, 1/2) and sin -> (1/(2i), -1/(2i)); derivatives are
+    cos' = -sin and sin' = cos.
+    """
+    cos_w = np.array([0.5, 0.5], dtype=complex)
+    sin_w = np.array([0.5, -0.5]) / 1j
+    is_cos = (phases == COS)[:, None]
+    if derivative:
+        return np.where(is_cos, -sin_w, cos_w)
+    return np.where(is_cos, cos_w, sin_w)
+
+
+def closed_form_convection(basis):
+    """T[i, j, k] = b(phi_j, phi_k, phi_i) from the mode table alone.
+
+    With phi = A f(k.x) e, b(phi_j, phi_k, phi_i) = A^3 (e_j . k_k)
+    (e_k . e_i) int f_j f_k' f_i dx, and expanding each trig factor into
+    exponentials makes the integral (2 pi)^d times the sum of the weight
+    products over the signs with s1 k_j + s2 k_k + s3 k_i = 0.  No grid,
+    no quadrature and none of the operator tables are involved.
+    """
+    k = basis.wavevectors
+    e = basis.polarizations
+    w = _exp_weights(basis.phases, derivative=False)
+    wd = _exp_weights(basis.phases, derivative=True)
+    integral = np.zeros((basis.size,) * 3, dtype=complex)  # [i, j, k]
+    for a, b, c in itertools.product(range(2), repeat=3):
+        s1, s2, s3 = (1 - 2 * a, 1 - 2 * b, 1 - 2 * c)
+        total = s1 * k[None, :, None] + s2 * k[None, None, :] + s3 * k[:, None, None]
+        hit = np.all(total == 0, axis=-1)
+        integral += hit * (wd[None, None, :, b] * w[None, :, None, a] * w[:, None, None, c])
+    assert np.abs(integral.imag).max() < 1e-15
+    geometry = np.einsum("jd,kd->jk", e, k.astype(float))[None] * (e @ e.T)[:, None, :]
+    return basis.amplitude**3 * (2 * np.pi) ** basis.dim * geometry * integral.real
 
 
 class TestFluidParams:
@@ -102,12 +143,27 @@ class TestConvection:
             assert a + b == pytest.approx(0.0, abs=1e-12 * (1 + abs(a)))
 
     def test_tensor_matches_quadrature_path(self, ops16, rng):
-        # two independent code paths: precomputed tensor vs direct grid sums
+        # projected coefficients vs one grid sum of the form; both read the
+        # same mode tables, so test_matches_closed_form_triads below is the
+        # independent oracle
         for _ in range(1000):
             u, v, w = (SpectralField(ops16.basis, rng.standard_normal(16)) for _ in range(3))
             direct = convection_form(ops16, u, v, w)
-            via_tensor = float(np.dot(apply_convection(ops16, u, v).coeffs, w.coeffs))
-            assert via_tensor == pytest.approx(direct, rel=1e-12, abs=1e-13)
+            projected = float(np.dot(apply_convection(ops16, u, v).coeffs, w.coeffs))
+            assert projected == pytest.approx(direct, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("dim,m", [(2, 16), (2, 64), (3, 24)])
+    def test_matches_closed_form_triads(self, dim, m):
+        # every entry B(phi_j, phi_k)_i against the wavevector-triad oracle
+        b = build_basis(m, dim)
+        oracle = closed_form_convection(b)
+        eye = np.eye(m)
+        j, k = np.divmod(np.arange(m * m), m)
+        got = SpectralOperators(b).convection(eye[j], eye[k]).reshape(m, m, m)
+        want = oracle.transpose(1, 2, 0)  # [j, k, i]
+        scale = np.abs(want).max()
+        assert scale > 0
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
     def test_linear_in_first_slot_and_zero_at_origin(self, ops16, rng):
         b = ops16.basis
@@ -122,7 +178,7 @@ class TestConvection:
         V = random_fields(ops16.basis, rng, 5000)
         W = random_fields(ops16.basis, rng, 5000)
         b = ops16.basis
-        vals = np.abs(np.einsum("ijk,pj,pk,pi->p", ops16.convection_tensor, U, V, W))
+        vals = np.abs(np.sum(ops16.convection(U, V) * W, axis=1))
         bound = (
             np.linalg.norm(U, axis=1)
             * np.sqrt((b.ksq * V**2).sum(axis=1))
@@ -229,10 +285,37 @@ class TestNonlinearStress:
 class TestKorn:
     def test_two_sided_constants(self, rng):
         for dim, m in ((2, 16), (3, 24)):
-            lo, hi = measure_korn_constants(build_basis(m, dim), rng)
+            lo, hi = measure_korn_constants(SpectralOperators(build_basis(m, dim)), rng)
             assert lo == pytest.approx(2**-0.5, rel=1e-12)
             assert hi == pytest.approx(2**-0.5, rel=1e-12)
             assert lo <= hi
+
+    def test_strain_norm_is_measured_on_the_grid(self, rng):
+        # the quadrature sees the field itself: a coarser grid than 2*kmax+1
+        # aliases |E(u)|^2 and misses the closed form
+        b = build_basis(16, 2)
+        c = rng.standard_normal((50, 16))
+        closed = np.sqrt((b.ksq * c**2).sum(axis=1) / 2.0)
+        assert np.allclose(SpectralOperators(b).strain_norm(c), closed, rtol=1e-13)
+        coarse = SpectralOperators(b, oversample=1)
+        assert np.abs(coarse.strain_norm(c) / closed - 1).max() > 1e-3
+
+
+class TestSetupMemory:
+    def test_level_256_builds_small_and_stays_skew(self, rng):
+        b = build_basis(256, 2)
+        tracemalloc.start()
+        try:
+            ops = SpectralOperators(b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        U = random_fields(b, rng, 32)
+        pair = np.abs(np.sum(ops.convection(U, U) * U, axis=1))
+        l2_sq = np.sum(U**2, axis=1)
+        h2 = np.sqrt(np.sum(b.eigenvalues * U**2, axis=1))
+        assert np.all(pair <= 1e-10 * (1.0 + l2_sq * h2))
 
 
 class TestFiniteDifferenceOracles:

@@ -22,7 +22,7 @@ from .basis import (
 )
 from .noise import MarkSpace, compensated_increment, derive_rng, sample_jumps
 from .operators import FluidParams, SpectralOperators
-from .solver import FluidModel, SolverConfig, integrate, integrate_pair
+from .solver import FluidModel, SolverConfig, integrate
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,5 @@ __all__ = [
     "SolverConfig",
     "FluidModel",
     "integrate",
-    "integrate_pair",
     "__version__",
 ]

@@ -52,6 +52,7 @@ __all__ = [
     "uniform_grid",
     "mode_values",
     "mode_gradients",
+    "mode_strain_factors",
     "mode_strains",
     "synthesize",
 ]
@@ -344,13 +345,21 @@ def mode_gradients(basis, points):
     return np.einsum("ma,mj,mg->majg", basis.polarizations, basis.wavevectors.astype(float), dtrig)
 
 
+def mode_strain_factors(basis, points):
+    """Rank-one factors of the mode strains: (S (m, d, d), dtrig (m, G)).
+
+    E(phi_m)(x) = S_m * dtrig_m(x) with the constant symmetric matrix
+    S_m = sym(e_m (x) k_m), whose trace e_m . k_m vanishes, and the scalar
+    wave dtrig_m = A * d(trig)/d(theta) at theta = k_m . x.
+    """
+    _, dtrig = _phase_tables(basis, points)
+    ek = np.einsum("ma,mb->mab", basis.polarizations, basis.wavevectors.astype(float))
+    return 0.5 * (ek + ek.transpose(0, 2, 1)), dtrig
+
+
 def mode_strains(basis, points):
     """Mode symmetric gradients on the grid, shape (m, d, d, G)."""
-    _, dtrig = _phase_tables(basis, points)
-    s = 0.5 * (
-        np.einsum("ma,mb->mab", basis.polarizations, basis.wavevectors.astype(float))
-        + np.einsum("mb,ma->mab", basis.polarizations, basis.wavevectors.astype(float))
-    )
+    s, dtrig = mode_strain_factors(basis, points)
     return np.einsum("mab,mg->mabg", s, dtrig)
 
 

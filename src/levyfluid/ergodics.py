@@ -29,7 +29,6 @@ __all__ = [
     "mc_moment",
     "cauchy_study",
     "uniqueness_contraction",
-    "FUNCTIONALS",
     "make_functional",
     "semigroup_eval",
     "chapman_kolmogorov",
@@ -355,10 +354,6 @@ def make_functional(name, basis, center=None, scale=1.0):
     if name not in table:
         raise KeyError(f"functional {name!r} is not registered")
     return table[name]
-
-
-FUNCTIONALS = ("one", "gauss_bump", "inv_bump", "cos_coord", "sq_norm", "energy_norm_sq")
-BOUNDED_FUNCTIONALS = ("one", "gauss_bump", "inv_bump", "cos_coord")
 
 
 def semigroup_eval(model, phi, xi, t, n_paths, seed, *, path_offset=0):

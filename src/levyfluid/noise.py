@@ -125,9 +125,6 @@ class NoiseCoefficient:
         """Amplitude for one state and one mark, shape (m,)."""
         return self.block(t, np.asarray(coeffs, dtype=float)[None, :])[mark, 0]
 
-    def describe(self):
-        return {"kind": self.kind, "bounds": self.bounds.as_dict()}
-
 
 @dataclass(frozen=True)
 class NoiseBounds:

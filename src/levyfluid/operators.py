@@ -7,7 +7,17 @@ Three operators act on coefficient vectors:
 * the shear-dependent nonlinear stress, defined through the weak pairing
   int gamma(u) E(u):E(v) dx with gamma(u) = (reg + |E(u)|^2)^((p-2)/2),
   evaluated by collocation on an oversampled grid and projected back onto
-  the basis;
+  the basis.  Strains are stored in an orthonormal frame of the trace-free
+  symmetric matrices, k = d(d+1)/2 - 1 coordinates (2 in 2D, 5 in 3D)
+  instead of d^2 entries.  This is exact, not an approximation: each mode
+  strain is the constant matrix S_m = sym(e_m (x) k_m), trace-free because
+  e_m . k_m = 0, times a scalar wave, so every E(u) lies in the frame's
+  span; Frobenius products E(u):E(v) are dot products of frame
+  coordinates; and gamma(u) E(u) stays in the span.  The operator
+  workspace refuses a basis whose mode strains are not trace-free, so the
+  frame can never silently drop a component.  Synthesis and projection
+  are one matrix product each against an (m, k*G) table, O(m * k * G) per
+  row;
 * the convection form b(u, v, w) = int u_i d_i(v_j) w_j dx, evaluated by
   dealiased collocation (Orszag 1971): synthesize u and grad v on the
   uniform grid of 3*kmax + 1 points per dimension, form (u . grad) v
@@ -33,6 +43,7 @@ the quadrature error in its value.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +51,7 @@ import numpy as np
 from .basis import (
     SpectralField,
     mode_gradients,
-    mode_strains,
+    mode_strain_factors,
     mode_values,
     norms,
     uniform_grid,
@@ -57,6 +68,7 @@ __all__ = [
     "measure_korn_constants",
     "estimate_convection_bound",
     "measure_stress_lipschitz",
+    "trace_free_frame",
 ]
 
 
@@ -84,12 +96,36 @@ class FluidParams:
             raise ValueError(f"p must lie in (1, 2], got {self.p}")
 
 
+def trace_free_frame(dim):
+    """Frobenius-orthonormal basis of the trace-free symmetric dim x dim
+    matrices, shape (k, dim, dim) with k = dim (dim + 1) / 2 - 1.
+
+    Off-diagonal elements (e_a e_b^T + e_b e_a^T) / sqrt(2), then the
+    Helmert diagonals (e_1 e_1^T + ... + e_j e_j^T - j e_{j+1} e_{j+1}^T)
+    / sqrt(j (j + 1)) for j = 1 .. dim - 1.
+    """
+    frame = []
+    for a, b in itertools.combinations(range(dim), 2):
+        f = np.zeros((dim, dim))
+        f[a, b] = f[b, a] = 1.0 / np.sqrt(2.0)
+        frame.append(f)
+    for j in range(1, dim):
+        diag = np.zeros(dim)
+        diag[:j] = 1.0
+        diag[j] = -float(j)
+        frame.append(np.diag(diag / np.sqrt(j * (j + 1.0))))
+    return np.array(frame)
+
+
 class SpectralOperators:
     """Per-basis workspace: mode tables on the two collocation grids.
 
     The stress grid has 4*(kmax + 1) points per dimension; the shear factor
     is not polynomial, so its quadrature error decays spectrally in that
-    size (see the module docstring).  The convection grid has 3*kmax + 1
+    size (see the module docstring).  The stress table holds the mode
+    strains in the trace-free frame, shape (m, k*G), built straight from
+    their rank-one factors; set-up raises ValueError when some mode strain
+    has trace above 1e-12 * max|k|.  The convection grid has 3*kmax + 1
     points per dimension, the fewest on which every triple product of
     basis modes is integrated exactly, so convection is exact to rounding
     and b(u, v, v) = 0 to rounding.  The tables take O(m * G) memory.
@@ -101,7 +137,13 @@ class SpectralOperators:
         self.stress_grid_size = oversample * (kmax + 1)
         pts, w = uniform_grid(basis.dim, self.stress_grid_size)
         self._stress_weight = w
-        self._stress_modes = mode_strains(basis, pts)  # (m, d, d, G)
+        s, dtrig = mode_strain_factors(basis, pts)  # (m, d, d), (m, G)
+        k_norm = np.sqrt(basis.ksq.max())
+        if np.abs(np.trace(s, axis1=1, axis2=2)).max() > 1e-12 * k_norm:
+            raise ValueError("mode strains are not trace-free: polarizations not orthogonal to k")
+        coords = np.einsum("mab,kab->mk", s, trace_free_frame(basis.dim))  # (m, k)
+        self._frame_size = coords.shape[1]
+        self._strain_table = (coords[:, :, None] * dtrig[:, None, :]).reshape(basis.size, -1)
 
         pts_c, w_c = uniform_grid(basis.dim, 3 * kmax + 1)
         self._conv_weight = w_c
@@ -114,8 +156,8 @@ class SpectralOperators:
         return (params.reg + strain_sq) ** ((params.p - 2.0) / 2.0)
 
     def _strain(self, c):
-        """Strain tensors of a batch on the stress grid, shape (P, d, d, G)."""
-        return np.einsum("pm,mabg->pabg", c, self._stress_modes, optimize=True)
+        """Frame coordinates of the strain of a batch (P, m), shape (P, k, G)."""
+        return (c @ self._strain_table).reshape(c.shape[0], self._frame_size, -1)
 
     def nonlinear_stress(self, coeffs, params):
         """Galerkin coefficients of the shear-dependent stress.
@@ -125,18 +167,18 @@ class SpectralOperators:
         """
         c = np.atleast_2d(np.asarray(coeffs, dtype=float))
         strain = self._strain(c)
-        gamma = self.shear_factor(np.einsum("pabg,pabg->pg", strain, strain), params)
-        weighted = strain * gamma[:, None, None, :]
-        out = self._stress_weight * np.einsum(
-            "pabg,mabg->pm", weighted, self._stress_modes, optimize=True
-        )
+        gamma = np.einsum("pkg,pkg->pg", strain, strain)  # |E(u)|^2, then gamma in place
+        gamma += params.reg
+        gamma **= (params.p - 2.0) / 2.0
+        strain *= gamma[:, None, :]
+        out = self._stress_weight * (strain.reshape(c.shape[0], -1) @ self._strain_table.T)
         return out if np.ndim(coeffs) == 2 else out[0]
 
     def stress_pairing(self, coeffs, params):
         """<Ap(u), u> for a batch of states; nonnegative to rounding."""
         c = np.atleast_2d(np.asarray(coeffs, dtype=float))
         strain = self._strain(c)
-        ssq = np.einsum("pabg,pabg->pg", strain, strain)
+        ssq = np.einsum("pkg,pkg->pg", strain, strain)
         out = self._stress_weight * np.sum(self.shear_factor(ssq, params) * ssq, axis=1)
         return out if np.ndim(coeffs) == 2 else float(out[0])
 
@@ -144,7 +186,7 @@ class SpectralOperators:
         """||E(u)||_L2 by quadrature on the stress grid; batched over axis 0."""
         c = np.atleast_2d(np.asarray(coeffs, dtype=float))
         strain = self._strain(c)
-        out = np.sqrt(self._stress_weight * np.einsum("pabg,pabg->p", strain, strain))
+        out = np.sqrt(self._stress_weight * np.einsum("pkg,pkg->p", strain, strain))
         return out if np.ndim(coeffs) == 2 else float(out[0])
 
     # -- convection ---------------------------------------------------------
@@ -272,18 +314,22 @@ def stress_jacobians(ops, coeffs, params):
     D[Ap](u)[d] pairs gamma(u) E(d) + gamma'(u) 2 (E(u):E(d)) E(u)
     against the mode strains, so the matrix splits into a gamma-weighted
     strain Gram plus a rank-modified gamma'-weighted outer part, both
-    assembled on the collocation grid.  Returns shape (P, m, m).
+    assembled on the collocation grid in the trace-free strain frame.
+    Returns shape (P, m, m).
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    Em = ops._stress_modes  # (m, d, d, G)
-    strain = ops._strain(c)
-    gsq = np.einsum("pabg,pabg->pg", strain, strain)
+    table = ops._strain_table  # (m, k*G)
+    n_states, m = c.shape
+    strain = ops._strain(c)  # (P, k, G)
+    gsq = np.einsum("pkg,pkg->pg", strain, strain)
     ex = params.p / 2.0 - 1.0
     gamma = (params.reg + gsq) ** ex
     dgamma = ex * (params.reg + gsq) ** (ex - 1.0)
-    cross = np.einsum("pabg,mabg->pmg", strain, Em, optimize=True)  # (E(u):E_m)
-    gram = np.einsum("pg,iabg,jabg->pij", gamma, Em, Em, optimize=True)
-    outer = np.einsum("pg,pig,pjg->pij", 2.0 * dgamma, cross, cross, optimize=True)
+    modes = table.reshape(m, ops._frame_size, -1)  # (m, k, G)
+    cross = np.einsum("pkg,mkg->pmg", strain, modes)  # (E(u):E_m) on the grid
+    weighted = (gamma[:, None, None, :] * modes).reshape(n_states, m, -1)
+    gram = weighted @ table.T
+    outer = (2.0 * dgamma[:, None, :] * cross) @ cross.transpose(0, 2, 1)
     return ops._stress_weight * (gram + outer)
 
 

@@ -48,7 +48,6 @@ __all__ = [
     "EnsembleResult",
     "default_dt",
     "integrate",
-    "integrate_pair",
     "run_paths",
     "run_pairs",
     "run_levels",
@@ -511,16 +510,6 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
         n_jumps=np.array([t.size for t, _ in drawn]),
         jumps=drawn,
     )
-
-
-def integrate_pair(model, xi1, xi2, seed, *, n_out=21, path_index=0):
-    """Two trajectories driven by the same jump realization (same stream)."""
-    rng = derive_rng(seed, STREAM_JUMPS, path_index)
-    jt, jm = sample_jumps(model.marks, model.config.horizon, rng)
-    jumps = [(jt, jm)]
-    r1 = run_paths(model, np.asarray(xi1, float)[None, :], seed, n_out=n_out, jumps=jumps)
-    r2 = run_paths(model, np.asarray(xi2, float)[None, :], seed, n_out=n_out, jumps=jumps)
-    return r1, r2
 
 
 def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, path_offset=0):

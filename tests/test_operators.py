@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from levyfluid.basis import COS, SpectralField, build_basis, norms, uniform_grid
+from levyfluid.basis import COS, SpectralField, build_basis, mode_strains, norms, uniform_grid
 from levyfluid.operators import (
     FluidParams,
     SpectralOperators,
@@ -17,7 +20,9 @@ from levyfluid.operators import (
     hyperviscosity_pairing,
     measure_korn_constants,
     measure_stress_lipschitz,
+    stress_jacobians,
     stress_lipschitz_reference,
+    trace_free_frame,
 )
 
 
@@ -215,8 +220,6 @@ class TestNonlinearStress:
         out = ops.nonlinear_stress(c, par)
         assert np.allclose(out, b.ksq / 2.0 * c, rtol=1e-12, atol=1e-13)
 
-        from levyfluid.basis import mode_strains
-
         pts, w = uniform_grid(2, 256)
         strains = mode_strains(b, pts)
         eu = np.einsum("m,mabg->abg", c, strains)
@@ -280,6 +283,67 @@ class TestNonlinearStress:
         w = f.coeffs / b.eigenvalues
         w /= np.sqrt(np.sum(b.eigenvalues * w**2))
         assert np.dot(f.coeffs, w) == pytest.approx(dual_norm(f), rel=1e-12)
+
+
+class TestStrainFrame:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_frame_is_orthonormal_and_trace_free(self, dim):
+        frame = trace_free_frame(dim)
+        assert frame.shape == (dim * (dim + 1) // 2 - 1, dim, dim)
+        gram = np.einsum("kab,lab->kl", frame, frame)
+        np.testing.assert_allclose(gram, np.eye(len(frame)), atol=1e-15)
+        assert np.abs(np.trace(frame, axis1=1, axis2=2)).max() < 1e-15
+        assert np.array_equal(frame, frame.transpose(0, 2, 1))
+
+    @pytest.mark.parametrize("dim,m", [(2, 16), (3, 12)])
+    def test_matches_full_tensor_quadrature(self, dim, m, params, rng):
+        # the same stress grid, but every one of the d^2 strain components
+        # taken from the (m, d, d, G) mode strains
+        b = build_basis(m, dim)
+        ops = SpectralOperators(b)
+        pts, w = uniform_grid(dim, ops.stress_grid_size)
+        strains = mode_strains(b, pts)
+        U = rng.standard_normal((20, m))
+        E = np.einsum("pm,mabg->pabg", U, strains)
+        ssq = np.einsum("pabg,pabg->pg", E, E)
+        gamma = (params.reg + ssq) ** ((params.p - 2.0) / 2.0)
+        stress = w * np.einsum("pg,pabg,mabg->pm", gamma, E, strains)
+        pairing = w * np.sum(gamma * ssq, axis=1)
+        norm = np.sqrt(w * ssq.sum(axis=1))
+        for got, want in (
+            (ops.nonlinear_stress(U, params), stress),
+            (ops.stress_pairing(U, params), pairing),
+            (ops.strain_norm(U), norm),
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_trace_guard_rejects_polarization_along_k(self):
+        b = build_basis(8, 2)
+        k = b.wavevectors.astype(float)
+        bad = dataclasses.replace(b, polarizations=k / np.linalg.norm(k, axis=1)[:, None])
+        with pytest.raises(ValueError, match="trace-free"):
+            SpectralOperators(bad)
+
+    @pytest.mark.parametrize("dim,m", [(2, 16), (3, 12)])
+    def test_jacobians_match_central_differences(self, dim, m, params, rng):
+        ops = SpectralOperators(build_basis(m, dim))
+        h = 1e-5
+        eye = np.eye(m)
+        for u in 0.8 * rng.standard_normal((3, m)):
+            plus = ops.nonlinear_stress(u + h * eye, params)
+            minus = ops.nonlinear_stress(u - h * eye, params)
+            fd = (plus - minus).T / (2.0 * h)  # [i, j] = d Ap_i / d u_j
+            jac = stress_jacobians(ops, u, params)[0]
+            np.testing.assert_allclose(jac, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+    def test_rows_do_not_depend_on_batch_layout(self, ops16, params, n, seed):
+        U = 1.5 * np.random.default_rng(seed).standard_normal((n, 16))
+        batch = ops16.nonlinear_stress(U, params)
+        for i in range(n):
+            row = ops16.nonlinear_stress(U[i : i + 1], params)[0]
+            assert np.abs(batch[i] - row).max() <= 1e-13 * np.abs(row).max()
 
 
 class TestKorn:

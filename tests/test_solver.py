@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from levyfluid.basis import build_basis
-from levyfluid.noise import AdditiveNoise, MarkSpace, ZeroNoise
+from levyfluid.noise import (
+    STREAM_JUMPS,
+    AdditiveNoise,
+    MarkSpace,
+    ZeroNoise,
+    derive_rng,
+    sample_jumps,
+)
 from levyfluid.operators import FluidParams
 from levyfluid.solver import (
     BlowUpError,
@@ -11,7 +18,6 @@ from levyfluid.solver import (
     default_dt,
     energy_audit,
     integrate,
-    integrate_pair,
     run_levels,
     run_pairs,
     run_paths,
@@ -215,7 +221,10 @@ class TestCoupledRuns:
         model = make_model(dt=2e-3, horizon=0.5)
         xi = np.zeros(8)
         xi[0] = 0.4
-        r1, r2 = integrate_pair(model, xi, xi, seed=3)
+        jumps = [sample_jumps(model.marks, model.config.horizon,
+                              derive_rng(3, STREAM_JUMPS, 0))]
+        r1 = run_paths(model, xi[None, :], 3, n_out=21, jumps=jumps)
+        r2 = run_paths(model, xi[None, :], 3, n_out=21, jumps=jumps)
         assert np.array_equal(r1.terminal, r2.terminal)
 
     def test_pairs_share_jump_streams_with_single_runs(self):

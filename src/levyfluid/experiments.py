@@ -240,6 +240,7 @@ def _run_cauchy(cfg, out_dir, workers):
         "passed": passed,
         "decreasing": study["decreasing"],
         "final_ratio": study["final_ratio"],
+        "refine_dt": study["refine_dt"],
         "oracle": oracle,
         "tables": {
             "cauchy": (

@@ -25,13 +25,26 @@ inequality decomposes as
 
 with the first term nonnegative by construction.
 
+The four drivers share one stepping kernel, `_march`.  It steps a list
+of members, each a batch of paths with its model, in lockstep under one
+jump list: it buckets the jumps into step windows, takes every member
+through the noise increment, the drift and the advance, and checks each
+path for blow-up across all members.  `run_paths` is one member,
+`run_pairs` two members of one model, `run_levels` one member per
+truncation level, and `integrate` one single-path member on its own
+breakpoints (grid or jump-adapted).  The drivers keep only their own
+accumulators: ensemble series, pair distances, level gaps, the ledger.
+
 Paths blow up by policy, not silently: a non-finite or oversized state
-aborts the trajectory with a report of the step and norms.
+aborts `integrate` with a report of the step and norms; in the batched
+drivers it freezes the path in every member and flags it as blown.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -225,48 +238,101 @@ class Trajectory:
         return self.states[-1]
 
 
-def _step_grid(n_steps, dt, jump_times):
-    """Step index of each event on the uniform grid: window (t_n, t_n + dt]."""
-    idx = np.ceil(jump_times / dt).astype(np.int64) - 1
-    return np.clip(idx, 0, n_steps - 1)
+def _draw_jumps(model, seed, n_paths, offset):
+    """Per-path (times, marks), each from the stream keyed by its path index."""
+    return [
+        sample_jumps(model.marks, model.config.horizon,
+                     derive_rng(seed, STREAM_JUMPS, offset + p))
+        for p in range(n_paths)
+    ]
 
 
-def _breakpoints(horizon, dt, jump_times, mode):
-    """Step boundaries; the adapted mode inserts one at every jump time."""
-    n_steps = max(1, int(round(horizon / dt)))
-    grid = np.linspace(0.0, horizon, n_steps + 1)
-    if mode == "grid" or jump_times.size == 0:
-        return grid
-    pts = np.unique(np.concatenate([grid, jump_times]))
-    return pts[(pts >= 0.0) & (pts <= horizon + 1e-15)]
+_Step = namedtuple("_Step", "t dt live pieces out n_jumps")
 
 
-def _diag_update(model, dt, U, U1, M, ap, bb, qv_jump, n_events):
+def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
+           raise_blowup=False):
+    """Step member i, `states[i]` of shape (P, m_i), by `models[i]`, all in lockstep.
+
+    Every member sees the P per-path (times, marks) of `jumps`, each event
+    in the window (t_n, t_n+1] that holds it.  The steps are models[0]'s
+    n_steps of size dt, or the intervals between `breakpoints`.  A path
+    that blows up in any member raises BlowUpError if `raise_blowup`, else
+    freezes in every member from then on, its step in `blow_steps` (-1
+    while alive).  `states` is updated in place.  Yields per step a _Step:
+    end time, dt, live mask, per-member pieces (U, U1, M, ap, bb, qv),
+    whether it is one of `n_out` output steps (all if None), event count.
+    """
+    jt = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
+    jm = np.concatenate([np.empty(0, np.int64)] + [marks for _, marks in jumps])
+    jp = np.repeat(np.arange(len(jumps)), [times.size for times, _ in jumps])
+    if breakpoints is None:
+        h, n_steps = models[0].dt, models[0].n_steps
+        t, dts = [n * h for n in range(n_steps + 1)], [h] * n_steps
+        steps = np.clip(np.ceil(jt / h).astype(np.int64) - 1, 0, n_steps - 1)
+    else:
+        n_steps = breakpoints.size - 1
+        t, dts = breakpoints.tolist(), np.diff(breakpoints).tolist()
+        steps = np.searchsorted(breakpoints[1:], jt)
+    order = np.argsort(steps, kind="stable")
+    jt, jm, jp = jt[order], jm[order], jp[order]
+    bounds = np.searchsorted(steps[order], np.arange(n_steps + 1)).tolist()
+    out = range(n_steps + 1) if n_out is None else set(
+        np.linspace(0, n_steps, min(n_out, n_steps + 1)).astype(int).tolist())
+
+    cap = models[0].config.blowup_norm ** 2
+    live, frozen = blow_steps < 0, None
+    for n in range(n_steps):
+        lo, hi = bounds[n], bounds[n + 1]
+        pieces = []
+        for model, U in zip(models, states):
+            M, _, qv = model.noise_increment(t[n], dts[n], U, jp[lo:hi], jm[lo:hi], jt[lo:hi])
+            ap, bb = model.drift_pieces(U)
+            pieces.append((U, model.advance(U, dts[n], M, ap, bb), M, ap, bb, qv))
+        fine = [np.sum(U1**2, axis=1) <= cap for _, U1, *_ in pieces]
+        bad = live & ~reduce(np.logical_and, fine)
+        if bad.any():
+            if raise_blowup:
+                i = int(np.flatnonzero(bad)[0])
+                j = next(j for j, f in enumerate(fine) if not f[i])
+                U, U1 = pieces[j][:2]
+                raise BlowUpError({
+                    "step": n, "t": t[n + 1], "l2": float(np.sqrt(abs(np.sum(U1[i] ** 2)))),
+                    "l2_pre": float(np.sqrt(np.sum(U[i] ** 2))), "level": models[j].config.level,
+                })
+            blow_steps[bad] = n
+            live = blow_steps < 0
+            frozen = ~live
+        for i, (U, U1, *_) in enumerate(pieces):
+            if frozen is not None:
+                U1[frozen] = U[frozen]
+            states[i] = U1
+        yield _Step(t[n + 1], dts[n], live, pieces, n + 1 in out, hi - lo)
+
+
+def _diag_update(model, dt, U, U1, M, ap, bb, qv_jump):
+    """Per-path terms of the step energy identity: the ledger columns from l2_pre_sq on."""
     par = model.params
+    zeros = np.zeros(U.shape[0])
+
+    def pair(a, V):  # absent drift pieces pair to zero
+        return zeros if a is None else np.einsum("pm,pm->p", a, V)
+
     d = {}
     d["l2_pre_sq"] = np.sum(U**2, axis=1)
     d["l2_post_sq"] = np.sum(U1**2, axis=1)
     d["h2_post_sq"] = np.sum(model.basis.eigenvalues * U1**2, axis=1)
     d["diss"] = 2.0 * par.kappa1 * dt * d["h2_post_sq"]
-    if ap is not None:
-        d["ap_pair"] = np.einsum("pm,pm->p", ap, U)
-        d["ap_work"] = 4.0 * par.kappa0 * dt * np.einsum("pm,pm->p", ap, U1)
-    else:
-        d["ap_pair"] = np.zeros(U.shape[0])
-        d["ap_work"] = np.zeros(U.shape[0])
-    if bb is not None:
-        d["conv_skew"] = np.einsum("pm,pm->p", bb, U)
-        d["conv_work"] = 2.0 * dt * np.einsum("pm,pm->p", bb, U1)
-    else:
-        d["conv_skew"] = np.zeros(U.shape[0])
-        d["conv_work"] = np.zeros(U.shape[0])
+    d["ap_pair"] = pair(ap, U)
+    d["ap_work"] = 4.0 * par.kappa0 * dt * pair(ap, U1)
+    d["conv_skew"] = pair(bb, U)
+    d["conv_work"] = 2.0 * dt * pair(bb, U1)
     d["backward"] = np.sum((U - U1) ** 2, axis=1)
-    d["mart_pre"] = 2.0 * np.einsum("pm,pm->p", M, U)
-    d["mart_work"] = 2.0 * np.einsum("pm,pm->p", M, U1)
+    d["mart_pre"] = 2.0 * pair(M, U)
+    d["mart_work"] = 2.0 * pair(M, U1)
     d["qv_disc"] = np.sum(M**2, axis=1)
-    d["qv_jump"] = qv_jump if qv_jump is not None else np.zeros(U.shape[0])
+    d["qv_jump"] = zeros if qv_jump is None else qv_jump
     d["resid_sq"] = np.sum((M - (U1 - U)) ** 2, axis=1)
-    d["n_jumps"] = n_events
     return d
 
 
@@ -281,87 +347,36 @@ def integrate(model, initial, seed, *, n_out=21, with_ledger=True, path_index=0)
     coeffs = np.asarray(initial, dtype=float)[: cfg.level].copy()
     if coeffs.size < cfg.level:
         coeffs = np.concatenate([coeffs, np.zeros(cfg.level - coeffs.size)])
-    if cfg.horizon == 0.0:
-        return Trajectory(
-            np.array([0.0]), coeffs[None, :], np.empty(0), np.empty(0, np.int64),
-            cfg.level, EnergyLedger({k: np.empty(0) for k in LEDGER_COLUMNS}), cfg.scheme,
-        )
-    rng = derive_rng(seed, STREAM_JUMPS, path_index)
-    jt, jm = sample_jumps(model.marks, cfg.horizon, rng)
-    bps = _breakpoints(cfg.horizon, model.dt, jt, cfg.jump_mode)
-    n_steps = bps.size - 1
-
-    if cfg.jump_mode == "adapted":
-        out_idx = np.arange(n_steps + 1)
-    else:
-        out_idx = np.unique(np.linspace(0, n_steps, min(n_out, n_steps + 1)).astype(int))
-    out_set = set(int(i) for i in out_idx)
-    ends = np.searchsorted(jt, bps[1:], side="right")
-    starts = np.concatenate([[0], ends[:-1]])
-
-    U = coeffs[None, :]
+    if cfg.horizon > 0.0:
+        jumps = _draw_jumps(model, seed, 1, path_index)
+    else:  # no steps: the trajectory is its initial state
+        jumps = [(np.empty(0), np.empty(0, np.int64))]
+    jt, jm = jumps[0]
+    bps = np.linspace(0.0, cfg.horizon, model.n_steps + 1)
+    if cfg.jump_mode == "adapted":  # a breakpoint at every jump time
+        bps = np.unique(np.concatenate([bps, jt]))
+    states = [coeffs[None, :]]
     cols = {k: [] for k in LEDGER_COLUMNS}
-    times_out, states_out = [bps[0]], [coeffs.copy()]
-    for n in range(n_steps):
-        t0, t1 = bps[n], bps[n + 1]
-        dt = t1 - t0
-        lo, hi = starts[n], ends[n]
-        jp = np.zeros(hi - lo, dtype=np.int64)
-        M, _, qv = model.noise_increment(t0, dt, U, jp, jm[lo:hi], jt[lo:hi])
-        ap, bb = model.drift_pieces(U)
-        U1 = model.advance(U, dt, M, ap, bb)
-        l2_post = float(np.sum(U1**2))
-        if not np.isfinite(l2_post) or l2_post > cfg.blowup_norm**2:
-            raise BlowUpError(
-                {
-                    "step": n,
-                    "t": t1,
-                    "l2": float(np.sqrt(abs(l2_post))),
-                    "l2_pre": float(np.sqrt(np.sum(U**2))),
-                    "level": cfg.level,
-                }
-            )
+    times_out, states_out = [0.0], [coeffs.copy()]
+    for step in _march(
+        [model], states, np.full(1, -1), jumps,
+        n_out=None if cfg.jump_mode == "adapted" else n_out,
+        breakpoints=bps, raise_blowup=True,
+    ):
         if with_ledger:
-            diag = _diag_update(model, dt, U, U1, M, ap, bb, qv, hi - lo)
-            cols["t"].append(t1)
-            cols["dt"].append(dt)
+            diag = _diag_update(model, step.dt, *step.pieces[0])
+            cols["t"].append(step.t)
+            cols["dt"].append(step.dt)
             for k in LEDGER_COLUMNS[2:-1]:
                 cols[k].append(float(diag[k][0]))
-            cols["n_jumps"].append(hi - lo)
-        U = U1
-        if n + 1 in out_set:
-            times_out.append(t1)
-            states_out.append(U[0].copy())
+            cols["n_jumps"].append(step.n_jumps)
+        if step.out:
+            times_out.append(step.t)
+            states_out.append(states[0][0].copy())
     ledger = EnergyLedger({k: np.asarray(v, dtype=float) for k, v in cols.items()}) if with_ledger else None
     return Trajectory(
         np.asarray(times_out), np.asarray(states_out), jt, jm, cfg.level, ledger, cfg.scheme
     )
-
-
-def _prepare_jumps(model, seed, n_paths, horizon, path_offset, jumps):
-    """Per-path event lists flattened into step-bucketed arrays."""
-    dt = model.dt
-    n_steps = max(1, int(round(horizon / dt)))
-    all_t, all_m, all_p = [], [], []
-    drawn = []
-    for p in range(n_paths):
-        if jumps is None:
-            rng = derive_rng(seed, STREAM_JUMPS, path_offset + p)
-            jt, jm = sample_jumps(model.marks, horizon, rng)
-        else:
-            jt, jm = jumps[p]
-        drawn.append((jt, jm))
-        all_t.append(jt)
-        all_m.append(jm)
-        all_p.append(np.full(jt.size, p, dtype=np.int64))
-    jt = np.concatenate(all_t) if all_t else np.empty(0)
-    jm = np.concatenate(all_m).astype(np.int64) if all_m else np.empty(0, np.int64)
-    jp = np.concatenate(all_p) if all_p else np.empty(0, np.int64)
-    steps = _step_grid(n_steps, dt, jt) if jt.size else np.empty(0, np.int64)
-    order = np.argsort(steps, kind="stable")
-    jt, jm, jp, steps = jt[order], jm[order], jp[order], steps[order]
-    bounds = np.searchsorted(steps, np.arange(n_steps + 1))
-    return n_steps, jt, jm, jp, bounds, drawn
 
 
 @dataclass
@@ -398,6 +413,15 @@ _SERIES_AUDIT = (
     "convwork_cum",
     "skew_max",
 )
+# audit running sums and the ledger column each one adds up
+_AUDIT_SUMS = {
+    "mart_cum": "mart_pre",
+    "qv_disc_cum": "qv_disc",
+    "qv_jump_cum": "qv_jump",
+    "resid_cum": "resid_sq",
+    "apwork_cum": "ap_work",
+    "convwork_cum": "conv_work",
+}
 
 
 def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
@@ -418,12 +442,8 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     if U.ndim != 2 or U.shape[1] != cfg.level:
         raise ValueError("initials must have shape (paths, level)")
     n_paths = U.shape[0]
-    par = model.params
-    n_steps, jt, jm, jp, bounds, drawn = _prepare_jumps(
-        model, seed, n_paths, cfg.horizon, path_offset, jumps
-    )
-    dt = model.dt
-    out_idx = np.unique(np.linspace(0, n_steps, min(n_out, n_steps + 1)).astype(int))
+    if jumps is None:
+        jumps = _draw_jumps(model, seed, n_paths, path_offset)
     functionals = functionals or {}
 
     acc = {name: np.zeros(n_paths) for name in _SERIES_BASE + _SERIES_AUDIT}
@@ -431,88 +451,53 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     acc["h2_sq"] = np.sum(model.basis.eigenvalues * U**2, axis=1)
     acc["sup_l2_sq"] = acc["l2_sq"].copy()
     acc["sup_energy"] = acc["l2_sq"].copy()
-    occ = {name: np.zeros(n_paths) for name in functionals}
-    alive = np.ones(n_paths, dtype=bool)
+    acc.update({f"occ_{name}": np.zeros(n_paths) for name in functionals})
     blow_steps = np.full(n_paths, -1, dtype=np.int64)
 
-    snap_names = list(_SERIES_BASE) + (list(_SERIES_AUDIT) if track_audit else [])
-    snaps = {name: np.zeros((out_idx.size, n_paths)) for name in snap_names}
-    snaps.update({f"occ_{name}": np.zeros((out_idx.size, n_paths)) for name in occ})
-    times = out_idx * dt
-    cursor = 0
+    snap_names = (list(_SERIES_BASE) + (list(_SERIES_AUDIT) if track_audit else [])
+                  + [f"occ_{name}" for name in functionals])
+    snaps = [{name: acc[name].copy() for name in snap_names}]  # one per output time
+    times = [0.0]
 
-    def snapshot(pos):
-        for name in snap_names:
-            snaps[name][pos] = acc[name]
-        for name in occ:
-            snaps[f"occ_{name}"][pos] = occ[name]
+    def raise_max(name, values, live):
+        np.maximum(acc[name], np.where(live, values, -np.inf), out=acc[name])
 
-    if out_idx[0] == 0:
-        snapshot(0)
-        cursor = 1
-
-    for n in range(n_steps):
-        t0 = n * dt
-        lo, hi = bounds[n], bounds[n + 1]
-        M, _, qv = model.noise_increment(t0, dt, U, jp[lo:hi], jm[lo:hi], jt[lo:hi])
-        ap, bb = model.drift_pieces(U)
-        U1 = model.advance(U, dt, M, ap, bb)
-
-        l2_post = np.sum(U1**2, axis=1)
-        bad = alive & (~np.isfinite(l2_post) | (l2_post > cfg.blowup_norm**2))
-        if bad.any():
-            blow_steps[bad] = n
-            U1[bad] = U[bad]  # freeze at the last finite state
-            alive &= ~bad
-        live = alive
-
+    states = [U]
+    for step in _march([model], states, blow_steps, jumps, n_out=n_out):
+        U1, dt, live = states[0], step.dt, step.live
         h2_post = np.sum(model.basis.eigenvalues * U1**2, axis=1)
         l2_post = np.sum(U1**2, axis=1)
         acc["l2_sq"][live] = l2_post[live]
         acc["h2_sq"][live] = h2_post[live]
         acc["diss_int"][live] += dt * h2_post[live]
         acc["diss_r2_int"][live] += dt * (h2_post * l2_post)[live]
-        np.maximum(acc["sup_l2_sq"], np.where(live, l2_post, -np.inf), out=acc["sup_l2_sq"])
-        energy = l2_post + 2.0 * par.kappa1 * acc["diss_int"]
-        np.maximum(acc["sup_energy"], np.where(live, energy, -np.inf), out=acc["sup_energy"])
+        raise_max("sup_l2_sq", l2_post, live)
+        raise_max("sup_energy", l2_post + 2.0 * model.params.kappa1 * acc["diss_int"], live)
         if track_audit:
-            diag = _diag_update(model, dt, U, U1, M, ap, bb, qv, hi - lo)
-            acc["mart_cum"][live] += diag["mart_pre"][live]
-            np.maximum(
-                acc["mart_sup"],
-                np.where(live, np.abs(acc["mart_cum"]), -np.inf),
-                out=acc["mart_sup"],
-            )
-            acc["qv_disc_cum"][live] += diag["qv_disc"][live]
-            acc["qv_jump_cum"][live] += diag["qv_jump"][live]
-            acc["resid_cum"][live] += diag["resid_sq"][live]
-            acc["apwork_cum"][live] += diag["ap_work"][live]
-            acc["convwork_cum"][live] += diag["conv_work"][live]
+            diag = _diag_update(model, dt, *step.pieces[0])
+            for name, column in _AUDIT_SUMS.items():
+                acc[name][live] += diag[column][live]
+            raise_max("mart_sup", np.abs(acc["mart_cum"]), live)
             scale = 1.0 + l2_post * np.sqrt(np.maximum(h2_post, 0.0))
-            np.maximum(
-                acc["skew_max"],
-                np.where(live, np.abs(diag["conv_skew"]) / scale, -np.inf),
-                out=acc["skew_max"],
-            )
+            raise_max("skew_max", np.abs(diag["conv_skew"]) / scale, live)
         for name, fn in functionals.items():
-            occ[name][live] += dt * fn(U1)[live]
-        U = U1
-        if cursor < out_idx.size and n + 1 == out_idx[cursor]:
-            snapshot(cursor)
-            cursor += 1
+            acc[f"occ_{name}"][live] += dt * fn(U1)[live]
+        if step.out:
+            times.append(step.t)
+            snaps.append({name: acc[name].copy() for name in snap_names})
 
     return EnsembleResult(
-        times=times,
-        series=snaps,
-        terminal=U,
-        blown=~alive,
+        times=np.array(times),
+        series={name: np.array([snap[name] for snap in snaps]) for name in snap_names},
+        terminal=states[0],
+        blown=blow_steps >= 0,
         blow_steps=blow_steps,
-        n_jumps=np.array([t.size for t, _ in drawn]),
-        jumps=drawn,
+        n_jumps=np.array([t.size for t, _ in jumps]),
+        jumps=jumps,
     )
 
 
-def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, path_offset=0):
+def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11):
     """Synchronously coupled pair ensemble with the weighted distance.
 
     Both members of each pair see the same jump events.  Tracks the
@@ -520,57 +505,32 @@ def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, path_offset=0):
     rho(t) = exp(-(C^2/kappa1) * int ||u1||_2^2 ds), the weight of the
     pathwise contraction estimate (C is the convection-form constant).
     """
-    cfg = model.config
-    U1 = np.array(xi1, dtype=float)
-    U2 = np.array(xi2, dtype=float)
-    n_paths = U1.shape[0]
-    n_steps, jt, jm, jp, bounds, _ = _prepare_jumps(
-        model, seed, n_paths, cfg.horizon, path_offset, None
-    )
-    dt = model.dt
-    out_idx = np.unique(np.linspace(0, n_steps, min(n_out, n_steps + 1)).astype(int))
+    states = [np.array(xi1, dtype=float), np.array(xi2, dtype=float)]
+    n_paths = states[0].shape[0]
+    blow_steps = np.full(n_paths, -1, dtype=np.int64)
     diss1 = np.zeros(n_paths)
-    wsq0 = np.sum((U1 - U2) ** 2, axis=1)
-    snaps = {"wsq": np.zeros((out_idx.size, n_paths)), "rho_wsq": np.zeros((out_idx.size, n_paths))}
-    alive = np.ones(n_paths, dtype=bool)
-    cursor = 0
-    if out_idx[0] == 0:
-        snaps["wsq"][0] = wsq0
-        snaps["rho_wsq"][0] = wsq0
-        cursor = 1
+    wsq0 = np.sum((states[0] - states[1]) ** 2, axis=1)
+    times, wsq, rho_wsq = [0.0], [wsq0], [wsq0]
     cw = conv_bound**2 / model.params.kappa1
-    for n in range(n_steps):
-        t0 = n * dt
-        lo, hi = bounds[n], bounds[n + 1]
-        M1, _, _ = model.noise_increment(t0, dt, U1, jp[lo:hi], jm[lo:hi], jt[lo:hi])
-        M2, _, _ = model.noise_increment(t0, dt, U2, jp[lo:hi], jm[lo:hi], jt[lo:hi])
-        ap1, bb1 = model.drift_pieces(U1)
-        ap2, bb2 = model.drift_pieces(U2)
-        N1 = model.advance(U1, dt, M1, ap1, bb1)
-        N2 = model.advance(U2, dt, M2, ap2, bb2)
-        s1, s2 = np.sum(N1**2, axis=1), np.sum(N2**2, axis=1)
-        cap = cfg.blowup_norm**2
-        bad = alive & ~(np.isfinite(s1) & np.isfinite(s2) & (s1 <= cap) & (s2 <= cap))
-        if bad.any():
-            N1[bad], N2[bad] = U1[bad], U2[bad]
-            alive &= ~bad
-        U1, U2 = N1, N2
-        diss1[alive] += dt * np.sum(model.basis.eigenvalues * U1**2, axis=1)[alive]
-        if cursor < out_idx.size and n + 1 == out_idx[cursor]:
-            wsq = np.sum((U1 - U2) ** 2, axis=1)
-            snaps["wsq"][cursor] = wsq
-            snaps["rho_wsq"][cursor] = np.exp(-cw * diss1) * wsq
-            cursor += 1
+    jumps = _draw_jumps(model, seed, n_paths, 0)
+    for step in _march([model, model], states, blow_steps, jumps, n_out=n_out):
+        live = step.live
+        diss1[live] += step.dt * np.sum(model.basis.eigenvalues * states[0]**2, axis=1)[live]
+        if step.out:
+            w = np.sum((states[0] - states[1]) ** 2, axis=1)
+            times.append(step.t)
+            wsq.append(w)
+            rho_wsq.append(np.exp(-cw * diss1) * w)
     return {
-        "times": out_idx * dt,
-        "wsq": snaps["wsq"],
-        "rho_wsq": snaps["rho_wsq"],
+        "times": np.array(times),
+        "wsq": np.array(wsq),
+        "rho_wsq": np.array(rho_wsq),
         "wsq0": wsq0,
-        "blown": ~alive,
+        "blown": blow_steps >= 0,
     }
 
 
-def run_levels(models, initial_top, seed, *, path_offset=0, n_paths=None):
+def run_levels(models, initial_top, seed):
     """Lockstep integration of nested truncations under shared noise.
 
     `models` are FluidModels of increasing level with a common dt and
@@ -580,46 +540,24 @@ def run_levels(models, initial_top, seed, *, path_offset=0, n_paths=None):
     of the squared energy-norm gap (fields compared by zero-padding).
     """
     top = models[-1]
-    cfg = top.config
     levels = [m.config.level for m in models]
     if levels != sorted(levels) or len(set(levels)) != len(levels):
         raise ValueError("levels must be strictly increasing")
     if any(b.dt != top.dt for b in models) or any(
-        m.config.horizon != cfg.horizon for m in models
+        m.config.horizon != top.config.horizon for m in models
     ):
         raise ValueError("levels must share dt and horizon")
     X = np.array(initial_top, dtype=float)
     if X.ndim != 2 or X.shape[1] != levels[-1]:
         raise ValueError("initials must have shape (paths, top level)")
-    n_paths = X.shape[0] if n_paths is None else n_paths
-    n_steps, jt, jm, jp, bounds, _ = _prepare_jumps(
-        top, seed, n_paths, cfg.horizon, path_offset, None
-    )
-    dt = top.dt
+    n_paths = X.shape[0]
     states = [X[:, :lv].copy() for lv in levels]
+    blow_steps = np.full(n_paths, -1, dtype=np.int64)
     gap_int = [np.zeros(n_paths) for _ in range(len(models) - 1)]
     eig_top = top.basis.eigenvalues
-    alive = np.ones(n_paths, dtype=bool)
-    cap = cfg.blowup_norm**2
-    for n in range(n_steps):
-        t0 = n * dt
-        lo, hi = bounds[n], bounds[n + 1]
-        nxt = []
-        for mdl, U in zip(models, states):
-            M, _, _ = mdl.noise_increment(t0, dt, U, jp[lo:hi], jm[lo:hi], jt[lo:hi])
-            ap, bb = mdl.drift_pieces(U)
-            nxt.append(mdl.advance(U, dt, M, ap, bb))
-        bad = alive.copy()
-        bad[:] = False
-        for new, old in zip(nxt, states):
-            sq = np.sum(new**2, axis=1)
-            bad |= ~np.isfinite(sq) | (sq > cap)
-        bad &= alive
-        if bad.any():
-            for new, old in zip(nxt, states):
-                new[bad] = old[bad]  # freeze every level of a dead path
-            alive &= ~bad
-        states = nxt
+    jumps = _draw_jumps(top, seed, n_paths, 0)
+    for step in _march(models, states, blow_steps, jumps):
+        live = step.live
         for i in range(len(models) - 1):
             lo_lv, hi_lv = levels[i], levels[i + 1]
             d_lo = states[i + 1][:, :lo_lv] - states[i]
@@ -627,19 +565,18 @@ def run_levels(models, initial_top, seed, *, path_offset=0, n_paths=None):
             gap_h2 = np.sum(eig_top[:lo_lv] * d_lo**2, axis=1) + np.sum(
                 eig_top[lo_lv:hi_lv] * d_hi**2, axis=1
             )
-            gap_int[i][alive] += dt * gap_h2[alive]
+            gap_int[i][live] += step.dt * gap_h2[live]
     gaps_sq = []
     for i in range(len(models) - 1):
-        lo_lv, hi_lv = levels[i], levels[i + 1]
         d = states[i + 1].copy()
-        d[:, :lo_lv] -= states[i]
+        d[:, : levels[i]] -= states[i]
         gaps_sq.append(np.sum(d**2, axis=1))
     return {
         "levels": levels,
         "terminal_gap_sq": gaps_sq,   # list of (P,)
         "energy_gap_int": gap_int,    # list of (P,)
         "terminals": states,
-        "blown": ~alive,
+        "blown": blow_steps >= 0,
     }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from levyfluid import experiments
 from levyfluid.config import parse_config_text
-from levyfluid.ergodics import EnsembleSpec, draw_initials
+from levyfluid.ergodics import EnsembleSpec, cauchy_study, draw_initials
 from levyfluid.experiments import build_model, run_ensemble, run_experiment
 
 
@@ -72,6 +72,35 @@ class TestMomentsRunner:
         code, summary = run_experiment(cfg, out_dir=tmp_path, workers=1)
         assert len(summary["bound_constants"]) == 2
         assert all(c > 0 for c in summary["bound_constants"])
+
+
+CAUCHY = """
+experiment = cauchy
+fluid.kappa0 = 0.5
+fluid.p = 1.5
+disc.level = 16
+disc.dt = 0.002
+disc.horizon = 0.1
+noise.kind = additive
+noise.gains = [0.4, 0.2]
+noise.shape_level = 4
+ensemble.paths = 8
+ensemble.seed = 3
+ensemble.initial = gaussian
+ensemble.scale = 0.5
+cauchy.levels = [4, 8, 16]
+"""
+
+
+class TestCauchyRunner:
+    def test_summary_reports_refine_dt_flag(self, tmp_path):
+        cfg = parse_config_text(CAUCHY)
+        run_experiment(cfg, out_dir=tmp_path, workers=1)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert isinstance(summary["refine_dt"], bool)
+        spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
+        study = cauchy_study(lambda level: build_model(cfg, level=level), [4, 8, 16], spec)
+        assert summary["refine_dt"] is study["refine_dt"]
 
 
 class TestArtifacts:

@@ -334,3 +334,73 @@ class TestEnsembleEngine:
         assert res.series["mart_cum"][-1, 0] == pytest.approx(
             float(np.sum(led["mart_pre"])), rel=1e-12
         )
+
+
+def unstable_model(level=8, horizon=5.0):
+    # explicit steps with dt * kappa1 = 3: the first shell (eigenvalue 0.5)
+    # contracts by 0.5 per step, the second (eigenvalue 2) grows by 5, so a
+    # path with second-shell content blows up and one without stays bounded
+    par = FluidParams(kappa0=0.5, kappa1=12.0, reg=1.0, p=1.5)
+    cfg = SolverConfig(params=par, level=level, dt=0.25, horizon=horizon,
+                       scheme="explicit", convection=False, stress=False)
+    return FluidModel(cfg, additive_sigma(level), MARKS)
+
+
+def first_steps(X, seed, k, jumps):
+    """States after the first k steps of `unstable_model`, replaying `jumps`."""
+    horizon = k * 0.25
+    cut = [(t[t <= horizon], m[t <= horizon]) for t, m in jumps]
+    return run_paths(unstable_model(X.shape[1], horizon), X, seed, jumps=cut).terminal
+
+
+class TestOneKernel:
+    """Every driver steps through the same kernel, so they agree bit for bit."""
+
+    def test_pair_distance_equals_two_ensemble_runs(self):
+        model = make_model(dt=2e-3, horizon=0.5)
+        rng = np.random.default_rng(5)
+        X1 = 0.5 * rng.standard_normal((5, 8))
+        X2 = X1 + 0.1 * rng.standard_normal((5, 8))
+        out = run_pairs(model, X1, X2, seed=5, conv_bound=0.2)
+        d = run_paths(model, X1, 5).terminal - run_paths(model, X2, 5).terminal
+        assert np.array_equal(out["wsq"][-1], np.sum(d**2, axis=1))
+
+    def test_single_level_equals_ensemble_run(self):
+        model = make_model(dt=2e-3, horizon=0.5)
+        X = 0.5 * np.random.default_rng(5).standard_normal((5, 8))
+        out = run_levels([model], X, seed=5)
+        assert np.array_equal(out["terminals"][0], run_paths(model, X, 5).terminal)
+
+    def test_pair_blowup_freezes_both_members_at_one_step(self):
+        model = unstable_model()
+        X1 = np.vstack([np.zeros(8), np.ones(8)])
+        X2 = np.vstack([np.zeros(8), 1e-3 * np.ones(8)])
+        X2[0, 0] = 0.3
+        solo1, solo2 = run_paths(model, X1, 5), run_paths(model, X2, 5)
+        k = solo1.blow_steps[1]
+        assert solo1.blow_steps[0] == solo2.blow_steps[0] == -1
+        # the second member alone would blow up later than the first
+        assert 0 < k < solo2.blow_steps[1]
+        a, b = first_steps(X1, 5, k, solo1.jumps), first_steps(X2, 5, k, solo2.jumps)
+        assert np.array_equal(solo1.terminal[1], a[1])
+        out = run_pairs(model, X1, X2, seed=5, conv_bound=0.2)
+        assert out["blown"].tolist() == [False, True]
+        assert np.all(np.isfinite(out["wsq"]))
+        assert out["wsq"][-1, 1] == np.sum((a[1] - b[1]) ** 2)
+        assert out["wsq"][-1, 0] == np.sum((solo1.terminal[0] - solo2.terminal[0]) ** 2)
+
+    def test_level_blowup_freezes_every_level_at_one_step(self):
+        models = [unstable_model(level=4), unstable_model(level=8)]
+        X = np.vstack([np.zeros(8), np.ones(8)])
+        solo = [run_paths(m, X[:, : m.config.level], 5) for m in models]
+        k = solo[1].blow_steps[1]
+        # level 4 holds only the first shell and would never blow up alone
+        assert not solo[0].blown.any()
+        assert solo[1].blow_steps[0] == -1 and k > 0
+        out = run_levels(models, X, seed=5)
+        assert out["blown"].tolist() == [False, True]
+        for run, terminal in zip(solo, out["terminals"]):
+            Xl = X[:, : terminal.shape[1]]
+            assert np.all(np.isfinite(terminal))
+            assert np.array_equal(terminal[0], run.terminal[0])
+            assert np.array_equal(terminal[1], first_steps(Xl, 5, k, run.jumps)[1])

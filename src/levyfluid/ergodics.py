@@ -285,17 +285,20 @@ def cauchy_study(make_model, levels, spec):
 # ---------------------------------------------------------------------------
 
 
-def uniqueness_contraction(model, spec, xi1, xi2, conv_bound):
+def uniqueness_contraction(model, spec, xi1, xi2, conv_bound, *, result=None):
     """Weighted mean-square contraction statistic for a coupled ensemble.
 
     Reports E[rho(t) |u1 - u2|^2] / |xi1 - xi2|^2 on the output grid,
     with rho the exponential weight built from the first path's
     dissipation.  The theory bounds this by a constant independent of the
-    separation.
+    separation.  `result` is a finished `run_pairs` output for the
+    spec.n_paths pairs (xi1, xi2); without it the pairs are run here.
     """
-    X1 = np.tile(np.asarray(xi1, float), (spec.n_paths, 1))
-    X2 = np.tile(np.asarray(xi2, float), (spec.n_paths, 1))
-    out = run_pairs(model, X1, X2, spec.seed, conv_bound)
+    out = result
+    if out is None:
+        X1 = np.tile(np.asarray(xi1, float), (spec.n_paths, 1))
+        X2 = np.tile(np.asarray(xi2, float), (spec.n_paths, 1))
+        out = run_pairs(model, X1, X2, spec.seed, conv_bound)
     sep_sq = float(np.sum((np.asarray(xi1) - np.asarray(xi2)) ** 2))
     if sep_sq == 0.0:
         stat = np.zeros(out["times"].size)

@@ -31,9 +31,10 @@ jump list: it buckets the jumps into step windows, takes every member
 through the noise increment, the drift and the advance, and checks each
 path for blow-up across all members.  `run_paths` is one member,
 `run_pairs` two members of one model, `run_levels` one member per
-truncation level, and `integrate` one single-path member on its own
-breakpoints (grid or jump-adapted).  The drivers keep only their own
-accumulators: ensemble series, pair distances, level gaps, the ledger.
+truncation level, and `integrate` one single-path member.  All step on
+the n*dt grid; jump-adapted `integrate` adds a breakpoint at each of its
+jump times.  The drivers keep only their own accumulators: ensemble
+series, pair distances, level gaps, the ledger.
 
 Paths blow up by policy, not silently: a non-finite or oversized state
 aborts `integrate` with a report of the step and norms; in the batched
@@ -352,9 +353,9 @@ def integrate(model, initial, seed, *, n_out=21, with_ledger=True, path_index=0)
     else:  # no steps: the trajectory is its initial state
         jumps = [(np.empty(0), np.empty(0, np.int64))]
     jt, jm = jumps[0]
-    bps = np.linspace(0.0, cfg.horizon, model.n_steps + 1)
-    if cfg.jump_mode == "adapted":  # a breakpoint at every jump time
-        bps = np.unique(np.concatenate([bps, jt]))
+    bps = None  # grid mode steps on run_paths' n*dt grid
+    if cfg.jump_mode == "adapted":  # that grid plus a breakpoint at every jump time
+        bps = np.unique(np.concatenate([np.arange(model.n_steps + 1) * model.dt, jt]))
     states = [coeffs[None, :]]
     cols = {k: [] for k in LEDGER_COLUMNS}
     times_out, states_out = [0.0], [coeffs.copy()]
@@ -497,11 +498,12 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     )
 
 
-def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11):
+def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, jumps=None):
     """Synchronously coupled pair ensemble with the weighted distance.
 
-    Both members of each pair see the same jump events.  Tracks the
-    squared distance |w|^2 and the weighted distance rho * |w|^2 with
+    Both members of each pair see the same jump events: pair p those of
+    path p's stream, or `jumps[p]` when given.  Tracks the squared
+    distance |w|^2 and the weighted distance rho * |w|^2 with
     rho(t) = exp(-(C^2/kappa1) * int ||u1||_2^2 ds), the weight of the
     pathwise contraction estimate (C is the convection-form constant).
     """
@@ -512,7 +514,8 @@ def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11):
     wsq0 = np.sum((states[0] - states[1]) ** 2, axis=1)
     times, wsq, rho_wsq = [0.0], [wsq0], [wsq0]
     cw = conv_bound**2 / model.params.kappa1
-    jumps = _draw_jumps(model, seed, n_paths, 0)
+    if jumps is None:
+        jumps = _draw_jumps(model, seed, n_paths, 0)
     for step in _march([model, model], states, blow_steps, jumps, n_out=n_out):
         live = step.live
         diss1[live] += step.dt * np.sum(model.basis.eigenvalues * states[0]**2, axis=1)[live]

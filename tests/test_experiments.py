@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 
@@ -6,6 +7,7 @@ from levyfluid import experiments
 from levyfluid.config import parse_config_text
 from levyfluid.ergodics import EnsembleSpec, cauchy_study, draw_initials
 from levyfluid.experiments import build_model, run_ensemble, run_experiment
+from levyfluid.solver import run_pairs
 
 
 BASE = """
@@ -53,6 +55,78 @@ class TestRunEnsemble:
 
         whole = run_paths(model, initials, cfg.seed)
         assert np.allclose(split.terminal, whole.terminal, rtol=1e-12, atol=1e-15)
+
+    def test_one_model_per_call(self, monkeypatch, tmp_path):
+        # five 8-path blocks per level: one build per call when serial, at
+        # most one per worker when pooled (each build logs its process id)
+        monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 8)
+        cfg = parse_config_text(BASE)
+        spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
+        log = tmp_path / "builds"
+        real = experiments.build_model
+
+        def logged(cfg, **overrides):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {overrides['level']}\n")
+            return real(cfg, **overrides)
+
+        monkeypatch.setattr(experiments, "build_model", logged)
+        for workers in (1, 2):
+            for level in (4, 8):
+                log.write_text("")
+                initials = draw_initials(spec, real(cfg, level=level).basis)
+                run_ensemble(cfg, initials, cfg.seed, overrides={"level": level},
+                             workers=workers)
+                builds = log.read_text().split()
+                pids, levels = builds[::2], builds[1::2]
+                assert set(levels) == {str(level)}
+                if workers == 1:
+                    assert pids == [str(os.getpid())]
+                else:
+                    assert 1 <= len(pids) <= workers and len(set(pids)) == len(pids)
+                    assert str(os.getpid()) not in pids
+
+
+CONTRACTION = """
+experiment = contraction
+fluid.kappa0 = 0.5
+fluid.p = 1.5
+disc.level = 8
+disc.dt = 0.002
+disc.horizon = 0.1
+noise.kind = linear
+noise.gains = [0.25, 0.1]
+ensemble.paths = 20
+ensemble.seed = 5
+ensemble.initial = mode1
+ensemble.scale = 0.4
+contraction.separations = [0.1, 0.01]
+"""
+
+
+class TestContractionRunner:
+    def test_byte_stable_across_worker_counts(self, monkeypatch, tmp_path):
+        # 20 pairs in blocks of 8, 8 and 4, run serially and on two workers
+        monkeypatch.setattr(experiments, "PAIR_BLOCK", 8)
+        cfg = parse_config_text(CONTRACTION)
+        for workers in (1, 2):
+            run_experiment(cfg, out_dir=tmp_path / f"w{workers}", workers=workers)
+        for name in ("summary.json", "contraction.csv"):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+    def test_pair_merge_preserves_path_order(self, monkeypatch):
+        monkeypatch.setattr(experiments, "PAIR_BLOCK", 8)
+        cfg = parse_config_text(CONTRACTION)
+        model = build_model(cfg)
+        rng = np.random.default_rng(3)
+        X1 = 0.4 * rng.standard_normal((cfg.n_paths, 8))
+        partners = [X1 + 0.1 * rng.standard_normal(X1.shape) for _ in range(2)]
+        merged = run_ensemble(cfg, X1, cfg.seed, partners=partners, conv_bound=0.2)
+        for k, X2 in enumerate(partners):
+            whole = run_pairs(model, X1, X2, cfg.seed, 0.2)
+            for key in ("times", "wsq", "rho_wsq", "wsq0"):
+                assert np.allclose(merged[key][k], whole[key], rtol=1e-12, atol=1e-15)
+            assert np.array_equal(merged["blown"][k], whole["blown"])
 
 
 class TestMomentsRunner:

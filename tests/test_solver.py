@@ -15,6 +15,7 @@ from levyfluid.solver import (
     BlowUpError,
     FluidModel,
     SolverConfig,
+    _draw_jumps,
     default_dt,
     energy_audit,
     integrate,
@@ -302,7 +303,8 @@ class TestEnsembleEngine:
         xi[1] = 0.3
         traj = integrate(model, xi, seed=13)
         res = run_paths(model, xi[None, :], seed=13, n_out=3)
-        assert np.allclose(res.terminal[0], traj.terminal(), rtol=0, atol=1e-15)
+        # both step on the n*dt grid, so the terminals agree bit for bit
+        assert np.array_equal(res.terminal[0], traj.terminal())
 
     def test_path_streams_independent_of_batch_layout(self):
         # each path owns its stream; the only cross-batch effect is BLAS
@@ -317,6 +319,26 @@ class TestEnsembleEngine:
         rest = run_paths(model, X[3:], seed=19, path_offset=3)
         assert np.allclose(full.terminal[:3], first.terminal, rtol=1e-12, atol=1e-15)
         assert np.allclose(full.terminal[3:], rest.terminal, rtol=1e-12, atol=1e-15)
+
+    def test_pair_blocks_reproduce_one_batch(self):
+        # run_pairs on two path blocks, each replaying its slice of one
+        # jump draw, matches the whole batch to the same BLAS-blocking
+        # tolerance as run_paths above
+        model = make_model(dt=2e-3, horizon=0.5)
+        rng = np.random.default_rng(7)
+        X1 = 0.5 * rng.standard_normal((6, 8))
+        X2 = X1 + 0.1 * rng.standard_normal((6, 8))
+        whole = run_pairs(model, X1, X2, seed=19, conv_bound=0.2)
+        jumps = _draw_jumps(model, 19, 6, 0)
+        given = run_pairs(model, X1, X2, seed=19, conv_bound=0.2, jumps=jumps)
+        for key in whole:
+            assert np.array_equal(whole[key], given[key])
+        parts = [run_pairs(model, X1[a:b], X2[a:b], seed=19, conv_bound=0.2,
+                           jumps=jumps[a:b]) for a, b in ((0, 3), (3, 6))]
+        for key in ("wsq", "rho_wsq"):
+            joined = np.concatenate([part[key] for part in parts], axis=1)
+            assert np.allclose(whole[key], joined, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(whole["blown"], np.concatenate([part["blown"] for part in parts]))
 
     def test_accumulators_consistent_with_ledger(self):
         model = make_model(dt=2e-3, horizon=0.5)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import STREAM_INITIAL, STREAM_STATS, derive_rng
-from .solver import run_levels, run_pairs, run_paths
+from .solver import SquaredNorm, run_levels, run_pairs, run_paths
 
 __all__ = [
     "EnsembleSpec",
@@ -332,13 +332,19 @@ def uniqueness_contraction(model, spec, xi1, xi2, conv_bound, *, result=None):
 
 
 def make_functional(name, basis, center=None, scale=1.0):
-    """Bounded continuous functionals registered for semigroup estimates.
+    """Continuous functionals registered for semigroup and occupation estimates.
 
-    one:        u -> 1
-    gauss_bump: u -> exp(-|u - a|^2)
-    inv_bump:   u -> 1 / (1 + |u - a|^2)
-    cos_coord:  u -> cos(scale * c_1(u))
-    Unregistered names raise KeyError (boundedness cannot be certified).
+    Bounded, for the semigroup (Chapman-Kolmogorov, Feller) checks:
+    one:            u -> 1
+    gauss_bump:     u -> exp(-|u - a|^2)
+    inv_bump:       u -> 1 / (1 + |u - a|^2)
+    cos_coord:      u -> cos(scale * c_1(u))
+    Unbounded, for the occupation averages and the invariant moment bound:
+    sq_norm:        u -> |u|^2
+    energy_norm_sq: u -> ||u||_2^2
+    The two unbounded ones are `SquaredNorm`s, which `run_paths`
+    integrates from the norms it computes every step.  Unregistered names
+    raise KeyError (boundedness cannot be certified).
     """
     a = np.zeros(basis.size) if center is None else np.asarray(center, float)
 
@@ -351,8 +357,8 @@ def make_functional(name, basis, center=None, scale=1.0):
         "gauss_bump": lambda s: np.exp(-dist_sq(s)),
         "inv_bump": lambda s: 1.0 / (1.0 + dist_sq(s)),
         "cos_coord": lambda s: np.cos(scale * s[:, 0]),
-        "sq_norm": lambda s: np.sum(s**2, axis=1),
-        "energy_norm_sq": lambda s: np.sum(basis.eigenvalues * s**2, axis=1),
+        "sq_norm": SquaredNorm(),
+        "energy_norm_sq": SquaredNorm(basis.eigenvalues),
     }
     if name not in table:
         raise KeyError(f"functional {name!r} is not registered")

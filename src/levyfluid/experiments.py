@@ -17,7 +17,7 @@ a row's result depend on the batch it sits in.  With m=16 and 1000 pairs,
 250-pair blocks reproduce the one-batch distances bit for bit, while
 64-pair blocks moved the statistic by up to 1e-13 relative and took about
 a fifth more CPU.  A pool worker builds its FluidModel once, in the
-pool initializer; a serial run builds it once per call.  The cauchy,
+pool initializer; a serial run uses the runner's model.  The cauchy,
 feller, occupation and invariant-bound runners run in one process.
 """
 
@@ -136,7 +136,8 @@ def _in_worker(job):
 
 
 def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=False,
-                 functional_names=(), partners=None, conv_bound=None, workers=1):
+                 functional_names=(), partners=None, conv_bound=None, workers=1,
+                 model=None):
     """Block-split ensemble run; identical output for any worker count.
 
     Without `partners`, runs `run_paths` on ENSEMBLE_BLOCK-path blocks and
@@ -144,9 +145,13 @@ def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=F
     couples path i of `initials` to row i of each partner batch through
     `run_pairs` on PAIR_BLOCK-pair blocks; the result is run_pairs' dict
     with every array stacked over the partners, paths on the last axis.
-    The model is built once in the calling process or once per worker.
+    The model is built once per worker, or once in the calling process
+    when serial; a serial run uses `model`, the caller's model of `cfg`
+    with `overrides`, instead when given.
     """
     overrides = overrides or {}
+    if model is not None and model.config != replace(cfg.solver, **overrides):
+        raise ValueError("model does not match the config and overrides")
     n_paths = initials.shape[0]
 
     def blocks(size):
@@ -166,7 +171,7 @@ def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=F
                                  initargs=(cfg, overrides)) as pool:
             parts = list(pool.map(_in_worker, [(task, args) for args in jobs]))
     else:
-        model = build_model(cfg, **overrides)
+        model = model if model is not None else build_model(cfg, **overrides)
         parts = [task(model, *args) for args in jobs]
     return merge(parts)
 
@@ -192,7 +197,7 @@ def _run_moments(cfg, out_dir, workers):
         spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
         initials = draw_initials(spec, model.basis)
         result = run_ensemble(cfg, initials, cfg.seed, overrides={"level": level},
-                              workers=workers)
+                              workers=workers, model=model)
         init_sq = float(np.mean(np.sum(initials**2, axis=1)))
         for r in (1, 2):
             est = mc_moment(model, spec, r, result=result)
@@ -319,7 +324,7 @@ def _run_contraction(cfg, out_dir, workers):
     partners = [xi1 + sep * direction for sep in separations]
     pairs = run_ensemble(cfg, np.tile(xi1, (cfg.n_paths, 1)), cfg.seed,
                          partners=[np.tile(xi2, (cfg.n_paths, 1)) for xi2 in partners],
-                         conv_bound=conv_bound, workers=workers)
+                         conv_bound=conv_bound, workers=workers, model=model)
     rows, finals = [], []
     for k, (sep, xi2) in enumerate(zip(separations, partners)):
         out = uniqueness_contraction(model, spec, xi1, xi2, conv_bound,
@@ -428,7 +433,7 @@ def _run_audit(cfg, out_dir, workers):
     spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
     initials = draw_initials(spec, model.basis)
     result = run_ensemble(cfg, initials, cfg.seed, n_out=21, track_audit=True,
-                          workers=workers)
+                          workers=workers, model=model)
     gron = stochastic_gronwall_audit(result, 2.0 * cfg.fluid.kappa1,
                                      beta=cfg.options["beta"])
 

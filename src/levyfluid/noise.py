@@ -112,11 +112,14 @@ class NoiseCoefficient:
     Subclasses implement `block(t, states)` returning the amplitudes for
     every mark at once, shape (K, P, m) for states of shape (P, m).  The
     catalogue entries are autonomous; `t` is part of the interface for
-    time-dependent extensions.
+    time-dependent extensions.  `state_free` declares that the block
+    depends on neither t nor the states, only on their shape, so a solver
+    may compute it once per batch shape.
     """
 
     bounds: "NoiseBounds"
     kind = "abstract"
+    state_free = False
 
     def block(self, t, states):
         raise NotImplementedError
@@ -149,6 +152,7 @@ def _gains(marks, gains):
 
 class ZeroNoise(NoiseCoefficient):
     kind = "zero"
+    state_free = True
 
     def __init__(self, marks):
         self.marks = marks
@@ -179,6 +183,7 @@ class AdditiveNoise(NoiseCoefficient):
     """sigma(t, u, z_j) = g_j h for a fixed field h: state-independent."""
 
     kind = "additive"
+    state_free = True
 
     def __init__(self, marks, gains, shape_coeffs):
         self.marks = marks

@@ -39,13 +39,26 @@ series, pair distances, level gaps, the ledger.
 Paths blow up by policy, not silently: a non-finite or oversized state
 aborts `integrate` with a report of the step and norms; in the batched
 drivers it freezes the path in every member and flags it as blown.
+
+Long runs of small batches are bound by per-call overhead, so the loop
+does each piece of work once and only where needed, without changing a
+bit.  While every path is live (the normal case), `run_paths` updates its
+accumulators as whole arrays in place; masked updates start at the first
+blow-up.  `_march` yields each member's |u|^2, the sums of its blow-up
+check, and `run_paths` reuses them; the `SquaredNorm` functionals are
+integrated from those sums and from the dissipation integral rather than
+evaluated again.  A FluidModel keeps the implicit denominator per dt and,
+for noise whose amplitudes depend on neither time nor state (zero and
+additive), the amplitude block and compensator per (dt, batch size), in
+caches of at most CACHE_SIZE entries each.  Linear and saturating noise
+are evaluated every step: a precomputed affine map would round
+differently.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -60,6 +73,7 @@ __all__ = [
     "EnergyLedger",
     "BlowUpError",
     "EnsembleResult",
+    "SquaredNorm",
     "default_dt",
     "integrate",
     "run_paths",
@@ -70,6 +84,7 @@ __all__ = [
 
 DT_CAP = 1e-3
 BLOWUP_NORM = 1e8
+CACHE_SIZE = 8  # entries per FluidModel step cache
 
 LEDGER_COLUMNS = (
     "t",
@@ -138,6 +153,23 @@ class BlowUpError(RuntimeError):
         self.report = report
 
 
+def _cached(cache, key, make):
+    """cache[key], from make() on a miss, with its arrays made read-only.
+
+    Keeps at most CACHE_SIZE entries and drops the oldest first, since
+    jump-adapted `integrate` steps with a new dt at every jump.
+    """
+    if key not in cache:
+        if len(cache) >= CACHE_SIZE:
+            del cache[next(iter(cache))]
+        value = make()
+        for a in value if isinstance(value, tuple) else (value,):
+            if a is not None:
+                a.flags.writeable = False
+        cache[key] = value
+    return cache[key]
+
+
 class FluidModel:
     """Config plus the prepared basis, operator workspace and noise."""
 
@@ -158,6 +190,9 @@ class FluidModel:
             self.n_steps = int(n)
         else:
             self.n_steps = 0
+        self._state_free = getattr(sigma, "state_free", False)
+        self._denoms = {}  # dt -> implicit denominator
+        self._noise = {}   # (dt, P) -> (block, compensator) of state-free noise
 
     def drift_pieces(self, states):
         """Explicit drift parts: (stress coefficients, convection coefficients)."""
@@ -173,25 +208,38 @@ class FluidModel:
         if bb is not None:
             g -= dt * bb
         if self.config.scheme == "semi-implicit":
-            denom = 1.0 + dt * self.params.kappa1 * self.basis.eigenvalues
+            denom = _cached(self._denoms, dt,
+                            lambda: 1.0 + dt * self.params.kappa1 * self.basis.eigenvalues)
             return (states + g) / denom
         return states - dt * self.params.kappa1 * self.basis.eigenvalues * states + g
+
+    def _compensated(self, t, dt, states):
+        """The (K, P, m) amplitude block (None for zero noise) and the compensator."""
+        if getattr(self.sigma, "kind", "") == "zero":
+            return None, np.zeros(states.shape)
+        blk = self.sigma.block(t, states)
+        return blk, -dt * np.einsum("k,kpm->pm", self.marks.rates, blk)
 
     def noise_increment(self, t, dt, states, jump_paths, jump_marks, jump_times):
         """Compensated window increments for a batch, plus the jump data.
 
         Returns (M, blk, jump_qv_add) with M of shape (P, m).  The
-        amplitude is frozen at the pre-step state.
+        amplitude is frozen at the pre-step state.  For state-free noise
+        the block and the compensator depend only on (dt, P); they are
+        computed once per pair and returned read-only.
         """
-        p, m = states.shape
-        if getattr(self.sigma, "kind", "") == "zero":
-            return np.zeros((p, m)), None, None
-        blk = self.sigma.block(t, states)  # (K, P, m)
-        inc = -dt * np.einsum("k,kpm->pm", self.marks.rates, blk)
+        if self._state_free:
+            blk, inc = _cached(self._noise, (dt, states.shape[0]),
+                               lambda: self._compensated(t, dt, states))
+        else:
+            blk, inc = self._compensated(t, dt, states)
+        if blk is None:
+            return inc, None, None
         if jump_paths.size:
+            inc = inc.copy()
             amp = blk[jump_marks, jump_paths, :]  # (n_events, m)
             np.add.at(inc, jump_paths, amp)
-            qv = np.zeros(p)
+            qv = np.zeros(states.shape[0])
             np.add.at(qv, jump_paths, np.sum(amp**2, axis=1))
         else:
             qv = None
@@ -248,7 +296,7 @@ def _draw_jumps(model, seed, n_paths, offset):
     ]
 
 
-_Step = namedtuple("_Step", "t dt live pieces out n_jumps")
+_Step = namedtuple("_Step", "t dt live all_live pieces l2 out n_jumps")
 
 
 def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
@@ -261,8 +309,10 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
     that blows up in any member raises BlowUpError if `raise_blowup`, else
     freezes in every member from then on, its step in `blow_steps` (-1
     while alive).  `states` is updated in place.  Yields per step a _Step:
-    end time, dt, live mask, per-member pieces (U, U1, M, ap, bb, qv),
-    whether it is one of `n_out` output steps (all if None), event count.
+    end time, dt, live mask, whether every path is live, per-member pieces
+    (U, U1, M, ap, bb, qv), per-member |U1|^2 of the stored states (the
+    blow-up check's sums), whether it is one of `n_out` output steps (all
+    if None), event count.
     """
     jt = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
     jm = np.concatenate([np.empty(0, np.int64)] + [marks for _, marks in jumps])
@@ -282,7 +332,8 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
         np.linspace(0, n_steps, min(n_out, n_steps + 1)).astype(int).tolist())
 
     cap = models[0].config.blowup_norm ** 2
-    live, frozen = blow_steps < 0, None
+    live = blow_steps < 0
+    all_live, frozen = bool(live.all()), None
     for n in range(n_steps):
         lo, hi = bounds[n], bounds[n + 1]
         pieces = []
@@ -290,25 +341,31 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
             M, _, qv = model.noise_increment(t[n], dts[n], U, jp[lo:hi], jm[lo:hi], jt[lo:hi])
             ap, bb = model.drift_pieces(U)
             pieces.append((U, model.advance(U, dts[n], M, ap, bb), M, ap, bb, qv))
-        fine = [np.sum(U1**2, axis=1) <= cap for _, U1, *_ in pieces]
-        bad = live & ~reduce(np.logical_and, fine)
-        if bad.any():
-            if raise_blowup:
-                i = int(np.flatnonzero(bad)[0])
-                j = next(j for j, f in enumerate(fine) if not f[i])
-                U, U1 = pieces[j][:2]
-                raise BlowUpError({
-                    "step": n, "t": t[n + 1], "l2": float(np.sqrt(abs(np.sum(U1[i] ** 2)))),
-                    "l2_pre": float(np.sqrt(np.sum(U[i] ** 2))), "level": models[j].config.level,
-                })
-            blow_steps[bad] = n
-            live = blow_steps < 0
-            frozen = ~live
+        l2 = [np.sum(U1**2, axis=1) for _, U1, *_ in pieces]
+        fine = l2[0] <= cap
+        for sq in l2[1:]:
+            fine &= sq <= cap
+        if not fine.all():
+            bad = live & ~fine
+            if bad.any():
+                if raise_blowup:
+                    i = int(np.flatnonzero(bad)[0])
+                    j = next(j for j, sq in enumerate(l2) if not sq[i] <= cap)
+                    U, U1 = pieces[j][:2]
+                    raise BlowUpError({
+                        "step": n, "t": t[n + 1], "l2": float(np.sqrt(abs(np.sum(U1[i] ** 2)))),
+                        "l2_pre": float(np.sqrt(np.sum(U[i] ** 2))),
+                        "level": models[j].config.level,
+                    })
+                blow_steps[bad] = n
+                live = blow_steps < 0
+                all_live, frozen = False, ~live
         for i, (U, U1, *_) in enumerate(pieces):
             if frozen is not None:
                 U1[frozen] = U[frozen]
+                l2[i][frozen] = np.sum(U1[frozen] ** 2, axis=1)
             states[i] = U1
-        yield _Step(t[n + 1], dts[n], live, pieces, n + 1 in out, hi - lo)
+        yield _Step(t[n + 1], dts[n], live, all_live, pieces, l2, n + 1 in out, hi - lo)
 
 
 def _diag_update(model, dt, U, U1, M, ap, bb, qv_jump):
@@ -425,6 +482,24 @@ _AUDIT_SUMS = {
 }
 
 
+class SquaredNorm:
+    """The functional u -> sum_i w_i u_i^2 of a batch of states.
+
+    No weights give |u|^2, the basis eigenvalues ||u||_2^2.  `run_paths`
+    integrates these from the norms every step computes anyway, |u|^2 for
+    the blow-up check and ||u||_2^2 for the dissipation integral, with the
+    same arithmetic as calling the functional.
+    """
+
+    def __init__(self, weights=None):
+        self.weights = weights
+
+    def __call__(self, states):
+        if self.weights is None:
+            return np.sum(states**2, axis=1)
+        return np.sum(self.weights * states**2, axis=1)
+
+
 def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
               functionals=None, jumps=None, path_offset=0):
     """Batched grid-mode integration of an ensemble with running statistics.
@@ -434,7 +509,9 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     snapshotted on `n_out` evenly spaced output times.  Each path draws
     its own jump stream keyed by path index, so results do not depend on
     how the ensemble is split across workers.  Blown-up paths freeze at
-    their last finite state and are flagged, not hidden.
+    their last finite state and are flagged, not hidden.  While every path
+    is live the accumulators update whole arrays in place; from the first
+    blow-up on, only the live entries, with the same arithmetic.
     """
     cfg = model.config
     if cfg.jump_mode != "grid":
@@ -446,13 +523,24 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     if jumps is None:
         jumps = _draw_jumps(model, seed, n_paths, path_offset)
     functionals = functionals or {}
+    eig = model.basis.eigenvalues
+    two_kappa1 = 2.0 * model.params.kappa1
 
     acc = {name: np.zeros(n_paths) for name in _SERIES_BASE + _SERIES_AUDIT}
     acc["l2_sq"] = np.sum(U**2, axis=1)
-    acc["h2_sq"] = np.sum(model.basis.eigenvalues * U**2, axis=1)
+    acc["h2_sq"] = np.sum(eig * U**2, axis=1)
     acc["sup_l2_sq"] = acc["l2_sq"].copy()
     acc["sup_energy"] = acc["l2_sq"].copy()
-    acc.update({f"occ_{name}": np.zeros(n_paths) for name in functionals})
+    # occupation integrals, each with its functional; None integrates the
+    # step's |u|^2 sums, and int ||u||_2^2 dt is diss_int itself
+    occ = {}
+    for name, fn in functionals.items():
+        key, norm = f"occ_{name}", isinstance(fn, SquaredNorm)
+        if norm and fn.weights is not None and np.array_equal(fn.weights, eig):
+            acc[key] = acc["diss_int"]
+        else:
+            acc[key] = np.zeros(n_paths)
+            occ[key] = None if norm and fn.weights is None else fn
     blow_steps = np.full(n_paths, -1, dtype=np.int64)
 
     snap_names = (list(_SERIES_BASE) + (list(_SERIES_AUDIT) if track_audit else [])
@@ -460,29 +548,40 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     snaps = [{name: acc[name].copy() for name in snap_names}]  # one per output time
     times = [0.0]
 
+    def add(name, values, live):
+        if live is None:
+            acc[name] += values
+        else:
+            acc[name][live] += values[live]
+
     def raise_max(name, values, live):
-        np.maximum(acc[name], np.where(live, values, -np.inf), out=acc[name])
+        if live is not None:
+            values = np.where(live, values, -np.inf)
+        np.maximum(acc[name], values, out=acc[name])
 
     states = [U]
     for step in _march([model], states, blow_steps, jumps, n_out=n_out):
-        U1, dt, live = states[0], step.dt, step.live
-        h2_post = np.sum(model.basis.eigenvalues * U1**2, axis=1)
-        l2_post = np.sum(U1**2, axis=1)
-        acc["l2_sq"][live] = l2_post[live]
-        acc["h2_sq"][live] = h2_post[live]
-        acc["diss_int"][live] += dt * h2_post[live]
-        acc["diss_r2_int"][live] += dt * (h2_post * l2_post)[live]
+        U1, dt, l2_post = states[0], step.dt, step.l2[0]
+        live = None if step.all_live else step.live
+        h2_post = np.sum(eig * U1**2, axis=1)
+        if live is None:
+            acc["l2_sq"], acc["h2_sq"] = l2_post, h2_post
+        else:
+            acc["l2_sq"][live] = l2_post[live]
+            acc["h2_sq"][live] = h2_post[live]
+        add("diss_int", dt * h2_post, live)
+        add("diss_r2_int", dt * (h2_post * l2_post), live)
         raise_max("sup_l2_sq", l2_post, live)
-        raise_max("sup_energy", l2_post + 2.0 * model.params.kappa1 * acc["diss_int"], live)
+        raise_max("sup_energy", l2_post + two_kappa1 * acc["diss_int"], live)
         if track_audit:
             diag = _diag_update(model, dt, *step.pieces[0])
             for name, column in _AUDIT_SUMS.items():
-                acc[name][live] += diag[column][live]
+                add(name, diag[column], live)
             raise_max("mart_sup", np.abs(acc["mart_cum"]), live)
             scale = 1.0 + l2_post * np.sqrt(np.maximum(h2_post, 0.0))
             raise_max("skew_max", np.abs(diag["conv_skew"]) / scale, live)
-        for name, fn in functionals.items():
-            acc[f"occ_{name}"][live] += dt * fn(U1)[live]
+        for key, fn in occ.items():
+            add(key, dt * (l2_post if fn is None else fn(U1)), live)
         if step.out:
             times.append(step.t)
             snaps.append({name: acc[name].copy() for name in snap_names})

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from levyfluid import experiments
 from levyfluid.config import parse_config_text
@@ -60,6 +61,7 @@ class TestRunEnsemble:
         # five 8-path blocks per level: one build per call when serial, at
         # most one per worker when pooled (each build logs its process id)
         monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 8)
+        monkeypatch.setattr(experiments, "PAIR_BLOCK", 8)
         cfg = parse_config_text(BASE)
         spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
         log = tmp_path / "builds"
@@ -67,7 +69,7 @@ class TestRunEnsemble:
 
         def logged(cfg, **overrides):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {overrides['level']}\n")
+                fh.write(f"{os.getpid()} {overrides.get('level', cfg.solver.level)}\n")
             return real(cfg, **overrides)
 
         monkeypatch.setattr(experiments, "build_model", logged)
@@ -85,6 +87,24 @@ class TestRunEnsemble:
                 else:
                     assert 1 <= len(pids) <= workers and len(set(pids)) == len(pids)
                     assert str(os.getpid()) not in pids
+        # a serial runner hands its own model to run_ensemble: one build
+        # per level for moments, one for audit and for contraction
+        audit = BASE.replace("experiment = moments", "experiment = audit")
+        for text, levels in ((BASE, ["4", "8"]), (audit, ["8"]), (CONTRACTION, ["8"])):
+            log.write_text("")
+            code, _ = run_experiment(parse_config_text(text), out_dir=tmp_path / "run",
+                                     workers=1)
+            assert code == 0
+            builds = log.read_text().split()
+            assert builds[::2] == [str(os.getpid())] * len(levels)
+            assert builds[1::2] == levels
+
+    def test_model_must_match_config(self):
+        cfg = parse_config_text(BASE)
+        model = build_model(cfg, level=4)
+        initials = np.zeros((8, 8))
+        with pytest.raises(ValueError):
+            run_ensemble(cfg, initials, cfg.seed, overrides={"level": 8}, model=model)
 
 
 CONTRACTION = """

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levyfluid.basis import build_basis
+from levyfluid.ergodics import make_functional
 from levyfluid.noise import (
     STREAM_JUMPS,
     AdditiveNoise,
@@ -12,10 +17,12 @@ from levyfluid.noise import (
 )
 from levyfluid.operators import FluidParams
 from levyfluid.solver import (
+    CACHE_SIZE,
     BlowUpError,
     FluidModel,
     SolverConfig,
     _draw_jumps,
+    _march,
     default_dt,
     energy_audit,
     integrate,
@@ -426,3 +433,116 @@ class TestOneKernel:
             assert np.all(np.isfinite(terminal))
             assert np.array_equal(terminal[0], run.terminal[0])
             assert np.array_equal(terminal[1], first_steps(Xl, 5, k, run.jumps)[1])
+
+
+class TestLeanStepping:
+    """The all-live fast path, the reused step norms and the noise cache are exact."""
+
+    def test_survivors_match_a_run_without_the_blown_path(self):
+        # the second path blows up mid-run: steps before it take the
+        # all-live path, steps after it the masked one
+        model = unstable_model()
+        X = np.vstack([0.3 * np.eye(8)[0], np.ones(8), np.zeros(8)])
+        fns = {name: make_functional(name, model.basis)
+               for name in ("sq_norm", "energy_norm_sq", "gauss_bump")}
+        res = run_paths(model, X, 5, n_out=21, track_audit=True, functionals=fns)
+        assert res.blown.tolist() == [False, True, False]
+        assert 0 < res.blow_steps[1] < model.n_steps - 1
+        keep = [0, 2]
+        alone = run_paths(model, X[keep], 5, n_out=21, track_audit=True, functionals=fns,
+                          jumps=[res.jumps[p] for p in keep])
+        assert np.array_equal(res.terminal[keep], alone.terminal)
+        for name, series in alone.series.items():
+            assert np.array_equal(res.series[name][:, keep], series), name
+            # the blown path's accumulators stop at its last finite state
+            frozen = res.series[name][res.blow_steps[1]:, 1]
+            assert np.all(frozen == frozen[0]), name
+        assert res.series["l2_sq"][-1, 1] == np.sum(res.terminal[1] ** 2)
+
+    def test_norm_functionals_are_the_step_integrals(self):
+        model = make_model(dt=2e-3, horizon=0.2)
+        X = 0.5 * np.random.default_rng(3).standard_normal((4, 8))
+        seen = []
+
+        def record(states):  # a plain callable, evaluated on every step's states
+            seen.append(states.copy())
+            return np.zeros(states.shape[0])
+
+        fns = {name: make_functional(name, model.basis) for name in ("sq_norm", "energy_norm_sq")}
+        res = run_paths(model, X, 9, n_out=model.n_steps + 1, functionals=dict(fns, seen=record))
+        assert np.array_equal(res.series["occ_energy_norm_sq"], res.series["diss_int"])
+        for name, fn in fns.items():
+            steps = np.array([model.dt * fn(U) for U in seen])
+            integral = np.vstack([np.zeros(4), np.cumsum(steps, axis=0)])
+            assert np.array_equal(res.series[f"occ_{name}"], integral), name
+
+    def test_one_model_serves_batch_sizes_and_adapted_steps(self):
+        # the step caches key on (dt, P): reusing one model for two batch
+        # sizes and the many step sizes of jump-adapted integration gives
+        # the results of a model that evaluates its noise every step, and
+        # keeps the caches bounded
+        uncached = additive_sigma()
+        uncached.state_free = False
+
+        def reference(**kw):
+            return make_model(dt=2e-3, horizon=0.5, sigma=uncached, **kw)
+
+        model = make_model(dt=2e-3, horizon=0.5)
+        X = 0.4 * np.random.default_rng(2).standard_normal((64, 8))
+        for rows in (slice(None), slice(3), slice(None)):
+            got, want = run_paths(model, X[rows], 7), run_paths(reference(), X[rows], 7)
+            assert np.array_equal(got.terminal, want.terminal)
+            for name in got.series:
+                assert np.array_equal(got.series[name], want.series[name]), name
+            if rows.stop == 3:  # adapted integration on the same model
+                model.config = replace(model.config, jump_mode="adapted")
+                got = integrate(model, X[0], 7)
+                model.config = replace(model.config, jump_mode="grid")
+                want = integrate(reference(jump_mode="adapted"), X[0], 7)
+                assert np.unique(np.diff(got.times)).size > CACHE_SIZE
+                assert np.array_equal(got.states, want.states)
+                for key in got.ledger.columns:
+                    assert np.array_equal(got.ledger[key], want.ledger[key]), key
+            assert len(model._noise) <= CACHE_SIZE and len(model._denoms) <= CACHE_SIZE
+        # the implicit denominator follows dt, whichever dt came before
+        U, M = X[:3], np.zeros((3, 8))
+        for dt in (1e-3, 2e-3, 1e-3):
+            want = (U + M) / (1.0 + dt * PARAMS.kappa1 * model.basis.eigenvalues)
+            assert np.array_equal(model.advance(U, dt, M, None, None), want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(xi=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+           n=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_pair_distance_ignores_member_order(self, xi, n, seed):
+        model = make_model(dt=2e-3, horizon=0.05)
+        X1 = np.tile(np.array(xi[:8]), (n, 1)) * np.arange(1, n + 1)[:, None]
+        X2 = np.tile(np.array(xi[8:]), (n, 1))
+        ab = run_pairs(model, X1, X2, seed, conv_bound=0.2)
+        ba = run_pairs(model, X2, X1, seed, conv_bound=0.2)
+        assert np.array_equal(ab["wsq"], ba["wsq"])
+        assert np.array_equal(ab["blown"], ba["blown"])
+
+    @settings(max_examples=25, deadline=None)
+    @given(step=st.integers(1, 18), member=st.integers(0, 2), path=st.integers(0, 2))
+    def test_blowup_freezes_every_member_at_once(self, step, member, path):
+        # explicit steps scale the second shell by -5: an amplitude of
+        # 3e8 / 5^(step+1) first exceeds the cap 1e8 on step `step`
+        model = unstable_model()
+        states = [np.zeros((3, 8)) for _ in range(3)]
+        for U in states:
+            U[:, 0] = 0.2
+        states[member][path, 4] = 3e8 / 5.0 ** (step + 1)
+        blow_steps = np.full(3, -1)
+        jumps = _draw_jumps(model, 11, 3, 0)
+        history = []
+        for s in _march([model] * 3, states, blow_steps, jumps):
+            history.append([U[path].copy() for U in states])
+            assert s.all_live == (s.live.all())
+            for U, l2 in zip(states, s.l2):
+                assert np.array_equal(l2, np.sum(U**2, axis=1))
+        others = [p for p in range(3) if p != path]
+        assert blow_steps[path] == step and np.all(blow_steps[others] == -1)
+        for n in range(step, model.n_steps):
+            for i in range(3):
+                assert np.array_equal(history[n][i], history[step - 1][i])
+        assert all(np.isfinite(U).all() for U in states)

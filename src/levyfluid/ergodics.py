@@ -357,8 +357,8 @@ def make_functional(name, basis, center=None, scale=1.0):
         "gauss_bump": lambda s: np.exp(-dist_sq(s)),
         "inv_bump": lambda s: 1.0 / (1.0 + dist_sq(s)),
         "cos_coord": lambda s: np.cos(scale * s[:, 0]),
-        "sq_norm": SquaredNorm(),
-        "energy_norm_sq": SquaredNorm(basis.eigenvalues),
+        "sq_norm": SquaredNorm(basis, energy=False),
+        "energy_norm_sq": SquaredNorm(basis, energy=True),
     }
     if name not in table:
         raise KeyError(f"functional {name!r} is not registered")

@@ -150,8 +150,6 @@ def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=F
     with `overrides`, instead when given.
     """
     overrides = overrides or {}
-    if model is not None and model.config != replace(cfg.solver, **overrides):
-        raise ValueError("model does not match the config and overrides")
     n_paths = initials.shape[0]
 
     def blocks(size):

@@ -47,10 +47,11 @@ accumulators as whole arrays in place; masked updates start at the first
 blow-up.  `_march` yields each member's |u|^2, the sums of its blow-up
 check, and `run_paths` reuses them; the `SquaredNorm` functionals are
 integrated from those sums and from the dissipation integral rather than
-evaluated again.  A FluidModel keeps the implicit denominator per dt and,
-for noise whose amplitudes depend on neither time nor state (zero and
-additive), the amplitude block and compensator per (dt, batch size), in
-caches of at most CACHE_SIZE entries each.  Linear and saturating noise
+evaluated again.  A FluidModel keeps the implicit denominator of the
+last dt and, for noise whose amplitudes depend on neither time nor state
+(zero and additive), the amplitude block and compensator of the last
+(dt, batch size), one entry each: a grid run steps with one dt on one
+batch, and a new key replaces the old one.  Linear and saturating noise
 are evaluated every step: a precomputed affine map would round
 differently.
 """
@@ -84,7 +85,6 @@ __all__ = [
 
 DT_CAP = 1e-3
 BLOWUP_NORM = 1e8
-CACHE_SIZE = 8  # entries per FluidModel step cache
 
 LEDGER_COLUMNS = (
     "t",
@@ -153,21 +153,11 @@ class BlowUpError(RuntimeError):
         self.report = report
 
 
-def _cached(cache, key, make):
-    """cache[key], from make() on a miss, with its arrays made read-only.
-
-    Keeps at most CACHE_SIZE entries and drops the oldest first, since
-    jump-adapted `integrate` steps with a new dt at every jump.
-    """
-    if key not in cache:
-        if len(cache) >= CACHE_SIZE:
-            del cache[next(iter(cache))]
-        value = make()
-        for a in value if isinstance(value, tuple) else (value,):
-            if a is not None:
-                a.flags.writeable = False
-        cache[key] = value
-    return cache[key]
+def _read_only(a):
+    """`a` made read-only (None passes through), for values kept across steps."""
+    if a is not None:
+        a.flags.writeable = False
+    return a
 
 
 class FluidModel:
@@ -191,8 +181,8 @@ class FluidModel:
         else:
             self.n_steps = 0
         self._state_free = getattr(sigma, "state_free", False)
-        self._denoms = {}  # dt -> implicit denominator
-        self._noise = {}   # (dt, P) -> (block, compensator) of state-free noise
+        self._denom = (None, None)  # (dt, implicit denominator) of the last step
+        self._noise = (None, None)  # ((dt, P), (block, compensator)) of state-free noise
 
     def drift_pieces(self, states):
         """Explicit drift parts: (stress coefficients, convection coefficients)."""
@@ -208,9 +198,10 @@ class FluidModel:
         if bb is not None:
             g -= dt * bb
         if self.config.scheme == "semi-implicit":
-            denom = _cached(self._denoms, dt,
-                            lambda: 1.0 + dt * self.params.kappa1 * self.basis.eigenvalues)
-            return (states + g) / denom
+            if self._denom[0] != dt:
+                denom = 1.0 + dt * self.params.kappa1 * self.basis.eigenvalues
+                self._denom = (dt, _read_only(denom))
+            return (states + g) / self._denom[1]
         return states - dt * self.params.kappa1 * self.basis.eigenvalues * states + g
 
     def _compensated(self, t, dt, states):
@@ -226,11 +217,13 @@ class FluidModel:
         Returns (M, blk, jump_qv_add) with M of shape (P, m).  The
         amplitude is frozen at the pre-step state.  For state-free noise
         the block and the compensator depend only on (dt, P); they are
-        computed once per pair and returned read-only.
+        kept, read-only, until a step brings another pair.
         """
         if self._state_free:
-            blk, inc = _cached(self._noise, (dt, states.shape[0]),
-                               lambda: self._compensated(t, dt, states))
+            key = (dt, states.shape[0])
+            if self._noise[0] != key:
+                self._noise = (key, tuple(map(_read_only, self._compensated(t, dt, states))))
+            blk, inc = self._noise[1]
         else:
             blk, inc = self._compensated(t, dt, states)
         if blk is None:
@@ -310,9 +303,10 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
     freezes in every member from then on, its step in `blow_steps` (-1
     while alive).  `states` is updated in place.  Yields per step a _Step:
     end time, dt, live mask, whether every path is live, per-member pieces
-    (U, U1, M, ap, bb, qv), per-member |U1|^2 of the stored states (the
-    blow-up check's sums), whether it is one of `n_out` output steps (all
-    if None), event count.
+    (U, U1, M, ap, bb, qv), per-member |U1|^2 (the blow-up check's sums,
+    exact for live rows only: a frozen row keeps the sum of its discarded
+    step), whether it is one of `n_out` output steps (all if None), event
+    count.
     """
     jt = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
     jm = np.concatenate([np.empty(0, np.int64)] + [marks for _, marks in jumps])
@@ -363,7 +357,6 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
         for i, (U, U1, *_) in enumerate(pieces):
             if frozen is not None:
                 U1[frozen] = U[frozen]
-                l2[i][frozen] = np.sum(U1[frozen] ** 2, axis=1)
             states[i] = U1
         yield _Step(t[n + 1], dts[n], live, all_live, pieces, l2, n + 1 in out, hi - lo)
 
@@ -483,21 +476,21 @@ _AUDIT_SUMS = {
 
 
 class SquaredNorm:
-    """The functional u -> sum_i w_i u_i^2 of a batch of states.
+    """The functional u -> |u|^2 of a batch of states, or ||u||_2^2 if `energy`.
 
-    No weights give |u|^2, the basis eigenvalues ||u||_2^2.  `run_paths`
-    integrates these from the norms every step computes anyway, |u|^2 for
-    the blow-up check and ||u||_2^2 for the dissipation integral, with the
-    same arithmetic as calling the functional.
+    `run_paths` integrates these from the norms every step computes
+    anyway, |u|^2 for the blow-up check and ||u||_2^2 for the dissipation
+    integral, with the same arithmetic as calling the functional; `basis`
+    must be the model's.
     """
 
-    def __init__(self, weights=None):
-        self.weights = weights
+    def __init__(self, basis, energy):
+        self.basis, self.energy = basis, energy
 
     def __call__(self, states):
-        if self.weights is None:
-            return np.sum(states**2, axis=1)
-        return np.sum(self.weights * states**2, axis=1)
+        if self.energy:
+            return np.sum(self.basis.eigenvalues * states**2, axis=1)
+        return np.sum(states**2, axis=1)
 
 
 def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
@@ -536,11 +529,11 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     occ = {}
     for name, fn in functionals.items():
         key, norm = f"occ_{name}", isinstance(fn, SquaredNorm)
-        if norm and fn.weights is not None and np.array_equal(fn.weights, eig):
+        if norm and fn.energy:
             acc[key] = acc["diss_int"]
         else:
             acc[key] = np.zeros(n_paths)
-            occ[key] = None if norm and fn.weights is None else fn
+            occ[key] = None if norm else fn
     blow_steps = np.full(n_paths, -1, dtype=np.int64)
 
     snap_names = (list(_SERIES_BASE) + (list(_SERIES_AUDIT) if track_audit else [])

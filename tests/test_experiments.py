@@ -2,7 +2,6 @@ import json
 import os
 
 import numpy as np
-import pytest
 
 from levyfluid import experiments
 from levyfluid.config import parse_config_text
@@ -98,13 +97,6 @@ class TestRunEnsemble:
             builds = log.read_text().split()
             assert builds[::2] == [str(os.getpid())] * len(levels)
             assert builds[1::2] == levels
-
-    def test_model_must_match_config(self):
-        cfg = parse_config_text(BASE)
-        model = build_model(cfg, level=4)
-        initials = np.zeros((8, 8))
-        with pytest.raises(ValueError):
-            run_ensemble(cfg, initials, cfg.seed, overrides={"level": 8}, model=model)
 
 
 CONTRACTION = """

@@ -16,9 +16,14 @@ Block size still matters in the last digits, because BLAS blocking makes
 a row's result depend on the batch it sits in.  With m=16 and 1000 pairs,
 250-pair blocks reproduce the one-batch distances bit for bit, while
 64-pair blocks moved the statistic by up to 1e-13 relative and took about
-a fifth more CPU.  A pool worker builds its FluidModel once, in the
-pool initializer; a serial run uses the runner's model.  The cauchy,
-feller, occupation and invariant-bound runners run in one process.
+a fifth more CPU.  Within a block, paths that share a start (mode1 or
+zero initials, the Chapman-Kolmogorov restarts) share one drift
+evaluation until their first jumps, so the drift calls shrink to a few
+rows and round in the last digits unlike calls on every row; the groups
+are found per block, so this too is the same for any worker count.  A
+pool worker builds its FluidModel once, in the pool initializer; a
+serial run uses the runner's model.  The cauchy, feller, occupation and
+invariant-bound runners run in one process.
 """
 
 from __future__ import annotations
@@ -82,10 +87,9 @@ def build_model(cfg, **solver_overrides):
     return FluidModel(solver, sigma, marks)
 
 
-def _path_block(model, initials, seed, offset, n_out, track_audit, func_names):
-    functionals = {name: make_functional(name, model.basis) for name in func_names}
+def _path_block(model, initials, seed, offset, n_out, track_audit):
     return run_paths(model, initials, seed, n_out=n_out, track_audit=track_audit,
-                     functionals=functionals, path_offset=offset)
+                     path_offset=offset)
 
 
 def _pair_block(model, initials, seed, offset, partners, n_out, conv_bound):
@@ -136,8 +140,7 @@ def _in_worker(job):
 
 
 def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=False,
-                 functional_names=(), partners=None, conv_bound=None, workers=1,
-                 model=None):
+                 partners=None, conv_bound=None, workers=1, model=None):
     """Block-split ensemble run; identical output for any worker count.
 
     Without `partners`, runs `run_paths` on ENSEMBLE_BLOCK-path blocks and
@@ -157,7 +160,7 @@ def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=F
 
     if partners is None:
         task, merge = _path_block, _merge_results
-        jobs = [(initials[a:b], seed, a, n_out, track_audit, tuple(functional_names))
+        jobs = [(initials[a:b], seed, a, n_out, track_audit)
                 for a, b in blocks(ENSEMBLE_BLOCK)]
     else:
         task, merge = _pair_block, _merge_pairs

@@ -40,14 +40,27 @@ Paths blow up by policy, not silently: a non-finite or oversized state
 aborts `integrate` with a report of the step and norms; in the batched
 drivers it freezes the path in every member and flags it as blown.
 
+The noise is compound Poisson, so paths that start at one state follow
+one trajectory until their first jumps.  `_march` groups the paths whose
+initial rows are bit-equal in every member and evaluates the drift only
+on the rows of paths that have jumped plus one dormant representative per
+group, scattering it back to every path by one index array; the index is
+rebuilt at the steps where some path leaves its group.  The noise, the
+advance, the blow-up check and the drivers' accumulators still run on the
+whole batch, so dormant rows stay bit-equal.  A drift call on fewer rows
+is blocked differently by BLAS, so a shared start moves results in the
+last digits (about 1e-13 relative) against evaluating every row; a batch
+of distinct starts, or one past every group's first jump, evaluates the
+full batch as before.
+
 Long runs of small batches are bound by per-call overhead, so the loop
-does each piece of work once and only where needed, without changing a
-bit.  While every path is live (the normal case), `run_paths` updates its
-accumulators as whole arrays in place; masked updates start at the first
-blow-up.  `_march` yields each member's |u|^2, the sums of its blow-up
-check, and `run_paths` reuses them; the `SquaredNorm` functionals are
-integrated from those sums and from the dissipation integral rather than
-evaluated again.  A FluidModel keeps the implicit denominator of the
+does each piece of work once and only where needed; unlike the shared
+drift, these savings change no bit.  While every path is live (the
+normal case), `run_paths` updates its accumulators as whole arrays in
+place; masked updates start at the first blow-up.  `_march` yields each
+member's |u|^2, the sums of its blow-up check, and `run_paths` reuses
+them; the `SquaredNorm` functionals are integrated from those sums and
+from the dissipation integral rather than evaluated again.  A FluidModel keeps the implicit denominator of the
 last dt and, for noise whose amplitudes depend on neither time nor state
 (zero and additive), the amplitude block and compensator of the last
 (dt, batch size), one entry each: a grid run steps with one dt on one
@@ -292,6 +305,38 @@ def _draw_jumps(model, seed, n_paths, offset):
 _Step = namedtuple("_Step", "t dt live all_live pieces l2 out n_jumps")
 
 
+class _SharedDrift:
+    """Which rows of a batch need their own drift evaluation at a step.
+
+    Paths whose initial rows are bit-equal in every member form a group.
+    A path of a group is dormant at step n while its first jump window is
+    n or later: until then it has had the same increments as the rest of
+    the group, so its state is the group's.  A group's representative is
+    its member with the latest first jump, the last to leave.
+    """
+
+    def __init__(self, states, first):
+        rows = np.hstack(states)
+        rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, group = np.unique(rows, return_inverse=True)  # bytewise: bit-equal rows
+        self.group, self.first = group, first
+        by = np.lexsort((first, self.group))  # by group, latest first jump last
+        self.rep = by[np.append(self.group[by][1:] != self.group[by][:-1], True)]
+
+    def at(self, n):
+        """(rows to evaluate, index scattering their drift to every path), or
+        None when every path needs its own row."""
+        jumped = self.first < n
+        keep = jumped.copy()
+        keep[self.rep[self.first[self.rep] >= n]] = True
+        rows = np.flatnonzero(keep)
+        if rows.size == keep.size:
+            return None
+        pos = np.zeros(keep.size, np.int64)
+        pos[rows] = np.arange(rows.size)
+        return rows, np.where(jumped, pos, pos[self.rep[self.group]])
+
+
 def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
            raise_blowup=False):
     """Step member i, `states[i]` of shape (P, m_i), by `models[i]`, all in lockstep.
@@ -301,12 +346,13 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
     n_steps of size dt, or the intervals between `breakpoints`.  A path
     that blows up in any member raises BlowUpError if `raise_blowup`, else
     freezes in every member from then on, its step in `blow_steps` (-1
-    while alive).  `states` is updated in place.  Yields per step a _Step:
-    end time, dt, live mask, whether every path is live, per-member pieces
-    (U, U1, M, ap, bb, qv), per-member |U1|^2 (the blow-up check's sums,
-    exact for live rows only: a frozen row keeps the sum of its discarded
-    step), whether it is one of `n_out` output steps (all if None), event
-    count.
+    while alive).  Paths with bit-equal initial rows share one drift
+    evaluation until their first jump (`_SharedDrift`).  `states` is
+    updated in place.  Yields per step a _Step: end time, dt, live mask,
+    whether every path is live, per-member pieces (U, U1, M, ap, bb, qv),
+    per-member |U1|^2 (the blow-up check's sums, exact for live rows only:
+    a frozen row keeps the sum of its discarded step), whether it is one
+    of `n_out` output steps (all if None), event count.
     """
     jt = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
     jm = np.concatenate([np.empty(0, np.int64)] + [marks for _, marks in jumps])
@@ -320,20 +366,32 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
         t, dts = breakpoints.tolist(), np.diff(breakpoints).tolist()
         steps = np.searchsorted(breakpoints[1:], jt)
     order = np.argsort(steps, kind="stable")
-    jt, jm, jp = jt[order], jm[order], jp[order]
-    bounds = np.searchsorted(steps[order], np.arange(n_steps + 1)).tolist()
+    jt, jm, jp, steps = jt[order], jm[order], jp[order], steps[order]
+    bounds = np.searchsorted(steps, np.arange(n_steps + 1)).tolist()
     out = range(n_steps + 1) if n_out is None else set(
         np.linspace(0, n_steps, min(n_out, n_steps + 1)).astype(int).tolist())
 
+    first = np.full(len(jumps), n_steps)  # each path's first jump window
+    np.minimum.at(first, jp, steps)
+    shared = _SharedDrift(states, first)
+    share = shared.at(0)
+    leave = set((first[first < n_steps] + 1).tolist())  # steps where some path leaves
     cap = models[0].config.blowup_norm ** 2
     live = blow_steps < 0
     all_live, frozen = bool(live.all()), None
     for n in range(n_steps):
         lo, hi = bounds[n], bounds[n + 1]
+        if share is not None and n in leave:
+            share = shared.at(n)
         pieces = []
         for model, U in zip(models, states):
             M, _, qv = model.noise_increment(t[n], dts[n], U, jp[lo:hi], jm[lo:hi], jt[lo:hi])
-            ap, bb = model.drift_pieces(U)
+            if share is None:
+                ap, bb = model.drift_pieces(U)
+            else:
+                rows, scatter = share
+                ap, bb = (None if a is None else np.take(a, scatter, axis=0)
+                          for a in model.drift_pieces(np.take(U, rows, axis=0)))
             pieces.append((U, model.advance(U, dts[n], M, ap, bb), M, ap, bb, qv))
         l2 = [np.sum(U1**2, axis=1) for _, U1, *_ in pieces]
         fine = l2[0] <= cap
@@ -361,29 +419,34 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
         yield _Step(t[n + 1], dts[n], live, all_live, pieces, l2, n + 1 in out, hi - lo)
 
 
+def _pair(a, V):
+    """Per-path <a, V>; an absent drift piece pairs to zero."""
+    return np.zeros(V.shape[0]) if a is None else np.einsum("pm,pm->p", a, V)
+
+
+def _audit_terms(model, dt, U, U1, M, ap, bb, qv_jump):
+    """The ledger terms `run_paths` audits: the `_AUDIT_SUMS` columns and conv_skew."""
+    return {
+        "ap_work": 4.0 * model.params.kappa0 * dt * _pair(ap, U1),
+        "conv_skew": _pair(bb, U),
+        "conv_work": 2.0 * dt * _pair(bb, U1),
+        "mart_pre": 2.0 * _pair(M, U),
+        "qv_disc": np.sum(M**2, axis=1),
+        "qv_jump": np.zeros(U.shape[0]) if qv_jump is None else qv_jump,
+        "resid_sq": np.sum((M - (U1 - U)) ** 2, axis=1),
+    }
+
+
 def _diag_update(model, dt, U, U1, M, ap, bb, qv_jump):
     """Per-path terms of the step energy identity: the ledger columns from l2_pre_sq on."""
-    par = model.params
-    zeros = np.zeros(U.shape[0])
-
-    def pair(a, V):  # absent drift pieces pair to zero
-        return zeros if a is None else np.einsum("pm,pm->p", a, V)
-
-    d = {}
+    d = _audit_terms(model, dt, U, U1, M, ap, bb, qv_jump)
     d["l2_pre_sq"] = np.sum(U**2, axis=1)
     d["l2_post_sq"] = np.sum(U1**2, axis=1)
     d["h2_post_sq"] = np.sum(model.basis.eigenvalues * U1**2, axis=1)
-    d["diss"] = 2.0 * par.kappa1 * dt * d["h2_post_sq"]
-    d["ap_pair"] = pair(ap, U)
-    d["ap_work"] = 4.0 * par.kappa0 * dt * pair(ap, U1)
-    d["conv_skew"] = pair(bb, U)
-    d["conv_work"] = 2.0 * dt * pair(bb, U1)
+    d["diss"] = 2.0 * model.params.kappa1 * dt * d["h2_post_sq"]
+    d["ap_pair"] = _pair(ap, U)
     d["backward"] = np.sum((U - U1) ** 2, axis=1)
-    d["mart_pre"] = 2.0 * pair(M, U)
-    d["mart_work"] = 2.0 * pair(M, U1)
-    d["qv_disc"] = np.sum(M**2, axis=1)
-    d["qv_jump"] = zeros if qv_jump is None else qv_jump
-    d["resid_sq"] = np.sum((M - (U1 - U)) ** 2, axis=1)
+    d["mart_work"] = 2.0 * _pair(M, U1)
     return d
 
 
@@ -567,7 +630,7 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
         raise_max("sup_l2_sq", l2_post, live)
         raise_max("sup_energy", l2_post + two_kappa1 * acc["diss_int"], live)
         if track_audit:
-            diag = _diag_update(model, dt, *step.pieces[0])
+            diag = _audit_terms(model, dt, *step.pieces[0])
             for name, column in _AUDIT_SUMS.items():
                 add(name, diag[column], live)
             raise_max("mart_sup", np.abs(acc["mart_cum"]), live)

@@ -10,6 +10,7 @@ from levyfluid.ergodics import make_functional
 from levyfluid.noise import (
     STREAM_JUMPS,
     AdditiveNoise,
+    LinearNoise,
     MarkSpace,
     ZeroNoise,
     derive_rng,
@@ -544,3 +545,178 @@ class TestLeanStepping:
             for i in range(3):
                 assert np.array_equal(history[n][i], history[step - 1][i])
         assert all(np.isfinite(U).all() for U in states)
+
+
+def grouped_initials(sizes, level=8, seed=0):
+    """Rows repeated in blocks of `sizes`, one distinct draw per block."""
+    distinct = 0.4 * np.random.default_rng(seed).standard_normal((len(sizes), level))
+    return np.repeat(distinct, sizes, axis=0), np.repeat(np.arange(len(sizes)), sizes)
+
+
+def count_drift_rows(model):
+    """Replace `model.drift_pieces` by a wrapper that records its batch sizes."""
+    rows, inner = [], model.drift_pieces
+
+    def counted(states):
+        rows.append(states.shape[0])
+        return inner(states)
+
+    model.drift_pieces = counted
+    return rows
+
+
+def rel_close(a, b, rtol=1e-12):
+    """Rows of `a` equal rows of `b` to rtol of each row's largest entry."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    scale = np.maximum(np.abs(b).max(axis=-1, keepdims=True), 1e-300)
+    return bool(np.all(np.abs(a - b) <= rtol * scale))
+
+
+def series_close(got, want):
+    """EnsembleResult series agree to rel 1e-12, columns (paths) as rows.
+
+    skew_max is a rounding residual (|<B(u,u),u>| is zero in exact
+    arithmetic), so it is held to an absolute bound far below the 1e-10
+    of the skew check instead.
+    """
+    for name, series in got.items():
+        if name == "skew_max":
+            assert np.all(np.abs(series - want[name]) <= 1e-14), name
+        else:
+            assert rel_close(series.T, want[name].T), name
+
+
+class TestSharedDrift:
+    """Paths that share a state share its drift until their first jump."""
+
+    def test_drift_rows_are_jumped_paths_plus_one_per_dormant_group(self):
+        model = make_model(dt=2e-3, horizon=0.2)
+        X, group = grouped_initials([4, 3, 1, 2])
+        # first jump windows: a tie and a calm path in group 0, every path
+        # of group 1 jumping (the last in the step after another leaves), a
+        # lone path, and a group that never jumps
+        first = np.array([10, 30, 30, model.n_steps, 5, 20, 21, 15,
+                          model.n_steps, model.n_steps])
+        jumps = [(np.array([(f + 0.5) * model.dt, 0.15]), np.array([0, 1]))
+                 if f < model.n_steps else (np.empty(0), np.empty(0, np.int64)) for f in first]
+        rows = count_drift_rows(model)
+        res = run_paths(model, X, 3, jumps=jumps)
+
+        def want(group):
+            return [int(np.sum(first < n)) + len(np.unique(group[first >= n]))
+                    for n in range(model.n_steps)]
+
+        assert rows == want(group) and min(rows) < X.shape[0]
+        # every path as a batch of its own, where nothing is shared
+        alone = np.vstack([run_paths(model, X[p:p + 1], 3, jumps=jumps[p:p + 1]).terminal
+                           for p in range(X.shape[0])])
+        assert rel_close(res.terminal, alone)
+        # a pair groups paths equal in both members, and steps both members
+        # on the same rows: path 1's partner splits it from group 0
+        X2 = 2 * X
+        X2[1, 0] += 0.01
+        rows.clear()
+        run_pairs(model, X, X2, 3, conv_bound=0.2, jumps=jumps)
+        pair_group = group.copy()
+        pair_group[1] = group.max() + 1
+        assert rows == [r for r in want(pair_group) for _ in range(2)]
+
+    def test_distinct_initials_use_the_full_batch(self):
+        model = make_model(dt=2e-3, horizon=0.5)
+        X = 0.4 * np.random.default_rng(1).standard_normal((6, 8))
+        rows = count_drift_rows(model)
+        run_paths(model, X, 3)
+        assert rows == [6] * model.n_steps
+
+    def test_paths_without_jumps_end_bit_equal(self):
+        model = make_model(dt=2e-3, horizon=0.5, sigma=LinearNoise(MARKS, np.array([0.25, 0.1])))
+        X, group = grouped_initials([12, 12], seed=4)
+        res = run_paths(model, X, 8, track_audit=True)
+        calm = res.n_jumps == 0
+        for g in range(2):
+            members = np.flatnonzero(calm & (group == g))
+            assert members.size >= 2
+            assert np.all(res.terminal[members] == res.terminal[members[0]])
+            for name, series in res.series.items():
+                assert np.all(series[:, members] == series[:, members[:1]]), name
+
+    @pytest.mark.parametrize("kind", ["additive", "linear"])
+    def test_drivers_match_single_path_runs(self, kind):
+        sigma = additive_sigma() if kind == "additive" else LinearNoise(MARKS, np.array([0.25, 0.1]))
+        model = make_model(dt=2e-3, horizon=0.5, sigma=sigma)
+        X, _ = grouped_initials([6, 3], seed=2)
+        seed = 17
+        alone = [integrate(model, X[p], seed, path_index=p).terminal() for p in range(9)]
+        res = run_paths(model, X, seed)
+        assert res.n_jumps.min() == 0
+        assert rel_close(res.terminal, np.array(alone))
+        # pairs: the base path against a shifted partner
+        X2 = X + 0.01 * np.eye(8)[0]
+        partner = [integrate(model, X2[p], seed, path_index=p).terminal() for p in range(9)]
+        pairs = run_pairs(model, X, X2, seed, conv_bound=0.2)
+        wsq = np.sum((np.array(alone) - np.array(partner)) ** 2, axis=1)
+        assert np.allclose(pairs["wsq"][-1], wsq, rtol=1e-12, atol=0)
+        # levels: each truncation against its own single-path run
+        models = [make_model(level=lv, dt=2e-3, horizon=0.5, sigma=sigma if kind == "linear"
+                             else additive_sigma(lv)) for lv in (4, 8)]
+        out = run_levels(models, X, seed)
+        for m, terminal in zip(models, out["terminals"]):
+            lv = m.config.level
+            single = [integrate(m, X[p, :lv], seed, path_index=p).terminal() for p in range(9)]
+            assert rel_close(terminal, np.array(single))
+
+    def test_chapman_kolmogorov_start_equals_one_run_per_group(self):
+        model = make_model(dt=2e-3, horizon=0.25)
+        n_inner = 6
+        X, _ = grouped_initials([n_inner] * 4, seed=5)
+        offset = 2_000_000
+        whole = run_paths(model, X, 21, n_out=5, track_audit=True, path_offset=offset)
+        for g in range(4):
+            rows = slice(g * n_inner, (g + 1) * n_inner)
+            part = run_paths(model, X[rows], 21, n_out=5, track_audit=True,
+                             path_offset=offset + g * n_inner)
+            assert rel_close(whole.terminal[rows], part.terminal)
+            series_close(part.series, {k: v[:, rows] for k, v in whole.series.items()})
+
+    def test_dormant_group_blows_up_at_one_step(self):
+        # an amplitude of 3e8 / 5^3 in the second shell first exceeds the
+        # cap on step 2 of `unstable_model`; three copies never jump, the
+        # fourth jumps in window 0 and leaves the group
+        model = unstable_model()
+        X = np.zeros((6, 8))
+        X[:4, 4] = 3e8 / 5.0**3
+        X[4:, 0] = 0.2
+        none = (np.empty(0), np.empty(0, np.int64))
+        jumps = [none, none, none, (np.array([0.1]), np.array([1])), none, none]
+        res = run_paths(model, X, 5, jumps=jumps)
+        assert res.blow_steps.tolist() == [2, 2, 2, 2, -1, -1]
+        assert np.all(res.terminal[:3] == res.terminal[0]) and np.isfinite(res.terminal).all()
+        # frozen at the state after two steps, as a run of one copy shows
+        short = first_steps(X[:1], 5, 2, [none])
+        assert np.array_equal(res.terminal[0], short[0])
+        # the other group is untouched by the blow-up
+        calm = run_paths(model, X[4:], 5, jumps=jumps[4:])
+        assert np.array_equal(res.terminal[4:], calm.terminal)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           shuffle=st.integers(0, 2**16), cut=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    def test_results_do_not_depend_on_batch_layout(self, sizes, shuffle, cut, seed):
+        model = make_model(dt=2e-3, horizon=0.1)
+        X, _ = grouped_initials(sizes, seed=seed % 7)
+        P = X.shape[0]
+        jumps = _draw_jumps(model, seed, P, 0)
+        base = run_paths(model, X, seed, n_out=3, track_audit=True, jumps=jumps)
+
+        def same(idx, res):
+            assert rel_close(res.terminal, base.terminal[idx])
+            series_close(res.series, {k: v[:, idx] for k, v in base.series.items()})
+
+        perm = np.random.default_rng(shuffle).permutation(P)
+        same(perm, run_paths(model, X[perm], seed, n_out=3, track_audit=True,
+                             jumps=[jumps[p] for p in perm]))
+        k = int(round(cut * P))
+        for idx in (np.arange(k), np.arange(k, P)):
+            if idx.size:
+                same(idx, run_paths(model, X[idx], seed, n_out=3, track_audit=True,
+                                    jumps=[jumps[p] for p in idx]))

@@ -144,11 +144,17 @@ class SpectralOperators:
         coords = np.einsum("mab,kab->mk", s, trace_free_frame(basis.dim))  # (m, k)
         self._frame_size = coords.shape[1]
         self._strain_table = (coords[:, :, None] * dtrig[:, None, :]).reshape(basis.size, -1)
+        self._strain_table_t = self._strain_table.T
 
         pts_c, w_c = uniform_grid(basis.dim, 3 * kmax + 1)
         self._conv_weight = w_c
         self._conv_vals = mode_values(basis, pts_c)      # (m, d, G)
         self._conv_grads = mode_gradients(basis, pts_c)  # (m, d, d, G)
+        # flat views of the tables for the batched products
+        m, d, g = self._conv_vals.shape
+        self._conv_vals_flat = self._conv_vals.reshape(m, d * g)
+        self._conv_vals_flat_t = self._conv_vals_flat.T
+        self._conv_grads_flat = self._conv_grads.reshape(m, d * d * g)
 
     # -- nonlinear stress ---------------------------------------------------
 
@@ -165,14 +171,15 @@ class SpectralOperators:
         Accepts a single coefficient vector (m,) or a batch (P, m) and
         returns the same shape.
         """
-        c = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        c, batched = _as_batch(coeffs)
         strain = self._strain(c)
         gamma = np.einsum("pkg,pkg->pg", strain, strain)  # |E(u)|^2, then gamma in place
         gamma += params.reg
         gamma **= (params.p - 2.0) / 2.0
         strain *= gamma[:, None, :]
-        out = self._stress_weight * (strain.reshape(c.shape[0], -1) @ self._strain_table.T)
-        return out if np.ndim(coeffs) == 2 else out[0]
+        out = strain.reshape(c.shape[0], -1) @ self._strain_table_t
+        out *= self._stress_weight
+        return out if batched else out[0]
 
     def stress_pairing(self, coeffs, params):
         """<Ap(u), u> for a batch of states; nonnegative to rounding."""
@@ -198,13 +205,14 @@ class SpectralOperators:
         and projection are matrix products against the mode tables, so the
         cost is O(m * G) per row with no m^3 intermediate.
         """
-        vals, grads = self._conv_vals, self._conv_grads
-        m, d, g = vals.shape
-        u = (np.atleast_2d(cu) @ vals.reshape(m, d * g)).reshape(-1, d, g)
-        dv = (np.atleast_2d(cv) @ grads.reshape(m, d * d * g)).reshape(-1, d, d, g)
+        _, d, g = self._conv_vals.shape
+        (u_c, batched), (v_c, _) = _as_batch(cu), _as_batch(cv)
+        u = (u_c @ self._conv_vals_flat).reshape(-1, d, g)
+        dv = (v_c @ self._conv_grads_flat).reshape(-1, d, d, g)
         adv = np.einsum("pbg,pabg->pag", u, dv)  # (u . grad) v on the grid
-        out = self._conv_weight * (adv.reshape(-1, d * g) @ vals.reshape(m, d * g).T)
-        return out if np.ndim(cu) == 2 else out[0]
+        out = adv.reshape(-1, d * g) @ self._conv_vals_flat_t
+        out *= self._conv_weight
+        return out if batched else out[0]
 
     def convection_form_grid(self, cu, cv, cw):
         """b(u, v, w) as one grid sum, without projecting onto the modes."""
@@ -212,6 +220,17 @@ class SpectralOperators:
         dv = np.einsum("m,mbag->bag", cv, self._conv_grads)
         w = np.einsum("m,mag->ag", cw, self._conv_vals)
         return float(self._conv_weight * np.einsum("ag,bag,bg->", u, dv, w))
+
+
+def _as_batch(coeffs):
+    """`coeffs` as a (P, m) float array, and whether it was given as a batch.
+
+    A 2-D float array passes through untouched, the common case of a
+    stepping loop.
+    """
+    if type(coeffs) is np.ndarray and coeffs.ndim == 2 and coeffs.dtype == np.float64:
+        return coeffs, True
+    return np.atleast_2d(np.asarray(coeffs, dtype=float)), np.ndim(coeffs) == 2
 
 
 def _common_ops(ops, *fields):

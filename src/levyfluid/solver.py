@@ -55,17 +55,26 @@ full batch as before.
 
 Long runs of small batches are bound by per-call overhead, so the loop
 does each piece of work once and only where needed; unlike the shared
-drift, these savings change no bit.  While every path is live (the
-normal case), `run_paths` updates its accumulators as whole arrays in
-place; masked updates start at the first blow-up.  `_march` yields each
-member's |u|^2, the sums of its blow-up check, and `run_paths` reuses
-them; the `SquaredNorm` functionals are integrated from those sums and
-from the dissipation integral rather than evaluated again.  A FluidModel keeps the implicit denominator of the
-last dt and, for noise whose amplitudes depend on neither time nor state
-(zero and additive), the amplitude block and compensator of the last
-(dt, batch size), one entry each: a grid run steps with one dt on one
-batch, and a new key replaces the old one.  Linear and saturating noise
-are evaluated every step: a precomputed affine map would round
+drift, these savings change no bit.  The drivers do no arithmetic per
+step: they keep references to each step's dt, live mask, |u|^2 sums (the
+ones `_march` computes for its blow-up check), post-step states and, for
+audits and ledgers, the step's pieces, and flush them at every output
+step and after at most FLUSH_STEPS steps.  A flush stacks the buffered
+steps and updates every accumulator in one vectorized pass: running sums
+by `np.add.accumulate` along the step axis, seeded with the running
+value, which adds in the order of per-step in-place sums; maxima by one
+reduction; norms, functionals and ledger terms evaluated once on the
+stacked (k*P, m) states.  Blown paths are masked out of every flush
+(zero for sums, -inf for maxima), and the |u|^2 snapshot is taken from
+the last state, which a frozen path holds.  The cap bounds the buffered
+memory of runs with few outputs.  The `SquaredNorm` functionals are
+integrated from the step's |u|^2 sums and from the dissipation integral
+rather than evaluated again.  A FluidModel keeps the implicit denominator
+of the last dt and, for noise whose amplitudes depend on neither time nor
+state (zero and additive), the amplitude block and compensator of the
+last (dt, batch size), one entry each: a grid run steps with one dt on
+one batch, and a new key replaces the old one.  Linear and saturating
+noise are evaluated every step: a precomputed affine map would round
 differently.
 """
 
@@ -98,6 +107,7 @@ __all__ = [
 
 DT_CAP = 1e-3
 BLOWUP_NORM = 1e8
+FLUSH_STEPS = 64  # most steps a driver buffers before updating its accumulators
 
 LEDGER_COLUMNS = (
     "t",
@@ -302,7 +312,7 @@ def _draw_jumps(model, seed, n_paths, offset):
     ]
 
 
-_Step = namedtuple("_Step", "t dt live all_live pieces l2 out n_jumps")
+_Step = namedtuple("_Step", "t dt live pieces l2 out n_jumps")
 
 
 class _SharedDrift:
@@ -348,11 +358,12 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
     freezes in every member from then on, its step in `blow_steps` (-1
     while alive).  Paths with bit-equal initial rows share one drift
     evaluation until their first jump (`_SharedDrift`).  `states` is
-    updated in place.  Yields per step a _Step: end time, dt, live mask,
-    whether every path is live, per-member pieces (U, U1, M, ap, bb, qv),
-    per-member |U1|^2 (the blow-up check's sums, exact for live rows only:
-    a frozen row keeps the sum of its discarded step), whether it is one
-    of `n_out` output steps (all if None), event count.
+    updated in place, each step's U1 a new array, so a driver may keep
+    references to past states.  Yields per step a _Step: end time, dt,
+    live mask, per-member pieces (U, U1, M, ap, bb, qv), per-member
+    |U1|^2 (the blow-up check's sums, exact for live rows only: a frozen
+    row keeps the sum of its discarded step), whether it is one of
+    `n_out` output steps (all if None), event count.
     """
     jt = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
     jm = np.concatenate([np.empty(0, np.int64)] + [marks for _, marks in jumps])
@@ -377,8 +388,7 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
     share = shared.at(0)
     leave = set((first[first < n_steps] + 1).tolist())  # steps where some path leaves
     cap = models[0].config.blowup_norm ** 2
-    live = blow_steps < 0
-    all_live, frozen = bool(live.all()), None
+    live, frozen = blow_steps < 0, None
     for n in range(n_steps):
         lo, hi = bounds[n], bounds[n + 1]
         if share is not None and n in leave:
@@ -393,7 +403,7 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
                 ap, bb = (None if a is None else np.take(a, scatter, axis=0)
                           for a in model.drift_pieces(np.take(U, rows, axis=0)))
             pieces.append((U, model.advance(U, dts[n], M, ap, bb), M, ap, bb, qv))
-        l2 = [np.sum(U1**2, axis=1) for _, U1, *_ in pieces]
+        l2 = [(U1 * U1).sum(axis=1) for _, U1, *_ in pieces]
         fine = l2[0] <= cap
         for sq in l2[1:]:
             fine &= sq <= cap
@@ -411,12 +421,12 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
                     })
                 blow_steps[bad] = n
                 live = blow_steps < 0
-                all_live, frozen = False, ~live
+                frozen = ~live
         for i, (U, U1, *_) in enumerate(pieces):
             if frozen is not None:
                 U1[frozen] = U[frozen]
             states[i] = U1
-        yield _Step(t[n + 1], dts[n], live, all_live, pieces, l2, n + 1 in out, hi - lo)
+        yield _Step(t[n + 1], dts[n], live, pieces, l2, n + 1 in out, hi - lo)
 
 
 def _pair(a, V):
@@ -424,15 +434,39 @@ def _pair(a, V):
     return np.zeros(V.shape[0]) if a is None else np.einsum("pm,pm->p", a, V)
 
 
+def _running_sum(start, values, live):
+    """Running sums of `start` plus the rows of `values` (k, P) where `live`.
+
+    Row j is the running value after step j, added in step order, so the
+    last row has the bits of k in-place additions of the live entries.
+    """
+    rows = np.concatenate([start[None], np.where(live, values, 0.0)])
+    return np.add.accumulate(rows, axis=0)[1:]
+
+
+def _stack_pieces(pieces, n_paths):
+    """Per-step (U, U1, M, ap, bb, qv) pieces stacked into (k*P, ...) arrays.
+
+    An absent drift piece stays None; an absent jump variation is zero.
+    """
+    U, U1, M, ap, bb, qv = zip(*pieces)
+    qv = [np.zeros(n_paths) if q is None else q for q in qv]
+    return tuple(None if part[0] is None else np.concatenate(part)
+                 for part in (U, U1, M, ap, bb, qv))
+
+
 def _audit_terms(model, dt, U, U1, M, ap, bb, qv_jump):
-    """The ledger terms `run_paths` audits: the `_AUDIT_SUMS` columns and conv_skew."""
+    """The ledger terms `run_paths` audits: the `_AUDIT_SUMS` columns and conv_skew.
+
+    `dt` is a scalar or one step size per row.
+    """
     return {
         "ap_work": 4.0 * model.params.kappa0 * dt * _pair(ap, U1),
         "conv_skew": _pair(bb, U),
         "conv_work": 2.0 * dt * _pair(bb, U1),
         "mart_pre": 2.0 * _pair(M, U),
         "qv_disc": np.sum(M**2, axis=1),
-        "qv_jump": np.zeros(U.shape[0]) if qv_jump is None else qv_jump,
+        "qv_jump": qv_jump,
         "resid_sq": np.sum((M - (U1 - U)) ** 2, axis=1),
     }
 
@@ -455,7 +489,9 @@ def integrate(model, initial, seed, *, n_out=21, with_ledger=True, path_index=0)
 
     Deterministic given (seed, path_index): the jump stream is derived by
     the counter key schedule.  Raises BlowUpError on a non-finite or
-    oversized state; the report carries the step, time and norms.
+    oversized state; the report carries the step, time and norms.  The
+    ledger is evaluated on every FLUSH_STEPS steps at once, a step size
+    per row, with the values of a per-step evaluation.
     """
     cfg = model.config
     coeffs = np.asarray(initial, dtype=float)[: cfg.level].copy()
@@ -471,6 +507,17 @@ def integrate(model, initial, seed, *, n_out=21, with_ledger=True, path_index=0)
         bps = np.unique(np.concatenate([np.arange(model.n_steps + 1) * model.dt, jt]))
     states = [coeffs[None, :]]
     cols = {k: [] for k in LEDGER_COLUMNS}
+    buf = []  # steps since the last ledger flush
+
+    def flush():
+        t, dt, n_jumps, pieces = zip(*buf)
+        dt = np.array(dt)
+        diag = _diag_update(model, dt, *_stack_pieces(pieces, 1))
+        diag.update(t=np.array(t), dt=dt, n_jumps=np.array(n_jumps, dtype=float))
+        for k in LEDGER_COLUMNS:
+            cols[k].append(diag[k])
+        buf.clear()
+
     times_out, states_out = [0.0], [coeffs.copy()]
     for step in _march(
         [model], states, np.full(1, -1), jumps,
@@ -478,16 +525,17 @@ def integrate(model, initial, seed, *, n_out=21, with_ledger=True, path_index=0)
         breakpoints=bps, raise_blowup=True,
     ):
         if with_ledger:
-            diag = _diag_update(model, step.dt, *step.pieces[0])
-            cols["t"].append(step.t)
-            cols["dt"].append(step.dt)
-            for k in LEDGER_COLUMNS[2:-1]:
-                cols[k].append(float(diag[k][0]))
-            cols["n_jumps"].append(step.n_jumps)
+            buf.append((step.t, step.dt, step.n_jumps, step.pieces[0]))
+            if len(buf) == FLUSH_STEPS:
+                flush()
         if step.out:
             times_out.append(step.t)
             states_out.append(states[0][0].copy())
-    ledger = EnergyLedger({k: np.asarray(v, dtype=float) for k, v in cols.items()}) if with_ledger else None
+    ledger = None
+    if with_ledger:
+        if buf:
+            flush()
+        ledger = EnergyLedger({k: np.concatenate([np.empty(0)] + v) for k, v in cols.items()})
     return Trajectory(
         np.asarray(times_out), np.asarray(states_out), jt, jm, cfg.level, ledger, cfg.scheme
     )
@@ -565,9 +613,9 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     snapshotted on `n_out` evenly spaced output times.  Each path draws
     its own jump stream keyed by path index, so results do not depend on
     how the ensemble is split across workers.  Blown-up paths freeze at
-    their last finite state and are flagged, not hidden.  While every path
-    is live the accumulators update whole arrays in place; from the first
-    blow-up on, only the live entries, with the same arithmetic.
+    their last finite state and are flagged, not hidden.  The accumulators
+    are updated at each output step and every FLUSH_STEPS steps, from the
+    buffered steps at once, with the bits of per-step updates.
     """
     cfg = model.config
     if cfg.jump_mode != "grid":
@@ -589,11 +637,11 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     acc["sup_energy"] = acc["l2_sq"].copy()
     # occupation integrals, each with its functional; None integrates the
     # step's |u|^2 sums, and int ||u||_2^2 dt is diss_int itself
-    occ = {}
+    occ, source = {}, {}
     for name, fn in functionals.items():
         key, norm = f"occ_{name}", isinstance(fn, SquaredNorm)
         if norm and fn.energy:
-            acc[key] = acc["diss_int"]
+            source[key] = "diss_int"
         else:
             acc[key] = np.zeros(n_paths)
             occ[key] = None if norm else fn
@@ -601,46 +649,58 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
 
     snap_names = (list(_SERIES_BASE) + (list(_SERIES_AUDIT) if track_audit else [])
                   + [f"occ_{name}" for name in functionals])
-    snaps = [{name: acc[name].copy() for name in snap_names}]  # one per output time
-    times = [0.0]
 
-    def add(name, values, live):
-        if live is None:
-            acc[name] += values
-        else:
-            acc[name][live] += values[live]
+    def snapshot():
+        return {name: acc[source.get(name, name)].copy() for name in snap_names}
 
-    def raise_max(name, values, live):
-        if live is not None:
-            values = np.where(live, values, -np.inf)
-        np.maximum(acc[name], values, out=acc[name])
+    snaps, times = [snapshot()], [0.0]  # one per output time
+    buf = []  # steps since the last flush: (dt, live, |U1|^2, U1, pieces)
+
+    def flush():
+        k = len(buf)
+        dt, live, l2, U1, pieces = zip(*buf)
+        dt, live, l2 = np.array(dt)[:, None], np.stack(live), np.stack(l2)
+        U1 = np.concatenate(U1)
+        h2 = np.sum(eig * U1**2, axis=1).reshape(k, n_paths)
+
+        def add(name, values):
+            running = _running_sum(acc[name], values, live)
+            acc[name] = running[-1]
+            return running
+
+        def raise_max(name, values):
+            acc[name] = np.maximum(acc[name], np.where(live, values, -np.inf).max(axis=0))
+
+        # a frozen row holds its last live state, so these are its last live values
+        acc["l2_sq"], acc["h2_sq"] = np.sum(U1[-n_paths:] ** 2, axis=1), h2[-1]
+        diss = add("diss_int", dt * h2)
+        add("diss_r2_int", dt * (h2 * l2))
+        raise_max("sup_l2_sq", l2)
+        raise_max("sup_energy", l2 + two_kappa1 * diss)
+        if track_audit:
+            diag = _audit_terms(model, np.repeat(dt[:, 0], n_paths),
+                                *_stack_pieces(pieces, n_paths))
+            diag = {column: v.reshape(k, n_paths) for column, v in diag.items()}
+            for name, column in _AUDIT_SUMS.items():
+                running = add(name, diag[column])
+                if name == "mart_cum":
+                    raise_max("mart_sup", np.abs(running))
+            scale = 1.0 + l2 * np.sqrt(np.maximum(h2, 0.0))
+            raise_max("skew_max", np.abs(diag["conv_skew"]) / scale)
+        for key, fn in occ.items():
+            add(key, dt * (l2 if fn is None else fn(U1).reshape(k, n_paths)))
+        buf.clear()
 
     states = [U]
     for step in _march([model], states, blow_steps, jumps, n_out=n_out):
-        U1, dt, l2_post = states[0], step.dt, step.l2[0]
-        live = None if step.all_live else step.live
-        h2_post = np.sum(eig * U1**2, axis=1)
-        if live is None:
-            acc["l2_sq"], acc["h2_sq"] = l2_post, h2_post
-        else:
-            acc["l2_sq"][live] = l2_post[live]
-            acc["h2_sq"][live] = h2_post[live]
-        add("diss_int", dt * h2_post, live)
-        add("diss_r2_int", dt * (h2_post * l2_post), live)
-        raise_max("sup_l2_sq", l2_post, live)
-        raise_max("sup_energy", l2_post + two_kappa1 * acc["diss_int"], live)
-        if track_audit:
-            diag = _audit_terms(model, dt, *step.pieces[0])
-            for name, column in _AUDIT_SUMS.items():
-                add(name, diag[column], live)
-            raise_max("mart_sup", np.abs(acc["mart_cum"]), live)
-            scale = 1.0 + l2_post * np.sqrt(np.maximum(h2_post, 0.0))
-            raise_max("skew_max", np.abs(diag["conv_skew"]) / scale, live)
-        for key, fn in occ.items():
-            add(key, dt * (l2_post if fn is None else fn(U1)), live)
+        buf.append((step.dt, step.live, step.l2[0], states[0],
+                    step.pieces[0] if track_audit else None))
+        # steps after the last output feed no snapshot and stay unflushed
+        if step.out or len(buf) == FLUSH_STEPS:
+            flush()
         if step.out:
             times.append(step.t)
-            snaps.append({name: acc[name].copy() for name in snap_names})
+            snaps.append(snapshot())
 
     return EnsembleResult(
         times=np.array(times),
@@ -661,6 +721,8 @@ def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, jumps=None):
     distance |w|^2 and the weighted distance rho * |w|^2 with
     rho(t) = exp(-(C^2/kappa1) * int ||u1||_2^2 ds), the weight of the
     pathwise contraction estimate (C is the convection-form constant).
+    The integral is updated at each output step and every FLUSH_STEPS
+    steps, as in `run_paths`.
     """
     states = [np.array(xi1, dtype=float), np.array(xi2, dtype=float)]
     n_paths = states[0].shape[0]
@@ -671,9 +733,15 @@ def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, jumps=None):
     cw = conv_bound**2 / model.params.kappa1
     if jumps is None:
         jumps = _draw_jumps(model, seed, n_paths, 0)
+    buf = []  # steps since the last flush: (dt, live, first member's U1)
     for step in _march([model, model], states, blow_steps, jumps, n_out=n_out):
-        live = step.live
-        diss1[live] += step.dt * np.sum(model.basis.eigenvalues * states[0]**2, axis=1)[live]
+        buf.append((step.dt, step.live, states[0]))
+        if step.out or len(buf) == FLUSH_STEPS:
+            dt, live, U1 = zip(*buf)
+            h2 = np.sum(model.basis.eigenvalues * np.concatenate(U1) ** 2, axis=1)
+            diss1 = _running_sum(diss1, np.array(dt)[:, None] * h2.reshape(len(buf), n_paths),
+                                 np.stack(live))[-1]
+            buf.clear()
         if step.out:
             w = np.sum((states[0] - states[1]) ** 2, axis=1)
             times.append(step.t)
@@ -696,6 +764,7 @@ def run_levels(models, initial_top, seed):
     initial state is the top-level draw truncated to each level.  Returns
     per consecutive pair the squared terminal gap and the time integral
     of the squared energy-norm gap (fields compared by zero-padding).
+    The integrals are updated every FLUSH_STEPS steps and at the end.
     """
     top = models[-1]
     levels = [m.config.level for m in models]
@@ -714,16 +783,29 @@ def run_levels(models, initial_top, seed):
     gap_int = [np.zeros(n_paths) for _ in range(len(models) - 1)]
     eig_top = top.basis.eigenvalues
     jumps = _draw_jumps(top, seed, n_paths, 0)
-    for step in _march(models, states, blow_steps, jumps):
-        live = step.live
+    buf = []  # steps since the last flush: (dt, live, every level's U1)
+
+    def flush():
+        dt, live, per_step = zip(*buf)
+        dt, live = np.array(dt)[:, None], np.stack(live)
+        stacks = [np.concatenate(level) for level in zip(*per_step)]
         for i in range(len(models) - 1):
             lo_lv, hi_lv = levels[i], levels[i + 1]
-            d_lo = states[i + 1][:, :lo_lv] - states[i]
-            d_hi = states[i + 1][:, lo_lv:hi_lv]
+            d_lo = stacks[i + 1][:, :lo_lv] - stacks[i]
+            d_hi = stacks[i + 1][:, lo_lv:hi_lv]
             gap_h2 = np.sum(eig_top[:lo_lv] * d_lo**2, axis=1) + np.sum(
                 eig_top[lo_lv:hi_lv] * d_hi**2, axis=1
             )
-            gap_int[i][live] += step.dt * gap_h2[live]
+            gap_int[i] = _running_sum(gap_int[i], dt * gap_h2.reshape(len(buf), n_paths),
+                                      live)[-1]
+        buf.clear()
+
+    for step in _march(models, states, blow_steps, jumps):
+        buf.append((step.dt, step.live, list(states)))
+        if len(buf) == FLUSH_STEPS:
+            flush()
+    if buf:
+        flush()
     gaps_sq = []
     for i in range(len(models) - 1):
         d = states[i + 1].copy()

@@ -345,6 +345,20 @@ class TestStrainFrame:
             row = ops16.nonlinear_stress(U[i : i + 1], params)[0]
             assert np.abs(batch[i] - row).max() <= 1e-13 * np.abs(row).max()
 
+    def test_input_forms_agree(self, ops16, params):
+        # a float batch is used as given; vectors, lists and integer arrays
+        # are converted to one first, and a vector comes back as a vector
+        U = np.random.default_rng(1).integers(-2, 3, (3, 16))
+        F = U.astype(float)
+        for fn in (lambda x: ops16.nonlinear_stress(x, params),
+                   lambda x: ops16.convection(x, x)):
+            want = fn(F)
+            assert want.shape == (3, 16)
+            assert np.array_equal(fn(U), want) and np.array_equal(fn(F.tolist()), want)
+            row = fn(F[1])
+            assert row.shape == (16,)
+            assert np.abs(row - want[1]).max() <= 1e-13 * np.abs(want[1]).max()
+
 
 class TestKorn:
     def test_two_sided_constants(self, rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyfluid import solver
 from levyfluid.basis import build_basis
 from levyfluid.ergodics import make_functional
 from levyfluid.noise import (
@@ -12,15 +13,18 @@ from levyfluid.noise import (
     AdditiveNoise,
     LinearNoise,
     MarkSpace,
+    SaturatingNoise,
     ZeroNoise,
     derive_rng,
     sample_jumps,
 )
 from levyfluid.operators import FluidParams
 from levyfluid.solver import (
+    FLUSH_STEPS,
     BlowUpError,
     FluidModel,
     SolverConfig,
+    _diag_update,
     _draw_jumps,
     _march,
     default_dt,
@@ -270,8 +274,6 @@ class TestCoupledRuns:
 
 class TestSaturatingNoise:
     def test_state_dependent_amplitude_in_the_loop(self):
-        from levyfluid.noise import SaturatingNoise
-
         sigma = SaturatingNoise(MARKS, np.array([0.4, 0.2]))
         model = make_model(dt=2e-3, horizon=0.5, sigma=sigma)
         xi = np.zeros(8)
@@ -536,7 +538,6 @@ class TestLeanStepping:
         history = []
         for s in _march([model] * 3, states, blow_steps, jumps):
             history.append([U[path].copy() for U in states])
-            assert s.all_live == (s.live.all())
             for U, l2 in zip(states, s.l2):
                 assert np.array_equal(l2[s.live], np.sum(U[s.live] ** 2, axis=1))
         others = [p for p in range(3) if p != path]
@@ -720,3 +721,138 @@ class TestSharedDrift:
             if idx.size:
                 same(idx, run_paths(model, X[idx], seed, n_out=3, track_audit=True,
                                     jumps=[jumps[p] for p in idx]))
+
+
+def bump_functionals(model):
+    return {name: make_functional(name, model.basis)
+            for name in ("sq_norm", "energy_norm_sq", "gauss_bump")}
+
+
+def assert_rows_equal(every, res):
+    """`res` equals the every-step run `every` at its output steps, bit for bit."""
+    rows = np.searchsorted(every.times, res.times)
+    assert np.array_equal(every.times[rows], res.times)
+    assert np.array_equal(every.terminal, res.terminal)
+    for name, series in res.series.items():
+        assert np.array_equal(every.series[name][rows], series), name
+
+
+def blowing_batch(step):
+    """Three paths of `unstable_model`, the second blowing up on step `step`."""
+    X = np.zeros((3, 8))
+    X[:, 0] = [0.3, 0.2, 0.1]
+    X[1, 4] = 3e8 / 5.0 ** (step + 1)
+    return X
+
+
+class TestIntervalFlush:
+    """Buffered steps flushed at once give the bits of per-step updates."""
+
+    def test_series_do_not_depend_on_the_flush_interval(self, monkeypatch):
+        model = make_model(dt=2e-3, horizon=0.3)  # 150 steps: two cap flushes and a rest
+        assert model.n_steps > 2 * FLUSH_STEPS
+        X = 0.4 * np.random.default_rng(8).standard_normal((5, 8))
+        kw = dict(track_audit=True, functionals=bump_functionals(model))
+        every = run_paths(model, X, 4, n_out=model.n_steps + 1, **kw)
+        # its maxima are the running maxima of what it snapshots every step
+        s = every.series
+        for name, values in (("sup_l2_sq", s["l2_sq"]), ("mart_sup", np.abs(s["mart_cum"])),
+                             ("sup_energy", s["l2_sq"] + 2.0 * PARAMS.kappa1 * s["diss_int"])):
+            assert np.array_equal(s[name], np.maximum.accumulate(values)), name
+        for n_out in (2, 4, 11):
+            assert_rows_equal(every, run_paths(model, X, 4, n_out=n_out, **kw))
+        for cap in (1, 7):
+            monkeypatch.setattr(solver, "FLUSH_STEPS", cap)
+            assert_rows_equal(every, run_paths(model, X, 4, n_out=2, **kw))
+
+    def test_pair_and_level_integrals_do_not_depend_on_the_flush_interval(self, monkeypatch):
+        model = make_model(dt=2e-3, horizon=0.3)
+        rng = np.random.default_rng(6)
+        X1 = 0.5 * rng.standard_normal((4, 8))
+        X2 = X1 + 0.1 * rng.standard_normal((4, 8))
+        models = [make_model(level=lv, dt=2e-3, horizon=0.3, sigma=additive_sigma(lv))
+                  for lv in (4, 8)]
+        pairs = run_pairs(model, X1, X2, 3, conv_bound=0.2, n_out=2)
+        every = run_pairs(model, X1, X2, 3, conv_bound=0.2, n_out=model.n_steps + 1)
+        assert np.array_equal(every["rho_wsq"][[0, -1]], pairs["rho_wsq"])
+        levels = run_levels(models, X1, 3)
+        for cap in (1, 7):
+            monkeypatch.setattr(solver, "FLUSH_STEPS", cap)
+            other = run_levels(models, X1, 3)
+            for a, b in zip(other["energy_gap_int"], levels["energy_gap_int"]):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", ["grid", "adapted"])
+    def test_ledger_equals_per_step_terms(self, mode):
+        model = make_model(dt=2e-3, horizon=0.3, jump_mode=mode,
+                           sigma=SaturatingNoise(MARKS, np.array([0.4, 0.2])))
+        xi = 0.5 * np.random.default_rng(2).standard_normal(8)
+        traj = integrate(model, xi, 12)
+        bps = None
+        if mode == "adapted":
+            bps = np.unique(np.concatenate([np.arange(model.n_steps + 1) * model.dt,
+                                            traj.jump_times]))
+        jumps = [(traj.jump_times, traj.jump_marks)]
+        want = {k: [] for k in solver.LEDGER_COLUMNS}
+        for s in _march([model], [xi[None, :].copy()], np.full(1, -1), jumps, breakpoints=bps):
+            U, U1, M, ap, bb, qv = s.pieces[0]
+            d = _diag_update(model, s.dt, U, U1, M, ap, bb, np.zeros(1) if qv is None else qv)
+            d.update(t=[s.t], dt=[s.dt], n_jumps=[s.n_jumps])
+            for k in want:
+                want[k].append(float(d[k][0]))
+        assert len(want["t"]) > FLUSH_STEPS and traj.jump_times.size > 0
+        for k, values in want.items():
+            assert np.array_equal(traj.ledger[k], np.array(values)), k
+
+    def test_blowup_mid_interval(self):
+        # the second path blows up on step 100, inside the second cap interval
+        model = unstable_model(horizon=40.0)
+        X = blowing_batch(100)
+        kw = dict(track_audit=True, functionals=bump_functionals(model))
+        every = run_paths(model, X, 5, n_out=model.n_steps + 1, **kw)
+        res = run_paths(model, X, 5, n_out=2, **kw)
+        assert res.blow_steps.tolist() == [-1, 100, -1]
+        assert_rows_equal(every, res)
+        # the blown path's accumulators stop at its last finite state
+        for name, series in every.series.items():
+            assert np.all(series[100:, 1] == series[100, 1]), name
+        assert res.series["l2_sq"][-1, 1] == np.sum(res.terminal[1] ** 2)
+        assert res.series["h2_sq"][-1, 1] == np.sum(model.basis.eigenvalues * res.terminal[1] ** 2)
+        # and the survivors are those of a run without it
+        keep = [0, 2]
+        alone = run_paths(model, X[keep], 5, n_out=2, jumps=[res.jumps[p] for p in keep], **kw)
+        assert np.array_equal(res.terminal[keep], alone.terminal)
+        for name, series in alone.series.items():
+            assert np.array_equal(res.series[name][:, keep], series), name
+
+    @settings(max_examples=20, deadline=None)
+    @given(step=st.integers(0, 150), n_out=st.integers(2, 161), audit=st.booleans())
+    def test_blowup_at_any_step_and_interval(self, step, n_out, audit):
+        model = unstable_model(horizon=40.0)
+        X = blowing_batch(step)
+        kw = dict(track_audit=audit, functionals=bump_functionals(model))
+        every = run_paths(model, X, 5, n_out=model.n_steps + 1, **kw)
+        res = run_paths(model, X, 5, n_out=n_out, **kw)
+        assert res.blow_steps.tolist() == [-1, step, -1]
+        assert_rows_equal(every, res)
+        for name, series in every.series.items():
+            assert np.all(series[step:, 1] == series[step, 1]), name
+        assert res.series["l2_sq"][-1, 1] == np.sum(res.terminal[1] ** 2)
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["zero", "additive", "linear", "saturating"]),
+           p=st.floats(1.05, 2.0), level=st.sampled_from([1, 4, 8, 12]),
+           mode=st.sampled_from(["grid", "adapted"]), seed=st.integers(0, 2**16))
+    def test_ledger_replays_the_terminal_energy(self, kind, p, level, mode, seed):
+        gains = np.array([0.4, 0.2])
+        sigma = {"zero": lambda: ZeroNoise(MARKS),
+                 "additive": lambda: additive_sigma(level),
+                 "linear": lambda: LinearNoise(MARKS, gains),
+                 "saturating": lambda: SaturatingNoise(MARKS, gains)}[kind]()
+        cfg = SolverConfig(params=replace(PARAMS, p=p), level=level, dt=2e-3, horizon=0.2,
+                           jump_mode=mode)
+        model = FluidModel(cfg, sigma, MARKS)
+        xi = 0.5 * np.random.default_rng(seed).standard_normal(level)
+        traj = integrate(model, xi, seed)
+        assert traj.ledger["t"].size >= model.n_steps > FLUSH_STEPS
+        assert energy_audit(traj, cfg.params)["replay_max"] < 1e-9

@@ -52,6 +52,7 @@ __all__ = [
     "uniform_grid",
     "mode_values",
     "mode_gradients",
+    "mode_fields",
     "mode_strain_factors",
     "mode_strains",
     "synthesize",
@@ -333,16 +334,28 @@ def _phase_tables(basis, points):
     return a * trig, a * dtrig
 
 
+def _values(basis, trig):
+    return np.einsum("ma,mg->mag", basis.polarizations, trig)
+
+
+def _gradients(basis, dtrig):
+    return np.einsum("ma,mj,mg->majg", basis.polarizations, basis.wavevectors.astype(float), dtrig)
+
+
 def mode_values(basis, points):
     """Mode velocities on the grid, shape (m, d, G)."""
-    trig, _ = _phase_tables(basis, points)
-    return np.einsum("ma,mg->mag", basis.polarizations, trig)
+    return _values(basis, _phase_tables(basis, points)[0])
 
 
 def mode_gradients(basis, points):
     """Mode velocity gradients d(u_a)/d(x_j) on the grid, shape (m, d, d, G)."""
-    _, dtrig = _phase_tables(basis, points)
-    return np.einsum("ma,mj,mg->majg", basis.polarizations, basis.wavevectors.astype(float), dtrig)
+    return _gradients(basis, _phase_tables(basis, points)[1])
+
+
+def mode_fields(basis, points):
+    """`mode_values` and `mode_gradients` from one evaluation of the phases."""
+    trig, dtrig = _phase_tables(basis, points)
+    return _values(basis, trig), _gradients(basis, dtrig)
 
 
 def mode_strain_factors(basis, points):

@@ -430,7 +430,8 @@ def feller_modulus(model, phi, xi, direction, deltas, n_paths, seed):
     phi0 = phi(res0.terminal)
     rows = []
     for delta in deltas:
-        resk = run_paths(model, X + delta * d, seed, n_out=2)
+        # the base run's jump draw, shared by every perturbed start
+        resk = run_paths(model, X + delta * d, seed, n_out=2, jumps=res0.jumps)
         diff = phi(resk.terminal) - phi0
         mean, se = _mean_se(diff)
         rows.append({"delta": float(delta), "modulus": abs(mean), "se": se})

@@ -8,8 +8,11 @@ and returns a machine-readable exit status: 0 pass, 1 verdict fail,
 
 `run_ensemble` splits an ensemble into fixed-size blocks regardless of
 the worker count: ENSEMBLE_BLOCK = 64 paths for `run_paths` ensembles
-(moments, audit) and PAIR_BLOCK = 250 coupled pairs for contraction, whose
-block draws each pair's jumps once and runs every separation on them.
+(moments, audit) and PAIR_BLOCK = 250 coupled pairs for contraction.  A
+block draws each path's jumps once and runs every level (moments, in one
+call for all its levels) or every separation (contraction) on them: the
+levels and the separations use the same streams, common random numbers,
+so one draw serves them all and one pool pass serves the whole study.
 Each path owns its derived noise stream, so the artifacts are
 byte-identical for any worker count and any block-to-worker assignment.
 Block size still matters in the last digits, because BLAS blocking makes
@@ -21,9 +24,9 @@ zero initials, the Chapman-Kolmogorov restarts) share one drift
 evaluation until their first jumps, so the drift calls shrink to a few
 rows and round in the last digits unlike calls on every row; the groups
 are found per block, so this too is the same for any worker count.  A
-pool worker builds its FluidModel once, in the pool initializer; a
-serial run uses the runner's model.  The cauchy, feller, occupation and
-invariant-bound runners run in one process.
+pool worker builds one FluidModel per level once, in the pool
+initializer; a serial run uses the runner's models.  The cauchy, feller,
+occupation and invariant-bound runners run in one process.
 """
 
 from __future__ import annotations
@@ -87,16 +90,28 @@ def build_model(cfg, **solver_overrides):
     return FluidModel(solver, sigma, marks)
 
 
-def _path_block(model, initials, seed, offset, n_out, track_audit):
-    return run_paths(model, initials, seed, n_out=n_out, track_audit=track_audit,
-                     path_offset=offset)
+def _path_block(models, initials, seed, offset, n_out, track_audit):
+    # one jump draw per path, shared by every level
+    jumps = _draw_jumps(models[0], seed, initials[0].shape[0], offset)
+    return [run_paths(model, X, seed, n_out=n_out, track_audit=track_audit, jumps=jumps)
+            for model, X in zip(models, initials)]
 
 
-def _pair_block(model, initials, seed, offset, partners, n_out, conv_bound):
+def _pair_block(models, initials, seed, offset, partners, n_out, conv_bound):
+    (model,) = models
     # one jump draw per pair, shared by every partner
     jumps = _draw_jumps(model, seed, initials.shape[0], offset)
     return [run_pairs(model, initials, x2, seed, conv_bound, n_out=n_out, jumps=jumps)
             for x2 in partners]
+
+
+class LevelResults(list):
+    """One EnsembleResult per level of a levels-form `run_ensemble` call."""
+
+    @property
+    def blown(self):
+        """Blown flags of every level, shape (n_levels, P)."""
+        return np.stack([r.blown for r in self])
 
 
 def _merge_results(parts):
@@ -115,6 +130,11 @@ def _merge_results(parts):
     )
 
 
+def _merge_levels(parts):
+    # parts[block][level] is a run_paths result
+    return LevelResults(_merge_results(list(runs)) for runs in zip(*parts))
+
+
 def _merge_pairs(parts):
     # parts[block][partner] is a run_pairs dict whose last axis is the path
     per_partner = list(zip(*parts))
@@ -126,17 +146,17 @@ def _merge_pairs(parts):
     return merged
 
 
-_worker_model = None  # set in each pool worker, for the one run_ensemble call it serves
+_worker_models = None  # set in each pool worker: one per level of the call it serves
 
 
 def _start_worker(cfg, overrides):
-    global _worker_model
-    _worker_model = build_model(cfg, **overrides)
+    global _worker_models
+    _worker_models = [build_model(cfg, **o) for o in overrides]
 
 
 def _in_worker(job):
     task, args = job
-    return task(_worker_model, *args)
+    return task(_worker_models, *args)
 
 
 def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=False,
@@ -144,27 +164,37 @@ def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=F
     """Block-split ensemble run; identical output for any worker count.
 
     Without `partners`, runs `run_paths` on ENSEMBLE_BLOCK-path blocks and
-    returns one EnsembleResult.  With `partners`, a list of (P, m) batches,
-    couples path i of `initials` to row i of each partner batch through
-    `run_pairs` on PAIR_BLOCK-pair blocks; the result is run_pairs' dict
-    with every array stacked over the partners, paths on the last axis.
-    The model is built once per worker, or once in the calling process
-    when serial; a serial run uses `model`, the caller's model of `cfg`
-    with `overrides`, instead when given.
+    returns one EnsembleResult.  In the levels form, `overrides` is a list
+    of per-level overrides of the truncation level, `initials` the list of
+    their (P, m_level) batches and `model`, when given, the list of their
+    models; each block draws its paths' jumps once and runs every level on
+    them, and the result is a LevelResults, one EnsembleResult per level,
+    whose `blown` has shape (n_levels, P).  A single level is the
+    one-level case of the same block task.  With `partners`, a list of
+    (P, m) batches, couples path i of `initials` to row i of each partner
+    batch through `run_pairs` on PAIR_BLOCK-pair blocks; the result is
+    run_pairs' dict with every array stacked over the partners, paths on
+    the last axis.  Each pool worker builds one model per level, once; a
+    serial run builds them in the calling process, or uses `model`, the
+    caller's model of `cfg` with `overrides`, when given.
     """
-    overrides = overrides or {}
-    n_paths = initials.shape[0]
+    levels = isinstance(overrides, list)
+    overrides = overrides if levels else [overrides or {}]
+    if levels and any(set(o) - {"level"} for o in overrides):
+        raise ValueError("the levels of one ensemble may differ in their level only")
+    batches = initials if levels else [initials]
+    n_paths = batches[0].shape[0]
 
     def blocks(size):
         return [(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
 
     if partners is None:
-        task, merge = _path_block, _merge_results
-        jobs = [(initials[a:b], seed, a, n_out, track_audit)
+        task, merge = _path_block, _merge_levels
+        jobs = [([X[a:b] for X in batches], seed, a, n_out, track_audit)
                 for a, b in blocks(ENSEMBLE_BLOCK)]
     else:
         task, merge = _pair_block, _merge_pairs
-        jobs = [(initials[a:b], seed, a, [x[a:b] for x in partners], n_out, conv_bound)
+        jobs = [(batches[0][a:b], seed, a, [x[a:b] for x in partners], n_out, conv_bound)
                 for a, b in blocks(PAIR_BLOCK)]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
@@ -172,9 +202,13 @@ def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=F
                                  initargs=(cfg, overrides)) as pool:
             parts = list(pool.map(_in_worker, [(task, args) for args in jobs]))
     else:
-        model = model if model is not None else build_model(cfg, **overrides)
-        parts = [task(model, *args) for args in jobs]
-    return merge(parts)
+        if model is None:
+            models = [build_model(cfg, **o) for o in overrides]
+        else:
+            models = model if levels else [model]
+        parts = [task(models, *args) for args in jobs]
+    result = merge(parts)
+    return result if levels or partners is not None else result[0]
 
 
 def _is_linear_drift(cfg):
@@ -193,12 +227,14 @@ def _run_moments(cfg, out_dir, workers):
              2: {"sup": [], "sup_se": [], "diss": [], "diss_se": []}}
     bound_consts = []
     oracle = None
-    for level in levels:
-        model = build_model(cfg, level=level)
-        spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
-        initials = draw_initials(spec, model.basis)
-        result = run_ensemble(cfg, initials, cfg.seed, overrides={"level": level},
-                              workers=workers, model=model)
+    spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
+    models = [build_model(cfg, level=level) for level in levels]
+    batches = [draw_initials(spec, model.basis) for model in models]
+    # one pool pass: every block runs all levels under one jump draw
+    results = run_ensemble(cfg, batches, cfg.seed,
+                           overrides=[{"level": level} for level in levels],
+                           workers=workers, model=models)
+    for level, model, initials, result in zip(levels, models, batches, results):
         init_sq = float(np.mean(np.sum(initials**2, axis=1)))
         for r in (1, 2):
             est = mc_moment(model, spec, r, result=result)

@@ -70,6 +70,11 @@ class MarkSpace:
         r = r.copy()
         r.flags.writeable = False
         object.__setattr__(self, "rates", r)
+        # the mark cdf as Generator.choice builds it from p = nu / Lambda
+        cdf = (r / float(r.sum())).cumsum()
+        cdf /= cdf[-1]
+        cdf.flags.writeable = False
+        object.__setattr__(self, "cdf", cdf)
 
     @property
     def size(self):
@@ -85,7 +90,9 @@ def sample_jumps(marks, horizon, rng):
 
     Exponential inter-arrivals with the total rate, categorical marks with
     probabilities nu_j / Lambda.  Returns (times, mark_indices) sorted in
-    time; deterministic given the generator state.
+    time; deterministic given the generator state.  The marks are those of
+    `rng.choice(K, size=n, p=nu / Lambda)`, drawn by inverting the mark
+    cdf on the same uniforms without re-validating p on every call.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -102,7 +109,7 @@ def sample_jumps(marks, horizon, rng):
             break
         t = arrivals[-1]
     times = np.concatenate(times) if times else np.empty(0)
-    labels = rng.choice(marks.size, size=times.size, p=marks.rates / lam)
+    labels = marks.cdf.searchsorted(rng.random(times.size), side="right")
     return times, labels.astype(np.int64)
 
 

@@ -50,9 +50,8 @@ import numpy as np
 
 from .basis import (
     SpectralField,
-    mode_gradients,
+    mode_fields,
     mode_strain_factors,
-    mode_values,
     norms,
     uniform_grid,
 )
@@ -148,8 +147,7 @@ class SpectralOperators:
 
         pts_c, w_c = uniform_grid(basis.dim, 3 * kmax + 1)
         self._conv_weight = w_c
-        self._conv_vals = mode_values(basis, pts_c)      # (m, d, G)
-        self._conv_grads = mode_gradients(basis, pts_c)  # (m, d, d, G)
+        self._conv_vals, self._conv_grads = mode_fields(basis, pts_c)  # (m, d, G), (m, d, d, G)
         # flat views of the tables for the batched products
         m, d, g = self._conv_vals.shape
         self._conv_vals_flat = self._conv_vals.reshape(m, d * g)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from levyfluid import ergodics, solver
 from levyfluid.basis import build_basis
 from levyfluid.ergodics import (
     EnsembleSpec,
@@ -225,6 +226,33 @@ class TestSemigroup:
         out = feller_modulus(model, phi, np.zeros(8), d, [0.4, 0.2, 0.1], 64, seed=6)
         assert out["monotone"], out["rows"]
         assert out["rows"][-1]["modulus"] < out["rows"][0]["modulus"] + 1e-9
+
+    def test_feller_modulus_draws_jumps_once(self, monkeypatch):
+        # every delta reuses the base run's jumps: one draw per path, and the
+        # rows of a fresh draw per delta, bit for bit
+        model = make_model(dt=2.5e-3, horizon=0.25)
+        phi = make_functional("gauss_bump", model.basis)
+        d = np.zeros(8)
+        d[-1] = 1.0
+        args = (model, phi, np.zeros(8), d, [0.4, 0.2, 0.1], 24)
+        real_sample, real_run = solver.sample_jumps, ergodics.run_paths
+        calls = []
+
+        def counted(*a):
+            calls.append(a)
+            return real_sample(*a)
+
+        monkeypatch.setattr(solver, "sample_jumps", counted)
+        out = feller_modulus(*args, seed=6)
+        assert len(calls) == 24
+
+        def redraw(*a, jumps=None, **kw):
+            return real_run(*a, **kw)
+
+        monkeypatch.setattr(ergodics, "run_paths", redraw)
+        calls.clear()
+        assert feller_modulus(*args, seed=6) == out
+        assert len(calls) == 24 * 4
 
 
 class TestOccupation:

@@ -2,8 +2,9 @@ import json
 import os
 
 import numpy as np
+import pytest
 
-from levyfluid import experiments
+from levyfluid import experiments, solver
 from levyfluid.config import parse_config_text
 from levyfluid.ergodics import EnsembleSpec, cauchy_study, draw_initials
 from levyfluid.experiments import build_model, run_ensemble, run_experiment
@@ -26,6 +27,26 @@ ensemble.initial = mode1
 ensemble.scale = 0.5
 moments.levels = [4, 8]
 """
+
+
+LEVEL_OVERRIDES = [{"level": 4}, {"level": 8}]
+
+
+def _level_batches(cfg):
+    spec = EnsembleSpec(cfg.n_paths, cfg.seed, ("gaussian", 0.3))
+    return [draw_initials(spec, build_model(cfg, **o).basis) for o in LEVEL_OVERRIDES]
+
+
+def _assert_same(a, b):
+    """Two EnsembleResults agree bit for bit."""
+    for name in ("times", "terminal", "blown", "blow_steps", "n_jumps"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.series.keys() == b.series.keys()
+    for key in a.series:
+        assert np.array_equal(a.series[key], b.series[key]), key
+    assert len(a.jumps) == len(b.jumps)
+    for (ta, za), (tb, zb) in zip(a.jumps, b.jumps):
+        assert np.array_equal(ta, tb) and np.array_equal(za, zb)
 
 
 class TestRunEnsemble:
@@ -55,6 +76,64 @@ class TestRunEnsemble:
 
         whole = run_paths(model, initials, cfg.seed)
         assert np.allclose(split.terminal, whole.terminal, rtol=1e-12, atol=1e-15)
+
+    def test_levels_form_matches_single_level_calls(self, monkeypatch):
+        # five 8-path blocks, each running both levels under one jump draw
+        monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 8)
+        cfg = parse_config_text(BASE)
+        batches = _level_batches(cfg)
+        runs = {}
+        for workers in (1, 2):
+            out = run_ensemble(cfg, batches, cfg.seed, overrides=LEVEL_OVERRIDES,
+                               track_audit=True, workers=workers)
+            assert isinstance(out, experiments.LevelResults) and len(out) == 2
+            assert out.blown.shape == (2, cfg.n_paths)
+            for o, X, res in zip(LEVEL_OVERRIDES, batches, out):
+                _assert_same(res, run_ensemble(cfg, X, cfg.seed, overrides=o,
+                                               track_audit=True, workers=workers))
+            runs[workers] = out
+        for a, b in zip(runs[1], runs[2]):
+            _assert_same(a, b)
+
+    def test_levels_form_draws_jumps_once_per_path(self, monkeypatch, tmp_path):
+        # every sample_jumps call, in this process or a forked worker, logs a line
+        monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 8)
+        cfg = parse_config_text(BASE)
+        batches = _level_batches(cfg)
+        log = tmp_path / "draws"
+        real = solver.sample_jumps
+
+        def logged(*args):
+            with open(log, "a") as fh:
+                fh.write("x\n")
+            return real(*args)
+
+        monkeypatch.setattr(solver, "sample_jumps", logged)
+        for workers in (1, 2):
+            log.write_text("")
+            run_ensemble(cfg, batches, cfg.seed, overrides=LEVEL_OVERRIDES, workers=workers)
+            assert len(log.read_text().split()) == cfg.n_paths
+
+    def test_blowup_at_one_level_leaves_the_others(self, monkeypatch):
+        monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 8)
+        cfg = parse_config_text(BASE)
+        batches = _level_batches(cfg)
+        batches[1][11, 0] = 2e8  # path 11 starts past the blow-up norm at level 8 only
+        for workers in (1, 2):
+            out = run_ensemble(cfg, batches, cfg.seed, overrides=LEVEL_OVERRIDES,
+                               workers=workers)
+            assert not out.blown[0].any()
+            assert np.flatnonzero(out.blown[1]).tolist() == [11]
+            for o, X, res in zip(LEVEL_OVERRIDES, batches, out):
+                _assert_same(res, run_ensemble(cfg, X, cfg.seed, overrides=o,
+                                               workers=workers))
+
+    def test_levels_differ_in_level_only(self):
+        cfg = parse_config_text(BASE)
+        batches = _level_batches(cfg)
+        with pytest.raises(ValueError):
+            run_ensemble(cfg, batches, cfg.seed,
+                         overrides=[{"level": 4}, {"level": 8, "horizon": 0.25}])
 
     def test_one_model_per_call(self, monkeypatch, tmp_path):
         # five 8-path blocks per level: one build per call when serial, at
@@ -86,6 +165,17 @@ class TestRunEnsemble:
                 else:
                     assert 1 <= len(pids) <= workers and len(set(pids)) == len(pids)
                     assert str(os.getpid()) not in pids
+        # a pooled levels call builds each level once per worker, in its
+        # initializer, and none in the caller
+        batches = [draw_initials(spec, real(cfg, **o).basis) for o in LEVEL_OVERRIDES]
+        log.write_text("")
+        run_ensemble(cfg, batches, cfg.seed, overrides=LEVEL_OVERRIDES, workers=2)
+        builds = log.read_text().split()
+        per_worker = {}
+        for pid, level in zip(builds[::2], builds[1::2]):
+            per_worker.setdefault(pid, []).append(level)
+        assert 1 <= len(per_worker) <= 2 and str(os.getpid()) not in per_worker
+        assert all(levels == ["4", "8"] for levels in per_worker.values())
         # a serial runner hands its own model to run_ensemble: one build
         # per level for moments, one for audit and for contraction
         audit = BASE.replace("experiment = moments", "experiment = audit")

@@ -115,6 +115,43 @@ class TestSampleJumps:
         p = 3.0 / 4.0
         assert abs(frac - p) <= 3.0 * np.sqrt(p * (1 - p) / n)
 
+    def test_marks_match_generator_choice(self, marks):
+        # the reference draws the times as sample_jumps does and the marks by
+        # Generator.choice; both must leave the generator in the same state
+        def reference(space, horizon, rng):
+            lam = space.total_rate
+            block = max(16, int(lam * horizon + 4 * np.sqrt(lam * horizon) + 1))
+            times, t = [], 0.0
+            while True:
+                arrivals = t + np.cumsum(rng.exponential(1.0 / lam, size=block))
+                times.append(arrivals[arrivals <= horizon])
+                if times[-1].size < block:
+                    break
+                t = arrivals[-1]
+            times = np.concatenate(times)
+            return times, rng.choice(space.size, size=times.size, p=space.rates / lam)
+
+        # at horizon 1.525 the 4.0 total rate needs 16 draws per block, and
+        # these paths have 16 or more jumps, so they take a second block
+        cases = [(s, p, h) for s in range(3) for p in range(0, 400, 2)
+                 for h in (0.05, 1.5, 40.0)]
+        cases += [(0, 2781, 1.525), (1, 119, 1.525), (2, 937, 1.525)]
+        spaces = (marks, MarkSpace(np.array([0.3, 0.2, 0.7, 1.1])))
+        empty = 0
+        for space in spaces:
+            for seed, path, horizon in cases:
+                rng_a = derive_rng(seed, STREAM_JUMPS, path)
+                rng_b = derive_rng(seed, STREAM_JUMPS, path)
+                t_a, z_a = reference(space, horizon, rng_a)
+                t_b, z_b = sample_jumps(space, horizon, rng_b)
+                assert np.array_equal(t_a, t_b) and np.array_equal(z_a, z_b)
+                assert z_b.dtype == np.int64
+                assert rng_a.random() == rng_b.random()
+                empty += t_b.size == 0
+        assert empty > 0
+        for seed, path, horizon in cases[-3:]:
+            assert sample_jumps(marks, horizon, derive_rng(seed, STREAM_JUMPS, path))[0].size >= 16
+
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_determinism_property(self, seed):

@@ -7,7 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyfluid.basis import COS, SpectralField, build_basis, mode_strains, norms, uniform_grid
+from levyfluid import basis as basis_module
+from levyfluid.basis import (
+    COS,
+    SpectralField,
+    build_basis,
+    mode_gradients,
+    mode_strains,
+    mode_values,
+    norms,
+    uniform_grid,
+)
 from levyfluid.operators import (
     FluidParams,
     SpectralOperators,
@@ -394,6 +404,28 @@ class TestSetupMemory:
         l2_sq = np.sum(U**2, axis=1)
         h2 = np.sqrt(np.sum(b.eigenvalues * U**2, axis=1))
         assert np.all(pair <= 1e-10 * (1.0 + l2_sq * h2))
+
+
+class TestSetupTables:
+    @pytest.mark.parametrize("level,dim", [(32, 2), (12, 3)])
+    def test_one_phase_evaluation_per_grid(self, monkeypatch, level, dim):
+        # the convection tables are the per-table builds, bit for bit, from
+        # one phase evaluation on each of the two grids
+        b = build_basis(level, dim)
+        kmax = int(np.max(np.abs(b.wavevectors)))
+        pts, _ = uniform_grid(dim, 3 * kmax + 1)
+        vals, grads = mode_values(b, pts), mode_gradients(b, pts)
+        real, calls = basis_module._phase_tables, []
+
+        def counted(basis, points):
+            calls.append(points.shape)
+            return real(basis, points)
+
+        monkeypatch.setattr(basis_module, "_phase_tables", counted)
+        ops = SpectralOperators(b)
+        assert len(calls) == 2 and calls[0] != calls[1]
+        assert np.array_equal(ops._conv_vals, vals)
+        assert np.array_equal(ops._conv_grads, grads)
 
 
 class TestFiniteDifferenceOracles:

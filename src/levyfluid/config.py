@@ -93,7 +93,7 @@ SCHEMA = {
     "disc.dt": (float, None, "time step; default min(1e-3, 0.1/(kappa1*lam_max))"),
     "disc.horizon": (float, 1.0, "final time"),
     "disc.scheme": (str, "semi-implicit", "semi-implicit or explicit"),
-    "disc.jump_mode": (str, "grid", "grid or adapted"),
+    "disc.jump_mode": (str, "grid", "grid: experiments step on the n*dt grid"),
     "disc.convection": (_as_bool, True, "include the convection term"),
     "disc.stress": (_as_bool, True, "include the nonlinear stress"),
     "noise.kind": (str, "additive", "zero, linear, additive, saturating"),
@@ -311,6 +311,10 @@ def parse_config_text(text, overrides=None):
         problems.append((line_of("disc.dt"), "disc.dt", "dt must be positive"))
     if not get("disc.horizon") > 0:
         problems.append((line_of("disc.horizon"), "disc.horizon", "horizon must be positive"))
+    if get("disc.jump_mode") != "grid":
+        # jump-adapted stepping is single-path `integrate` only
+        problems.append((line_of("disc.jump_mode"), "disc.jump_mode",
+                         "experiments step on the grid; only grid is accepted"))
     try:
         solver = SolverConfig(
             params=fluid,
@@ -319,7 +323,7 @@ def parse_config_text(text, overrides=None):
             dt=get("disc.dt"),
             horizon=get("disc.horizon"),
             scheme=get("disc.scheme"),
-            jump_mode=get("disc.jump_mode"),
+            jump_mode="grid",
             convection=get("disc.convection"),
             stress=get("disc.stress"),
         )

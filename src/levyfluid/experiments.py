@@ -106,7 +106,7 @@ def _pair_block(models, initials, seed, offset, partners, n_out, conv_bound):
 
 
 class LevelResults(list):
-    """One EnsembleResult per level of a levels-form `run_ensemble` call."""
+    """One EnsembleResult per level of a `run_ensemble` call."""
 
     @property
     def blown(self):
@@ -160,41 +160,38 @@ def _in_worker(job):
 
 
 def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=False,
-                 partners=None, conv_bound=None, workers=1, model=None):
+                 partners=None, conv_bound=None, workers=1, models=None):
     """Block-split ensemble run; identical output for any worker count.
 
-    Without `partners`, runs `run_paths` on ENSEMBLE_BLOCK-path blocks and
-    returns one EnsembleResult.  In the levels form, `overrides` is a list
-    of per-level overrides of the truncation level, `initials` the list of
-    their (P, m_level) batches and `model`, when given, the list of their
-    models; each block draws its paths' jumps once and runs every level on
-    them, and the result is a LevelResults, one EnsembleResult per level,
-    whose `blown` has shape (n_levels, P).  A single level is the
-    one-level case of the same block task.  With `partners`, a list of
-    (P, m) batches, couples path i of `initials` to row i of each partner
-    batch through `run_pairs` on PAIR_BLOCK-pair blocks; the result is
-    run_pairs' dict with every array stacked over the partners, paths on
-    the last axis.  Each pool worker builds one model per level, once; a
-    serial run builds them in the calling process, or uses `model`, the
-    caller's model of `cfg` with `overrides`, when given.
+    `initials` is a list of (P, m) batches, one per level, `overrides` the
+    list of their overrides of the truncation level (none when None) and
+    `models`, when given, the caller's models of `cfg` with `overrides`.  Without `partners`, runs `run_paths` on
+    ENSEMBLE_BLOCK-path blocks: each block draws its paths' jumps once and
+    runs every level on them, and the result is a LevelResults, one
+    EnsembleResult per level, whose `blown` has shape (n_levels, P).  With
+    `partners`, a list of (P, m) batches, couples path i of the one batch
+    of `initials` to row i of each partner batch through `run_pairs` on
+    PAIR_BLOCK-pair blocks; the result is run_pairs' dict with every array
+    stacked over the partners, paths on the last axis.  Each pool worker
+    builds one model per level, once; a serial run builds them in the
+    calling process, or uses `models`.
     """
-    levels = isinstance(overrides, list)
-    overrides = overrides if levels else [overrides or {}]
-    if levels and any(set(o) - {"level"} for o in overrides):
+    overrides = [{} for _ in initials] if overrides is None else overrides
+    if any(set(o) - {"level"} for o in overrides):
         raise ValueError("the levels of one ensemble may differ in their level only")
-    batches = initials if levels else [initials]
-    n_paths = batches[0].shape[0]
+    n_paths = initials[0].shape[0]
 
     def blocks(size):
         return [(a, min(a + size, n_paths)) for a in range(0, n_paths, size)]
 
     if partners is None:
         task, merge = _path_block, _merge_levels
-        jobs = [([X[a:b] for X in batches], seed, a, n_out, track_audit)
+        jobs = [([X[a:b] for X in initials], seed, a, n_out, track_audit)
                 for a, b in blocks(ENSEMBLE_BLOCK)]
     else:
         task, merge = _pair_block, _merge_pairs
-        jobs = [(batches[0][a:b], seed, a, [x[a:b] for x in partners], n_out, conv_bound)
+        (X1,) = initials
+        jobs = [(X1[a:b], seed, a, [x[a:b] for x in partners], n_out, conv_bound)
                 for a, b in blocks(PAIR_BLOCK)]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
@@ -202,13 +199,10 @@ def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=F
                                  initargs=(cfg, overrides)) as pool:
             parts = list(pool.map(_in_worker, [(task, args) for args in jobs]))
     else:
-        if model is None:
+        if models is None:
             models = [build_model(cfg, **o) for o in overrides]
-        else:
-            models = model if levels else [model]
         parts = [task(models, *args) for args in jobs]
-    result = merge(parts)
-    return result if levels or partners is not None else result[0]
+    return merge(parts)
 
 
 def _is_linear_drift(cfg):
@@ -233,7 +227,7 @@ def _run_moments(cfg, out_dir, workers):
     # one pool pass: every block runs all levels under one jump draw
     results = run_ensemble(cfg, batches, cfg.seed,
                            overrides=[{"level": level} for level in levels],
-                           workers=workers, model=models)
+                           workers=workers, models=models)
     for level, model, initials, result in zip(levels, models, batches, results):
         init_sq = float(np.mean(np.sum(initials**2, axis=1)))
         for r in (1, 2):
@@ -359,9 +353,9 @@ def _run_contraction(cfg, out_dir, workers):
     direction[0] = 1.0
     spec = EnsembleSpec(cfg.n_paths, cfg.seed)
     partners = [xi1 + sep * direction for sep in separations]
-    pairs = run_ensemble(cfg, np.tile(xi1, (cfg.n_paths, 1)), cfg.seed,
+    pairs = run_ensemble(cfg, [np.tile(xi1, (cfg.n_paths, 1))], cfg.seed,
                          partners=[np.tile(xi2, (cfg.n_paths, 1)) for xi2 in partners],
-                         conv_bound=conv_bound, workers=workers, model=model)
+                         conv_bound=conv_bound, workers=workers, models=[model])
     rows, finals = [], []
     for k, (sep, xi2) in enumerate(zip(separations, partners)):
         out = uniqueness_contraction(model, spec, xi1, xi2, conv_bound,
@@ -469,8 +463,8 @@ def _run_audit(cfg, out_dir, workers):
     model = build_model(cfg)
     spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
     initials = draw_initials(spec, model.basis)
-    result = run_ensemble(cfg, initials, cfg.seed, n_out=21, track_audit=True,
-                          workers=workers, model=model)
+    result = run_ensemble(cfg, [initials], cfg.seed, n_out=21, track_audit=True,
+                          workers=workers, models=[model])[0]
     gron = stochastic_gronwall_audit(result, 2.0 * cfg.fluid.kappa1,
                                      beta=cfg.options["beta"])
 

@@ -32,9 +32,11 @@ through the noise increment, the drift and the advance, and checks each
 path for blow-up across all members.  `run_paths` is one member,
 `run_pairs` two members of one model, `run_levels` one member per
 truncation level, and `integrate` one single-path member.  All step on
-the n*dt grid; jump-adapted `integrate` adds a breakpoint at each of its
-jump times.  The drivers keep only their own accumulators: ensemble
-series, pair distances, level gaps, the ledger.
+the n*dt grid, and `_march` refuses a model in the adapted jump mode
+there; only jump-adapted `integrate` adds a breakpoint at each of its
+jump times.  The drivers keep only their own accumulators, ensemble
+series, pair distances, level gaps and the ledger, and fold `_march`'s
+blocks into them.
 
 Paths blow up by policy, not silently: a non-finite or oversized state
 aborts `integrate` with a report of the step and norms; in the batched
@@ -55,27 +57,29 @@ full batch as before.
 
 Long runs of small batches are bound by per-call overhead, so the loop
 does each piece of work once and only where needed; unlike the shared
-drift, these savings change no bit.  The drivers do no arithmetic per
-step: they keep references to each step's dt, live mask, |u|^2 sums (the
-ones `_march` computes for its blow-up check), post-step states and, for
-audits and ledgers, the step's pieces, and flush them at every output
-step and after at most FLUSH_STEPS steps.  A flush stacks the buffered
-steps and updates every accumulator in one vectorized pass: running sums
-by `np.add.accumulate` along the step axis, seeded with the running
+drift, these savings change no bit.  `_march` yields stacked blocks of
+steps, each ending after a step its caller names as a cut (the output
+steps of `run_paths` and `run_pairs`), after at most FLUSH_STEPS steps,
+and after the last step; the cap bounds the memory of runs with few
+outputs.  A block holds the steps' |u|^2 sums (those of the blow-up
+check) and post-step states, and their pieces (U, U1, M, ap, bb, qv) only
+for a caller that asks: keeping M and the drift across a block costs
+memory on wide batches.  The drivers do no arithmetic per step: they
+fold each block into their accumulators in one vectorized pass: running
+sums by `np.add.accumulate` along the step axis, seeded with the running
 value, which adds in the order of per-step in-place sums; maxima by one
 reduction; norms, functionals and ledger terms evaluated once on the
-stacked (k*P, m) states.  Blown paths are masked out of every flush
-(zero for sums, -inf for maxima), and the |u|^2 snapshot is taken from
-the last state, which a frozen path holds.  The cap bounds the buffered
-memory of runs with few outputs.  The `SquaredNorm` functionals are
-integrated from the step's |u|^2 sums and from the dissipation integral
-rather than evaluated again.  A FluidModel keeps the implicit denominator
-of the last dt and, for noise whose amplitudes depend on neither time nor
-state (zero and additive), the amplitude block and compensator of the
-last (dt, batch size), one entry each: a grid run steps with one dt on
-one batch, and a new key replaces the old one.  Linear and saturating
-noise are evaluated every step: a precomputed affine map would round
-differently.
+stacked (k*P, m) states.  Blown paths are masked out of every block (zero
+for sums, -inf for maxima), and the |u|^2 snapshot is taken from the last
+state, which a frozen path holds.  The
+`SquaredNorm` functionals are integrated from the step's |u|^2 sums and
+from the dissipation integral rather than evaluated again.  A FluidModel
+keeps the implicit denominator of the last dt and, for noise whose
+amplitudes depend on neither time nor state (zero and additive), the
+amplitude block and compensator of the last (dt, batch size), one entry
+each: a grid run steps with one dt on one batch, and a new key replaces
+the old one.  Linear and saturating noise are evaluated every step: a
+precomputed affine map would round differently.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ __all__ = [
 
 DT_CAP = 1e-3
 BLOWUP_NORM = 1e8
-FLUSH_STEPS = 64  # most steps a driver buffers before updating its accumulators
+FLUSH_STEPS = 64  # most steps in one block of `_march`
 
 LEDGER_COLUMNS = (
     "t",
@@ -312,7 +316,12 @@ def _draw_jumps(model, seed, n_paths, offset):
     ]
 
 
-_Step = namedtuple("_Step", "t dt live pieces l2 out n_jumps")
+_Block = namedtuple("_Block", "steps t dt n_jumps live l2 U1 pieces")
+
+
+def _output_steps(n_steps, n_out):
+    """The steps of 0..n_steps at `n_out` evenly spaced times."""
+    return set(np.linspace(0, n_steps, min(n_out, n_steps + 1)).astype(int).tolist())
 
 
 class _SharedDrift:
@@ -347,24 +356,32 @@ class _SharedDrift:
         return rows, np.where(jumped, pos, pos[self.rep[self.group]])
 
 
-def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
-           raise_blowup=False):
+def _march(models, states, blow_steps, jumps, *, cuts=(), breakpoints=None,
+           raise_blowup=False, keep_pieces=False):
     """Step member i, `states[i]` of shape (P, m_i), by `models[i]`, all in lockstep.
 
     Every member sees the P per-path (times, marks) of `jumps`, each event
-    in the window (t_n, t_n+1] that holds it.  The steps are models[0]'s
-    n_steps of size dt, or the intervals between `breakpoints`.  A path
-    that blows up in any member raises BlowUpError if `raise_blowup`, else
-    freezes in every member from then on, its step in `blow_steps` (-1
-    while alive).  Paths with bit-equal initial rows share one drift
-    evaluation until their first jump (`_SharedDrift`).  `states` is
-    updated in place, each step's U1 a new array, so a driver may keep
-    references to past states.  Yields per step a _Step: end time, dt,
-    live mask, per-member pieces (U, U1, M, ap, bb, qv), per-member
-    |U1|^2 (the blow-up check's sums, exact for live rows only: a frozen
-    row keeps the sum of its discarded step), whether it is one of
-    `n_out` output steps (all if None), event count.
+    in the window (t_n, t_n+1] that holds it.  The steps are the intervals
+    between `breakpoints`, or else models[0]'s n_steps of size dt, and
+    then every model must be in the grid jump mode (ValueError if not).
+    A path that blows up in any member raises BlowUpError if
+    `raise_blowup`, else freezes in every member from then on, its step in
+    `blow_steps` (-1 while alive).  Paths with bit-equal initial rows share
+    one drift evaluation until their first jump (`_SharedDrift`).
+    `states[i]` is replaced by each step's new state.
+
+    Yields _Blocks of at most FLUSH_STEPS consecutive steps, each ending
+    after a step whose number (1..n_steps) is in `cuts` and after the last
+    step.  Per step of a block (k steps), stacked: `steps`, `t` (end
+    times), `dt` and `n_jumps` (event counts), each (k,); `live` (k, P);
+    per member, `l2` (k, P), the blow-up check's |U1|^2 sums, exact for
+    live rows only (a frozen row keeps the sum of its discarded step), and
+    `U1` (k*P, m_i), the post-step states; and, with `keep_pieces`, per
+    member the stacked (U, U1, M, ap, bb, qv) of `_stack_pieces`, else
+    None.
     """
+    if breakpoints is None and any(m.config.jump_mode != "grid" for m in models):
+        raise ValueError("batched runs use the grid jump mode")
     jt = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
     jm = np.concatenate([np.empty(0, np.int64)] + [marks for _, marks in jumps])
     jp = np.repeat(np.arange(len(jumps)), [times.size for times, _ in jumps])
@@ -379,8 +396,6 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
     order = np.argsort(steps, kind="stable")
     jt, jm, jp, steps = jt[order], jm[order], jp[order], steps[order]
     bounds = np.searchsorted(steps, np.arange(n_steps + 1)).tolist()
-    out = range(n_steps + 1) if n_out is None else set(
-        np.linspace(0, n_steps, min(n_out, n_steps + 1)).astype(int).tolist())
 
     first = np.full(len(jumps), n_steps)  # each path's first jump window
     np.minimum.at(first, jp, steps)
@@ -389,6 +404,7 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
     leave = set((first[first < n_steps] + 1).tolist())  # steps where some path leaves
     cap = models[0].config.blowup_norm ** 2
     live, frozen = blow_steps < 0, None
+    block = []  # the steps since the last yield
     for n in range(n_steps):
         lo, hi = bounds[n], bounds[n + 1]
         if share is not None and n in leave:
@@ -426,7 +442,22 @@ def _march(models, states, blow_steps, jumps, *, n_out=None, breakpoints=None,
             if frozen is not None:
                 U1[frozen] = U[frozen]
             states[i] = U1
-        yield _Step(t[n + 1], dts[n], live, pieces, l2, n + 1 in out, hi - lo)
+        block.append((n + 1, t[n + 1], dts[n], hi - lo, live, l2, list(states),
+                      pieces if keep_pieces else None))
+        if n + 1 in cuts or len(block) == FLUSH_STEPS or n + 1 == n_steps:
+            stacked = _stack_block(block, len(jumps), keep_pieces)
+            block = []  # before the caller folds it: the per-step arrays go
+            yield stacked
+
+
+def _stack_block(rows, n_paths, keep_pieces):
+    """`_march`'s per-step rows stacked into one _Block."""
+    steps, t, dt, n_jumps, live, l2, U1, pieces = zip(*rows)
+    return _Block(
+        np.array(steps), np.array(t), np.array(dt), np.array(n_jumps), np.stack(live),
+        [np.stack(sq) for sq in zip(*l2)], [np.concatenate(u) for u in zip(*U1)],
+        [_stack_pieces(p, n_paths) for p in zip(*pieces)] if keep_pieces else None,
+    )
 
 
 def _pair(a, V):
@@ -484,14 +515,15 @@ def _diag_update(model, dt, U, U1, M, ap, bb, qv_jump):
     return d
 
 
-def integrate(model, initial, seed, *, n_out=21, with_ledger=True, path_index=0):
+def integrate(model, initial, seed, *, n_out=21, path_index=0):
     """One trajectory on [0, horizon] with a full per-step ledger.
 
     Deterministic given (seed, path_index): the jump stream is derived by
     the counter key schedule.  Raises BlowUpError on a non-finite or
     oversized state; the report carries the step, time and norms.  The
-    ledger is evaluated on every FLUSH_STEPS steps at once, a step size
-    per row, with the values of a per-step evaluation.
+    ledger is evaluated once per block of `_march`, a step size per row,
+    with the values of a per-step evaluation.  The states are sampled at
+    `n_out` evenly spaced steps, or at every step in the adapted jump mode.
     """
     cfg = model.config
     coeffs = np.asarray(initial, dtype=float)[: cfg.level].copy()
@@ -502,42 +534,25 @@ def integrate(model, initial, seed, *, n_out=21, with_ledger=True, path_index=0)
     else:  # no steps: the trajectory is its initial state
         jumps = [(np.empty(0), np.empty(0, np.int64))]
     jt, jm = jumps[0]
-    bps = None  # grid mode steps on run_paths' n*dt grid
+    bps, out = None, _output_steps(model.n_steps, n_out)  # run_paths' n*dt grid
     if cfg.jump_mode == "adapted":  # that grid plus a breakpoint at every jump time
         bps = np.unique(np.concatenate([np.arange(model.n_steps + 1) * model.dt, jt]))
-    states = [coeffs[None, :]]
+        out = range(bps.size)
     cols = {k: [] for k in LEDGER_COLUMNS}
-    buf = []  # steps since the last ledger flush
-
-    def flush():
-        t, dt, n_jumps, pieces = zip(*buf)
-        dt = np.array(dt)
-        diag = _diag_update(model, dt, *_stack_pieces(pieces, 1))
-        diag.update(t=np.array(t), dt=dt, n_jumps=np.array(n_jumps, dtype=float))
+    times_out, states_out = [np.zeros(1)], [coeffs[None, :]]
+    for block in _march([model], [coeffs[None, :]], np.full(1, -1), jumps,
+                        breakpoints=bps, raise_blowup=True, keep_pieces=True):
+        diag = _diag_update(model, block.dt, *block.pieces[0])
+        diag.update(t=block.t, dt=block.dt, n_jumps=block.n_jumps.astype(float))
         for k in LEDGER_COLUMNS:
             cols[k].append(diag[k])
-        buf.clear()
-
-    times_out, states_out = [0.0], [coeffs.copy()]
-    for step in _march(
-        [model], states, np.full(1, -1), jumps,
-        n_out=None if cfg.jump_mode == "adapted" else n_out,
-        breakpoints=bps, raise_blowup=True,
-    ):
-        if with_ledger:
-            buf.append((step.t, step.dt, step.n_jumps, step.pieces[0]))
-            if len(buf) == FLUSH_STEPS:
-                flush()
-        if step.out:
-            times_out.append(step.t)
-            states_out.append(states[0][0].copy())
-    ledger = None
-    if with_ledger:
-        if buf:
-            flush()
-        ledger = EnergyLedger({k: np.concatenate([np.empty(0)] + v) for k, v in cols.items()})
+        rows = [j for j, n in enumerate(block.steps.tolist()) if n in out]
+        times_out.append(block.t[rows])
+        states_out.append(block.U1[0][rows])
     return Trajectory(
-        np.asarray(times_out), np.asarray(states_out), jt, jm, cfg.level, ledger, cfg.scheme
+        np.concatenate(times_out), np.concatenate(states_out), jt, jm, cfg.level,
+        EnergyLedger({k: np.concatenate([np.empty(0)] + v) for k, v in cols.items()}),
+        cfg.scheme,
     )
 
 
@@ -614,12 +629,10 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     its own jump stream keyed by path index, so results do not depend on
     how the ensemble is split across workers.  Blown-up paths freeze at
     their last finite state and are flagged, not hidden.  The accumulators
-    are updated at each output step and every FLUSH_STEPS steps, from the
-    buffered steps at once, with the bits of per-step updates.
+    fold each block of `_march`, cut at the output steps, at once, with
+    the bits of per-step updates.
     """
     cfg = model.config
-    if cfg.jump_mode != "grid":
-        raise ValueError("batched runs use the grid jump mode")
     U = np.array(initials, dtype=float)
     if U.ndim != 2 or U.shape[1] != cfg.level:
         raise ValueError("initials must have shape (paths, level)")
@@ -654,13 +667,12 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
         return {name: acc[source.get(name, name)].copy() for name in snap_names}
 
     snaps, times = [snapshot()], [0.0]  # one per output time
-    buf = []  # steps since the last flush: (dt, live, |U1|^2, U1, pieces)
-
-    def flush():
-        k = len(buf)
-        dt, live, l2, U1, pieces = zip(*buf)
-        dt, live, l2 = np.array(dt)[:, None], np.stack(live), np.stack(l2)
-        U1 = np.concatenate(U1)
+    out = _output_steps(model.n_steps, n_out)
+    states = [U]
+    for block in _march([model], states, blow_steps, jumps, cuts=out,
+                        keep_pieces=track_audit):
+        k, dt, live = block.steps.size, block.dt[:, None], block.live
+        (l2,), (U1,) = block.l2, block.U1
         h2 = np.sum(eig * U1**2, axis=1).reshape(k, n_paths)
 
         def add(name, values):
@@ -678,8 +690,7 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
         raise_max("sup_l2_sq", l2)
         raise_max("sup_energy", l2 + two_kappa1 * diss)
         if track_audit:
-            diag = _audit_terms(model, np.repeat(dt[:, 0], n_paths),
-                                *_stack_pieces(pieces, n_paths))
+            diag = _audit_terms(model, np.repeat(block.dt, n_paths), *block.pieces[0])
             diag = {column: v.reshape(k, n_paths) for column, v in diag.items()}
             for name, column in _AUDIT_SUMS.items():
                 running = add(name, diag[column])
@@ -689,17 +700,8 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
             raise_max("skew_max", np.abs(diag["conv_skew"]) / scale)
         for key, fn in occ.items():
             add(key, dt * (l2 if fn is None else fn(U1).reshape(k, n_paths)))
-        buf.clear()
-
-    states = [U]
-    for step in _march([model], states, blow_steps, jumps, n_out=n_out):
-        buf.append((step.dt, step.live, step.l2[0], states[0],
-                    step.pieces[0] if track_audit else None))
-        # steps after the last output feed no snapshot and stay unflushed
-        if step.out or len(buf) == FLUSH_STEPS:
-            flush()
-        if step.out:
-            times.append(step.t)
+        if block.steps[-1] in out:
+            times.append(block.t[-1])
             snaps.append(snapshot())
 
     return EnsembleResult(
@@ -721,8 +723,8 @@ def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, jumps=None):
     distance |w|^2 and the weighted distance rho * |w|^2 with
     rho(t) = exp(-(C^2/kappa1) * int ||u1||_2^2 ds), the weight of the
     pathwise contraction estimate (C is the convection-form constant).
-    The integral is updated at each output step and every FLUSH_STEPS
-    steps, as in `run_paths`.
+    The integral folds each block of `_march`, cut at the output steps, as
+    in `run_paths`.
     """
     states = [np.array(xi1, dtype=float), np.array(xi2, dtype=float)]
     n_paths = states[0].shape[0]
@@ -733,18 +735,14 @@ def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, jumps=None):
     cw = conv_bound**2 / model.params.kappa1
     if jumps is None:
         jumps = _draw_jumps(model, seed, n_paths, 0)
-    buf = []  # steps since the last flush: (dt, live, first member's U1)
-    for step in _march([model, model], states, blow_steps, jumps, n_out=n_out):
-        buf.append((step.dt, step.live, states[0]))
-        if step.out or len(buf) == FLUSH_STEPS:
-            dt, live, U1 = zip(*buf)
-            h2 = np.sum(model.basis.eigenvalues * np.concatenate(U1) ** 2, axis=1)
-            diss1 = _running_sum(diss1, np.array(dt)[:, None] * h2.reshape(len(buf), n_paths),
-                                 np.stack(live))[-1]
-            buf.clear()
-        if step.out:
+    out = _output_steps(model.n_steps, n_out)
+    for block in _march([model, model], states, blow_steps, jumps, cuts=out):
+        h2 = np.sum(model.basis.eigenvalues * block.U1[0] ** 2, axis=1)
+        diss1 = _running_sum(diss1, block.dt[:, None] * h2.reshape(block.steps.size, n_paths),
+                             block.live)[-1]
+        if block.steps[-1] in out:
             w = np.sum((states[0] - states[1]) ** 2, axis=1)
-            times.append(step.t)
+            times.append(block.t[-1])
             wsq.append(w)
             rho_wsq.append(np.exp(-cw * diss1) * w)
     return {
@@ -764,7 +762,7 @@ def run_levels(models, initial_top, seed):
     initial state is the top-level draw truncated to each level.  Returns
     per consecutive pair the squared terminal gap and the time integral
     of the squared energy-norm gap (fields compared by zero-padding).
-    The integrals are updated every FLUSH_STEPS steps and at the end.
+    The integrals fold each block of `_march`.
     """
     top = models[-1]
     levels = [m.config.level for m in models]
@@ -783,29 +781,17 @@ def run_levels(models, initial_top, seed):
     gap_int = [np.zeros(n_paths) for _ in range(len(models) - 1)]
     eig_top = top.basis.eigenvalues
     jumps = _draw_jumps(top, seed, n_paths, 0)
-    buf = []  # steps since the last flush: (dt, live, every level's U1)
-
-    def flush():
-        dt, live, per_step = zip(*buf)
-        dt, live = np.array(dt)[:, None], np.stack(live)
-        stacks = [np.concatenate(level) for level in zip(*per_step)]
+    for block in _march(models, states, blow_steps, jumps):
+        k, dt = block.steps.size, block.dt[:, None]
         for i in range(len(models) - 1):
             lo_lv, hi_lv = levels[i], levels[i + 1]
-            d_lo = stacks[i + 1][:, :lo_lv] - stacks[i]
-            d_hi = stacks[i + 1][:, lo_lv:hi_lv]
+            d_lo = block.U1[i + 1][:, :lo_lv] - block.U1[i]
+            d_hi = block.U1[i + 1][:, lo_lv:hi_lv]
             gap_h2 = np.sum(eig_top[:lo_lv] * d_lo**2, axis=1) + np.sum(
                 eig_top[lo_lv:hi_lv] * d_hi**2, axis=1
             )
-            gap_int[i] = _running_sum(gap_int[i], dt * gap_h2.reshape(len(buf), n_paths),
-                                      live)[-1]
-        buf.clear()
-
-    for step in _march(models, states, blow_steps, jumps):
-        buf.append((step.dt, step.live, list(states)))
-        if len(buf) == FLUSH_STEPS:
-            flush()
-    if buf:
-        flush()
+            gap_int[i] = _running_sum(gap_int[i], dt * gap_h2.reshape(k, n_paths),
+                                      block.live)[-1]
     gaps_sq = []
     for i in range(len(models) - 1):
         d = states[i + 1].copy()

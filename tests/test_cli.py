@@ -60,6 +60,12 @@ class TestValidateCommand:
         assert main(["validate", "--config", cfg]) == 2
         assert "duplicate key" in capsys.readouterr().err
 
+    def test_adapted_jump_mode_exit_code(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE + "disc.jump_mode = adapted\n")
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "disc.jump_mode" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.cfg"]) == 2
 

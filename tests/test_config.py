@@ -96,6 +96,14 @@ class TestValidation:
         assert any(key == "occupation.schedule" for _, key, _ in problems)
 
 
+    @pytest.mark.parametrize("mode", ["adapted", "thinning"])
+    def test_jump_mode_other_than_grid(self, mode):
+        # experiments step on the n*dt grid: any other mode is one problem on its line
+        problems = problems_of(MINIMAL + f"disc.jump_mode = {mode}\n")
+        assert [(ln, key) for ln, key, _ in problems] == [(2, "disc.jump_mode")]
+        assert parse_config_text(MINIMAL + "disc.jump_mode = grid\n").solver.jump_mode == "grid"
+
+
 class TestOverridesAndHash:
     def test_seed_override(self):
         cfg = parse_config_text(MINIMAL, {"ensemble.seed": 99})

@@ -57,8 +57,8 @@ class TestRunEnsemble:
         model = build_model(cfg)
         spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
         initials = draw_initials(spec, model.basis)
-        serial = run_ensemble(cfg, initials, cfg.seed, track_audit=True, workers=1)
-        pooled = run_ensemble(cfg, initials, cfg.seed, track_audit=True, workers=3)
+        (serial,) = run_ensemble(cfg, [initials], cfg.seed, track_audit=True, workers=1)
+        (pooled,) = run_ensemble(cfg, [initials], cfg.seed, track_audit=True, workers=3)
         assert np.array_equal(serial.terminal, pooled.terminal)
         for key in serial.series:
             assert np.array_equal(serial.series[key], pooled.series[key])
@@ -71,7 +71,7 @@ class TestRunEnsemble:
         initials = draw_initials(
             EnsembleSpec(cfg.n_paths, cfg.seed, ("gaussian", 0.3)), model.basis
         )
-        split = run_ensemble(cfg, initials, cfg.seed, workers=1)
+        (split,) = run_ensemble(cfg, [initials], cfg.seed, workers=1)
         from levyfluid.solver import run_paths
 
         whole = run_paths(model, initials, cfg.seed)
@@ -89,8 +89,9 @@ class TestRunEnsemble:
             assert isinstance(out, experiments.LevelResults) and len(out) == 2
             assert out.blown.shape == (2, cfg.n_paths)
             for o, X, res in zip(LEVEL_OVERRIDES, batches, out):
-                _assert_same(res, run_ensemble(cfg, X, cfg.seed, overrides=o,
-                                               track_audit=True, workers=workers))
+                (alone,) = run_ensemble(cfg, [X], cfg.seed, overrides=[o],
+                                        track_audit=True, workers=workers)
+                _assert_same(res, alone)
             runs[workers] = out
         for a, b in zip(runs[1], runs[2]):
             _assert_same(a, b)
@@ -125,8 +126,8 @@ class TestRunEnsemble:
             assert not out.blown[0].any()
             assert np.flatnonzero(out.blown[1]).tolist() == [11]
             for o, X, res in zip(LEVEL_OVERRIDES, batches, out):
-                _assert_same(res, run_ensemble(cfg, X, cfg.seed, overrides=o,
-                                               workers=workers))
+                (alone,) = run_ensemble(cfg, [X], cfg.seed, overrides=[o], workers=workers)
+                _assert_same(res, alone)
 
     def test_levels_differ_in_level_only(self):
         cfg = parse_config_text(BASE)
@@ -155,7 +156,7 @@ class TestRunEnsemble:
             for level in (4, 8):
                 log.write_text("")
                 initials = draw_initials(spec, real(cfg, level=level).basis)
-                run_ensemble(cfg, initials, cfg.seed, overrides={"level": level},
+                run_ensemble(cfg, [initials], cfg.seed, overrides=[{"level": level}],
                              workers=workers)
                 builds = log.read_text().split()
                 pids, levels = builds[::2], builds[1::2]
@@ -223,7 +224,7 @@ class TestContractionRunner:
         rng = np.random.default_rng(3)
         X1 = 0.4 * rng.standard_normal((cfg.n_paths, 8))
         partners = [X1 + 0.1 * rng.standard_normal(X1.shape) for _ in range(2)]
-        merged = run_ensemble(cfg, X1, cfg.seed, partners=partners, conv_bound=0.2)
+        merged = run_ensemble(cfg, [X1], cfg.seed, partners=partners, conv_bound=0.2)
         for k, X2 in enumerate(partners):
             whole = run_pairs(model, X1, X2, cfg.seed, 0.2)
             for key in ("times", "wsq", "rho_wsq", "wsq0"):

@@ -172,9 +172,29 @@ class TestTrajectory:
 
     def test_energy_audit_requires_ledger_and_scheme(self):
         model = make_model(dt=1e-2, horizon=0.1)
-        traj = integrate(model, np.zeros(8), seed=0, with_ledger=False)
+        traj = replace(integrate(model, np.zeros(8), seed=0), ledger=None)
         with pytest.raises(ValueError):
             energy_audit(traj, PARAMS)
+
+
+class TestGridOnly:
+    """The batched drivers step on the n*dt grid and refuse adapted models;
+    jump-adapted `integrate` is `TestTrajectory.test_jump_adapted_includes_jump_times`."""
+
+    def test_every_batched_driver_refuses_an_adapted_model(self):
+        adapted = make_model(dt=1e-2, horizon=0.1, jump_mode="adapted")
+        grid = make_model(dt=1e-2, horizon=0.1)
+        X = np.zeros((2, 8))
+        with pytest.raises(ValueError, match="grid jump mode"):
+            run_paths(adapted, X, 0)
+        with pytest.raises(ValueError, match="grid jump mode"):
+            run_pairs(adapted, X, X, 0, conv_bound=0.2)
+        small = make_model(level=4, dt=1e-2, horizon=0.1, sigma=additive_sigma(4))
+        with pytest.raises(ValueError, match="grid jump mode"):
+            run_levels([small, adapted], X, 0)
+        small = FluidModel(replace(small.config, jump_mode="adapted"), small.sigma, MARKS)
+        with pytest.raises(ValueError, match="grid jump mode"):
+            run_levels([small, grid], X, 0)
 
 
 class TestBlowUpPolicy:
@@ -535,11 +555,12 @@ class TestLeanStepping:
         states[member][path, 4] = 3e8 / 5.0 ** (step + 1)
         blow_steps = np.full(3, -1)
         jumps = _draw_jumps(model, 11, 3, 0)
-        history = []
-        for s in _march([model] * 3, states, blow_steps, jumps):
-            history.append([U[path].copy() for U in states])
-            for U, l2 in zip(states, s.l2):
-                assert np.array_equal(l2[s.live], np.sum(U[s.live] ** 2, axis=1))
+        history = []  # per step, the path's row in every member
+        for s in _march([model] * 3, states, blow_steps, jumps, cuts={5, 11}):
+            rows = [U1.reshape(s.steps.size, 3, 8) for U1 in s.U1]
+            history.extend(zip(*(r[:, path] for r in rows)))
+            for r, l2 in zip(rows, s.l2):
+                assert np.array_equal(l2[s.live], np.sum(r[s.live] ** 2, axis=1))
         others = [p for p in range(3) if p != path]
         assert blow_steps[path] == step and np.all(blow_steps[others] == -1)
         for n in range(step, model.n_steps):
@@ -746,7 +767,44 @@ def blowing_batch(step):
 
 
 class TestIntervalFlush:
-    """Buffered steps flushed at once give the bits of per-step updates."""
+    """Steps folded a block of `_march` at a time give the bits of per-step updates."""
+
+    def test_audit_ledger_is_evaluated_once_per_block(self, monkeypatch):
+        # audit samples every state; the ledger still folds whole blocks
+        model = make_model(dt=2e-3, horizon=0.3)
+        calls, inner = [], solver._diag_update
+
+        def counted(*args):
+            calls.append(args[2].shape[0])
+            return inner(*args)
+
+        monkeypatch.setattr(solver, "_diag_update", counted)
+        traj = integrate(model, np.zeros(8), 3, n_out=model.n_steps + 1)
+        assert traj.times.size == model.n_steps + 1
+        assert len(calls) == -(-model.n_steps // FLUSH_STEPS)
+        assert sum(calls) == model.n_steps
+
+    def test_run_paths_blocks_end_at_every_output_step(self, monkeypatch):
+        model = make_model(dt=2e-3, horizon=0.3)
+        X = 0.4 * np.random.default_rng(1).standard_normal((3, 8))
+        blocks, inner = [], solver._march
+
+        def recorded(*args, **kw):
+            for block in inner(*args, **kw):
+                blocks.append(block.steps)
+                yield block
+
+        monkeypatch.setattr(solver, "_march", recorded)
+        for n_out in (2, 4, 11, model.n_steps + 1):
+            blocks.clear()
+            res = run_paths(model, X, 4, n_out=n_out)
+            assert np.array_equal(np.concatenate(blocks), np.arange(1, model.n_steps + 1))
+            assert all(0 < b.size <= FLUSH_STEPS for b in blocks)
+            ends = {int(b[-1]) for b in blocks}
+            out = np.rint(res.times[1:] / model.dt).astype(int)
+            assert out.size == min(n_out, model.n_steps + 1) - 1
+            assert set(out.tolist()) <= ends
+            assert all(b.size == FLUSH_STEPS for b in blocks if b[-1] not in set(out.tolist()))
 
     def test_series_do_not_depend_on_the_flush_interval(self, monkeypatch):
         model = make_model(dt=2e-3, horizon=0.3)  # 150 steps: two cap flushes and a rest
@@ -783,7 +841,7 @@ class TestIntervalFlush:
                 assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("mode", ["grid", "adapted"])
-    def test_ledger_equals_per_step_terms(self, mode):
+    def test_ledger_equals_per_step_terms(self, mode, monkeypatch):
         model = make_model(dt=2e-3, horizon=0.3, jump_mode=mode,
                            sigma=SaturatingNoise(MARKS, np.array([0.4, 0.2])))
         xi = 0.5 * np.random.default_rng(2).standard_normal(8)
@@ -794,10 +852,12 @@ class TestIntervalFlush:
                                             traj.jump_times]))
         jumps = [(traj.jump_times, traj.jump_marks)]
         want = {k: [] for k in solver.LEDGER_COLUMNS}
-        for s in _march([model], [xi[None, :].copy()], np.full(1, -1), jumps, breakpoints=bps):
-            U, U1, M, ap, bb, qv = s.pieces[0]
-            d = _diag_update(model, s.dt, U, U1, M, ap, bb, np.zeros(1) if qv is None else qv)
-            d.update(t=[s.t], dt=[s.dt], n_jumps=[s.n_jumps])
+        monkeypatch.setattr(solver, "FLUSH_STEPS", 1)  # one-step blocks: the per-step terms
+        for s in _march([model], [xi[None, :].copy()], np.full(1, -1), jumps, breakpoints=bps,
+                        keep_pieces=True):
+            assert s.steps.size == 1
+            d = _diag_update(model, float(s.dt[0]), *s.pieces[0])
+            d.update(t=s.t, dt=s.dt, n_jumps=s.n_jumps)
             for k in want:
                 want[k].append(float(d[k][0]))
         assert len(want["t"]) > FLUSH_STEPS and traj.jump_times.size > 0

@@ -5,22 +5,15 @@ A divergence-free Fourier truncation of the stochastic evolution equation
     du + [kappa1 A u + 2 kappa0 Ap(u) + B(u, u)] dt = integral sigma d(eta~)
 
 on the periodic box, driven by a compensated finite-activity Poisson
-random measure, with a semi-implicit jump-adapted Euler scheme, per-step
-energy ledgers, and Monte Carlo studies of the provable properties:
-operator certificates, moment bounds, inter-level mean-square
+random measure, with a semi-implicit Euler scheme on a uniform time grid,
+per-step energy ledgers, and Monte Carlo studies of the provable
+properties: operator certificates, moment bounds, inter-level mean-square
 convergence, pathwise contraction, Markov-Feller continuity, occupation
 averages and the invariant second-moment bound.
 """
 
-from .basis import (
-    GalerkinBasis,
-    SpectralField,
-    build_basis,
-    norms,
-    poincare_constant,
-    project,
-)
-from .noise import MarkSpace, compensated_increment, derive_rng, sample_jumps
+from .basis import GalerkinBasis, build_basis
+from .noise import MarkSpace, derive_rng, sample_jumps
 from .operators import FluidParams, SpectralOperators
 from .solver import FluidModel, SolverConfig, integrate
 
@@ -28,14 +21,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GalerkinBasis",
-    "SpectralField",
     "build_basis",
-    "norms",
-    "poincare_constant",
-    "project",
     "MarkSpace",
     "sample_jumps",
-    "compensated_increment",
     "derive_rng",
     "FluidParams",
     "SpectralOperators",

@@ -40,22 +40,13 @@ __all__ = [
     "COS",
     "SIN",
     "GalerkinBasis",
-    "SpectralField",
-    "Norms",
     "build_basis",
-    "project",
-    "extend",
-    "difference",
-    "norms",
-    "strain_norm",
-    "poincare_constant",
     "uniform_grid",
     "mode_values",
     "mode_gradients",
     "mode_fields",
     "mode_strain_factors",
     "mode_strains",
-    "synthesize",
 ]
 
 COS = 0
@@ -132,7 +123,14 @@ class GalerkinBasis:
 
     @property
     def lambda1(self):
-        """min_i ||phi_i||_2^2 / ||phi_i||_1^2 = min |k|^2 / 2."""
+        """Largest lambda1 with ||u||_1^2 <= ||u||_2^2 / lambda1 on the basis.
+
+        Equals min_i ||phi_i||_2^2 / ||phi_i||_1^2 = min |k|^2 / 2, which is
+        1/2 whenever the first shell is present.  Since min |k|^2 >= 1 > 1/2,
+        the same constant also serves the zeroth-order step |u|^2 <=
+        ||u||_1^2 / lambda1, so the chain |u|^2 <= ||u||_2^2 / lambda1^2
+        holds as well.
+        """
         return float(np.min(self.eigenvalues / self.ksq))
 
     def fingerprint(self):
@@ -215,101 +213,6 @@ def build_basis(m, dim=2):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """A divergence-free field stored as coefficients on a basis prefix."""
-
-    basis: GalerkinBasis
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.shape != (self.basis.size,):
-            raise ValueError(
-                f"coefficient shape {c.shape} does not match basis size {self.basis.size}"
-            )
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def level(self):
-        return self.basis.size
-
-    @classmethod
-    def zeros(cls, basis):
-        return cls(basis, np.zeros(basis.size))
-
-    def l2(self):
-        return float(np.linalg.norm(self.coeffs))
-
-
-@dataclass(frozen=True)
-class Norms:
-    l2: float
-    h1: float
-    h2: float
-
-
-def norms(field):
-    """L2, first-order and second-order norms of a spectral field.
-
-    l2 is the Euclidean norm of the coefficients (Parseval), h1 the square
-    root of the gradient form sum(|k|^2 c^2), h2 the square root of the
-    strain-gradient form sum(eigenvalue * c^2).
-    """
-    c2 = field.coeffs**2
-    b = field.basis
-    return Norms(
-        l2=float(np.sqrt(c2.sum())),
-        h1=float(np.sqrt((b.ksq * c2).sum())),
-        h2=float(np.sqrt((b.eigenvalues * c2).sum())),
-    )
-
-
-def strain_norm(field):
-    """L2 norm of the symmetric gradient: sqrt(sum(|k|^2/2 c^2))."""
-    b = field.basis
-    return float(np.sqrt((b.ksq * field.coeffs**2).sum() / 2.0))
-
-
-def poincare_constant(basis):
-    """Largest lambda1 with ||u||_1^2 <= ||u||_2^2 / lambda1 on the basis.
-
-    Equals min |k|^2 / 2 = 1/2 whenever the first shell is present.  Since
-    min |k|^2 >= 1 > 1/2, the same constant also serves the zeroth-order
-    step |u|^2 <= ||u||_1^2 / lambda1, so the chain |u|^2 <= ||u||_2^2 /
-    lambda1^2 holds as well.
-    """
-    return basis.lambda1
-
-
-def project(field, m):
-    """Truncate to the first m coefficients (orthogonal projection)."""
-    if m > field.level:
-        raise ValueError(f"cannot project level {field.level} onto larger level {m}")
-    return SpectralField(build_basis(m, field.basis.dim), field.coeffs[:m])
-
-
-def extend(field, m):
-    """Zero-pad to a larger level (valid by basis nesting)."""
-    if m < field.level:
-        raise ValueError(f"extend target {m} below current level {field.level}")
-    c = np.zeros(m)
-    c[: field.level] = field.coeffs
-    return SpectralField(build_basis(m, field.basis.dim), c)
-
-
-def difference(u, v):
-    """u - v after aligning levels by zero-padding the shorter field."""
-    if u.basis.dim != v.basis.dim:
-        raise ValueError("fields live on tori of different dimension")
-    m = max(u.level, v.level)
-    return SpectralField(
-        build_basis(m, u.basis.dim), extend(u, m).coeffs - extend(v, m).coeffs
-    )
-
-
 def uniform_grid(dim, n):
     """Uniform collocation points on the torus.
 
@@ -375,7 +278,3 @@ def mode_strains(basis, points):
     s, dtrig = mode_strain_factors(basis, points)
     return np.einsum("mab,mg->mabg", s, dtrig)
 
-
-def synthesize(field, points):
-    """Physical-space velocity of a field on the grid, shape (d, G)."""
-    return np.einsum("m,mag->ag", field.coeffs, mode_values(field.basis, points))

@@ -167,7 +167,9 @@ class ExperimentConfig:
                 "dt": self.solver.dt,
                 "horizon": self.solver.horizon,
                 "scheme": self.solver.scheme,
-                "jump_mode": self.solver.jump_mode,
+                # the one accepted value, kept so that every config_hash and
+                # summary.json stays as it was
+                "jump_mode": "grid",
                 "convection": self.solver.convection,
                 "stress": self.solver.stress,
             },
@@ -312,7 +314,6 @@ def parse_config_text(text, overrides=None):
     if not get("disc.horizon") > 0:
         problems.append((line_of("disc.horizon"), "disc.horizon", "horizon must be positive"))
     if get("disc.jump_mode") != "grid":
-        # jump-adapted stepping is single-path `integrate` only
         problems.append((line_of("disc.jump_mode"), "disc.jump_mode",
                          "experiments step on the grid; only grid is accepted"))
     try:
@@ -323,7 +324,6 @@ def parse_config_text(text, overrides=None):
             dt=get("disc.dt"),
             horizon=get("disc.horizon"),
             scheme=get("disc.scheme"),
-            jump_mode="grid",
             convection=get("disc.convection"),
             stress=get("disc.stress"),
         )

@@ -35,7 +35,6 @@ __all__ = [
     "SaturatingNoise",
     "derive_rng",
     "sample_jumps",
-    "compensated_increment",
     "certify_noise_bounds",
     "write_jump_log",
     "STREAM_JUMPS",
@@ -130,10 +129,6 @@ class NoiseCoefficient:
 
     def block(self, t, states):
         raise NotImplementedError
-
-    def evaluate(self, t, coeffs, mark):
-        """Amplitude for one state and one mark, shape (m,)."""
-        return self.block(t, np.asarray(coeffs, dtype=float)[None, :])[mark, 0]
 
 
 @dataclass(frozen=True)
@@ -233,23 +228,6 @@ class SaturatingNoise(NoiseCoefficient):
     def block(self, t, states):
         scale = 1.0 / np.sqrt(1.0 + np.sum(states**2, axis=1))
         return self.gains[:, None, None] * (states * scale[:, None])[None, :, :]
-
-
-def compensated_increment(sigma, marks, coeffs, t0, t1, jump_times, jump_marks):
-    """Integral of sigma against the compensated measure over (t0, t1].
-
-    The state is frozen at its left-endpoint value: the jump part sums
-    sigma(t_j, u, z_j) over the events in the window, the compensator part
-    subtracts (t1 - t0) * sum_j nu_j sigma(t0, u, z_j).
-    """
-    if not t1 > t0:
-        raise ValueError("window must have positive length")
-    u = np.asarray(coeffs, dtype=float)
-    blk = sigma.block(t0, u[None, :])[:, 0, :]  # (K, m)
-    out = -(t1 - t0) * np.einsum("k,km->m", marks.rates, blk)
-    for tj, zj in zip(jump_times, jump_marks):
-        out = out + sigma.evaluate(tj, u, int(zj))
-    return out
 
 
 @dataclass

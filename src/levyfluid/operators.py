@@ -3,7 +3,7 @@
 Three operators act on coefficient vectors:
 
 * the linear fourth-order dissipation, diagonal with the basis
-  eigenvalues (hyperviscosity);
+  eigenvalues (hyperviscosity), which the solver applies directly;
 * the shear-dependent nonlinear stress, defined through the weak pairing
   int gamma(u) E(u):E(v) dx with gamma(u) = (reg + |E(u)|^2)^((p-2)/2),
   evaluated by collocation on an oversampled grid and projected back onto
@@ -48,22 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (
-    SpectralField,
-    mode_fields,
-    mode_strain_factors,
-    norms,
-    uniform_grid,
-)
+from .basis import mode_fields, mode_strain_factors, uniform_grid
 
 __all__ = [
     "FluidParams",
     "SpectralOperators",
-    "apply_hyperviscosity",
-    "apply_nonlinear_stress",
-    "apply_convection",
-    "convection_form",
-    "dual_norm",
     "measure_korn_constants",
     "estimate_convection_bound",
     "measure_stress_lipschitz",
@@ -212,13 +201,6 @@ class SpectralOperators:
         out *= self._conv_weight
         return out if batched else out[0]
 
-    def convection_form_grid(self, cu, cv, cw):
-        """b(u, v, w) as one grid sum, without projecting onto the modes."""
-        u = np.einsum("m,mag->ag", cu, self._conv_vals)
-        dv = np.einsum("m,mbag->bag", cv, self._conv_grads)
-        w = np.einsum("m,mag->ag", cw, self._conv_vals)
-        return float(self._conv_weight * np.einsum("ag,bag,bg->", u, dv, w))
-
 
 def _as_batch(coeffs):
     """`coeffs` as a (P, m) float array, and whether it was given as a batch.
@@ -229,44 +211,6 @@ def _as_batch(coeffs):
     if type(coeffs) is np.ndarray and coeffs.ndim == 2 and coeffs.dtype == np.float64:
         return coeffs, True
     return np.atleast_2d(np.asarray(coeffs, dtype=float)), np.ndim(coeffs) == 2
-
-
-def _common_ops(ops, *fields):
-    for f in fields:
-        if f.basis is not ops.basis and f.basis.fingerprint() != ops.basis.fingerprint():
-            raise ValueError("field level does not match the operator workspace")
-
-
-def apply_hyperviscosity(field):
-    """Linear fourth-order operator: diagonal eigenvalue multiply."""
-    return SpectralField(field.basis, field.basis.eigenvalues * field.coeffs)
-
-
-def apply_nonlinear_stress(ops, field, params):
-    """Projected shear-dependent stress of a field."""
-    _common_ops(ops, field)
-    return SpectralField(field.basis, ops.nonlinear_stress(field.coeffs, params))
-
-
-def apply_convection(ops, u, v):
-    """Riesz representative of w -> b(u, v, w) within the truncation."""
-    _common_ops(ops, u, v)
-    return SpectralField(u.basis, ops.convection(u.coeffs, v.coeffs))
-
-
-def convection_form(ops, u, v, w):
-    """Trilinear convection form by grid quadrature (reference path)."""
-    _common_ops(ops, u, v, w)
-    return ops.convection_form_grid(u.coeffs, v.coeffs, w.coeffs)
-
-
-def dual_norm(field):
-    """Norm of a coefficient vector as a functional on the energy space.
-
-    sup over w of (f, w) / ||w||_2, attained inside the truncation, equals
-    sqrt(sum c_i^2 / eigenvalue_i).
-    """
-    return float(np.sqrt(np.sum(field.coeffs**2 / field.basis.eigenvalues)))
 
 
 def measure_korn_constants(ops, rng, n_samples=2000):
@@ -392,7 +336,3 @@ def stress_lipschitz_reference(params, lambda1, korn_hi=None):
     k = 1.0 / np.sqrt(2.0) if korn_hi is None else korn_hi
     return 3.0 * tilde * k * k / np.sqrt(lambda1)
 
-
-def hyperviscosity_pairing(field):
-    """<A u, u> = ||u||_2^2 exactly (diagonal operator)."""
-    return norms(field).h2 ** 2

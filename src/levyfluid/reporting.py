@@ -1,41 +1,28 @@
-"""Artifact emission: CSV tables, JSONL logs, summaries, state snapshots.
+"""Artifact emission: CSV tables, JSONL logs and summaries.
 
 Tables carry a comment header block ('#'-prefixed: config hash and column
 units) above the CSV header and are written row by row, so arbitrarily
 long series stream without whole-table buffering.  Summaries are JSON
 with sorted keys and no timestamps; wall-clock metadata lives in a
 sibling run_meta.json so that golden-file comparisons diff cleanly.
-
-State snapshots are binary with a versioned header (magic, version,
-dimension, level, mode-table hash) and refuse to load into a mismatched
-basis.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import struct
 import time
 
 import numpy as np
-
-from .basis import build_basis
 
 __all__ = [
     "write_series",
     "write_jsonl",
     "write_summary",
     "write_run_meta",
-    "save_snapshot",
-    "load_snapshot",
     "export_trajectory_csv",
     "export_ledger_jsonl",
-    "SnapshotError",
 ]
-
-SNAPSHOT_MAGIC = b"LVF1"
-SNAPSHOT_VERSION = 1
 
 
 def write_series(path, columns, rows, *, units=None, config_hash=None, append=False):
@@ -102,47 +89,6 @@ def write_run_meta(path, extra=None):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(meta), fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-class SnapshotError(RuntimeError):
-    pass
-
-
-def save_snapshot(path, basis, t, coeffs):
-    """Binary state snapshot: magic, version, d, m, basis hash, t, coeffs."""
-    c = np.asarray(coeffs, dtype="<f8")
-    if c.shape != (basis.size,):
-        raise ValueError("coefficient shape does not match the basis")
-    digest = bytes.fromhex(basis.fingerprint())
-    header = struct.pack("<4sIII", SNAPSHOT_MAGIC, SNAPSHOT_VERSION, basis.dim, basis.size)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(digest)
-        fh.write(struct.pack("<d", float(t)))
-        fh.write(c.tobytes())
-
-
-def load_snapshot(path):
-    """Load a snapshot, rebuilding and verifying its basis.
-
-    Returns (basis, t, coeffs).  Raises SnapshotError on a bad magic,
-    unsupported version, or a mode-table hash mismatch (a snapshot from
-    a different basis layout must not be silently reinterpreted).
-    """
-    with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<4sIII"))
-        magic, version, dim, size = struct.unpack("<4sIII", head)
-        if magic != SNAPSHOT_MAGIC:
-            raise SnapshotError(f"{path}: not a state snapshot")
-        if version != SNAPSHOT_VERSION:
-            raise SnapshotError(f"{path}: unsupported snapshot version {version}")
-        digest = fh.read(32).hex()
-        (t,) = struct.unpack("<d", fh.read(8))
-        coeffs = np.frombuffer(fh.read(8 * size), dtype="<f8").copy()
-    basis = build_basis(size, dim)
-    if basis.fingerprint() != digest:
-        raise SnapshotError(f"{path}: mode-table hash mismatch")
-    return basis, t, coeffs
 
 
 def export_trajectory_csv(path, traj, basis, *, config_hash=None):

@@ -32,9 +32,7 @@ through the noise increment, the drift and the advance, and checks each
 path for blow-up across all members.  `run_paths` is one member,
 `run_pairs` two members of one model, `run_levels` one member per
 truncation level, and `integrate` one single-path member.  All step on
-the n*dt grid, and `_march` refuses a model in the adapted jump mode
-there; only jump-adapted `integrate` adds a breakpoint at each of its
-jump times.  The drivers keep only their own accumulators, ensemble
+the n*dt grid.  The drivers keep only their own accumulators, ensemble
 series, pair distances, level gaps and the ledger, and fold `_march`'s
 blocks into them.
 
@@ -151,7 +149,6 @@ class SolverConfig:
     dt: float | None = None
     horizon: float = 1.0
     scheme: str = "semi-implicit"  # or "explicit", for cross-checks
-    jump_mode: str = "grid"        # or "adapted"
     convection: bool = True
     stress: bool = True
     blowup_norm: float = BLOWUP_NORM
@@ -159,8 +156,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in ("semi-implicit", "explicit"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.jump_mode not in ("grid", "adapted"):
-            raise ValueError(f"unknown jump mode {self.jump_mode!r}")
         if self.level < 1:
             raise ValueError("level must be >= 1")
         if self.dt is not None and not self.dt > 0:
@@ -356,19 +351,17 @@ class _SharedDrift:
         return rows, np.where(jumped, pos, pos[self.rep[self.group]])
 
 
-def _march(models, states, blow_steps, jumps, *, cuts=(), breakpoints=None,
-           raise_blowup=False, keep_pieces=False):
+def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
+           keep_pieces=False):
     """Step member i, `states[i]` of shape (P, m_i), by `models[i]`, all in lockstep.
 
     Every member sees the P per-path (times, marks) of `jumps`, each event
-    in the window (t_n, t_n+1] that holds it.  The steps are the intervals
-    between `breakpoints`, or else models[0]'s n_steps of size dt, and
-    then every model must be in the grid jump mode (ValueError if not).
-    A path that blows up in any member raises BlowUpError if
-    `raise_blowup`, else freezes in every member from then on, its step in
-    `blow_steps` (-1 while alive).  Paths with bit-equal initial rows share
-    one drift evaluation until their first jump (`_SharedDrift`).
-    `states[i]` is replaced by each step's new state.
+    in the window (t_n, t_n+1] that holds it.  The steps are models[0]'s
+    n_steps of size dt.  A path that blows up in any member raises
+    BlowUpError if `raise_blowup`, else freezes in every member from then
+    on, its step in `blow_steps` (-1 while alive).  Paths with bit-equal
+    initial rows share one drift evaluation until their first jump
+    (`_SharedDrift`).  `states[i]` is replaced by each step's new state.
 
     Yields _Blocks of at most FLUSH_STEPS consecutive steps, each ending
     after a step whose number (1..n_steps) is in `cuts` and after the last
@@ -380,19 +373,12 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), breakpoints=None,
     member the stacked (U, U1, M, ap, bb, qv) of `_stack_pieces`, else
     None.
     """
-    if breakpoints is None and any(m.config.jump_mode != "grid" for m in models):
-        raise ValueError("batched runs use the grid jump mode")
     jt = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
     jm = np.concatenate([np.empty(0, np.int64)] + [marks for _, marks in jumps])
     jp = np.repeat(np.arange(len(jumps)), [times.size for times, _ in jumps])
-    if breakpoints is None:
-        h, n_steps = models[0].dt, models[0].n_steps
-        t, dts = [n * h for n in range(n_steps + 1)], [h] * n_steps
-        steps = np.clip(np.ceil(jt / h).astype(np.int64) - 1, 0, n_steps - 1)
-    else:
-        n_steps = breakpoints.size - 1
-        t, dts = breakpoints.tolist(), np.diff(breakpoints).tolist()
-        steps = np.searchsorted(breakpoints[1:], jt)
+    h, n_steps = models[0].dt, models[0].n_steps
+    t, dts = [n * h for n in range(n_steps + 1)], [h] * n_steps
+    steps = np.clip(np.ceil(jt / h).astype(np.int64) - 1, 0, n_steps - 1)
     order = np.argsort(steps, kind="stable")
     jt, jm, jp, steps = jt[order], jm[order], jp[order], steps[order]
     bounds = np.searchsorted(steps, np.arange(n_steps + 1)).tolist()
@@ -523,7 +509,7 @@ def integrate(model, initial, seed, *, n_out=21, path_index=0):
     oversized state; the report carries the step, time and norms.  The
     ledger is evaluated once per block of `_march`, a step size per row,
     with the values of a per-step evaluation.  The states are sampled at
-    `n_out` evenly spaced steps, or at every step in the adapted jump mode.
+    `n_out` evenly spaced steps.
     """
     cfg = model.config
     coeffs = np.asarray(initial, dtype=float)[: cfg.level].copy()
@@ -534,14 +520,11 @@ def integrate(model, initial, seed, *, n_out=21, path_index=0):
     else:  # no steps: the trajectory is its initial state
         jumps = [(np.empty(0), np.empty(0, np.int64))]
     jt, jm = jumps[0]
-    bps, out = None, _output_steps(model.n_steps, n_out)  # run_paths' n*dt grid
-    if cfg.jump_mode == "adapted":  # that grid plus a breakpoint at every jump time
-        bps = np.unique(np.concatenate([np.arange(model.n_steps + 1) * model.dt, jt]))
-        out = range(bps.size)
+    out = _output_steps(model.n_steps, n_out)
     cols = {k: [] for k in LEDGER_COLUMNS}
     times_out, states_out = [np.zeros(1)], [coeffs[None, :]]
     for block in _march([model], [coeffs[None, :]], np.full(1, -1), jumps,
-                        breakpoints=bps, raise_blowup=True, keep_pieces=True):
+                        raise_blowup=True, keep_pieces=True):
         diag = _diag_update(model, block.dt, *block.pieces[0])
         diag.update(t=block.t, dt=block.dt, n_jumps=block.n_jumps.astype(float))
         for k in LEDGER_COLUMNS:

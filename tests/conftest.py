@@ -44,3 +44,27 @@ def quadrature_forms(basis, coeffs, n):
         "strain_sq": w * float(np.sum(strain * strain)),
         "a_form": w * float(np.sum(dstrain * dstrain)),
     }
+
+
+def convection_form_grid(ops, cu, cv, cw):
+    """b(u, v, w) as one grid sum on the operator's convection grid, without
+    projecting onto the modes (reference path for `ops.convection`)."""
+    u = np.einsum("m,mag->ag", cu, ops._conv_vals)
+    dv = np.einsum("m,mbag->bag", cv, ops._conv_grads)
+    w = np.einsum("m,mag->ag", cw, ops._conv_vals)
+    return float(ops._conv_weight * np.einsum("ag,bag,bg->", u, dv, w))
+
+
+def compensated_increment(sigma, marks, coeffs, t0, t1, jump_times, jump_marks):
+    """Integral of sigma against the compensated measure over (t0, t1], one path.
+
+    The state is frozen at its left-endpoint value: the jump part sums
+    sigma(t_j, u, z_j) over the events in the window, the compensator part
+    subtracts (t1 - t0) * sum_j nu_j sigma(t0, u, z_j).  A per-event loop,
+    independent of the batched `FluidModel.noise_increment`.
+    """
+    u = np.asarray(coeffs, dtype=float)[None, :]
+    out = -(t1 - t0) * np.einsum("k,km->m", marks.rates, sigma.block(t0, u)[:, 0, :])
+    for tj, zj in zip(jump_times, jump_marks):
+        out = out + sigma.block(tj, u)[int(zj), 0]
+    return out

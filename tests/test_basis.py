@@ -3,21 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyfluid.basis import (
-    SpectralField,
-    build_basis,
-    difference,
-    extend,
-    mode_values,
-    norms,
-    poincare_constant,
-    project,
-    strain_norm,
-    synthesize,
-    uniform_grid,
-)
+from levyfluid.basis import build_basis, mode_values, uniform_grid
+from levyfluid.noise import AdditiveNoise, MarkSpace, ZeroNoise
+from levyfluid.operators import FluidParams, SpectralOperators
+from levyfluid.solver import FluidModel, SolverConfig, SquaredNorm, run_levels, run_paths
 
 from conftest import quadrature_forms
+
+MARKS = MarkSpace(np.array([1.0]))
+
+
+def shaped(coeffs, m):
+    """`coeffs` truncated or zero-padded to level m, the way additive noise
+    fits its shape field to a model's level."""
+    return AdditiveNoise(MARKS, 1.0, coeffs).shaped(m)
+
+
+def norms(basis, coeffs):
+    """(|u|, ||u||_1, ||u||_2) of coefficient vectors (P, m): the two norms the
+    runners integrate, and the gradient norm from the closed form."""
+    c = np.atleast_2d(coeffs)
+    return (
+        np.sqrt(SquaredNorm(basis, energy=False)(c)),
+        np.sqrt(np.sum(basis.ksq * c**2, axis=1)),
+        np.sqrt(SquaredNorm(basis, energy=True)(c)),
+    )
 
 
 class TestConstruction:
@@ -90,10 +100,11 @@ class TestQuadratureOracle:
     def test_parseval_against_quadrature(self, rng):
         b = build_basis(16, 2)
         pts, w = uniform_grid(2, 32)
+        vals = mode_values(b, pts)
         for _ in range(5):
-            f = SpectralField(b, rng.standard_normal(16))
-            grid_l2_sq = w * np.sum(synthesize(f, pts) ** 2)
-            assert abs(grid_l2_sq - f.l2() ** 2) <= 1e-10 * grid_l2_sq
+            c = rng.standard_normal(16)
+            grid_l2_sq = w * np.sum(np.einsum("m,mag->ag", c, vals) ** 2)
+            assert abs(grid_l2_sq - np.linalg.norm(c) ** 2) <= 1e-10 * grid_l2_sq
 
     def test_divergence_free_on_grid(self, rng):
         # oracle: finite-difference divergence of a random synthesized field
@@ -106,52 +117,58 @@ class TestQuadratureOracle:
 
 
 class TestProjection:
+    """Levels nest, so truncating the coefficients is the L2-orthogonal
+    projection onto a smaller level and zero-padding is the prolongation."""
+
     def test_identity_on_own_level(self, rng):
-        b = build_basis(8, 2)
-        f = SpectralField(b, rng.standard_normal(8))
-        g = project(f, 8)
-        assert np.array_equal(g.coeffs, f.coeffs)
+        c = rng.standard_normal(8)
+        assert np.array_equal(shaped(c, 8), c)
 
     def test_contraction_and_orthogonality(self, rng):
-        b = build_basis(24, 2)
         for _ in range(20):
-            f = SpectralField(b, rng.standard_normal(24))
-            g = project(f, 7)
-            assert g.l2() <= f.l2() + 1e-15
+            c = rng.standard_normal(24)
+            g = shaped(c, 7)
+            assert np.linalg.norm(g) <= np.linalg.norm(c) + 1e-15
             # (u - Pu, Pu) = 0 via zero-padding
-            residual = f.coeffs.copy()
-            residual[:7] -= g.coeffs
-            assert abs(np.dot(residual[:7], g.coeffs)) < 1e-12
+            residual = c - shaped(g, 24)
+            assert abs(np.dot(residual[:7], g)) < 1e-12
 
     def test_rejects_enlargement(self, rng):
-        f = SpectralField(build_basis(4, 2), rng.standard_normal(4))
+        # a state is never reinterpreted at another level
+        cfg = SolverConfig(params=FluidParams(), level=8, dt=1e-2, horizon=0.1)
+        model = FluidModel(cfg, ZeroNoise(MARKS), MARKS)
         with pytest.raises(ValueError):
-            project(f, 8)
+            run_paths(model, rng.standard_normal((2, 4)), 0)
 
     @given(m_small=st.integers(1, 16), extra=st.integers(0, 16))
     @settings(max_examples=30, deadline=None)
     def test_project_then_extend_idempotent(self, m_small, extra):
         m_big = m_small + extra
         rng = np.random.default_rng(m_small * 100 + extra)
-        f = SpectralField(build_basis(m_big, 2), rng.standard_normal(m_big))
-        p = project(f, m_small)
-        back = extend(p, m_big)
-        assert np.array_equal(back.coeffs[:m_small], f.coeffs[:m_small])
-        assert np.all(back.coeffs[m_small:] == 0.0)
+        c = rng.standard_normal(m_big)
+        back = shaped(shaped(c, m_small), m_big)
+        assert np.array_equal(back[:m_small], c[:m_small])
+        assert np.all(back[m_small:] == 0.0)
 
     def test_difference_aligns_levels(self):
-        u = SpectralField(build_basis(4, 2), np.ones(4))
-        v = SpectralField(build_basis(6, 2), np.ones(6))
-        d = difference(u, v)
-        assert d.level == 6
-        assert np.allclose(d.coeffs, [0, 0, 0, 0, -1, -1])
+        # run_levels compares a level-4 and a level-6 field by zero-padding;
+        # without drift or noise each mode only decays, at the same rate on
+        # both levels, so the gap is the level-6 field's last two modes
+        models = [FluidModel(SolverConfig(params=FluidParams(), level=m, dt=1e-2, horizon=0.1,
+                                          convection=False, stress=False),
+                             ZeroNoise(MARKS), MARKS) for m in (4, 6)]
+        res = run_levels(models, np.ones((1, 6)), 0)
+        lo, hi = res["terminals"]
+        assert np.array_equal(hi[:, :4], lo)
+        assert np.allclose(res["terminal_gap_sq"][0], np.sum(hi[:, 4:] ** 2, axis=1))
 
 
 class TestNorms:
     def test_zero_field(self):
-        f = SpectralField.zeros(build_basis(8, 2))
-        n = norms(f)
-        assert (n.l2, n.h1, n.h2) == (0.0, 0.0, 0.0)
+        b = build_basis(8, 2)
+        l2, h1, h2 = norms(b, np.zeros(8))
+        assert (l2[0], h1[0], h2[0]) == (0.0, 0.0, 0.0)
+        assert SpectralOperators(b).strain_norm(np.zeros(8)) == 0.0
 
     def test_single_mode_closed_forms(self, rng):
         b = build_basis(8, 2)
@@ -159,42 +176,42 @@ class TestNorms:
             amp = float(rng.uniform(0.5, 2.0))
             c = np.zeros(8)
             c[i] = amp
-            n = norms(SpectralField(b, c))
-            assert n.l2 == pytest.approx(amp)
-            assert n.h2**2 == pytest.approx(b.eigenvalues[i] * amp**2)
+            l2, h1, h2 = norms(b, c)
+            assert l2[0] == pytest.approx(amp)
+            assert h2[0] ** 2 == pytest.approx(b.eigenvalues[i] * amp**2)
             # the oracle for the mode eigenvalue itself runs in
             # TestQuadratureOracle; here the amplitude scaling is checked
-            assert n.h1**2 == pytest.approx(float(b.ksq[i]) * amp**2)
+            assert h1[0] ** 2 == pytest.approx(float(b.ksq[i]) * amp**2)
 
     def test_poincare_chain_on_random_fields(self, rng):
         b = build_basis(32, 2)
-        lam1 = poincare_constant(b)
-        for _ in range(200):
-            n = norms(SpectralField(b, rng.standard_normal(32)))
-            assert n.h1**2 <= n.h2**2 / lam1 * (1 + 1e-12)
-            assert n.l2**2 <= n.h1**2 / lam1 * (1 + 1e-12)
+        lam1 = b.lambda1
+        l2, h1, h2 = norms(b, rng.standard_normal((200, 32)))
+        assert np.all(h1**2 <= h2**2 / lam1 * (1 + 1e-12))
+        assert np.all(l2**2 <= h1**2 / lam1 * (1 + 1e-12))
 
     def test_strain_norm_is_h1_over_sqrt2(self, rng):
         b = build_basis(16, 2)
-        f = SpectralField(b, rng.standard_normal(16))
-        assert strain_norm(f) == pytest.approx(norms(f).h1 / np.sqrt(2.0))
+        c = rng.standard_normal(16)
+        _, h1, _ = norms(b, c)
+        assert SpectralOperators(b).strain_norm(c) == pytest.approx(h1[0] / np.sqrt(2.0))
 
 
 class TestPoincareConstant:
     def test_value_and_monotonicity(self):
         # frozen: min |k|^2 / 2 over the first shell
-        assert poincare_constant(build_basis(1, 2)) == pytest.approx(0.5)
+        assert build_basis(1, 2).lambda1 == pytest.approx(0.5)
         prev = np.inf
         for m in (1, 4, 8, 16, 32, 64):
-            lam1 = poincare_constant(build_basis(m, 2))
+            lam1 = build_basis(m, 2).lambda1
             assert lam1 <= prev + 1e-15
             prev = lam1
 
     def test_per_mode_ratio_definition(self):
         b = build_basis(32, 2)
         ratios = b.eigenvalues / b.ksq
-        assert poincare_constant(b) == pytest.approx(ratios.min())
-        assert np.all(ratios >= poincare_constant(b) - 1e-15)
+        assert b.lambda1 == pytest.approx(ratios.min())
+        assert np.all(ratios >= b.lambda1 - 1e-15)
 
 
 class TestTaylorInequality:
@@ -253,8 +270,3 @@ class TestExport:
         assert build_basis(8, 2).fingerprint() != build_basis(9, 2).fingerprint()
         assert build_basis(8, 2).fingerprint() != build_basis(8, 3).fingerprint()
         assert build_basis(8, 2).fingerprint() == build_basis(8, 2).fingerprint()
-
-    def test_coefficients_are_immutable(self):
-        f = SpectralField.zeros(build_basis(4, 2))
-        with pytest.raises(ValueError):
-            f.coeffs[0] = 1.0

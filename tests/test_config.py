@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,20 @@ from levyfluid.config import (
 )
 
 MINIMAL = "experiment = moments\n"
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+# config_hash of every shipped config; a change here changes the hash in
+# every summary.json and CSV header of that experiment
+SHIPPED_HASHES = {
+    "audit": "1c7c34f4e885c25b8a7c0c7f2c687a5d8ea60e007bd8a88c2e3f8ea02466f0b8",
+    "cauchy": "a4d0bf0ec573393651d90f33ebb8a20eaf6daf2f83580179cc61107626e5f468",
+    "cauchy_oracle": "2dae03b14ef2386d45984dbe53f8fe71151340869c9ee507592e521ce364e86b",
+    "contraction": "da7b2afe2325b2565d6d5be10fa9bf0d6f6274a0ffa8a742466ebacaed3a8588",
+    "feller": "4d9bd1b7cdbcb0f97ee05a1a0a8bbc1dfad4cf44b8ab5abad7e074c03ef7588b",
+    "invariant_bound": "1732e566c7bc0efc0e5d47aa0fd9560679599723245791784b332a4622120bf6",
+    "moments": "40f7ed977c83ee30d0e2c351fb9a837f52f1f9683e82050701169c86ee1dc2b0",
+    "moments_oracle": "3b876e7c6a352764494340232f33d1c7fc963ef39356820969500600d99c376d",
+    "occupation": "07f998317b1e1332a76e57d3c1d2e28a2e66f70875fa35bc05a9405eebd7a460",
+}
 
 
 def problems_of(text, overrides=None):
@@ -101,7 +117,8 @@ class TestValidation:
         # experiments step on the n*dt grid: any other mode is one problem on its line
         problems = problems_of(MINIMAL + f"disc.jump_mode = {mode}\n")
         assert [(ln, key) for ln, key, _ in problems] == [(2, "disc.jump_mode")]
-        assert parse_config_text(MINIMAL + "disc.jump_mode = grid\n").solver.jump_mode == "grid"
+        cfg = parse_config_text(MINIMAL + "disc.jump_mode = grid\n")
+        assert cfg.canonical()["disc"]["jump_mode"] == "grid"
 
 
 class TestOverridesAndHash:
@@ -115,6 +132,10 @@ class TestOverridesAndHash:
         c = parse_config_text(MINIMAL + "ensemble.seed = 1\n")
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
+
+    def test_shipped_config_hashes_are_pinned(self):
+        found = {p.stem: config_hash(parse_config(p)) for p in sorted(CONFIG_DIR.glob("*.cfg"))}
+        assert found == SHIPPED_HASHES
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "exp.cfg"

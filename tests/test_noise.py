@@ -15,12 +15,15 @@ from levyfluid.noise import (
     SaturatingNoise,
     ZeroNoise,
     certify_noise_bounds,
-    compensated_increment,
     derive_rng,
     make_noise,
     sample_jumps,
     write_jump_log,
 )
+from levyfluid.operators import FluidParams
+from levyfluid.solver import FluidModel, SolverConfig
+
+from conftest import compensated_increment
 
 
 @pytest.fixture(scope="module")
@@ -228,10 +231,30 @@ class TestCompensatedIncrement:
         drift = -(0.25) * (1.0 * 0.3 + 3.0 * 0.1) * u
         assert np.allclose(inc, drift, rtol=1e-14)
 
-    def test_window_validation(self, marks):
-        sig = ZeroNoise(marks)
-        with pytest.raises(ValueError):
-            compensated_increment(sig, marks, np.zeros(2), 1.0, 1.0, [], [])
+    @pytest.mark.parametrize("kind", ["zero", "additive", "linear", "saturating"])
+    def test_production_increment_matches_oracle(self, marks, kind):
+        # the batched FluidModel.noise_increment against the per-path,
+        # per-event oracle, on distinct states and a window with several jumps
+        gains = np.array([0.3, 0.1])
+        sig = make_noise(kind, marks, gains=gains, shape_coeffs=np.linspace(1.0, 0.2, 6))
+        cfg = SolverConfig(params=FluidParams(), level=6, dt=0.1, horizon=1.0)
+        model = FluidModel(cfg, sig, marks)
+        U = np.random.default_rng(3).standard_normal((3, 6)) * np.array([[0.5], [1.0], [2.0]])
+        t0, dt = 0.2, 0.1
+        jt = np.array([0.21, 0.24, 0.25, 0.27, 0.29, 0.3])
+        jp = np.array([0, 2, 0, 2, 0, 2])
+        jm = np.array([1, 0, 0, 1, 1, 1])
+        M, _, qv = model.noise_increment(t0, dt, U, jp, jm, jt)
+        qv = np.zeros(3) if qv is None else qv
+        for p in range(3):
+            mine = jp == p
+            want = compensated_increment(sig, marks, U[p], t0, t0 + dt, jt[mine], jm[mine])
+            scale = max(np.abs(want).max(), 1e-300)
+            assert np.abs(M[p] - want).max() <= 1e-13 * scale, p
+            amps = [sig.block(t, U[p][None, :])[z, 0] for t, z in zip(jt[mine], jm[mine])]
+            assert qv[p] == pytest.approx(sum(float(a @ a) for a in amps), rel=1e-13, abs=0.0)
+        if kind != "zero":
+            assert np.all(qv[[0, 2]] > 0) and qv[1] == 0.0
 
     def _window_increments(self, marks, gains, n_windows, dt, seed):
         """All window increments of a frozen-state additive amplitude,

@@ -10,30 +10,25 @@ from hypothesis import strategies as st
 from levyfluid import basis as basis_module
 from levyfluid.basis import (
     COS,
-    SpectralField,
     build_basis,
     mode_gradients,
     mode_strains,
     mode_values,
-    norms,
     uniform_grid,
 )
 from levyfluid.operators import (
     FluidParams,
     SpectralOperators,
-    apply_convection,
-    apply_hyperviscosity,
-    apply_nonlinear_stress,
-    convection_form,
-    dual_norm,
     estimate_convection_bound,
-    hyperviscosity_pairing,
     measure_korn_constants,
     measure_stress_lipschitz,
     stress_jacobians,
     stress_lipschitz_reference,
     trace_free_frame,
 )
+from levyfluid.solver import SquaredNorm
+
+from conftest import convection_form_grid
 
 
 @pytest.fixture(scope="module")
@@ -107,31 +102,32 @@ class TestFluidParams:
 
 
 class TestHyperviscosity:
+    """The fourth-order operator is the diagonal multiply by the basis
+    eigenvalues, the form the solver's implicit step divides by."""
+
     def test_eigenvector(self):
         b = build_basis(8, 2)
         c = np.zeros(8)
         c[0] = 1.0
-        out = apply_hyperviscosity(SpectralField(b, c))
-        assert np.allclose(out.coeffs, b.eigenvalues[0] * c)
+        assert np.allclose(b.eigenvalues * c, b.eigenvalues[0] * c)
 
     def test_self_adjoint_to_rounding(self, rng):
         b = build_basis(16, 2)
         for _ in range(100):
-            u = SpectralField(b, rng.standard_normal(16))
-            v = SpectralField(b, rng.standard_normal(16))
-            lhs = np.dot(apply_hyperviscosity(u).coeffs, v.coeffs)
-            rhs = np.dot(u.coeffs, apply_hyperviscosity(v).coeffs)
+            u, v = rng.standard_normal((2, 16))
+            lhs = np.dot(b.eigenvalues * u, v)
+            rhs = np.dot(u, b.eigenvalues * v)
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
     def test_pairing_equals_energy_norm(self, rng):
         # the two-sided norm equivalence holds with both constants 1 in
         # the convention where the energy norm is the operator pairing
         b = build_basis(16, 2)
+        energy = SquaredNorm(b, energy=True)
         for _ in range(50):
-            u = SpectralField(b, rng.standard_normal(16))
-            pair = np.dot(apply_hyperviscosity(u).coeffs, u.coeffs)
-            assert pair == pytest.approx(norms(u).h2 ** 2, rel=1e-14)
-            assert pair == pytest.approx(hyperviscosity_pairing(u), rel=1e-14)
+            u = rng.standard_normal(16)
+            pair = np.dot(b.eigenvalues * u, u)
+            assert pair == pytest.approx(energy(u[None, :])[0], rel=1e-14)
 
 
 class TestConvection:
@@ -152,9 +148,9 @@ class TestConvection:
 
     def test_antisymmetric_in_last_two_slots(self, ops16, rng):
         for _ in range(100):
-            u, v, w = (SpectralField(ops16.basis, rng.standard_normal(16)) for _ in range(3))
-            a = convection_form(ops16, u, v, w)
-            b = convection_form(ops16, u, w, v)
+            u, v, w = rng.standard_normal((3, 16))
+            a = convection_form_grid(ops16, u, v, w)
+            b = convection_form_grid(ops16, u, w, v)
             assert a + b == pytest.approx(0.0, abs=1e-12 * (1 + abs(a)))
 
     def test_tensor_matches_quadrature_path(self, ops16, rng):
@@ -162,9 +158,9 @@ class TestConvection:
         # same mode tables, so test_matches_closed_form_triads below is the
         # independent oracle
         for _ in range(1000):
-            u, v, w = (SpectralField(ops16.basis, rng.standard_normal(16)) for _ in range(3))
-            direct = convection_form(ops16, u, v, w)
-            projected = float(np.dot(apply_convection(ops16, u, v).coeffs, w.coeffs))
+            u, v, w = rng.standard_normal((3, 16))
+            direct = convection_form_grid(ops16, u, v, w)
+            projected = float(np.dot(ops16.convection(u, v), w))
             assert projected == pytest.approx(direct, rel=1e-12, abs=1e-13)
 
     @pytest.mark.parametrize("dim,m", [(2, 16), (2, 64), (3, 24)])
@@ -181,10 +177,8 @@ class TestConvection:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
     def test_linear_in_first_slot_and_zero_at_origin(self, ops16, rng):
-        b = ops16.basis
-        v = SpectralField(b, rng.standard_normal(16))
-        zero = SpectralField.zeros(b)
-        assert np.all(apply_convection(ops16, zero, v).coeffs == 0.0)
+        v = rng.standard_normal(16)
+        assert np.all(ops16.convection(np.zeros(16), v) == 0.0)
 
     def test_bound_with_estimated_constant(self, ops16, rng):
         c0 = estimate_convection_bound(ops16, np.random.default_rng(7))
@@ -209,16 +203,14 @@ class TestConvection:
         assert c == pytest.approx(a, rel=0.05)
 
     def test_rejects_mismatched_levels(self, ops16, rng):
-        u8 = SpectralField(build_basis(8, 2), rng.standard_normal(8))
-        v16 = SpectralField(ops16.basis, rng.standard_normal(16))
+        # a level-8 state is never read as a level-16 one
         with pytest.raises(ValueError):
-            apply_convection(ops16, u8, v16)
+            ops16.convection(rng.standard_normal(8), rng.standard_normal(16))
 
 
 class TestNonlinearStress:
     def test_zero_strain_gives_zero(self, ops16, params):
-        out = apply_nonlinear_stress(ops16, SpectralField.zeros(ops16.basis), params)
-        assert np.all(out.coeffs == 0.0)
+        assert np.all(ops16.nonlinear_stress(np.zeros(16), params) == 0.0)
 
     def test_p_two_reduces_to_strain_form(self, rng):
         # gamma == 1: the operator is diagonal with |k|^2/2, checked against
@@ -283,16 +275,6 @@ class TestNonlinearStress:
         assert other == pytest.approx(measured, rel=0.25)
         ceiling = stress_lipschitz_reference(params, ops16.basis.lambda1)
         assert measured <= ceiling
-
-    def test_dual_norm_definition(self, rng):
-        b = build_basis(8, 2)
-        f = SpectralField(b, rng.standard_normal(8))
-        expected = np.sqrt(np.sum(f.coeffs**2 / b.eigenvalues))
-        assert dual_norm(f) == pytest.approx(expected)
-        # it is the operator norm against the energy-norm unit ball
-        w = f.coeffs / b.eigenvalues
-        w /= np.sqrt(np.sum(b.eigenvalues * w**2))
-        assert np.dot(f.coeffs, w) == pytest.approx(dual_norm(f), rel=1e-12)
 
 
 class TestStrainFrame:
@@ -447,7 +429,7 @@ class TestFiniteDifferenceOracles:
             dv = np.stack([np.stack([fd_derivative(v[a], j, n) for j in range(2)])
                            for a in range(2)])  # dv[a, j] = d v_a / d x_j
             oracle = w * float(np.einsum("ixy,aixy,axy->", u, dv, wf))
-            got = ops.convection_form_grid(cu, cv, cw)
+            got = float(np.dot(ops.convection(cu, cv), cw))
             assert got == pytest.approx(oracle, rel=2e-4, abs=1e-8)
 
     def test_nonlinear_stress_against_fd_mesh(self, rng):
@@ -481,10 +463,10 @@ class TestThreeDimensionalOperators:
         b = build_basis(12, 3)
         ops = SpectralOperators(b)
         for _ in range(25):
-            u, v, w = (SpectralField(b, rng.standard_normal(12)) for _ in range(3))
-            assert convection_form(ops, u, v, v) == pytest.approx(0.0, abs=1e-12)
-            direct = convection_form(ops, u, v, w)
-            via = float(np.dot(apply_convection(ops, u, v).coeffs, w.coeffs))
+            u, v, w = rng.standard_normal((3, 12))
+            assert convection_form_grid(ops, u, v, v) == pytest.approx(0.0, abs=1e-12)
+            direct = convection_form_grid(ops, u, v, w)
+            via = float(np.dot(ops.convection(u, v), w))
             assert via == pytest.approx(direct, rel=1e-11, abs=1e-13)
 
     def test_stress_monotone_and_positive(self, rng):

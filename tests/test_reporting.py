@@ -4,15 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levyfluid.basis import build_basis
 from levyfluid.noise import MarkSpace, ZeroNoise
 from levyfluid.operators import FluidParams
 from levyfluid.reporting import (
-    SnapshotError,
     export_ledger_jsonl,
     export_trajectory_csv,
-    load_snapshot,
-    save_snapshot,
     write_series,
     write_summary,
 )
@@ -87,56 +83,6 @@ class TestSummary:
         assert p1.read_bytes() == p2.read_bytes()
         loaded = json.loads(p1.read_text())
         assert loaded["arr"] == [0, 1, 2]
-
-
-class TestSnapshots:
-    def test_roundtrip(self, tmp_path):
-        basis = build_basis(12, 2)
-        coeffs = np.linspace(-1, 1, 12)
-        path = tmp_path / "state.bin"
-        save_snapshot(path, basis, 2.5, coeffs)
-        loaded_basis, t, loaded = load_snapshot(path)
-        assert loaded_basis is build_basis(12, 2)
-        assert t == 2.5
-        assert np.array_equal(loaded, coeffs)
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(SnapshotError):
-            load_snapshot(path)
-
-    def test_rejects_tampered_mode_table_hash(self, tmp_path):
-        basis = build_basis(6, 2)
-        path = tmp_path / "state.bin"
-        save_snapshot(path, basis, 0.0, np.zeros(6))
-        blob = bytearray(path.read_bytes())
-        blob[20] ^= 0xFF  # corrupt the stored basis hash
-        path.write_bytes(bytes(blob))
-        with pytest.raises(SnapshotError):
-            load_snapshot(path)
-
-    def test_restart_from_snapshot_continues_trajectory(self, tmp_path):
-        # integrating to T in one run equals stopping at T/2, snapshotting,
-        # and restarting, when the restarted run reuses the same jump stream
-        marks = MarkSpace(np.array([2.0]))
-        par = FluidParams()
-        full_cfg = SolverConfig(params=par, level=6, dt=1e-2, horizon=0.4)
-        model = FluidModel(full_cfg, ZeroNoise(marks), marks)
-        rng = np.random.default_rng(5)
-        xi = 0.5 * rng.standard_normal(6)
-        full = integrate(model, xi, seed=2, n_out=5)
-
-        half_cfg = SolverConfig(params=par, level=6, dt=1e-2, horizon=0.2)
-        half_model = FluidModel(half_cfg, ZeroNoise(marks), marks)
-        first = integrate(half_model, xi, seed=2)
-        snap = tmp_path / "mid.bin"
-        save_snapshot(snap, half_model.basis, first.times[-1], first.terminal())
-        basis, t0, coeffs = load_snapshot(snap)
-        assert t0 == pytest.approx(0.2)
-        second = integrate(half_model, coeffs, seed=3)
-        # deterministic drift: restart reproduces the full run's terminal
-        assert np.allclose(second.terminal(), full.terminal(), rtol=1e-12, atol=1e-14)
 
 
 @pytest.fixture(scope="module")

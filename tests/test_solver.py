@@ -55,8 +55,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(params=PARAMS, scheme="leapfrog")
         with pytest.raises(ValueError):
-            SolverConfig(params=PARAMS, jump_mode="thinning")
-        with pytest.raises(ValueError):
             SolverConfig(params=PARAMS, level=0)
         with pytest.raises(ValueError):
             SolverConfig(params=PARAMS, dt=-1e-3)
@@ -156,13 +154,6 @@ class TestTrajectory:
         led = traj.ledger
         assert np.all(led["ap_pair"] >= -1e-8 * (1.0 + led["l2_pre_sq"]))
 
-    def test_jump_adapted_includes_jump_times(self):
-        model = make_model(dt=1e-2, horizon=1.0, jump_mode="adapted")
-        traj = integrate(model, np.zeros(8), seed=9)
-        assert traj.jump_times.size > 0
-        for t in traj.jump_times:
-            assert np.min(np.abs(traj.times - t)) < 1e-12
-
     def test_energy_audit_passes(self):
         model = make_model(dt=1e-3, horizon=1.0)
         traj = integrate(model, np.zeros(8), seed=11)
@@ -176,25 +167,25 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             energy_audit(traj, PARAMS)
 
+    def test_restart_from_terminal_continues_trajectory(self):
+        # integrating to T in one run equals stopping at T/2 and restarting
+        # from the terminal state, when the restarted run reuses the same
+        # jump stream
+        marks = MarkSpace(np.array([2.0]))
+        par = FluidParams()
+        full_cfg = SolverConfig(params=par, level=6, dt=1e-2, horizon=0.4)
+        model = FluidModel(full_cfg, ZeroNoise(marks), marks)
+        rng = np.random.default_rng(5)
+        xi = 0.5 * rng.standard_normal(6)
+        full = integrate(model, xi, seed=2, n_out=5)
 
-class TestGridOnly:
-    """The batched drivers step on the n*dt grid and refuse adapted models;
-    jump-adapted `integrate` is `TestTrajectory.test_jump_adapted_includes_jump_times`."""
-
-    def test_every_batched_driver_refuses_an_adapted_model(self):
-        adapted = make_model(dt=1e-2, horizon=0.1, jump_mode="adapted")
-        grid = make_model(dt=1e-2, horizon=0.1)
-        X = np.zeros((2, 8))
-        with pytest.raises(ValueError, match="grid jump mode"):
-            run_paths(adapted, X, 0)
-        with pytest.raises(ValueError, match="grid jump mode"):
-            run_pairs(adapted, X, X, 0, conv_bound=0.2)
-        small = make_model(level=4, dt=1e-2, horizon=0.1, sigma=additive_sigma(4))
-        with pytest.raises(ValueError, match="grid jump mode"):
-            run_levels([small, adapted], X, 0)
-        small = FluidModel(replace(small.config, jump_mode="adapted"), small.sigma, MARKS)
-        with pytest.raises(ValueError, match="grid jump mode"):
-            run_levels([small, grid], X, 0)
+        half_cfg = SolverConfig(params=par, level=6, dt=1e-2, horizon=0.2)
+        half_model = FluidModel(half_cfg, ZeroNoise(marks), marks)
+        first = integrate(half_model, xi, seed=2)
+        assert first.times[-1] == pytest.approx(0.2)
+        second = integrate(half_model, first.terminal(), seed=3)
+        # deterministic drift: restart reproduces the full run's terminal
+        assert np.allclose(second.terminal(), full.terminal(), rtol=1e-12, atol=1e-14)
 
 
 class TestBlowUpPolicy:
@@ -222,18 +213,19 @@ class TestBlowUpPolicy:
 
 
 class TestSchemes:
-    def test_grid_vs_adapted_selfrefinement_order(self):
-        # same jump realization at every step size; the gap between the
-        # grid-aligned and jump-adapted runs vanishes at order >= 0.5
+    def test_grid_selfrefinement_order(self):
+        # one jump draw per path at every step size; the RMS terminal error
+        # against a fine-step reference halves at order >= 0.5 per halving.
+        # A single path's errors are too erratic to read an order from.
         sigma = additive_sigma()
-        errs, dts = [], [8e-3, 4e-3, 2e-3]
-        for dt in dts:
-            grid = make_model(dt=dt, horizon=1.0, sigma=sigma)
-            adapted = make_model(dt=dt, horizon=1.0, sigma=sigma, jump_mode="adapted")
-            tg = integrate(grid, np.zeros(8), seed=17)
-            ta = integrate(adapted, np.zeros(8), seed=17)
-            assert np.array_equal(tg.jump_times, ta.jump_times)
-            errs.append(np.linalg.norm(tg.terminal() - ta.terminal()))
+        X = np.zeros((32, 8))
+        ref = make_model(dt=2.5e-4, horizon=1.0, sigma=sigma)
+        jumps = _draw_jumps(ref, 17, X.shape[0], 0)
+        want = run_paths(ref, X, 17, jumps=jumps).terminal
+        errs = []
+        for dt in (8e-3, 4e-3, 2e-3):
+            got = run_paths(make_model(dt=dt, horizon=1.0, sigma=sigma), X, 17, jumps=jumps)
+            errs.append(np.sqrt(np.mean(np.sum((got.terminal - want) ** 2, axis=1))))
         rates = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(rates) >= 0.5, (errs, rates)
 
@@ -498,15 +490,15 @@ class TestLeanStepping:
             integral = np.vstack([np.zeros(4), np.cumsum(steps, axis=0)])
             assert np.array_equal(res.series[f"occ_{name}"], integral), name
 
-    def test_one_model_serves_batch_sizes_and_adapted_steps(self):
+    def test_one_model_serves_batch_sizes_and_step_sizes(self):
         # the step caches keep the last (dt, P): reusing one model for two
-        # batch sizes and the many step sizes of jump-adapted integration
-        # gives the results of a model that evaluates its noise every step
+        # batch sizes and for changing step sizes gives the results of a
+        # model that evaluates its noise every step
         uncached = additive_sigma()
         uncached.state_free = False
 
-        def reference(**kw):
-            return make_model(dt=2e-3, horizon=0.5, sigma=uncached, **kw)
+        def reference():
+            return make_model(dt=2e-3, horizon=0.5, sigma=uncached)
 
         model = make_model(dt=2e-3, horizon=0.5)
         X = 0.4 * np.random.default_rng(2).standard_normal((64, 8))
@@ -516,15 +508,13 @@ class TestLeanStepping:
             assert np.array_equal(got.terminal, want.terminal)
             for name in got.series:
                 assert np.array_equal(got.series[name], want.series[name]), name
-            if rows.stop == 3:  # adapted integration on the same model
-                model.config = replace(model.config, jump_mode="adapted")
-                got = integrate(model, X[0], 7)
-                model.config = replace(model.config, jump_mode="grid")
-                want = integrate(reference(jump_mode="adapted"), X[0], 7)
-                assert np.unique(np.diff(got.times)).size > 2
-                assert np.array_equal(got.states, want.states)
-                for key in got.ledger.columns:
-                    assert np.array_equal(got.ledger[key], want.ledger[key]), key
+        # the noise increment follows dt, whichever dt came before
+        U, jp, jm, jt = X[:3], np.array([0, 2, 2]), np.array([1, 0, 1]), np.array([0.1, 0.1, 0.1])
+        for dt in (1e-3, 2e-3, 1e-3):
+            got = model.noise_increment(0.1 - dt, dt, U, jp, jm, jt)
+            want = reference().noise_increment(0.1 - dt, dt, U, jp, jm, jt)
+            assert model._noise[0] == (dt, 3)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
         # the implicit denominator follows dt, whichever dt came before
         U, M = X[:3], np.zeros((3, 8))
         for dt in (1e-3, 2e-3, 1e-3):
@@ -840,20 +830,15 @@ class TestIntervalFlush:
             for a, b in zip(other["energy_gap_int"], levels["energy_gap_int"]):
                 assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("mode", ["grid", "adapted"])
-    def test_ledger_equals_per_step_terms(self, mode, monkeypatch):
-        model = make_model(dt=2e-3, horizon=0.3, jump_mode=mode,
+    def test_ledger_equals_per_step_terms(self, monkeypatch):
+        model = make_model(dt=2e-3, horizon=0.3,
                            sigma=SaturatingNoise(MARKS, np.array([0.4, 0.2])))
         xi = 0.5 * np.random.default_rng(2).standard_normal(8)
         traj = integrate(model, xi, 12)
-        bps = None
-        if mode == "adapted":
-            bps = np.unique(np.concatenate([np.arange(model.n_steps + 1) * model.dt,
-                                            traj.jump_times]))
         jumps = [(traj.jump_times, traj.jump_marks)]
         want = {k: [] for k in solver.LEDGER_COLUMNS}
         monkeypatch.setattr(solver, "FLUSH_STEPS", 1)  # one-step blocks: the per-step terms
-        for s in _march([model], [xi[None, :].copy()], np.full(1, -1), jumps, breakpoints=bps,
+        for s in _march([model], [xi[None, :].copy()], np.full(1, -1), jumps,
                         keep_pieces=True):
             assert s.steps.size == 1
             d = _diag_update(model, float(s.dt[0]), *s.pieces[0])
@@ -902,15 +887,14 @@ class TestIntervalFlush:
     @settings(max_examples=20, deadline=None)
     @given(kind=st.sampled_from(["zero", "additive", "linear", "saturating"]),
            p=st.floats(1.05, 2.0), level=st.sampled_from([1, 4, 8, 12]),
-           mode=st.sampled_from(["grid", "adapted"]), seed=st.integers(0, 2**16))
-    def test_ledger_replays_the_terminal_energy(self, kind, p, level, mode, seed):
+           seed=st.integers(0, 2**16))
+    def test_ledger_replays_the_terminal_energy(self, kind, p, level, seed):
         gains = np.array([0.4, 0.2])
         sigma = {"zero": lambda: ZeroNoise(MARKS),
                  "additive": lambda: additive_sigma(level),
                  "linear": lambda: LinearNoise(MARKS, gains),
                  "saturating": lambda: SaturatingNoise(MARKS, gains)}[kind]()
-        cfg = SolverConfig(params=replace(PARAMS, p=p), level=level, dt=2e-3, horizon=0.2,
-                           jump_mode=mode)
+        cfg = SolverConfig(params=replace(PARAMS, p=p), level=level, dt=2e-3, horizon=0.2)
         model = FluidModel(cfg, sigma, MARKS)
         xi = 0.5 * np.random.default_rng(seed).standard_normal(level)
         traj = integrate(model, xi, seed)

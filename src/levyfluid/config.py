@@ -121,6 +121,23 @@ SCHEMA = {
 }
 
 
+def _levels_ok(n_min):
+    return lambda v: len(v) >= n_min and v[0] >= 1 and all(b > a for a, b in zip(v, v[1:]))
+
+
+# option values under which a runner would crash or pass without measuring
+# anything: key -> (accepts the parsed value, problem message)
+_OPTION_RULES = {
+    "moments.levels": (_levels_ok(1), "need one or more levels, strictly increasing and >= 1"),
+    "cauchy.levels": (_levels_ok(2), "need two or more levels, strictly increasing and >= 1"),
+    "contraction.separations": (lambda v: len(v) > 0 and min(v) > 0, "need one or more, each > 0"),
+    "feller.lag": (lambda v: v > 0, "must be > 0"),
+    "feller.lag2": (lambda v: v > 0, "must be > 0"),
+    "feller.inner": (lambda v: v >= 1, "must be >= 1"),
+    "feller.deltas": (lambda v: len(v) > 0, "need one or more distances"),
+}
+
+
 class ConfigError(ValueError):
     """Carries a list of (line, key, message) problems."""
 
@@ -361,6 +378,9 @@ def parse_config_text(text, overrides=None):
             ns, _, rest = key.partition(".")
             if rest and ns in prefixes:
                 options[rest] = get(key)
+                accepts, msg = _OPTION_RULES.get(key, (lambda v: True, None))
+                if not accepts(options[rest]):
+                    problems.append((line_of(key), key, msg))
         if "schedule" in options:
             horizon = get("disc.horizon")
             if options["schedule"] is None:

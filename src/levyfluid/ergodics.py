@@ -227,22 +227,21 @@ def additive_drive_rates(sigma, marks, level):
 # ---------------------------------------------------------------------------
 
 
-def cauchy_study(make_model, levels, spec):
+def cauchy_study(models, spec):
     """Mean-square gaps between consecutive truncation levels.
 
-    All levels share the jump realization per path and the top-level
-    initial condition (truncated by the nesting).  Returns one row per
-    consecutive pair with the terminal gap E |u_m(T) - u_m'(T)|^2 and the
-    integrated energy gap E int ||u_m - u_m'||_2^2 dt, their standard
-    errors, the ratio to the previous row, and the verdict: every gap
-    strictly below its predecessor and the final ratio below 1/2.
+    `models` have strictly increasing levels and a common dt and horizon
+    (ValueError otherwise).  All levels share the jump realization per path
+    and the top-level initial condition (truncated by the nesting).
+    Returns one row per consecutive pair with the terminal gap
+    E |u_m(T) - u_m'(T)|^2 and the integrated energy gap
+    E int ||u_m - u_m'||_2^2 dt, their standard errors, the ratio to the
+    previous row, and the verdict: every gap strictly below its
+    predecessor and the final ratio below 1/2.
     """
-    if sorted(levels) != list(levels) or len(set(levels)) != len(levels):
-        raise ValueError("levels must be strictly increasing")
-    models = [make_model(m) for m in levels]
-    top = models[-1]
-    initials = draw_initials(spec, top.basis)
+    initials = draw_initials(spec, models[-1].basis)
     out = run_levels(models, initials, spec.seed)
+    levels = out["levels"]
     ok = ~out["blown"]
     rng = derive_rng(spec.seed, STREAM_STATS, 7)
     rows = []
@@ -379,25 +378,25 @@ def semigroup_eval(model, phi, xi, t, n_paths, seed, *, path_offset=0):
     return _mean_se(vals)
 
 
-def chapman_kolmogorov(make_model, phi, xi, t, s, n_outer, n_inner, seed):
+def chapman_kolmogorov(model_t, model_s, model_ts, phi, xi, n_outer, n_inner, seed):
     """Direct versus nested estimate of the (t+s)-step semigroup value.
 
+    t and s are the horizons of `model_t` and `model_s`; `model_ts` must
+    have horizon t + s (`semigroup_eval` raises ValueError otherwise).
     The nested estimator runs n_outer paths to time t, then n_inner paths
     of length s from each terminal state (fresh streams), and averages
     the cluster means; its standard error uses the spread of the cluster
     means.  Returns both estimates, their standard errors, and the
     discrepancy z-score.
     """
-    model_ts = make_model(t + s)
+    t, s = model_t.config.horizon, model_s.config.horizon
     direct, direct_se = semigroup_eval(model_ts, phi, xi, t + s, n_outer * n_inner, seed)
 
     # disjoint stream index ranges decorrelate the three stages
-    model_t = make_model(t)
     stage1 = run_paths(
         model_t, np.tile(np.asarray(xi, float), (n_outer, 1)), seed,
         n_out=2, path_offset=1_000_000,
     )
-    model_s = make_model(s)
     seeds2 = np.repeat(np.arange(n_outer), n_inner)
     starts = stage1.terminal[seeds2]
     stage2 = run_paths(model_s, starts, seed, n_out=2, path_offset=2_000_000)

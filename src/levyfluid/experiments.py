@@ -23,10 +23,11 @@ a fifth more CPU.  Within a block, paths that share a start (mode1 or
 zero initials, the Chapman-Kolmogorov restarts) share one drift
 evaluation until their first jumps, so the drift calls shrink to a few
 rows and round in the last digits unlike calls on every row; the groups
-are found per block, so this too is the same for any worker count.  A
-pool worker builds one FluidModel per level once, in the pool
-initializer; a serial run uses the runner's models.  The cauchy, feller,
-occupation and invariant-bound runners run in one process.
+are found per block, so this too is the same for any worker count.  Only
+the runners build FluidModels, each distinct model once, in the calling
+process; a pool worker steps the caller's models, handed to its
+initializer (inherited at fork, pickled under spawn and forkserver).  The
+cauchy, feller, occupation and invariant-bound runners run in one process.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def build_model(cfg, **solver_overrides):
 
 
 def _path_block(models, initials, seed, offset, n_out, track_audit):
-    # one jump draw per path, shared by every level
+    # one jump draw per path, shared by every model
     jumps = _draw_jumps(models[0], seed, initials[0].shape[0], offset)
     return [run_paths(model, X, seed, n_out=n_out, track_audit=track_audit, jumps=jumps)
             for model, X in zip(models, initials)]
@@ -106,11 +107,11 @@ def _pair_block(models, initials, seed, offset, partners, n_out, conv_bound):
 
 
 class LevelResults(list):
-    """One EnsembleResult per level of a `run_ensemble` call."""
+    """One EnsembleResult per model of a `run_ensemble` call."""
 
     @property
     def blown(self):
-        """Blown flags of every level, shape (n_levels, P)."""
+        """Blown flags of every model, shape (n_models, P)."""
         return np.stack([r.blown for r in self])
 
 
@@ -146,12 +147,12 @@ def _merge_pairs(parts):
     return merged
 
 
-_worker_models = None  # set in each pool worker: one per level of the call it serves
+_worker_models = None  # set in each pool worker: the models of the call it serves
 
 
-def _start_worker(cfg, overrides):
+def _start_worker(models):
     global _worker_models
-    _worker_models = [build_model(cfg, **o) for o in overrides]
+    _worker_models = models
 
 
 def _in_worker(job):
@@ -159,26 +160,26 @@ def _in_worker(job):
     return task(_worker_models, *args)
 
 
-def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=False,
-                 partners=None, conv_bound=None, workers=1, models=None):
+def run_ensemble(models, initials, seed, *, n_out=11, track_audit=False,
+                 partners=None, conv_bound=None, workers=1):
     """Block-split ensemble run; identical output for any worker count.
 
-    `initials` is a list of (P, m) batches, one per level, `overrides` the
-    list of their overrides of the truncation level (none when None) and
-    `models`, when given, the caller's models of `cfg` with `overrides`.  Without `partners`, runs `run_paths` on
+    `models` are the FluidModels to step and `initials` a list of (P, m)
+    batches, one per model.  Without `partners`, runs `run_paths` on
     ENSEMBLE_BLOCK-path blocks: each block draws its paths' jumps once and
-    runs every level on them, and the result is a LevelResults, one
-    EnsembleResult per level, whose `blown` has shape (n_levels, P).  With
-    `partners`, a list of (P, m) batches, couples path i of the one batch
-    of `initials` to row i of each partner batch through `run_pairs` on
+    runs every model on them, and the result is a LevelResults, one
+    EnsembleResult per model, whose `blown` has shape (n_models, P).  The
+    models must share the horizon and the mark rates, which fix the law of
+    the shared draw (ValueError otherwise); they may differ in anything
+    else, such as the level or dt.  With `partners`, a list of (P, m)
+    batches, couples path i of the one batch of `initials` to row i of
+    each partner batch through `run_pairs` on the one model, on
     PAIR_BLOCK-pair blocks; the result is run_pairs' dict with every array
-    stacked over the partners, paths on the last axis.  Each pool worker
-    builds one model per level, once; a serial run builds them in the
-    calling process, or uses `models`.
+    stacked over the partners, paths on the last axis.
     """
-    overrides = [{} for _ in initials] if overrides is None else overrides
-    if any(set(o) - {"level"} for o in overrides):
-        raise ValueError("the levels of one ensemble may differ in their level only")
+    if any(m.config.horizon != models[0].config.horizon
+           or not np.array_equal(m.marks.rates, models[0].marks.rates) for m in models):
+        raise ValueError("the models of one ensemble must share the horizon and the mark rates")
     n_paths = initials[0].shape[0]
 
     def blocks(size):
@@ -195,12 +196,9 @@ def run_ensemble(cfg, initials, seed, *, overrides=None, n_out=11, track_audit=F
                 for a, b in blocks(PAIR_BLOCK)]
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
-                                 initializer=_start_worker,
-                                 initargs=(cfg, overrides)) as pool:
+                                 initializer=_start_worker, initargs=(models,)) as pool:
             parts = list(pool.map(_in_worker, [(task, args) for args in jobs]))
     else:
-        if models is None:
-            models = [build_model(cfg, **o) for o in overrides]
         parts = [task(models, *args) for args in jobs]
     return merge(parts)
 
@@ -225,9 +223,7 @@ def _run_moments(cfg, out_dir, workers):
     models = [build_model(cfg, level=level) for level in levels]
     batches = [draw_initials(spec, model.basis) for model in models]
     # one pool pass: every block runs all levels under one jump draw
-    results = run_ensemble(cfg, batches, cfg.seed,
-                           overrides=[{"level": level} for level in levels],
-                           workers=workers, models=models)
+    results = run_ensemble(models, batches, cfg.seed, workers=workers)
     for level, model, initials, result in zip(levels, models, batches, results):
         init_sq = float(np.mean(np.sum(initials**2, axis=1)))
         for r in (1, 2):
@@ -246,8 +242,7 @@ def _run_moments(cfg, out_dir, workers):
                  est["diss_se"], c_hat, est["n_blown"])
             )
         if _is_linear_drift(cfg) and cfg.noise_kind == "additive" and oracle is None:
-            sigma = cfg.make_sigma(cfg.marks())
-            drive = additive_drive_rates(sigma, cfg.marks(), level)
+            drive = additive_drive_rates(model.sigma, model.marks, level)
             if cfg.initial == "gaussian":
                 init_sq = cfg.initial_scale**2 / model.basis.eigenvalues
             else:
@@ -301,11 +296,8 @@ def _run_moments(cfg, out_dir, workers):
 def _run_cauchy(cfg, out_dir, workers):
     levels = cfg.options["levels"]
     spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
-
-    def make_model(level):
-        return build_model(cfg, level=level)
-
-    study = ergodics.cauchy_study(make_model, levels, spec)
+    models = [build_model(cfg, level=level) for level in levels]
+    study = ergodics.cauchy_study(models, spec)
     rows = [
         (r["level_lo"], r["level_hi"], r["terminal_gap_sq"], r["terminal_gap_se"],
          r["energy_gap_int"], r["energy_gap_se"], r["ratio"])
@@ -315,7 +307,7 @@ def _run_cauchy(cfg, out_dir, workers):
     if cfg.noise_kind == "zero" and _is_linear_drift(cfg):
         # each mode decays geometrically, so the inter-level gap is the
         # decayed tail energy of the initial state, averaged over paths
-        top = make_model(levels[-1])
+        top = models[-1]
         initials = draw_initials(spec, top.basis)
         decay = (1.0 + top.dt * cfg.fluid.kappa1 * top.basis.eigenvalues) ** (-top.n_steps)
         terminal = initials * decay[None, :]
@@ -353,9 +345,9 @@ def _run_contraction(cfg, out_dir, workers):
     direction[0] = 1.0
     spec = EnsembleSpec(cfg.n_paths, cfg.seed)
     partners = [xi1 + sep * direction for sep in separations]
-    pairs = run_ensemble(cfg, [np.tile(xi1, (cfg.n_paths, 1))], cfg.seed,
+    pairs = run_ensemble([model], [np.tile(xi1, (cfg.n_paths, 1))], cfg.seed,
                          partners=[np.tile(xi2, (cfg.n_paths, 1)) for xi2 in partners],
-                         conv_bound=conv_bound, workers=workers, models=[model])
+                         conv_bound=conv_bound, workers=workers)
     rows, finals = [], []
     for k, (sep, xi2) in enumerate(zip(separations, partners)):
         out = uniqueness_contraction(model, spec, xi1, xi2, conv_bound,
@@ -391,20 +383,16 @@ def _run_feller(cfg, out_dir, workers):
     t, s = cfg.options["lag"], cfg.options["lag2"]
     n_inner = cfg.options["inner"]
     deltas = cfg.options["deltas"]
-    basis = build_basis(cfg.solver.level, cfg.solver.dim)
+    model_t, model_s, model_ts = (build_model(cfg, horizon=h) for h in (t, s, t + s))
     xi = cfg.initial_coeffs()
     direction = np.zeros(cfg.solver.level)
     direction[-1] = 1.0
-
-    def make_model(horizon):
-        return build_model(cfg, horizon=horizon)
-
     ck_rows, mod_rows = [], []
     ck_pass, mod_pass = True, True
-    model_t = make_model(t)
     for name in names:
-        phi = make_functional(name, basis)
-        ck = chapman_kolmogorov(make_model, phi, xi, t, s, cfg.n_paths, n_inner, cfg.seed)
+        phi = make_functional(name, model_t.basis)
+        ck = chapman_kolmogorov(model_t, model_s, model_ts, phi, xi, cfg.n_paths, n_inner,
+                                cfg.seed)
         ck_rows.append((name, ck["direct"], ck["direct_se"], ck["nested"],
                         ck["nested_se"], ck["z"]))
         ck_pass = ck_pass and ck["z"] <= 4.0
@@ -463,8 +451,8 @@ def _run_audit(cfg, out_dir, workers):
     model = build_model(cfg)
     spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
     initials = draw_initials(spec, model.basis)
-    result = run_ensemble(cfg, [initials], cfg.seed, n_out=21, track_audit=True,
-                          workers=workers, models=[model])[0]
+    result = run_ensemble([model], [initials], cfg.seed, n_out=21, track_audit=True,
+                          workers=workers)[0]
     gron = stochastic_gronwall_audit(result, 2.0 * cfg.fluid.kappa1,
                                      beta=cfg.options["beta"])
 

@@ -145,9 +145,6 @@ class SpectralOperators:
 
     # -- nonlinear stress ---------------------------------------------------
 
-    def shear_factor(self, strain_sq, params):
-        return (params.reg + strain_sq) ** ((params.p - 2.0) / 2.0)
-
     def _strain(self, c):
         """Frame coordinates of the strain of a batch (P, m), shape (P, k, G)."""
         return (c @ self._strain_table).reshape(c.shape[0], self._frame_size, -1)
@@ -167,14 +164,6 @@ class SpectralOperators:
         out = strain.reshape(c.shape[0], -1) @ self._strain_table_t
         out *= self._stress_weight
         return out if batched else out[0]
-
-    def stress_pairing(self, coeffs, params):
-        """<Ap(u), u> for a batch of states; nonnegative to rounding."""
-        c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        strain = self._strain(c)
-        ssq = np.einsum("pkg,pkg->pg", strain, strain)
-        out = self._stress_weight * np.sum(self.shear_factor(ssq, params) * ssq, axis=1)
-        return out if np.ndim(coeffs) == 2 else float(out[0])
 
     def strain_norm(self, coeffs):
         """||E(u)||_L2 by quadrature on the stress grid; batched over axis 0."""

@@ -66,6 +66,14 @@ class TestValidateCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "disc.jump_mode" in capsys.readouterr().err
 
+    def test_option_value_a_runner_cannot_measure_with(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "experiment = cauchy\ncauchy.levels = [8]\n")
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: cauchy.levels" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.cfg"]) == 2
 

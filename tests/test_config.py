@@ -112,6 +112,26 @@ class TestValidation:
         assert any(key == "occupation.schedule" for _, key, _ in problems)
 
 
+    @pytest.mark.parametrize("experiment,line", [
+        # a runner would raise on these, or pass with nothing measured
+        ("feller", "feller.lag = 0"),
+        ("feller", "feller.lag2 = -0.25"),
+        ("feller", "feller.inner = 0"),
+        ("feller", "feller.deltas = []"),
+        ("moments", "moments.levels = []"),
+        ("moments", "moments.levels = [8, 4]"),
+        ("moments", "moments.levels = [0, 4]"),
+        ("cauchy", "cauchy.levels = [8]"),
+        ("cauchy", "cauchy.levels = [8, 4]"),
+        ("cauchy", "cauchy.levels = [4, 4, 8]"),
+        ("cauchy", "cauchy.levels = [0, 4]"),
+        ("contraction", "contraction.separations = []"),
+        ("contraction", "contraction.separations = [0.1, 0.0]"),
+    ])
+    def test_option_values_a_runner_cannot_measure_with(self, experiment, line):
+        problems = problems_of(f"experiment = {experiment}\n{line}\n")
+        assert [(ln, key) for ln, key, _ in problems] == [(2, line.split(" =")[0])]
+
     @pytest.mark.parametrize("mode", ["adapted", "thinning"])
     def test_jump_mode_other_than_grid(self, mode):
         # experiments step on the n*dt grid: any other mode is one problem on its line

@@ -116,16 +116,15 @@ class TestCauchy:
     def test_levels_must_increase(self):
         spec = EnsembleSpec(2, 0)
         with pytest.raises(ValueError):
-            cauchy_study(lambda m: make_model(level=m, horizon=0.25), [8, 4], spec)
+            cauchy_study([make_model(level=m, horizon=0.25) for m in (8, 4)], spec)
 
     def test_equal_level_gap_is_zero(self):
         # degenerate two-level study where the tail is empty
         sigma = ZeroNoise(MARKS)
         spec = EnsembleSpec(2, 1, ("fixed", np.ones(8)))
         out = cauchy_study(
-            lambda m: make_model(level=m, horizon=0.25, sigma=sigma,
-                                 convection=False, stress=False),
-            [4, 8, 16],
+            [make_model(level=m, horizon=0.25, sigma=sigma, convection=False, stress=False)
+             for m in (4, 8, 16)],
             spec,
         )
         # modes 8..15 start at zero and stay zero: second gap vanishes
@@ -135,14 +134,10 @@ class TestCauchy:
         sigma = ZeroNoise(MARKS)
         xi = np.concatenate([np.linspace(1.0, 0.2, 8), 0.1 * np.ones(8)])
         spec = EnsembleSpec(2, 1, ("fixed", xi))
-        out = cauchy_study(
-            lambda m: make_model(level=m, dt=1e-3, horizon=0.25, sigma=sigma,
-                                 convection=False, stress=False),
-            [4, 8, 16],
-            spec,
-        )
-        top = make_model(level=16, dt=1e-3, horizon=0.25, sigma=sigma,
-                         convection=False, stress=False)
+        models = [make_model(level=m, dt=1e-3, horizon=0.25, sigma=sigma,
+                             convection=False, stress=False) for m in (4, 8, 16)]
+        out = cauchy_study(models, spec)
+        top = models[-1]
         decay = (1.0 + top.dt * PARAMS.kappa1 * top.basis.eigenvalues) ** (-top.n_steps)
         terminal = xi * decay
         for i, (lo, hi) in enumerate([(4, 8), (8, 16)]):
@@ -210,13 +205,15 @@ class TestSemigroup:
             make_functional("unbounded_energy", build_basis(4, 2))
 
     def test_chapman_kolmogorov_agreement(self):
-        def factory(horizon):
-            return make_model(dt=2.5e-3, horizon=horizon)
-
+        model_t, model_s, model_ts = (make_model(dt=2.5e-3, horizon=h) for h in (0.25, 0.25, 0.5))
         phi = make_functional("inv_bump", build_basis(8, 2))
-        out = chapman_kolmogorov(factory, phi, np.zeros(8), 0.25, 0.25,
+        out = chapman_kolmogorov(model_t, model_s, model_ts, phi, np.zeros(8),
                                  n_outer=32, n_inner=16, seed=5)
         assert out["z"] <= 4.0, out
+        # the direct stage runs to t + s, read from the other two horizons
+        with pytest.raises(ValueError, match="horizon"):
+            chapman_kolmogorov(model_t, model_s, model_t, phi, np.zeros(8),
+                               n_outer=2, n_inner=2, seed=5)
 
     def test_feller_modulus_decreases(self):
         model = make_model(dt=2.5e-3, horizon=0.25)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from levyfluid import experiments, solver
+from levyfluid import experiments, operators, solver
 from levyfluid.config import parse_config_text
 from levyfluid.ergodics import EnsembleSpec, cauchy_study, draw_initials
 from levyfluid.experiments import build_model, run_ensemble, run_experiment
@@ -29,12 +29,11 @@ moments.levels = [4, 8]
 """
 
 
-LEVEL_OVERRIDES = [{"level": 4}, {"level": 8}]
-
-
-def _level_batches(cfg):
+def _level_models(cfg):
+    """The models of `cfg` at levels 4 and 8, and their initials."""
+    models = [build_model(cfg, level=4), build_model(cfg, level=8)]
     spec = EnsembleSpec(cfg.n_paths, cfg.seed, ("gaussian", 0.3))
-    return [draw_initials(spec, build_model(cfg, **o).basis) for o in LEVEL_OVERRIDES]
+    return models, [draw_initials(spec, m.basis) for m in models]
 
 
 def _assert_same(a, b):
@@ -57,8 +56,8 @@ class TestRunEnsemble:
         model = build_model(cfg)
         spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
         initials = draw_initials(spec, model.basis)
-        (serial,) = run_ensemble(cfg, [initials], cfg.seed, track_audit=True, workers=1)
-        (pooled,) = run_ensemble(cfg, [initials], cfg.seed, track_audit=True, workers=3)
+        (serial,) = run_ensemble([model], [initials], cfg.seed, track_audit=True, workers=1)
+        (pooled,) = run_ensemble([model], [initials], cfg.seed, track_audit=True, workers=3)
         assert np.array_equal(serial.terminal, pooled.terminal)
         for key in serial.series:
             assert np.array_equal(serial.series[key], pooled.series[key])
@@ -71,7 +70,7 @@ class TestRunEnsemble:
         initials = draw_initials(
             EnsembleSpec(cfg.n_paths, cfg.seed, ("gaussian", 0.3)), model.basis
         )
-        (split,) = run_ensemble(cfg, [initials], cfg.seed, workers=1)
+        (split,) = run_ensemble([model], [initials], cfg.seed, workers=1)
         from levyfluid.solver import run_paths
 
         whole = run_paths(model, initials, cfg.seed)
@@ -81,26 +80,23 @@ class TestRunEnsemble:
         # five 8-path blocks, each running both levels under one jump draw
         monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 8)
         cfg = parse_config_text(BASE)
-        batches = _level_batches(cfg)
+        models, batches = _level_models(cfg)
         runs = {}
         for workers in (1, 2):
-            out = run_ensemble(cfg, batches, cfg.seed, overrides=LEVEL_OVERRIDES,
-                               track_audit=True, workers=workers)
+            out = run_ensemble(models, batches, cfg.seed, track_audit=True, workers=workers)
             assert isinstance(out, experiments.LevelResults) and len(out) == 2
             assert out.blown.shape == (2, cfg.n_paths)
-            for o, X, res in zip(LEVEL_OVERRIDES, batches, out):
-                (alone,) = run_ensemble(cfg, [X], cfg.seed, overrides=[o],
-                                        track_audit=True, workers=workers)
+            for model, X, res in zip(models, batches, out):
+                (alone,) = run_ensemble([model], [X], cfg.seed, track_audit=True,
+                                        workers=workers)
                 _assert_same(res, alone)
             runs[workers] = out
         for a, b in zip(runs[1], runs[2]):
             _assert_same(a, b)
 
-    def test_levels_form_draws_jumps_once_per_path(self, monkeypatch, tmp_path):
-        # every sample_jumps call, in this process or a forked worker, logs a line
-        monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 8)
-        cfg = parse_config_text(BASE)
-        batches = _level_batches(cfg)
+    def _count_draws(self, monkeypatch, tmp_path):
+        """Path to a file that gains a line per sample_jumps call, in this
+        process or a forked worker."""
         log = tmp_path / "draws"
         real = solver.sample_jumps
 
@@ -110,84 +106,82 @@ class TestRunEnsemble:
             return real(*args)
 
         monkeypatch.setattr(solver, "sample_jumps", logged)
+        return log
+
+    def test_levels_form_draws_jumps_once_per_path(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 8)
+        cfg = parse_config_text(BASE)
+        models, batches = _level_models(cfg)
+        log = self._count_draws(monkeypatch, tmp_path)
         for workers in (1, 2):
             log.write_text("")
-            run_ensemble(cfg, batches, cfg.seed, overrides=LEVEL_OVERRIDES, workers=workers)
+            run_ensemble(models, batches, cfg.seed, workers=workers)
             assert len(log.read_text().split()) == cfg.n_paths
+
+    def test_dt_ladder_runs_under_one_draw(self, monkeypatch, tmp_path):
+        # two models that differ in dt only: one jump draw per path, and
+        # each model's rows equal its own single-model call bit for bit
+        monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 8)
+        cfg = parse_config_text(BASE)
+        models = [build_model(cfg), build_model(cfg, dt=0.001)]
+        assert [m.n_steps for m in models] == [250, 500]
+        X = draw_initials(EnsembleSpec(cfg.n_paths, cfg.seed, ("gaussian", 0.3)),
+                          models[0].basis)
+        log = self._count_draws(monkeypatch, tmp_path)
+        for workers in (1, 2):
+            log.write_text("")
+            out = run_ensemble(models, [X, X], cfg.seed, workers=workers)
+            assert len(log.read_text().split()) == cfg.n_paths
+            for model, res in zip(models, out):
+                (alone,) = run_ensemble([model], [X], cfg.seed, workers=workers)
+                _assert_same(res, alone)
 
     def test_blowup_at_one_level_leaves_the_others(self, monkeypatch):
         monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 8)
         cfg = parse_config_text(BASE)
-        batches = _level_batches(cfg)
+        models, batches = _level_models(cfg)
         batches[1][11, 0] = 2e8  # path 11 starts past the blow-up norm at level 8 only
         for workers in (1, 2):
-            out = run_ensemble(cfg, batches, cfg.seed, overrides=LEVEL_OVERRIDES,
-                               workers=workers)
+            out = run_ensemble(models, batches, cfg.seed, workers=workers)
             assert not out.blown[0].any()
             assert np.flatnonzero(out.blown[1]).tolist() == [11]
-            for o, X, res in zip(LEVEL_OVERRIDES, batches, out):
-                (alone,) = run_ensemble(cfg, [X], cfg.seed, overrides=[o], workers=workers)
+            for model, X, res in zip(models, batches, out):
+                (alone,) = run_ensemble([model], [X], cfg.seed, workers=workers)
                 _assert_same(res, alone)
 
-    def test_levels_differ_in_level_only(self):
+    @pytest.mark.parametrize("override", [{"disc.horizon": 0.25}, {"noise.rates": "[1.0, 2.0]"}],
+                             ids=["horizon", "mark_rates"])
+    def test_models_share_horizon_and_mark_rates(self, override):
+        # one jump draw serves every model only under a common jump law
         cfg = parse_config_text(BASE)
-        batches = _level_batches(cfg)
-        with pytest.raises(ValueError):
-            run_ensemble(cfg, batches, cfg.seed,
-                         overrides=[{"level": 4}, {"level": 8, "horizon": 0.25}])
+        models, batches = _level_models(cfg)
+        other = build_model(parse_config_text(BASE, override), level=8)
+        with pytest.raises(ValueError, match="horizon and the mark rates"):
+            run_ensemble([models[0], other], batches, cfg.seed)
 
     def test_one_model_per_call(self, monkeypatch, tmp_path):
-        # five 8-path blocks per level: one build per call when serial, at
-        # most one per worker when pooled (each build logs its process id)
+        # each runner builds each distinct model once, in the calling
+        # process, and no pool worker builds one: every SpectralOperators
+        # set-up, here or in a forked worker, logs its process id
         monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 8)
         monkeypatch.setattr(experiments, "PAIR_BLOCK", 8)
-        cfg = parse_config_text(BASE)
-        spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
         log = tmp_path / "builds"
-        real = experiments.build_model
+        real = operators.SpectralOperators.__init__
 
-        def logged(cfg, **overrides):
+        def logged(self, *args, **kwargs):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {overrides.get('level', cfg.solver.level)}\n")
-            return real(cfg, **overrides)
+                fh.write(f"{os.getpid()}\n")
+            real(self, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "build_model", logged)
-        for workers in (1, 2):
-            for level in (4, 8):
-                log.write_text("")
-                initials = draw_initials(spec, real(cfg, level=level).basis)
-                run_ensemble(cfg, [initials], cfg.seed, overrides=[{"level": level}],
-                             workers=workers)
-                builds = log.read_text().split()
-                pids, levels = builds[::2], builds[1::2]
-                assert set(levels) == {str(level)}
-                if workers == 1:
-                    assert pids == [str(os.getpid())]
-                else:
-                    assert 1 <= len(pids) <= workers and len(set(pids)) == len(pids)
-                    assert str(os.getpid()) not in pids
-        # a pooled levels call builds each level once per worker, in its
-        # initializer, and none in the caller
-        batches = [draw_initials(spec, real(cfg, **o).basis) for o in LEVEL_OVERRIDES]
-        log.write_text("")
-        run_ensemble(cfg, batches, cfg.seed, overrides=LEVEL_OVERRIDES, workers=2)
-        builds = log.read_text().split()
-        per_worker = {}
-        for pid, level in zip(builds[::2], builds[1::2]):
-            per_worker.setdefault(pid, []).append(level)
-        assert 1 <= len(per_worker) <= 2 and str(os.getpid()) not in per_worker
-        assert all(levels == ["4", "8"] for levels in per_worker.values())
-        # a serial runner hands its own model to run_ensemble: one build
-        # per level for moments, one for audit and for contraction
+        monkeypatch.setattr(operators.SpectralOperators, "__init__", logged)
         audit = BASE.replace("experiment = moments", "experiment = audit")
-        for text, levels in ((BASE, ["4", "8"]), (audit, ["8"]), (CONTRACTION, ["8"])):
+        for text, n_models in ((BASE, 2), (audit, 1), (CONTRACTION, 1), (CAUCHY, 3),
+                               (FELLER, 3)):
             log.write_text("")
             code, _ = run_experiment(parse_config_text(text), out_dir=tmp_path / "run",
-                                     workers=1)
-            assert code == 0
-            builds = log.read_text().split()
-            assert builds[::2] == [str(os.getpid())] * len(levels)
-            assert builds[1::2] == levels
+                                     workers=2)
+            assert code in (0, 1)
+            assert log.read_text().split() == [str(os.getpid())] * n_models
 
 
 CONTRACTION = """
@@ -224,7 +218,7 @@ class TestContractionRunner:
         rng = np.random.default_rng(3)
         X1 = 0.4 * rng.standard_normal((cfg.n_paths, 8))
         partners = [X1 + 0.1 * rng.standard_normal(X1.shape) for _ in range(2)]
-        merged = run_ensemble(cfg, [X1], cfg.seed, partners=partners, conv_bound=0.2)
+        merged = run_ensemble([model], [X1], cfg.seed, partners=partners, conv_bound=0.2)
         for k, X2 in enumerate(partners):
             whole = run_pairs(model, X1, X2, cfg.seed, 0.2)
             for key in ("times", "wsq", "rho_wsq", "wsq0"):
@@ -269,6 +263,27 @@ cauchy.levels = [4, 8, 16]
 """
 
 
+FELLER = """
+experiment = feller
+fluid.kappa0 = 0.5
+fluid.p = 1.5
+disc.level = 8
+disc.dt = 0.002
+disc.horizon = 0.1
+noise.kind = additive
+noise.gains = [0.4, 0.2]
+ensemble.paths = 8
+ensemble.seed = 4
+ensemble.initial = mode1
+ensemble.scale = 0.4
+feller.functionals = gauss_bump,inv_bump
+feller.lag = 0.02
+feller.lag2 = 0.04
+feller.inner = 2
+feller.deltas = [0.2, 0.1]
+"""
+
+
 class TestCauchyRunner:
     def test_summary_reports_refine_dt_flag(self, tmp_path):
         cfg = parse_config_text(CAUCHY)
@@ -276,7 +291,7 @@ class TestCauchyRunner:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert isinstance(summary["refine_dt"], bool)
         spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
-        study = cauchy_study(lambda level: build_model(cfg, level=level), [4, 8, 16], spec)
+        study = cauchy_study([build_model(cfg, level=level) for level in (4, 8, 16)], spec)
         assert summary["refine_dt"] is study["refine_dt"]
 
 

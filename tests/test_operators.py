@@ -239,7 +239,7 @@ class TestNonlinearStress:
 
     def test_positivity_of_pairing(self, ops16, params, rng):
         U = random_fields(ops16.basis, rng, 2000, scale=2.0)
-        assert np.all(ops16.stress_pairing(U, params) >= 0.0)
+        assert np.all(np.sum(ops16.nonlinear_stress(U, params) * U, axis=1) >= 0.0)
 
     def test_quadrature_residual_within_documented_envelope(self, params, rng):
         # grid refinement against a heavily oversampled reference; budgets
@@ -304,7 +304,7 @@ class TestStrainFrame:
         norm = np.sqrt(w * ssq.sum(axis=1))
         for got, want in (
             (ops.nonlinear_stress(U, params), stress),
-            (ops.stress_pairing(U, params), pairing),
+            (np.sum(ops.nonlinear_stress(U, params) * U, axis=1), pairing),
             (ops.strain_norm(U), norm),
         ):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -477,4 +477,4 @@ class TestThreeDimensionalOperators:
         V = rng.standard_normal((500, 12))
         diff = ops.nonlinear_stress(U, par) - ops.nonlinear_stress(V, par)
         assert np.einsum("pm,pm->p", diff, U - V).min() >= -1e-10
-        assert ops.stress_pairing(U, par).min() >= 0.0
+        assert np.sum(ops.nonlinear_stress(U, par) * U, axis=1).min() >= 0.0

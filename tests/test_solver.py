@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,23 @@ class TestConfig:
         cfg = SolverConfig(params=PARAMS, level=4, dt=0.3, horizon=1.0)
         with pytest.raises(ValueError):
             FluidModel(cfg, ZeroNoise(MARKS), MARKS)
+
+    @pytest.mark.parametrize("kind", ["additive", "linear"])
+    def test_model_survives_pickle(self, kind):
+        # pool workers started by spawn or forkserver step an unpickled copy
+        # of the caller's model: it steps bit for bit like the original,
+        # whether pickled before or after its step caches were filled
+        sigma = additive_sigma() if kind == "additive" else LinearNoise(MARKS, np.array([0.25, 0.1]))
+        model = make_model(dt=2e-3, horizon=0.2, sigma=sigma)
+        X = 0.4 * np.random.default_rng(5).standard_normal((6, 8))
+        cold = pickle.loads(pickle.dumps(model))
+        ref = run_paths(model, X, 9, track_audit=True)
+        warm = pickle.loads(pickle.dumps(model))
+        for copy in (cold, warm):
+            got = run_paths(copy, X, 9, track_audit=True)
+            assert np.array_equal(got.terminal, ref.terminal)
+            for key in ref.series:
+                assert np.array_equal(got.series[key], ref.series[key]), key
 
 
 class TestStep:

@@ -35,7 +35,7 @@ import numpy as np
 from .basis import build_basis
 from .noise import MarkSpace, make_noise
 from .operators import FluidParams
-from .solver import SolverConfig
+from .solver import SolverConfig, _whole_steps, default_dt
 
 __all__ = [
     "ExperimentConfig",
@@ -131,8 +131,6 @@ _OPTION_RULES = {
     "moments.levels": (_levels_ok(1), "need one or more levels, strictly increasing and >= 1"),
     "cauchy.levels": (_levels_ok(2), "need two or more levels, strictly increasing and >= 1"),
     "contraction.separations": (lambda v: len(v) > 0 and min(v) > 0, "need one or more, each > 0"),
-    "feller.lag": (lambda v: v > 0, "must be > 0"),
-    "feller.lag2": (lambda v: v > 0, "must be > 0"),
     "feller.inner": (lambda v: v >= 1, "must be >= 1"),
     "feller.deltas": (lambda v: len(v) > 0, "need one or more distances"),
 }
@@ -396,6 +394,14 @@ def parse_config_text(text, overrides=None):
                         "must be increasing and end at disc.horizon",
                     )
                 )
+
+    if experiment == "feller":  # each lag is the horizon of a model the runner builds
+        dt = solver.dt or default_dt(build_basis(solver.level, solver.dim), fluid.kappa1)
+        for key in ("feller.lag", "feller.lag2"):
+            try:
+                _whole_steps(get(key), dt)
+            except ValueError as exc:
+                problems.append((line_of(key), key, str(exc)))
 
     if problems:
         raise ConfigError(sorted(problems, key=lambda p: (p[0] or 0)))

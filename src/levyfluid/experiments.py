@@ -85,10 +85,8 @@ WORKERS_ENV = "LEVYFLUID_WORKERS"
 
 
 def build_model(cfg, **solver_overrides):
-    solver = replace(cfg.solver, **solver_overrides) if solver_overrides else cfg.solver
     marks = cfg.marks()
-    sigma = cfg.make_sigma(marks)
-    return FluidModel(solver, sigma, marks)
+    return FluidModel(replace(cfg.solver, **solver_overrides), cfg.make_sigma(marks), marks)
 
 
 def _path_block(models, initials, seed, offset, n_out, track_audit):
@@ -308,9 +306,8 @@ def _run_cauchy(cfg, out_dir, workers):
         # each mode decays geometrically, so the inter-level gap is the
         # decayed tail energy of the initial state, averaged over paths
         top = models[-1]
-        initials = draw_initials(spec, top.basis)
         decay = (1.0 + top.dt * cfg.fluid.kappa1 * top.basis.eigenvalues) ** (-top.n_steps)
-        terminal = initials * decay[None, :]
+        terminal = draw_initials(spec, top.basis) * decay[None, :]
         errs = []
         for i, row in enumerate(study["rows"]):
             lo, hi = levels[i], levels[i + 1]

@@ -141,6 +141,14 @@ def default_dt(basis, kappa1):
     return min(DT_CAP, 0.1 / (kappa1 * float(basis.eigenvalues[-1])))
 
 
+def _whole_steps(horizon, dt):
+    """Number of `dt` steps in `horizon`; ValueError unless a whole number >= 1."""
+    n = round(horizon / dt)
+    if dt > horizon or abs(n * dt - horizon) > 1e-9 * horizon:
+        raise ValueError(f"horizon {horizon:g} is not a whole number >= 1 of steps of dt = {dt:.6g}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     params: FluidParams
@@ -193,15 +201,7 @@ class FluidModel:
         self.sigma = sigma
         self.marks = marks
         self.dt = config.dt if config.dt is not None else default_dt(self.basis, config.params.kappa1)
-        if config.horizon > 0:
-            if self.dt > config.horizon:
-                raise ValueError("dt exceeds the horizon")
-            n = round(config.horizon / self.dt)
-            if abs(n * self.dt - config.horizon) > 1e-9 * config.horizon:
-                raise ValueError("horizon must be a whole number of steps")
-            self.n_steps = int(n)
-        else:
-            self.n_steps = 0
+        self.n_steps = _whole_steps(config.horizon, self.dt) if config.horizon > 0 else 0
         self._state_free = getattr(sigma, "state_free", False)
         self._denom = (None, None)  # (dt, implicit denominator) of the last step
         self._noise = (None, None)  # ((dt, P), (block, compensator)) of state-free noise

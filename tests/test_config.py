@@ -116,6 +116,8 @@ class TestValidation:
         # a runner would raise on these, or pass with nothing measured
         ("feller", "feller.lag = 0"),
         ("feller", "feller.lag2 = -0.25"),
+        ("feller", "feller.lag = 0.0005"),  # below the default dt = 1e-3
+        ("feller", "feller.lag2 = 0.0025"),  # 2.5 steps of dt
         ("feller", "feller.inner = 0"),
         ("feller", "feller.deltas = []"),
         ("moments", "moments.levels = []"),

@@ -5,6 +5,7 @@ Usage: python scripts/run_all.py [--workers K] [--out-root DIR]
 
 Each run writes its artifact bundle under the config's `out` directory
 (relative paths are resolved against --out-root, default `results/`).
+Prints one line per config, with its wall time, and a total line.
 Exits nonzero if any experiment fails its verdict.
 """
 
@@ -30,15 +31,18 @@ def main(argv=None):
     paths = sorted(CONFIG_DIR.glob("*.cfg"))
     if args.only:
         paths = [p for p in paths if p.stem in set(args.only)]
-    worst = 0
+    worst, total = 0, 0.0
     for path in paths:
         cfg = parse_config(path)
         out_dir = Path(args.out_root) / cfg.out
-        t0 = time.time()
+        t0 = time.perf_counter()
         code, summary = run_experiment(cfg, out_dir=out_dir, workers=workers)
+        seconds = time.perf_counter() - t0
+        total += seconds
         verdict = summary.get("verdict", "FAIL")
-        print(f"{path.stem:<18} {verdict:<5} exit={code}  {time.time() - t0:6.1f}s  -> {out_dir}")
+        print(f"{path.stem:<18} {verdict:<5} exit={code}  {seconds:6.1f}s  -> {out_dir}")
         worst = max(worst, code)
+    print(f"{'total':<18} {len(paths)} configs   {total:6.1f}s  workers={workers}")
     return worst
 
 

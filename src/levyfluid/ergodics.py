@@ -305,6 +305,7 @@ def uniqueness_contraction(model, spec, xi1, xi2, conv_bound, *, result=None):
         return {
             "times": out["times"], "statistic": stat, "stderr": ses,
             "raw_statistic": stat.copy(), "sep_sq": 0.0,
+            "n_blown": int(out["blown"].sum()),
         }
     ok = ~out["blown"]
     stat, ses, raw = [], [], []

@@ -16,18 +16,24 @@ so one draw serves them all and one pool pass serves the whole study.
 Each path owns its derived noise stream, so the artifacts are
 byte-identical for any worker count and any block-to-worker assignment.
 Block size still matters in the last digits, because BLAS blocking makes
-a row's result depend on the batch it sits in.  With m=16 and 1000 pairs,
-250-pair blocks reproduce the one-batch distances bit for bit, while
-64-pair blocks moved the statistic by up to 1e-13 relative and took about
-a fifth more CPU.  Within a block, paths that share a start (mode1 or
-zero initials, the Chapman-Kolmogorov restarts) share one drift
-evaluation until their first jumps, so the drift calls shrink to a few
-rows and round in the last digits unlike calls on every row; the groups
-are found per block, so this too is the same for any worker count.  Only
-the runners build FluidModels, each distinct model once, in the calling
-process; a pool worker steps the caller's models, handed to its
-initializer (inherited at fork, pickled under spawn and forkserver).  The
-cauchy, feller, occupation and invariant-bound runners run in one process.
+a row's result depend on the batch it sits in.  A contraction block steps
+all its separations as one batch, so with three separations a 250-pair
+block is a 750-row batch.  With m=16 and 1000 pairs (contraction.cfg),
+250-pair blocks move the statistic by up to 1.4e-13 relative (a pair
+distance by up to 6.4e-13 of the largest) against one 3000-row batch, and
+64-pair blocks by 1.3e-13; the 250-pair blocks take the least CPU on one
+BLAS thread of a 2-vCPU host, 17.8 s against 20.1 s for one batch and
+20.2 s for 64-pair blocks.  Within a block, paths that
+share a start (mode1 or zero initials, the Chapman-Kolmogorov restarts)
+share one drift evaluation until their first jumps, and the base rows of
+one path, equal in start and jump list in every separation, share it for
+the whole run, so the drift calls shrink and round in the last digits
+unlike calls on every row; the groups are found per block, so this too is
+the same for any worker count.  Only the runners build FluidModels, each
+distinct model once, in the calling process; a pool worker steps the
+caller's models, handed to its initializer (inherited at fork, pickled
+under spawn and forkserver).  The cauchy, feller, occupation and
+invariant-bound runners run in one process.
 """
 
 from __future__ import annotations
@@ -98,10 +104,15 @@ def _path_block(models, initials, seed, offset, n_out, track_audit):
 
 def _pair_block(models, initials, seed, offset, partners, n_out, conv_bound):
     (model,) = models
-    # one jump draw per pair, shared by every partner
+    k = len(partners)
+    # one jump draw per pair, shared by every partner; the separations run
+    # as one batch, row i*P + p the pair of partner i and path p
     jumps = _draw_jumps(model, seed, initials.shape[0], offset)
-    return [run_pairs(model, initials, x2, seed, conv_bound, n_out=n_out, jumps=jumps)
-            for x2 in partners]
+    out = run_pairs(model, np.tile(initials, (k, 1)), np.concatenate(partners), seed,
+                    conv_bound, n_out=n_out, jumps=jumps * k)
+    split = {key: np.split(v, k, axis=-1) for key, v in out.items() if key != "times"}
+    return [dict({key: v[i] for key, v in split.items()}, times=out["times"])
+            for i in range(k)]
 
 
 class LevelResults(list):
@@ -345,7 +356,7 @@ def _run_contraction(cfg, out_dir, workers):
     pairs = run_ensemble([model], [np.tile(xi1, (cfg.n_paths, 1))], cfg.seed,
                          partners=[np.tile(xi2, (cfg.n_paths, 1)) for xi2 in partners],
                          conv_bound=conv_bound, workers=workers)
-    rows, finals = [], []
+    rows, finals, n_blown = [], [], []
     for k, (sep, xi2) in enumerate(zip(separations, partners)):
         out = uniqueness_contraction(model, spec, xi1, xi2, conv_bound,
                                      result={key: v[k] for key, v in pairs.items()})
@@ -353,6 +364,7 @@ def _run_contraction(cfg, out_dir, workers):
                               out["raw_statistic"]):
             rows.append((sep, t, s, e, r))
         finals.append((sep, float(out["statistic"][-1]), float(out["stderr"][-1])))
+        n_blown.append(out["n_blown"])
     overlap = all(
         abs(a[1] - b[1]) <= 2.0 * (a[2] + b[2])
         for i, a in enumerate(finals)
@@ -366,6 +378,7 @@ def _run_contraction(cfg, out_dir, workers):
         "conv_bound": conv_bound,
         "theory_ceiling": ceiling,
         "finals": finals,
+        "n_blown": n_blown,  # pairs dropped from each separation's statistic
         "tables": {
             "contraction": (
                 ("separation", "t", "statistic", "stderr", "raw_statistic"),

@@ -40,18 +40,23 @@ Paths blow up by policy, not silently: a non-finite or oversized state
 aborts `integrate` with a report of the step and norms; in the batched
 drivers it freezes the path in every member and flags it as blown.
 
-The noise is compound Poisson, so paths that start at one state follow
-one trajectory until their first jumps.  `_march` groups the paths whose
-initial rows are bit-equal in every member and evaluates the drift only
-on the rows of paths that have jumped plus one dormant representative per
-group, scattering it back to every path by one index array; the index is
-rebuilt at the steps where some path leaves its group.  The noise, the
-advance, the blow-up check and the drivers' accumulators still run on the
-whole batch, so dormant rows stay bit-equal.  A drift call on fewer rows
-is blocked differently by BLAS, so a shared start moves results in the
-last digits (about 1e-13 relative) against evaluating every row; a batch
-of distinct starts, or one past every group's first jump, evaluates the
-full batch as before.
+The noise is compound Poisson, so rows that start at one state follow
+one trajectory until their first jumps, and rows that start at one state
+and see one jump list are one trajectory for the whole run: a contraction
+block stacks its k separations, so its base member holds each path's
+start k times under one draw.  `_march` groups each member's rows on
+their own: by the bits of the initial row (a group), and within a group
+by the bytes of the jump list (a class).  It evaluates the drift on one
+row per dormant group and one per class that has jumped, scattering it
+back to every row by one index array; the index is rebuilt at the steps
+where some path leaves its group and at the step after some path
+freezes, since a frozen row must not stand in for live ones.  The noise,
+the advance, the blow-up check and the drivers' accumulators still run on
+every row, so the rows of a group or a class stay bit-equal.  A drift call
+on fewer rows is blocked differently by BLAS, so sharing moves results in
+the last digits (about 1e-13 relative) against evaluating every row; a
+member whose rows share nothing (distinct starts, or distinct jump lists
+past every first jump) evaluates its full batch as before.
 
 Long runs of small batches are bound by per-call overhead, so the loop
 does each piece of work once and only where needed; unlike the shared
@@ -320,35 +325,67 @@ def _output_steps(n_steps, n_out):
 
 
 class _SharedDrift:
-    """Which rows of a batch need their own drift evaluation at a step.
+    """Which rows of each member need their own drift evaluation at a step.
 
-    Paths whose initial rows are bit-equal in every member form a group.
-    A path of a group is dormant at step n while its first jump window is
-    n or later: until then it has had the same increments as the rest of
-    the group, so its state is the group's.  A group's representative is
-    its member with the latest first jump, the last to leave.
+    Rows are grouped per member.  A member's rows with bit-equal initial
+    rows form a group; rows of a group whose jump lists are equal too,
+    times and marks byte for byte, form a class, one trajectory for the
+    whole run.  At step n a row whose first jump window is n or later is
+    dormant: it has had the same increments as the rest of its group, so
+    its state is the group's.  A row that has jumped has its class's state.
+    Each group and each class is evaluated on one live row, the one with
+    the latest first jump (the last to leave), the highest index among
+    ties.  A frozen row evaluates its own: it never stands in for a live
+    one.
     """
 
-    def __init__(self, states, first):
-        rows = np.hstack(states)
-        rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-        _, group = np.unique(rows, return_inverse=True)  # bytewise: bit-equal rows
-        self.group, self.first = group, first
-        by = np.lexsort((first, self.group))  # by group, latest first jump last
-        self.rep = by[np.append(self.group[by][1:] != self.group[by][:-1], True)]
+    def __init__(self, states, jumps, first, live):
+        ids = {}
+        lists = np.array([ids.setdefault((times.tobytes(), marks.tobytes()), len(ids))
+                          for times, marks in jumps], np.int64)
+        self.first, self.keys = first, []
+        for U in states:
+            rows = np.ascontiguousarray(U)
+            rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+            _, group = np.unique(rows, return_inverse=True)  # bytewise: bit-equal rows
+            _, cls = np.unique(group * len(ids) + lists, return_inverse=True)
+            self.keys.append((group, cls))
+        self.freeze(live)
+
+    def freeze(self, live):
+        """Choose the representatives among the `live` rows."""
+        self.live = live
+        self.reps = [(_latest(group, self.first, live), _latest(cls, self.first, live))
+                     for group, cls in self.keys]
 
     def at(self, n):
-        """(rows to evaluate, index scattering their drift to every path), or
-        None when every path needs its own row."""
-        jumped = self.first < n
-        keep = jumped.copy()
-        keep[self.rep[self.first[self.rep] >= n]] = True
-        rows = np.flatnonzero(keep)
-        if rows.size == keep.size:
-            return None
-        pos = np.zeros(keep.size, np.int64)
-        pos[rows] = np.arange(rows.size)
-        return rows, np.where(jumped, pos, pos[self.rep[self.group]])
+        """Per member, (rows to evaluate, index scattering their drift to
+        every row) at step n, or None when every row needs its own."""
+        dormant, own = self.first >= n, np.arange(self.first.size)
+        shares = []
+        for (group, cls), (rep_group, rep_cls) in zip(self.keys, self.reps):
+            rep = np.where(self.live, np.where(dormant, rep_group[group], rep_cls[cls]), own)
+            keep = np.zeros(rep.size, bool)
+            keep[rep] = True
+            rows = np.flatnonzero(keep)
+            if rows.size == rep.size:
+                shares.append(None)
+                continue
+            pos = np.zeros(rep.size, np.int64)
+            pos[rows] = np.arange(rows.size)
+            shares.append((rows, pos[rep]))
+        return shares
+
+
+def _latest(key, first, live):
+    """Per value of `key`, its live row of the latest `first`, the highest
+    index among ties (values without a live row point at row 0)."""
+    by = np.lexsort((first, key))
+    by = by[live[by]]
+    last = np.diff(key[by], append=-1) != 0
+    rep = np.zeros(key.max() + 1, np.int64)
+    rep[key[by][last]] = by[last]
+    return rep
 
 
 def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
@@ -359,8 +396,9 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
     in the window (t_n, t_n+1] that holds it.  The steps are models[0]'s
     n_steps of size dt.  A path that blows up in any member raises
     BlowUpError if `raise_blowup`, else freezes in every member from then
-    on, its step in `blow_steps` (-1 while alive).  Paths with bit-equal
-    initial rows share one drift evaluation until their first jump
+    on, its step in `blow_steps` (-1 while alive).  A member's rows with
+    bit-equal initial rows share one drift evaluation until their first
+    jump, and for the whole run where their jump lists are equal too
     (`_SharedDrift`).  `states[i]` is replaced by each step's new state.
 
     Yields _Blocks of at most FLUSH_STEPS consecutive steps, each ending
@@ -385,18 +423,20 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
 
     first = np.full(len(jumps), n_steps)  # each path's first jump window
     np.minimum.at(first, jp, steps)
-    shared = _SharedDrift(states, first)
-    share = shared.at(0)
+    live, frozen = blow_steps < 0, None
+    shared = _SharedDrift(states, jumps, first, live)
+    shares, regroup = shared.at(0), False
     leave = set((first[first < n_steps] + 1).tolist())  # steps where some path leaves
     cap = models[0].config.blowup_norm ** 2
-    live, frozen = blow_steps < 0, None
     block = []  # the steps since the last yield
     for n in range(n_steps):
         lo, hi = bounds[n], bounds[n + 1]
-        if share is not None and n in leave:
-            share = shared.at(n)
+        if any(shares) and (n in leave or regroup):
+            if regroup:
+                shared.freeze(live)
+            shares, regroup = shared.at(n), False
         pieces = []
-        for model, U in zip(models, states):
+        for model, U, share in zip(models, states, shares):
             M, _, qv = model.noise_increment(t[n], dts[n], U, jp[lo:hi], jm[lo:hi], jt[lo:hi])
             if share is None:
                 ap, bb = model.drift_pieces(U)
@@ -424,6 +464,7 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
                 blow_steps[bad] = n
                 live = blow_steps < 0
                 frozen = ~live
+                regroup = True  # a frozen row must stop standing in for others
         for i, (U, U1, *_) in enumerate(pieces):
             if frozen is not None:
                 U1[frozen] = U[frozen]

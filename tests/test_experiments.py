@@ -210,6 +210,8 @@ class TestContractionRunner:
             run_experiment(cfg, out_dir=tmp_path / f"w{workers}", workers=workers)
         for name in ("summary.json", "contraction.csv"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+        # one blown count per separation
+        assert json.loads((tmp_path / "w1" / "summary.json").read_text())["n_blown"] == [0, 0]
 
     def test_pair_merge_preserves_path_order(self, monkeypatch):
         monkeypatch.setattr(experiments, "PAIR_BLOCK", 8)
@@ -224,6 +226,25 @@ class TestContractionRunner:
             for key in ("times", "wsq", "rho_wsq", "wsq0"):
                 assert np.allclose(merged[key][k], whole[key], rtol=1e-12, atol=1e-15)
             assert np.array_equal(merged["blown"][k], whole["blown"])
+
+    def test_blown_partner_flags_only_its_separation(self):
+        # |u|^2 is capped at 1: a partner 2.0 away in the second mode blows
+        # up on the first step, while every other member stays near 0.4
+        cfg = parse_config_text(CONTRACTION)
+        model = build_model(cfg, blowup_norm=1.0)
+        X1 = np.tile(cfg.initial_coeffs(), (cfg.n_paths, 1))
+        partners = [X1 + sep * np.eye(8)[1] for sep in (0.1, 0.01, 0.001)]
+        # the last separation blows up on every path but the first; its base
+        # rows stand for the shared base trajectories (the highest index of
+        # each), so a stale share would feed their frozen drift to the others
+        doomed = np.arange(cfg.n_paths) > 0
+        partners[-1][doomed, 1] = 2.0
+        full = run_ensemble([model], [X1], cfg.seed, partners=partners, conv_bound=0.2)
+        assert not full["blown"][:-1].any()
+        assert np.array_equal(full["blown"][-1], doomed)
+        rest = run_ensemble([model], [X1], cfg.seed, partners=partners[:-1], conv_bound=0.2)
+        for key in ("wsq", "rho_wsq"):
+            assert np.allclose(full[key][:-1], rest[key], rtol=1e-12, atol=0), key
 
 
 class TestMomentsRunner:

@@ -619,7 +619,8 @@ def series_close(got, want):
 class TestSharedDrift:
     """Paths that share a state share its drift until their first jump."""
 
-    def test_drift_rows_are_jumped_paths_plus_one_per_dormant_group(self):
+    @pytest.mark.parametrize("tie", ["one_list", "two_lists"])
+    def test_drift_rows_are_one_per_class_plus_one_per_dormant_group(self, tie):
         model = make_model(dt=2e-3, horizon=0.2)
         X, group = grouped_initials([4, 3, 1, 2])
         # first jump windows: a tie and a calm path in group 0, every path
@@ -627,29 +628,63 @@ class TestSharedDrift:
         # lone path, and a group that never jumps
         first = np.array([10, 30, 30, model.n_steps, 5, 20, 21, 15,
                           model.n_steps, model.n_steps])
-        jumps = [(np.array([(f + 0.5) * model.dt, 0.15]), np.array([0, 1]))
-                 if f < model.n_steps else (np.empty(0), np.empty(0, np.int64)) for f in first]
+        # the tied paths 1 and 2 have one jump list, or two that differ in a mark
+        marks = [np.array([1, 0]) if tie == "two_lists" and p == 2 else np.array([0, 1])
+                 for p in range(first.size)]
+        jumps = [(np.array([(f + 0.5) * model.dt, 0.15]), marks[p])
+                 if f < model.n_steps else (np.empty(0), np.empty(0, np.int64))
+                 for p, f in enumerate(first)]
+        lists = np.unique([t.tobytes() + m.tobytes() for t, m in jumps], return_inverse=True)[1]
         rows = count_drift_rows(model)
         res = run_paths(model, X, 3, jumps=jumps)
 
         def want(group):
-            return [int(np.sum(first < n)) + len(np.unique(group[first >= n]))
-                    for n in range(model.n_steps)]
+            # a jumped path shares with its class (start and jump list), a
+            # dormant one with its group (start)
+            return [len(set(zip(group[first < n], lists[first < n])))
+                    + len(np.unique(group[first >= n])) for n in range(model.n_steps)]
 
         assert rows == want(group) and min(rows) < X.shape[0]
+        assert (res.terminal[1] == res.terminal[2]).all() == (tie == "one_list")
         # every path as a batch of its own, where nothing is shared
         alone = np.vstack([run_paths(model, X[p:p + 1], 3, jumps=jumps[p:p + 1]).terminal
                            for p in range(X.shape[0])])
         assert rel_close(res.terminal, alone)
-        # a pair groups paths equal in both members, and steps both members
-        # on the same rows: path 1's partner splits it from group 0
+        # a pair groups each member's rows on their own: path 1's partner
+        # splits it from group 0 in the second member only
         X2 = 2 * X
         X2[1, 0] += 0.01
         rows.clear()
         run_pairs(model, X, X2, 3, conv_bound=0.2, jumps=jumps)
         pair_group = group.copy()
         pair_group[1] = group.max() + 1
-        assert rows == [r for r in want(pair_group) for _ in range(2)]
+        assert rows == [r for step in zip(want(group), want(pair_group)) for r in step]
+
+    def test_stacked_separations_share_the_base_member(self):
+        # the layout of a contraction block: k separations of P pairs as
+        # one batch, row i*P + p the pair of separation i and path p
+        model = make_model(dt=2e-3, horizon=1.0, sigma=LinearNoise(MARKS, np.array([0.25, 0.1])))
+        P, k, seed = 6, 3, 5
+        xi1 = 0.4 * np.eye(8)[0]
+        jumps = _draw_jumps(model, seed, P, 0)
+        first = np.array([np.ceil(t.min() / model.dt) - 1 for t, _ in jumps])
+        assert first.max() < model.n_steps - 50  # every path jumps, well before the end
+        states = [np.tile(xi1, (k * P, 1)),
+                  np.concatenate([np.tile(xi1 + sep * np.eye(8)[1], (P, 1))
+                                  for sep in (0.1, 0.01, 0.001)])]
+        rows = count_drift_rows(model)
+        for _ in _march([model, model], states, np.full(k * P, -1), jumps * k):
+            pass
+        base, partner = rows[0::2], rows[1::2]
+        # one row per path and one per dormant group, in each separation's
+        # partners but only once in the shared base member
+        want = [int(np.sum(first < n)) + int(np.any(first >= n)) for n in range(model.n_steps)]
+        assert base == want and partner == [k * r for r in want]
+        assert max(base[int(first.max()) + 1:]) == P
+        # the base rows of one path are one trajectory in every separation
+        ends = states[0].reshape(k, P, 8)
+        assert np.array_equal(ends, np.broadcast_to(ends[0], ends.shape))
+        assert not np.array_equal(ends[0, 0], ends[0, 1])
 
     def test_distinct_initials_use_the_full_batch(self):
         model = make_model(dt=2e-3, horizon=0.5)

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Run every experiment config in scripts/configs and summarize verdicts.
 
-Usage: python scripts/run_all.py [--workers K] [--out-root DIR]
+Usage: python scripts/run_all.py [--workers K] [--out-root DIR] [--only STEM ...]
 
 Each run writes its artifact bundle under the config's `out` directory
 (relative paths are resolved against --out-root, default `results/`).
-Prints one line per config, with its wall time, and a total line.
-Exits nonzero if any experiment fails its verdict.
+--only runs the named config stems alone; a stem with no config exits 2
+before anything runs.  Prints one line per config, with its wall time,
+and a total line.  Exits nonzero if any experiment fails its verdict.
 """
 
 import argparse
@@ -30,6 +31,10 @@ def main(argv=None):
 
     paths = sorted(CONFIG_DIR.glob("*.cfg"))
     if args.only:
+        missing = sorted(set(args.only) - {p.stem for p in paths})
+        if missing:
+            print(f"no config for --only {' '.join(missing)} in {CONFIG_DIR}", file=sys.stderr)
+            return 2
         paths = [p for p in paths if p.stem in set(args.only)]
     worst, total = 0, 0.0
     for path in paths:

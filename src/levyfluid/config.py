@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import build_basis
+from .ergodics import RegimeError, invariant_moment_bound
 from .noise import MarkSpace, make_noise
 from .operators import FluidParams
 from .solver import SolverConfig, _whole_steps, default_dt
@@ -93,7 +94,6 @@ SCHEMA = {
     "disc.dt": (float, None, "time step; default min(1e-3, 0.1/(kappa1*lam_max))"),
     "disc.horizon": (float, 1.0, "final time"),
     "disc.scheme": (str, "semi-implicit", "semi-implicit or explicit"),
-    "disc.jump_mode": (str, "grid", "grid: experiments step on the n*dt grid"),
     "disc.convection": (_as_bool, True, "include the convection term"),
     "disc.stress": (_as_bool, True, "include the nonlinear stress"),
     "noise.kind": (str, "additive", "zero, linear, additive, saturating"),
@@ -182,8 +182,8 @@ class ExperimentConfig:
                 "dt": self.solver.dt,
                 "horizon": self.solver.horizon,
                 "scheme": self.solver.scheme,
-                # the one accepted value, kept so that every config_hash and
-                # summary.json stays as it was
+                # not a key (every run steps on the n*dt grid); echoed so
+                # that every config_hash and summary.json stays as it was
                 "jump_mode": "grid",
                 "convection": self.solver.convection,
                 "stress": self.solver.stress,
@@ -328,9 +328,6 @@ def parse_config_text(text, overrides=None):
         problems.append((line_of("disc.dt"), "disc.dt", "dt must be positive"))
     if not get("disc.horizon") > 0:
         problems.append((line_of("disc.horizon"), "disc.horizon", "horizon must be positive"))
-    if get("disc.jump_mode") != "grid":
-        problems.append((line_of("disc.jump_mode"), "disc.jump_mode",
-                         "experiments step on the grid; only grid is accepted"))
     try:
         solver = SolverConfig(
             params=fluid,
@@ -427,19 +424,11 @@ def parse_config_text(text, overrides=None):
     if experiment == "invariant-bound":
         sigma = cfg.make_sigma(cfg.marks())
         lam1 = build_basis(cfg.solver.level, cfg.solver.dim).lambda1
-        margin = 2.0 * fluid.kappa1 * lam1**2 - sigma.bounds.growth_slope
-        if margin <= 0:
-            raise ConfigError(
-                [
-                    (
-                        None,
-                        "noise",
-                        "outside the dissipative regime: 2*kappa1*lambda1^2 = "
-                        f"{2*fluid.kappa1*lam1**2:.6g} <= l1 = "
-                        f"{sigma.bounds.growth_slope:.6g}",
-                    )
-                ]
-            )
+        try:
+            invariant_moment_bound(fluid.kappa1, lam1, sigma.bounds.growth_const,
+                                   sigma.bounds.growth_slope)
+        except RegimeError as exc:
+            raise ConfigError([(None, "noise", str(exc))]) from exc
     return cfg
 
 

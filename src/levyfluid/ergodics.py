@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import STREAM_INITIAL, STREAM_STATS, derive_rng
-from .solver import SquaredNorm, run_levels, run_pairs, run_paths
+from .solver import run_levels, run_pairs, run_paths
 
 __all__ = [
     "EnsembleSpec",
@@ -342,8 +342,7 @@ def make_functional(name, basis, center=None, scale=1.0):
     Unbounded, for the occupation averages and the invariant moment bound:
     sq_norm:        u -> |u|^2
     energy_norm_sq: u -> ||u||_2^2
-    The two unbounded ones are `SquaredNorm`s, which `run_paths`
-    integrates from the norms it computes every step.  Unregistered names
+    Each maps states of shape (n, m) to n values.  Unregistered names
     raise KeyError (boundedness cannot be certified).
     """
     a = np.zeros(basis.size) if center is None else np.asarray(center, float)
@@ -357,8 +356,8 @@ def make_functional(name, basis, center=None, scale=1.0):
         "gauss_bump": lambda s: np.exp(-dist_sq(s)),
         "inv_bump": lambda s: 1.0 / (1.0 + dist_sq(s)),
         "cos_coord": lambda s: np.cos(scale * s[:, 0]),
-        "sq_norm": SquaredNorm(basis, energy=False),
-        "energy_norm_sq": SquaredNorm(basis, energy=True),
+        "sq_norm": lambda s: np.sum(s**2, axis=1),
+        "energy_norm_sq": lambda s: np.sum(basis.eigenvalues * s**2, axis=1),
     }
     if name not in table:
         raise KeyError(f"functional {name!r} is not registered")

@@ -393,7 +393,9 @@ def _run_feller(cfg, out_dir, workers):
     t, s = cfg.options["lag"], cfg.options["lag2"]
     n_inner = cfg.options["inner"]
     deltas = cfg.options["deltas"]
-    model_t, model_s, model_ts = (build_model(cfg, horizon=h) for h in (t, s, t + s))
+    horizons = (t, s, t + s)
+    models = {h: build_model(cfg, horizon=h) for h in dict.fromkeys(horizons)}
+    model_t, model_s, model_ts = (models[h] for h in horizons)
     xi = cfg.initial_coeffs()
     direction = np.zeros(cfg.solver.level)
     direction[-1] = 1.0

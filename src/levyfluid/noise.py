@@ -3,12 +3,12 @@
 The mark space is a finite set of atoms with strictly positive rates; jump
 times are exponential clocks with the total rate and the marks are drawn
 categorically, which simulates the random measure exactly.  The jump
-amplitude map sigma(t, u, z) carries declared growth / Lipschitz / fourth
-moment budgets
+amplitude map sigma(u, z) is autonomous and carries declared growth /
+Lipschitz / fourth moment budgets
 
-    sum_j nu_j |sigma(t, u, z_j)|^2          <= l0 + l1 |u|^2
-    sum_j nu_j |sigma(t, u, z_j) - sigma(t, v, z_j)|^2 <= l2 |u - v|^2
-    sum_j nu_j |sigma(t, u, z_j)|^4          <= l3 (1 + |u|^4)
+    sum_j nu_j |sigma(u, z_j)|^2             <= l0 + l1 |u|^2
+    sum_j nu_j |sigma(u, z_j) - sigma(v, z_j)|^2 <= l2 |u - v|^2
+    sum_j nu_j |sigma(u, z_j)|^4             <= l3 (1 + |u|^4)
 
 which every catalogue entry states in closed form and which
 `certify_noise_bounds` checks by randomized sampling.
@@ -115,19 +115,17 @@ def sample_jumps(marks, horizon, rng):
 class NoiseCoefficient:
     """Jump amplitude map with declared moment budgets.
 
-    Subclasses implement `block(t, states)` returning the amplitudes for
-    every mark at once, shape (K, P, m) for states of shape (P, m).  The
-    catalogue entries are autonomous; `t` is part of the interface for
-    time-dependent extensions.  `state_free` declares that the block
-    depends on neither t nor the states, only on their shape, so a solver
-    may compute it once per batch shape.
+    Subclasses implement `block(states)` returning the amplitudes for
+    every mark at once, shape (K, P, m) for states of shape (P, m).
+    `state_free` declares that the block does not depend on the states,
+    only on their shape, so a solver may compute it once per batch shape.
     """
 
     bounds: "NoiseBounds"
     kind = "abstract"
     state_free = False
 
-    def block(self, t, states):
+    def block(self, states):
         raise NotImplementedError
 
 
@@ -160,13 +158,13 @@ class ZeroNoise(NoiseCoefficient):
         self.marks = marks
         self.bounds = NoiseBounds(0.0, 0.0, 0.0, 0.0)
 
-    def block(self, t, states):
+    def block(self, states):
         p, m = states.shape
         return np.zeros((self.marks.size, p, m))
 
 
 class LinearNoise(NoiseCoefficient):
-    """sigma(t, u, z_j) = g_j u: multiplicative, vanishes at the origin."""
+    """sigma(u, z_j) = g_j u: multiplicative, vanishes at the origin."""
 
     kind = "linear"
 
@@ -177,12 +175,12 @@ class LinearNoise(NoiseCoefficient):
         c4 = float(np.sum(marks.rates * self.gains**4))
         self.bounds = NoiseBounds(0.0, c2, c2, c4)
 
-    def block(self, t, states):
+    def block(self, states):
         return self.gains[:, None, None] * states[None, :, :]
 
 
 class AdditiveNoise(NoiseCoefficient):
-    """sigma(t, u, z_j) = g_j h for a fixed field h: state-independent."""
+    """sigma(u, z_j) = g_j h for a fixed field h: state-independent."""
 
     kind = "additive"
     state_free = True
@@ -203,7 +201,7 @@ class AdditiveNoise(NoiseCoefficient):
         h[:n] = self.shape[:n]
         return h
 
-    def block(self, t, states):
+    def block(self, states):
         p, m = states.shape
         h = self.shaped(m)
         return np.broadcast_to(
@@ -212,7 +210,7 @@ class AdditiveNoise(NoiseCoefficient):
 
 
 class SaturatingNoise(NoiseCoefficient):
-    """sigma(t, u, z_j) = g_j u / sqrt(1 + |u|^2): bounded, 1-Lipschitz core."""
+    """sigma(u, z_j) = g_j u / sqrt(1 + |u|^2): bounded, 1-Lipschitz core."""
 
     kind = "saturating"
 
@@ -225,7 +223,7 @@ class SaturatingNoise(NoiseCoefficient):
         # u -> u/sqrt(1+|u|^2) has operator-norm derivative <= 1.
         self.bounds = NoiseBounds(c2, 0.0, c2, c4)
 
-    def block(self, t, states):
+    def block(self, states):
         scale = 1.0 / np.sqrt(1.0 + np.sum(states**2, axis=1))
         return self.gains[:, None, None] * (states * scale[:, None])[None, :, :]
 
@@ -260,10 +258,9 @@ def certify_noise_bounds(sigma, marks, level, rng, n_samples=2000, box_radius=3.
     u = box_radius * rng.uniform(-1, 1, (n_samples, level))
     u[0] = 0.0  # pin the origin so the constant term is probed
     v = box_radius * rng.uniform(-1, 1, (n_samples, level))
-    t = rng.uniform(0.0, 1.0)
 
-    bu = sigma.block(t, u)  # (K, P, m)
-    bv = sigma.block(t, v)
+    bu = sigma.block(u)  # (K, P, m)
+    bv = sigma.block(v)
     nu = marks.rates
     s2 = np.einsum("k,kpm->p", nu, bu**2)
     s2d = np.einsum("k,kpm->p", nu, (bu - bv) ** 2)

@@ -25,24 +25,22 @@ __all__ = [
 ]
 
 
-def write_series(path, columns, rows, *, units=None, config_hash=None, append=False):
+def write_series(path, columns, rows, *, units=None, config_hash=None):
     """Stream rows into a CSV file with a comment header block.
 
     `rows` is any iterable of sequences matching `columns`; it is
     consumed lazily.  Returns the number of rows written.  I/O errors
     surface with the path attached.
     """
-    mode = "a" if append else "w"
     n = 0
     try:
-        with open(path, mode, newline="", encoding="utf-8") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            if not append:
-                if config_hash:
-                    fh.write(f"# config_hash: {config_hash}\n")
-                if units:
-                    fh.write("# units: " + ", ".join(f"{c}[{u}]" for c, u in zip(columns, units)) + "\n")
-                writer.writerow(columns)
+            if config_hash:
+                fh.write(f"# config_hash: {config_hash}\n")
+            if units:
+                fh.write("# units: " + ", ".join(f"{c}[{u}]" for c, u in zip(columns, units)) + "\n")
+            writer.writerow(columns)
             for row in rows:
                 writer.writerow(row)
                 n += 1

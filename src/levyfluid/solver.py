@@ -32,9 +32,9 @@ through the noise increment, the drift and the advance, and checks each
 path for blow-up across all members.  `run_paths` is one member,
 `run_pairs` two members of one model, `run_levels` one member per
 truncation level, and `integrate` one single-path member.  All step on
-the n*dt grid.  The drivers keep only their own accumulators, ensemble
-series, pair distances, level gaps and the ledger, and fold `_march`'s
-blocks into them.
+the n*dt grid of the models' one dt.  The drivers keep only their own
+accumulators, ensemble series, pair distances, level gaps and the ledger,
+and fold `_march`'s blocks into them.
 
 Paths blow up by policy, not silently: a non-finite or oversized state
 aborts `integrate` with a report of the step and norms; in the batched
@@ -64,25 +64,21 @@ drift, these savings change no bit.  `_march` yields stacked blocks of
 steps, each ending after a step its caller names as a cut (the output
 steps of `run_paths` and `run_pairs`), after at most FLUSH_STEPS steps,
 and after the last step; the cap bounds the memory of runs with few
-outputs.  A block holds the steps' |u|^2 sums (those of the blow-up
-check) and post-step states, and their pieces (U, U1, M, ap, bb, qv) only
-for a caller that asks: keeping M and the drift across a block costs
-memory on wide batches.  The drivers do no arithmetic per step: they
-fold each block into their accumulators in one vectorized pass: running
-sums by `np.add.accumulate` along the step axis, seeded with the running
-value, which adds in the order of per-step in-place sums; maxima by one
-reduction; norms, functionals and ledger terms evaluated once on the
-stacked (k*P, m) states.  Blown paths are masked out of every block (zero
-for sums, -inf for maxima), and the |u|^2 snapshot is taken from the last
-state, which a frozen path holds.  The
-`SquaredNorm` functionals are integrated from the step's |u|^2 sums and
-from the dissipation integral rather than evaluated again.  A FluidModel
-keeps the implicit denominator of the last dt and, for noise whose
-amplitudes depend on neither time nor state (zero and additive), the
-amplitude block and compensator of the last (dt, batch size), one entry
-each: a grid run steps with one dt on one batch, and a new key replaces
-the old one.  Linear and saturating noise are evaluated every step: a
-precomputed affine map would round differently.
+outputs.  A block holds the steps' post-step states, and their pieces
+(U, U1, M, ap, bb, qv) only for a caller that asks: keeping M and the
+drift across a block costs memory on wide batches.  The drivers do no
+arithmetic per step: they fold each block into their accumulators in one
+vectorized pass: running sums by `np.add.accumulate` along the step axis,
+seeded with the running value, which adds in the order of per-step
+in-place sums; maxima by one reduction; norms, functionals and ledger
+terms evaluated once on the stacked (k*P, m) states.  Blown paths are
+masked out of every block (zero for sums, -inf for maxima); a frozen
+path's last state is its last live one.  A FluidModel computes its
+implicit denominator once and, for noise whose amplitudes do not depend
+on the state (zero and additive), keeps the amplitude block and
+compensator of the last batch size: a run steps one batch, and a new
+size replaces the old one.  Linear and saturating noise are evaluated
+every step: a precomputed affine map would round differently.
 """
 
 from __future__ import annotations
@@ -103,7 +99,6 @@ __all__ = [
     "EnergyLedger",
     "BlowUpError",
     "EnsembleResult",
-    "SquaredNorm",
     "default_dt",
     "integrate",
     "run_paths",
@@ -208,8 +203,8 @@ class FluidModel:
         self.dt = config.dt if config.dt is not None else default_dt(self.basis, config.params.kappa1)
         self.n_steps = _whole_steps(config.horizon, self.dt) if config.horizon > 0 else 0
         self._state_free = getattr(sigma, "state_free", False)
-        self._denom = (None, None)  # (dt, implicit denominator) of the last step
-        self._noise = (None, None)  # ((dt, P), (block, compensator)) of state-free noise
+        self._denom = _read_only(1.0 + self.dt * self.params.kappa1 * self.basis.eigenvalues)
+        self._noise = (None, None)  # (P, (block, compensator)) of state-free noise
 
     def drift_pieces(self, states):
         """Explicit drift parts: (stress coefficients, convection coefficients)."""
@@ -217,53 +212,48 @@ class FluidModel:
         bb = self.ops.convection(states, states) if self.config.convection else None
         return ap, bb
 
-    def advance(self, states, dt, increment, ap, bb):
+    def advance(self, states, increment, ap, bb):
         """Apply one step of the configured scheme to a batch of states."""
+        dt = self.dt
         g = increment.copy()
         if ap is not None:
             g -= dt * (2.0 * self.params.kappa0) * ap
         if bb is not None:
             g -= dt * bb
         if self.config.scheme == "semi-implicit":
-            if self._denom[0] != dt:
-                denom = 1.0 + dt * self.params.kappa1 * self.basis.eigenvalues
-                self._denom = (dt, _read_only(denom))
-            return (states + g) / self._denom[1]
+            return (states + g) / self._denom
         return states - dt * self.params.kappa1 * self.basis.eigenvalues * states + g
 
-    def _compensated(self, t, dt, states):
+    def _compensated(self, states):
         """The (K, P, m) amplitude block (None for zero noise) and the compensator."""
         if getattr(self.sigma, "kind", "") == "zero":
             return None, np.zeros(states.shape)
-        blk = self.sigma.block(t, states)
-        return blk, -dt * np.einsum("k,kpm->pm", self.marks.rates, blk)
+        blk = self.sigma.block(states)
+        return blk, -self.dt * np.einsum("k,kpm->pm", self.marks.rates, blk)
 
-    def noise_increment(self, t, dt, states, jump_paths, jump_marks, jump_times):
-        """Compensated window increments for a batch, plus the jump data.
+    def noise_increment(self, states, jump_paths, jump_marks):
+        """Compensated window increments for a batch and their jump variation.
 
-        Returns (M, blk, jump_qv_add) with M of shape (P, m).  The
-        amplitude is frozen at the pre-step state.  For state-free noise
-        the block and the compensator depend only on (dt, P); they are
-        kept, read-only, until a step brings another pair.
+        Returns (M, jump_qv_add) with M of shape (P, m); jump_qv_add is
+        None for a window without jumps.  The amplitude is frozen at the
+        pre-step state.  For state-free noise the block and the
+        compensator depend only on P; they are kept, read-only, until a
+        step brings another batch size.
         """
         if self._state_free:
-            key = (dt, states.shape[0])
-            if self._noise[0] != key:
-                self._noise = (key, tuple(map(_read_only, self._compensated(t, dt, states))))
+            if self._noise[0] != states.shape[0]:
+                self._noise = (states.shape[0], tuple(map(_read_only, self._compensated(states))))
             blk, inc = self._noise[1]
         else:
-            blk, inc = self._compensated(t, dt, states)
-        if blk is None:
-            return inc, None, None
-        if jump_paths.size:
-            inc = inc.copy()
-            amp = blk[jump_marks, jump_paths, :]  # (n_events, m)
-            np.add.at(inc, jump_paths, amp)
-            qv = np.zeros(states.shape[0])
-            np.add.at(qv, jump_paths, np.sum(amp**2, axis=1))
-        else:
-            qv = None
-        return inc, blk, qv
+            blk, inc = self._compensated(states)
+        if blk is None or not jump_paths.size:
+            return inc, None
+        inc = inc.copy()
+        amp = blk[jump_marks, jump_paths, :]  # (n_events, m)
+        np.add.at(inc, jump_paths, amp)
+        qv = np.zeros(states.shape[0])
+        np.add.at(qv, jump_paths, np.sum(amp**2, axis=1))
+        return inc, qv
 
 
 @dataclass
@@ -316,7 +306,7 @@ def _draw_jumps(model, seed, n_paths, offset):
     ]
 
 
-_Block = namedtuple("_Block", "steps t dt n_jumps live l2 U1 pieces")
+_Block = namedtuple("_Block", "steps t n_jumps live U1 pieces")
 
 
 def _output_steps(n_steps, n_out):
@@ -392,33 +382,32 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
            keep_pieces=False):
     """Step member i, `states[i]` of shape (P, m_i), by `models[i]`, all in lockstep.
 
-    Every member sees the P per-path (times, marks) of `jumps`, each event
-    in the window (t_n, t_n+1] that holds it.  The steps are models[0]'s
-    n_steps of size dt.  A path that blows up in any member raises
-    BlowUpError if `raise_blowup`, else freezes in every member from then
-    on, its step in `blow_steps` (-1 while alive).  A member's rows with
-    bit-equal initial rows share one drift evaluation until their first
-    jump, and for the whole run where their jump lists are equal too
-    (`_SharedDrift`).  `states[i]` is replaced by each step's new state.
+    The members share one dt: the steps are models[0]'s n_steps of size
+    dt.  Every member sees the P per-path (times, marks) of `jumps`, each
+    event in the window (t_n, t_n+1] that holds it.  A path that blows up
+    in any member raises BlowUpError if `raise_blowup`, else freezes in
+    every member from then on, its step in `blow_steps` (-1 while alive).
+    A member's rows with bit-equal initial rows share one drift
+    evaluation until their first jump, and for the whole run where their
+    jump lists are equal too (`_SharedDrift`).  `states[i]` is replaced by
+    each step's new state.
 
     Yields _Blocks of at most FLUSH_STEPS consecutive steps, each ending
     after a step whose number (1..n_steps) is in `cuts` and after the last
     step.  Per step of a block (k steps), stacked: `steps`, `t` (end
-    times), `dt` and `n_jumps` (event counts), each (k,); `live` (k, P);
-    per member, `l2` (k, P), the blow-up check's |U1|^2 sums, exact for
-    live rows only (a frozen row keeps the sum of its discarded step), and
-    `U1` (k*P, m_i), the post-step states; and, with `keep_pieces`, per
-    member the stacked (U, U1, M, ap, bb, qv) of `_stack_pieces`, else
+    times) and `n_jumps` (event counts), each (k,); `live` (k, P); per
+    member `U1` (k*P, m_i), the post-step states; and, with `keep_pieces`,
+    per member the stacked (U, U1, M, ap, bb, qv) of `_stack_pieces`, else
     None.
     """
     jt = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
     jm = np.concatenate([np.empty(0, np.int64)] + [marks for _, marks in jumps])
     jp = np.repeat(np.arange(len(jumps)), [times.size for times, _ in jumps])
     h, n_steps = models[0].dt, models[0].n_steps
-    t, dts = [n * h for n in range(n_steps + 1)], [h] * n_steps
+    t = [n * h for n in range(n_steps + 1)]
     steps = np.clip(np.ceil(jt / h).astype(np.int64) - 1, 0, n_steps - 1)
     order = np.argsort(steps, kind="stable")
-    jt, jm, jp, steps = jt[order], jm[order], jp[order], steps[order]
+    jm, jp, steps = jm[order], jp[order], steps[order]
     bounds = np.searchsorted(steps, np.arange(n_steps + 1)).tolist()
 
     first = np.full(len(jumps), n_steps)  # each path's first jump window
@@ -437,14 +426,14 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
             shares, regroup = shared.at(n), False
         pieces = []
         for model, U, share in zip(models, states, shares):
-            M, _, qv = model.noise_increment(t[n], dts[n], U, jp[lo:hi], jm[lo:hi], jt[lo:hi])
+            M, qv = model.noise_increment(U, jp[lo:hi], jm[lo:hi])
             if share is None:
                 ap, bb = model.drift_pieces(U)
             else:
                 rows, scatter = share
                 ap, bb = (None if a is None else np.take(a, scatter, axis=0)
                           for a in model.drift_pieces(np.take(U, rows, axis=0)))
-            pieces.append((U, model.advance(U, dts[n], M, ap, bb), M, ap, bb, qv))
+            pieces.append((U, model.advance(U, M, ap, bb), M, ap, bb, qv))
         l2 = [(U1 * U1).sum(axis=1) for _, U1, *_ in pieces]
         fine = l2[0] <= cap
         for sq in l2[1:]:
@@ -469,7 +458,7 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
             if frozen is not None:
                 U1[frozen] = U[frozen]
             states[i] = U1
-        block.append((n + 1, t[n + 1], dts[n], hi - lo, live, l2, list(states),
+        block.append((n + 1, t[n + 1], hi - lo, live, list(states),
                       pieces if keep_pieces else None))
         if n + 1 in cuts or len(block) == FLUSH_STEPS or n + 1 == n_steps:
             stacked = _stack_block(block, len(jumps), keep_pieces)
@@ -479,10 +468,10 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
 
 def _stack_block(rows, n_paths, keep_pieces):
     """`_march`'s per-step rows stacked into one _Block."""
-    steps, t, dt, n_jumps, live, l2, U1, pieces = zip(*rows)
+    steps, t, n_jumps, live, U1, pieces = zip(*rows)
     return _Block(
-        np.array(steps), np.array(t), np.array(dt), np.array(n_jumps), np.stack(live),
-        [np.stack(sq) for sq in zip(*l2)], [np.concatenate(u) for u in zip(*U1)],
+        np.array(steps), np.array(t), np.array(n_jumps), np.stack(live),
+        [np.concatenate(u) for u in zip(*U1)],
         [_stack_pieces(p, n_paths) for p in zip(*pieces)] if keep_pieces else None,
     )
 
@@ -514,10 +503,7 @@ def _stack_pieces(pieces, n_paths):
 
 
 def _audit_terms(model, dt, U, U1, M, ap, bb, qv_jump):
-    """The ledger terms `run_paths` audits: the `_AUDIT_SUMS` columns and conv_skew.
-
-    `dt` is a scalar or one step size per row.
-    """
+    """The ledger terms `run_paths` audits: the `_AUDIT_SUMS` columns and conv_skew."""
     return {
         "ap_work": 4.0 * model.params.kappa0 * dt * _pair(ap, U1),
         "conv_skew": _pair(bb, U),
@@ -548,9 +534,9 @@ def integrate(model, initial, seed, *, n_out=21, path_index=0):
     Deterministic given (seed, path_index): the jump stream is derived by
     the counter key schedule.  Raises BlowUpError on a non-finite or
     oversized state; the report carries the step, time and norms.  The
-    ledger is evaluated once per block of `_march`, a step size per row,
-    with the values of a per-step evaluation.  The states are sampled at
-    `n_out` evenly spaced steps.
+    ledger is evaluated once per block of `_march`, with the values of a
+    per-step evaluation.  The states are sampled at `n_out` evenly spaced
+    steps.
     """
     cfg = model.config
     coeffs = np.asarray(initial, dtype=float)[: cfg.level].copy()
@@ -566,8 +552,9 @@ def integrate(model, initial, seed, *, n_out=21, path_index=0):
     times_out, states_out = [np.zeros(1)], [coeffs[None, :]]
     for block in _march([model], [coeffs[None, :]], np.full(1, -1), jumps,
                         raise_blowup=True, keep_pieces=True):
-        diag = _diag_update(model, block.dt, *block.pieces[0])
-        diag.update(t=block.t, dt=block.dt, n_jumps=block.n_jumps.astype(float))
+        diag = _diag_update(model, model.dt, *block.pieces[0])
+        diag.update(t=block.t, dt=np.full(block.steps.size, model.dt),
+                    n_jumps=block.n_jumps.astype(float))
         for k in LEDGER_COLUMNS:
             cols[k].append(diag[k])
         rows = [j for j, n in enumerate(block.steps.tolist()) if n in out]
@@ -625,24 +612,6 @@ _AUDIT_SUMS = {
 }
 
 
-class SquaredNorm:
-    """The functional u -> |u|^2 of a batch of states, or ||u||_2^2 if `energy`.
-
-    `run_paths` integrates these from the norms every step computes
-    anyway, |u|^2 for the blow-up check and ||u||_2^2 for the dissipation
-    integral, with the same arithmetic as calling the functional; `basis`
-    must be the model's.
-    """
-
-    def __init__(self, basis, energy):
-        self.basis, self.energy = basis, energy
-
-    def __call__(self, states):
-        if self.energy:
-            return np.sum(self.basis.eigenvalues * states**2, axis=1)
-        return np.sum(states**2, axis=1)
-
-
 def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
               functionals=None, jumps=None, path_offset=0):
     """Batched grid-mode integration of an ensemble with running statistics.
@@ -654,7 +623,9 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     how the ensemble is split across workers.  Blown-up paths freeze at
     their last finite state and are flagged, not hidden.  The accumulators
     fold each block of `_march`, cut at the output steps, at once, with
-    the bits of per-step updates.
+    the bits of per-step updates.  Each of `functionals` (name -> a map
+    from (n, m) states to (n,) values) is integrated in time as
+    `occ_<name>`: dt * fn(u) added per step.
     """
     cfg = model.config
     U = np.array(initials, dtype=float)
@@ -664,7 +635,7 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     if jumps is None:
         jumps = _draw_jumps(model, seed, n_paths, path_offset)
     functionals = functionals or {}
-    eig = model.basis.eigenvalues
+    eig, dt = model.basis.eigenvalues, model.dt
     two_kappa1 = 2.0 * model.params.kappa1
 
     acc = {name: np.zeros(n_paths) for name in _SERIES_BASE + _SERIES_AUDIT}
@@ -672,32 +643,25 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     acc["h2_sq"] = np.sum(eig * U**2, axis=1)
     acc["sup_l2_sq"] = acc["l2_sq"].copy()
     acc["sup_energy"] = acc["l2_sq"].copy()
-    # occupation integrals, each with its functional; None integrates the
-    # step's |u|^2 sums, and int ||u||_2^2 dt is diss_int itself
-    occ, source = {}, {}
-    for name, fn in functionals.items():
-        key, norm = f"occ_{name}", isinstance(fn, SquaredNorm)
-        if norm and fn.energy:
-            source[key] = "diss_int"
-        else:
-            acc[key] = np.zeros(n_paths)
-            occ[key] = None if norm else fn
+    for name in functionals:
+        acc[f"occ_{name}"] = np.zeros(n_paths)
     blow_steps = np.full(n_paths, -1, dtype=np.int64)
 
     snap_names = (list(_SERIES_BASE) + (list(_SERIES_AUDIT) if track_audit else [])
                   + [f"occ_{name}" for name in functionals])
 
     def snapshot():
-        return {name: acc[source.get(name, name)].copy() for name in snap_names}
+        return {name: acc[name].copy() for name in snap_names}
 
     snaps, times = [snapshot()], [0.0]  # one per output time
     out = _output_steps(model.n_steps, n_out)
     states = [U]
     for block in _march([model], states, blow_steps, jumps, cuts=out,
                         keep_pieces=track_audit):
-        k, dt, live = block.steps.size, block.dt[:, None], block.live
-        (l2,), (U1,) = block.l2, block.U1
-        h2 = np.sum(eig * U1**2, axis=1).reshape(k, n_paths)
+        k, live, (U1,) = block.steps.size, block.live, block.U1
+        sq = U1**2
+        l2 = np.sum(sq, axis=1).reshape(k, n_paths)
+        h2 = np.sum(eig * sq, axis=1).reshape(k, n_paths)
 
         def add(name, values):
             running = _running_sum(acc[name], values, live)
@@ -708,13 +672,13 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
             acc[name] = np.maximum(acc[name], np.where(live, values, -np.inf).max(axis=0))
 
         # a frozen row holds its last live state, so these are its last live values
-        acc["l2_sq"], acc["h2_sq"] = np.sum(U1[-n_paths:] ** 2, axis=1), h2[-1]
+        acc["l2_sq"], acc["h2_sq"] = l2[-1], h2[-1]
         diss = add("diss_int", dt * h2)
         add("diss_r2_int", dt * (h2 * l2))
         raise_max("sup_l2_sq", l2)
         raise_max("sup_energy", l2 + two_kappa1 * diss)
         if track_audit:
-            diag = _audit_terms(model, np.repeat(block.dt, n_paths), *block.pieces[0])
+            diag = _audit_terms(model, dt, *block.pieces[0])
             diag = {column: v.reshape(k, n_paths) for column, v in diag.items()}
             for name, column in _AUDIT_SUMS.items():
                 running = add(name, diag[column])
@@ -722,8 +686,8 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
                     raise_max("mart_sup", np.abs(running))
             scale = 1.0 + l2 * np.sqrt(np.maximum(h2, 0.0))
             raise_max("skew_max", np.abs(diag["conv_skew"]) / scale)
-        for key, fn in occ.items():
-            add(key, dt * (l2 if fn is None else fn(U1).reshape(k, n_paths)))
+        for name, fn in functionals.items():
+            add(f"occ_{name}", dt * fn(U1).reshape(k, n_paths))
         if block.steps[-1] in out:
             times.append(block.t[-1])
             snaps.append(snapshot())
@@ -762,7 +726,7 @@ def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, jumps=None):
     out = _output_steps(model.n_steps, n_out)
     for block in _march([model, model], states, blow_steps, jumps, cuts=out):
         h2 = np.sum(model.basis.eigenvalues * block.U1[0] ** 2, axis=1)
-        diss1 = _running_sum(diss1, block.dt[:, None] * h2.reshape(block.steps.size, n_paths),
+        diss1 = _running_sum(diss1, model.dt * h2.reshape(block.steps.size, n_paths),
                              block.live)[-1]
         if block.steps[-1] in out:
             w = np.sum((states[0] - states[1]) ** 2, axis=1)
@@ -803,10 +767,10 @@ def run_levels(models, initial_top, seed):
     states = [X[:, :lv].copy() for lv in levels]
     blow_steps = np.full(n_paths, -1, dtype=np.int64)
     gap_int = [np.zeros(n_paths) for _ in range(len(models) - 1)]
-    eig_top = top.basis.eigenvalues
+    eig_top, dt = top.basis.eigenvalues, top.dt
     jumps = _draw_jumps(top, seed, n_paths, 0)
     for block in _march(models, states, blow_steps, jumps):
-        k, dt = block.steps.size, block.dt[:, None]
+        k = block.steps.size
         for i in range(len(models) - 1):
             lo_lv, hi_lv = levels[i], levels[i + 1]
             d_lo = block.U1[i + 1][:, :lo_lv] - block.U1[i]

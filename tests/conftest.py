@@ -55,16 +55,16 @@ def convection_form_grid(ops, cu, cv, cw):
     return float(ops._conv_weight * np.einsum("ag,bag,bg->", u, dv, w))
 
 
-def compensated_increment(sigma, marks, coeffs, t0, t1, jump_times, jump_marks):
+def compensated_increment(sigma, marks, coeffs, t0, t1, jump_marks):
     """Integral of sigma against the compensated measure over (t0, t1], one path.
 
     The state is frozen at its left-endpoint value: the jump part sums
-    sigma(t_j, u, z_j) over the events in the window, the compensator part
-    subtracts (t1 - t0) * sum_j nu_j sigma(t0, u, z_j).  A per-event loop,
+    sigma(u, z_j) over the marks z_j of the window's events, the compensator
+    part subtracts (t1 - t0) * sum_j nu_j sigma(u, z_j).  A per-event loop,
     independent of the batched `FluidModel.noise_increment`.
     """
     u = np.asarray(coeffs, dtype=float)[None, :]
-    out = -(t1 - t0) * np.einsum("k,km->m", marks.rates, sigma.block(t0, u)[:, 0, :])
-    for tj, zj in zip(jump_times, jump_marks):
-        out = out + sigma.block(tj, u)[int(zj), 0]
+    out = -(t1 - t0) * np.einsum("k,km->m", marks.rates, sigma.block(u)[:, 0, :])
+    for zj in jump_marks:
+        out = out + sigma.block(u)[int(zj), 0]
     return out

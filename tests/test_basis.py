@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from levyfluid.basis import build_basis, mode_values, uniform_grid
 from levyfluid.noise import AdditiveNoise, MarkSpace, ZeroNoise
 from levyfluid.operators import FluidParams, SpectralOperators
-from levyfluid.solver import FluidModel, SolverConfig, SquaredNorm, run_levels, run_paths
+from levyfluid.ergodics import make_functional
+from levyfluid.solver import FluidModel, SolverConfig, run_levels, run_paths
 
 from conftest import quadrature_forms
 
@@ -24,9 +25,9 @@ def norms(basis, coeffs):
     runners integrate, and the gradient norm from the closed form."""
     c = np.atleast_2d(coeffs)
     return (
-        np.sqrt(SquaredNorm(basis, energy=False)(c)),
+        np.sqrt(make_functional("sq_norm", basis)(c)),
         np.sqrt(np.sum(basis.ksq * c**2, axis=1)),
-        np.sqrt(SquaredNorm(basis, energy=True)(c)),
+        np.sqrt(make_functional("energy_norm_sq", basis)(c)),
     )
 
 

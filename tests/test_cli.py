@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +173,18 @@ class TestWorkersEnv:
         assert default_workers() == 1
         monkeypatch.delenv("LEVYFLUID_WORKERS")
         assert default_workers() == 1
+
+
+class TestRunAllScript:
+    def test_unknown_only_stem_runs_nothing(self, tmp_path):
+        # a typo in --only exits 2, names the stem, and runs no config
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_all.py"), "--only", "moments_oracle",
+             "momnets", "--out-root", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "momnets" in proc.stderr and "moments_oracle" not in proc.stderr
+        assert proc.stdout == "" and not any(tmp_path.iterdir())

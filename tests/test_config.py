@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levyfluid.basis import build_basis
 from levyfluid.config import (
     EXPERIMENTS,
     ConfigError,
@@ -12,6 +13,8 @@ from levyfluid.config import (
     parse_config,
     parse_config_text,
 )
+from levyfluid.ergodics import RegimeError, invariant_moment_bound
+from levyfluid.noise import LinearNoise, MarkSpace
 
 MINIMAL = "experiment = moments\n"
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -99,8 +102,16 @@ class TestValidation:
             "noise.kind = linear\n"
             "noise.gains = [1.5, 1.5]\n"
         )
-        problems = problems_of(text)
-        assert any("dissipative regime" in msg for _, _, msg in problems)
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        # the parse-time gate is the bound's own check, with its message
+        assert isinstance(err.value.__cause__, RegimeError)
+        bounds = LinearNoise(MarkSpace(np.array([1.0, 3.0])), 1.5).bounds
+        with pytest.raises(RegimeError) as want:
+            invariant_moment_bound(1.0, build_basis(16, 2).lambda1, bounds.growth_const,
+                                   bounds.growth_slope)
+        assert err.value.problems == [(None, "noise", str(want.value))]
+        assert "dissipative regime" in str(err.value)
 
     def test_occupation_schedule_must_end_at_horizon(self):
         text = (
@@ -136,11 +147,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("mode", ["adapted", "thinning"])
     def test_jump_mode_other_than_grid(self, mode):
-        # experiments step on the n*dt grid: any other mode is one problem on its line
-        problems = problems_of(MINIMAL + f"disc.jump_mode = {mode}\n")
-        assert [(ln, key) for ln, key, _ in problems] == [(2, "disc.jump_mode")]
-        cfg = parse_config_text(MINIMAL + "disc.jump_mode = grid\n")
-        assert cfg.canonical()["disc"]["jump_mode"] == "grid"
+        # every run steps on the n*dt grid: disc.jump_mode is no key, for any
+        # value, grid included; the manifest still records the grid
+        for value in (mode, "grid"):
+            problems = problems_of(MINIMAL + f"disc.jump_mode = {value}\n")
+            assert [(ln, key) for ln, key, _ in problems] == [(2, "disc.jump_mode")]
+        assert parse_config_text(MINIMAL).canonical()["disc"]["jump_mode"] == "grid"
 
 
 class TestOverridesAndHash:
@@ -219,8 +231,8 @@ class TestDerivedObjects:
             names = {"ensemble": {"paths": "paths", "seed": "seed",
                                   "initial": "initial", "scale": "scale"}}
             for key, val in doc[section].items():
-                if val is None:
-                    continue
+                if val is None or (section, key) == ("disc", "jump_mode"):
+                    continue  # None is a default; jump_mode echoes the grid, no key
                 if isinstance(val, bool):
                     val = str(val).lower()
                 elif isinstance(val, list):

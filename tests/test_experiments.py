@@ -175,8 +175,10 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(operators.SpectralOperators, "__init__", logged)
         audit = BASE.replace("experiment = moments", "experiment = audit")
+        # equal feller lags: the t and s models are one model
+        equal_lags = FELLER.replace("feller.lag2 = 0.04", "feller.lag2 = 0.02")
         for text, n_models in ((BASE, 2), (audit, 1), (CONTRACTION, 1), (CAUCHY, 3),
-                               (FELLER, 3)):
+                               (FELLER, 3), (equal_lags, 2)):
             log.write_text("")
             code, _ = run_experiment(parse_config_text(text), out_dir=tmp_path / "run",
                                      workers=2)

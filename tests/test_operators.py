@@ -26,7 +26,7 @@ from levyfluid.operators import (
     stress_lipschitz_reference,
     trace_free_frame,
 )
-from levyfluid.solver import SquaredNorm
+from levyfluid.ergodics import make_functional
 
 from conftest import convection_form_grid
 
@@ -123,7 +123,7 @@ class TestHyperviscosity:
         # the two-sided norm equivalence holds with both constants 1 in
         # the convention where the energy norm is the operator pairing
         b = build_basis(16, 2)
-        energy = SquaredNorm(b, energy=True)
+        energy = make_functional("energy_norm_sq", b)
         for _ in range(50):
             u = rng.standard_normal(16)
             pair = np.dot(b.eigenvalues * u, u)

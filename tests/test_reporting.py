@@ -32,12 +32,6 @@ class TestWriteSeries:
         assert n == 0
         assert path.read_text().splitlines() == ["a"]
 
-    def test_append_mode(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_series(path, ("a",), [(1,)])
-        write_series(path, ("a",), [(2,)], append=True)
-        assert path.read_text().splitlines()[-2:] == ["1", "2"]
-
     def test_unicode_column_names_roundtrip(self, tmp_path):
         import csv
 

@@ -118,7 +118,7 @@ class TestStep:
             u = rng.standard_normal((1, 8))
             norms = [float(np.sum(u**2))]
             for n in range(model.n_steps):
-                u = model.advance(u, dt, np.zeros_like(u), None, None)
+                u = model.advance(u, np.zeros_like(u), None, None)
                 norms.append(float(np.sum(u**2)))
             assert all(b <= a for a, b in zip(norms, norms[1:]))
 
@@ -468,7 +468,7 @@ class TestOneKernel:
 
 
 class TestLeanStepping:
-    """The all-live fast path, the reused step norms and the noise cache are exact."""
+    """The all-live fast path, the norm functionals and the noise cache are exact."""
 
     def test_survivors_match_a_run_without_the_blown_path(self):
         # the second path blows up mid-run: steps before it take the
@@ -508,10 +508,9 @@ class TestLeanStepping:
             integral = np.vstack([np.zeros(4), np.cumsum(steps, axis=0)])
             assert np.array_equal(res.series[f"occ_{name}"], integral), name
 
-    def test_one_model_serves_batch_sizes_and_step_sizes(self):
-        # the step caches keep the last (dt, P): reusing one model for two
-        # batch sizes and for changing step sizes gives the results of a
-        # model that evaluates its noise every step
+    def test_one_model_serves_batch_sizes(self):
+        # the noise cache keeps the last P: reusing one model for two batch
+        # sizes gives the results of a model that evaluates its noise every step
         uncached = additive_sigma()
         uncached.state_free = False
 
@@ -522,22 +521,10 @@ class TestLeanStepping:
         X = 0.4 * np.random.default_rng(2).standard_normal((64, 8))
         for rows in (slice(None), slice(3), slice(None)):
             got, want = run_paths(model, X[rows], 7), run_paths(reference(), X[rows], 7)
-            assert model._noise[0] == (model.dt, X[rows].shape[0])
+            assert model._noise[0] == X[rows].shape[0]
             assert np.array_equal(got.terminal, want.terminal)
             for name in got.series:
                 assert np.array_equal(got.series[name], want.series[name]), name
-        # the noise increment follows dt, whichever dt came before
-        U, jp, jm, jt = X[:3], np.array([0, 2, 2]), np.array([1, 0, 1]), np.array([0.1, 0.1, 0.1])
-        for dt in (1e-3, 2e-3, 1e-3):
-            got = model.noise_increment(0.1 - dt, dt, U, jp, jm, jt)
-            want = reference().noise_increment(0.1 - dt, dt, U, jp, jm, jt)
-            assert model._noise[0] == (dt, 3)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[2], want[2])
-        # the implicit denominator follows dt, whichever dt came before
-        U, M = X[:3], np.zeros((3, 8))
-        for dt in (1e-3, 2e-3, 1e-3):
-            want = (U + M) / (1.0 + dt * PARAMS.kappa1 * model.basis.eigenvalues)
-            assert np.array_equal(model.advance(U, dt, M, None, None), want)
 
     @settings(max_examples=25, deadline=None)
     @given(xi=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
@@ -567,8 +554,6 @@ class TestLeanStepping:
         for s in _march([model] * 3, states, blow_steps, jumps, cuts={5, 11}):
             rows = [U1.reshape(s.steps.size, 3, 8) for U1 in s.U1]
             history.extend(zip(*(r[:, path] for r in rows)))
-            for r, l2 in zip(rows, s.l2):
-                assert np.array_equal(l2[s.live], np.sum(r[s.live] ** 2, axis=1))
         others = [p for p in range(3) if p != path]
         assert blow_steps[path] == step and np.all(blow_steps[others] == -1)
         for n in range(step, model.n_steps):
@@ -894,8 +879,8 @@ class TestIntervalFlush:
         for s in _march([model], [xi[None, :].copy()], np.full(1, -1), jumps,
                         keep_pieces=True):
             assert s.steps.size == 1
-            d = _diag_update(model, float(s.dt[0]), *s.pieces[0])
-            d.update(t=s.t, dt=s.dt, n_jumps=s.n_jumps)
+            d = _diag_update(model, model.dt, *s.pieces[0])
+            d.update(t=s.t, dt=np.full(1, model.dt), n_jumps=s.n_jumps)
             for k in want:
                 want[k].append(float(d[k][0]))
         assert len(want["t"]) > FLUSH_STEPS and traj.jump_times.size > 0

@@ -44,8 +44,6 @@ __all__ = [
     "uniform_grid",
     "mode_values",
     "mode_gradients",
-    "mode_fields",
-    "mode_strain_factors",
     "mode_strains",
 ]
 
@@ -227,7 +225,11 @@ def uniform_grid(dim, n):
 
 
 def _phase_tables(basis, points):
-    """Scalar factors per mode on the grid: (trig, d(trig)/d(theta))."""
+    """Scalar factors per mode at arbitrary points: (trig, d(trig)/d(theta)).
+
+    Evaluates cos and sin of the float phases k . x; the reference the
+    integer-phase tables of `_grid_waves` are tested against.
+    """
     theta = basis.wavevectors @ points  # (m, G)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     is_sin = (basis.phases == SIN)[:, None]
@@ -237,44 +239,48 @@ def _phase_tables(basis, points):
     return a * trig, a * dtrig
 
 
-def _values(basis, trig):
-    return np.einsum("ma,mg->mag", basis.polarizations, trig)
+def _grid_waves(basis, n):
+    """Scalar factors per mode on `uniform_grid(basis.dim, n)` and its
+    quadrature weight: (trig, dtrig, weight).
 
-
-def _gradients(basis, dtrig):
-    return np.einsum("ma,mj,mg->majg", basis.polarizations, basis.wavevectors.astype(float), dtrig)
+    Grid point j (integer coordinates, x = 2*pi*j/n) has the phase
+    k . x = 2*pi*(k . j)/n, so exact integers index one length-n evaluation
+    of cos and sin: no trigonometric function is evaluated on the (m, G)
+    phases, and each table is one gather.  The residues (k_a j_a) mod n are
+    summed over the d dimensions; the sum lies in [0, d*n) and indexes d
+    periods of the length-n table, which is the same as reducing k . j
+    mod n.  Shapes (m, n^d), scaled by the mode amplitude like
+    `_phase_tables`.
+    """
+    m, dim = basis.wavevectors.shape
+    period = dim * n
+    is_sin = basis.phases == SIN
+    residues = (basis.wavevectors[:, :, None] * np.arange(n)) % n  # (m, d, n)
+    residues[:, 0] += np.where(is_sin, period, 0)[:, None]  # trig: cos or sin
+    phase = residues[:, 0]
+    for a in range(1, dim):  # first coordinate slowest, as in uniform_grid
+        phase = (phase[:, :, None] + residues[:, a, None, :]).reshape(m, -1)
+    x = (TWO_PI / n) * np.arange(n)
+    cos_x, sin_x = np.tile(np.cos(x), dim), np.tile(np.sin(x), dim)
+    wave = basis.amplitude * np.concatenate([cos_x, sin_x, -sin_x])
+    trig = wave[phase]
+    phase += np.where(is_sin, -period, 2 * period)[:, None]  # d(trig)/d(theta): -sin or cos
+    return trig, wave[phase], (TWO_PI / n) ** dim
 
 
 def mode_values(basis, points):
     """Mode velocities on the grid, shape (m, d, G)."""
-    return _values(basis, _phase_tables(basis, points)[0])
+    trig, _ = _phase_tables(basis, points)
+    return np.einsum("ma,mg->mag", basis.polarizations, trig)
 
 
 def mode_gradients(basis, points):
     """Mode velocity gradients d(u_a)/d(x_j) on the grid, shape (m, d, d, G)."""
-    return _gradients(basis, _phase_tables(basis, points)[1])
-
-
-def mode_fields(basis, points):
-    """`mode_values` and `mode_gradients` from one evaluation of the phases."""
-    trig, dtrig = _phase_tables(basis, points)
-    return _values(basis, trig), _gradients(basis, dtrig)
-
-
-def mode_strain_factors(basis, points):
-    """Rank-one factors of the mode strains: (S (m, d, d), dtrig (m, G)).
-
-    E(phi_m)(x) = S_m * dtrig_m(x) with the constant symmetric matrix
-    S_m = sym(e_m (x) k_m), whose trace e_m . k_m vanishes, and the scalar
-    wave dtrig_m = A * d(trig)/d(theta) at theta = k_m . x.
-    """
     _, dtrig = _phase_tables(basis, points)
-    ek = np.einsum("ma,mb->mab", basis.polarizations, basis.wavevectors.astype(float))
-    return 0.5 * (ek + ek.transpose(0, 2, 1)), dtrig
+    return np.einsum("ma,mj,mg->majg", basis.polarizations, basis.wavevectors.astype(float), dtrig)
 
 
 def mode_strains(basis, points):
     """Mode symmetric gradients on the grid, shape (m, d, d, G)."""
-    s, dtrig = mode_strain_factors(basis, points)
-    return np.einsum("mab,mg->mabg", s, dtrig)
-
+    grad = mode_gradients(basis, points)
+    return 0.5 * (grad + grad.transpose(0, 2, 1, 3))

@@ -333,6 +333,7 @@ def _run_cauchy(cfg, out_dir, workers):
         "final_ratio": study["final_ratio"],
         "refine_dt": study["refine_dt"],
         "oracle": oracle,
+        "n_blown": study["rows"][-1]["n_blown"],  # paths dropped from every gap
         "tables": {
             "cauchy": (
                 ("level_lo", "level_hi", "terminal_gap_sq", "terminal_gap_se",
@@ -439,6 +440,7 @@ def _run_occupation(cfg, out_dir, workers):
         stabilized = stabilized and occ[name]["stabilized"]
     return {
         "passed": stabilized,
+        "n_blown": int(occ["_result"].blown.sum()),  # replicas dropped from every average
         "tables": {"occupation": (("functional", "T", "average", "se"), rows)},
     }
 
@@ -455,6 +457,7 @@ def _run_invariant(cfg, out_dir, workers):
         for r in check["occupation"][name]["rows"]:
             rows.append((name, r["T"], r["average"], r["se"]))
     summary = {k: v for k, v in check.items() if k != "occupation"}
+    summary["n_blown"] = check["occupation"]["sq_norm"]["rows"][-1]["n_blown"]
     summary["tables"] = {"invariant_bound": (("functional", "T", "average", "se"), rows)}
     return summary
 

@@ -262,9 +262,10 @@ def certify_noise_bounds(sigma, marks, level, rng, n_samples=2000, box_radius=3.
     bu = sigma.block(u)  # (K, P, m)
     bv = sigma.block(v)
     nu = marks.rates
-    s2 = np.einsum("k,kpm->p", nu, bu**2)
+    bu_sq = bu**2
+    s2 = np.einsum("k,kpm->p", nu, bu_sq)
     s2d = np.einsum("k,kpm->p", nu, (bu - bv) ** 2)
-    s4 = np.einsum("k,kp->p", nu, np.sum(bu**2, axis=2) ** 2)
+    s4 = np.einsum("k,kp->p", nu, np.sum(bu_sq, axis=2) ** 2)
     usq = np.sum(u**2, axis=1)
     dsq = np.sum((u - v) ** 2, axis=1)
 

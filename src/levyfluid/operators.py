@@ -18,16 +18,27 @@ Three operators act on coefficient vectors:
   frame can never silently drop a component.  Synthesis and projection
   are one matrix product each against an (m, k*G) table, O(m * k * G) per
   row;
-* the convection form b(u, v, w) = int u_i d_i(v_j) w_j dx, evaluated by
-  dealiased collocation (Orszag 1971): synthesize u and grad v on the
-  uniform grid of 3*kmax + 1 points per dimension, form (u . grad) v
-  pointwise and project back onto the modes.  The integrand of
-  b(u, v, w) is a trigonometric polynomial of degree at most 3*kmax,
+* the convection form b(u, v, w) = int u_i d_i(v_j) w_j dx, evaluated in
+  divergence form by dealiased collocation (Orszag 1971; Zang 1991 on the
+  advective, divergence and rotational forms).  Integrating by parts,
+  b(u, v, w) = -int (v (x) u) : grad w dx - int div(u) v . w dx, and the
+  last term is zero exactly because every mode is divergence-free.  So
+  u and v are synthesized on the uniform grid of 3*kmax + 1 points per
+  dimension, the momentum flux v_a u_b is formed pointwise and paired with
+  the mode gradients, which span the trace-free matrices: k trace-free
+  symmetric (strain) coordinates in the stress's frame and d(d-1)/2
+  antisymmetric (rotation) ones (`_gradient_frame`).  For B(u, u) the flux
+  u (x) u is symmetric, so its rotation coordinates vanish and only the k
+  strain coordinates are projected: per row, d + k passes over (m, G)
+  tables (4 in 2D, 8 in 3D) where the advective form (u . grad) v needs
+  d + d^2 + d (8 and 15).
+  The integrand is a trigonometric polynomial of degree at most 3*kmax,
   which that grid integrates exactly, so the projected coefficients equal
   the Galerkin ones up to rounding and no aliasing error enters.  The
-  skew-symmetry b(u, v, v) = -1/2 int div(u) |v|^2 dx = 0 therefore holds
-  to rounding as well: the modes are divergence-free exactly, and the
-  quadrature reproduces the exact integral.
+  skew-symmetry b(u, v, v) = -1/2 int u . grad |v|^2 dx
+  = 1/2 int div(u) |v|^2 dx = 0 therefore holds to rounding as well: the
+  quadrature reproduces the exact integral, and the modes are
+  divergence-free exactly.
 
 The shear factor gamma is bounded and smooth for reg > 0, so the stress
 collocation error decays spectrally in the grid size.  Measured envelope
@@ -48,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import mode_fields, mode_strain_factors, uniform_grid
+from .basis import _grid_waves
 
 __all__ = [
     "FluidParams",
@@ -105,43 +116,64 @@ def trace_free_frame(dim):
     return np.array(frame)
 
 
+def _gradient_frame(dim):
+    """Orthonormal basis of the trace-free dim x dim matrices, the span of
+    every mode gradient, shape (dim^2 - 1, dim, dim): `trace_free_frame`,
+    then the antisymmetric (e_a e_b^T - e_b e_a^T) / sqrt(2) for a < b,
+    made from its off-diagonal elements by negating the lower triangle."""
+    sym = trace_free_frame(dim)
+    off = sym[: dim * (dim - 1) // 2]
+    return np.concatenate([sym, np.triu(off) - np.tril(off)])
+
+
 class SpectralOperators:
     """Per-basis workspace: mode tables on the two collocation grids.
 
     The stress grid has 4*(kmax + 1) points per dimension; the shear factor
     is not polynomial, so its quadrature error decays spectrally in that
-    size (see the module docstring).  The stress table holds the mode
-    strains in the trace-free frame, shape (m, k*G), built straight from
-    their rank-one factors; set-up raises ValueError when some mode strain
-    has trace above 1e-12 * max|k|.  The convection grid has 3*kmax + 1
+    size (see the module docstring).  The convection grid has 3*kmax + 1
     points per dimension, the fewest on which every triple product of
     basis modes is integrated exactly, so convection is exact to rounding
-    and b(u, v, v) = 0 to rounding.  The tables take O(m * G) memory.
+    and b(u, v, v) = 0 to rounding.  Both grids take their scalar mode
+    waves from exact integer phases (`basis._grid_waves`).
+
+    Tables, each O(m * G) memory:
+
+    * stress: the mode strains in the trace-free frame, shape (m, k*G),
+      built straight from their rank-one factors; set-up raises
+      ValueError when some mode gradient has trace above 1e-12 * max|k|;
+    * convection synthesis: the mode velocities, shape (d*G, m);
+    * convection projection: the mode gradients in `_gradient_frame`,
+      shape (m, (d*d - 1)*G), strain coordinates (the first k*G columns)
+      then rotation coordinates.
     """
 
     def __init__(self, basis, oversample=4):
         self.basis = basis
+        dim, m = basis.dim, basis.size
         kmax = int(np.max(np.abs(basis.wavevectors)))
-        self.stress_grid_size = oversample * (kmax + 1)
-        pts, w = uniform_grid(basis.dim, self.stress_grid_size)
-        self._stress_weight = w
-        s, dtrig = mode_strain_factors(basis, pts)  # (m, d, d), (m, G)
-        k_norm = np.sqrt(basis.ksq.max())
-        if np.abs(np.trace(s, axis1=1, axis2=2)).max() > 1e-12 * k_norm:
+        # grad phi_m = (e_m (x) k_m) * dtrig_m, trace-free because e_m . k_m = 0
+        ek = np.einsum("ma,mb->mab", basis.polarizations, basis.wavevectors.astype(float))
+        if np.abs(np.trace(ek, axis1=1, axis2=2)).max() > 1e-12 * np.sqrt(basis.ksq.max()):
             raise ValueError("mode strains are not trace-free: polarizations not orthogonal to k")
-        coords = np.einsum("mab,kab->mk", s, trace_free_frame(basis.dim))  # (m, k)
-        self._frame_size = coords.shape[1]
-        self._strain_table = (coords[:, :, None] * dtrig[:, None, :]).reshape(basis.size, -1)
+        frame = _gradient_frame(dim)
+        coords = np.einsum("mab,jab->mj", ek, frame)  # (m, d*d - 1)
+        self._frame_size = k = dim * (dim + 1) // 2 - 1
+
+        self.stress_grid_size = oversample * (kmax + 1)
+        _, dtrig, self._stress_weight = _grid_waves(basis, self.stress_grid_size)
+        self._strain_table = (coords[:, :k, None] * dtrig[:, None, :]).reshape(m, -1)
         self._strain_table_t = self._strain_table.T
 
-        pts_c, w_c = uniform_grid(basis.dim, 3 * kmax + 1)
-        self._conv_weight = w_c
-        self._conv_vals, self._conv_grads = mode_fields(basis, pts_c)  # (m, d, G), (m, d, d, G)
-        # flat views of the tables for the batched products
-        m, d, g = self._conv_vals.shape
-        self._conv_vals_flat = self._conv_vals.reshape(m, d * g)
-        self._conv_vals_flat_t = self._conv_vals_flat.T
-        self._conv_grads_flat = self._conv_grads.reshape(m, d * d * g)
+        trig, dtrig, self._conv_weight = _grid_waves(basis, 3 * kmax + 1)
+        self._conv_vals = (basis.polarizations.T[:, None, :] * trig.T[None]).reshape(-1, m)
+        self._conv_table = (coords[:, :, None] * dtrig[:, None, :]).reshape(m, -1)
+        # the divergence form's sign and the quadrature weight ride on the
+        # frame rows that turn the grid products into flux coordinates
+        flux_frame = -self._conv_weight * frame.reshape(-1, dim * dim)
+        table_t = self._conv_table.T
+        self._flux = (flux_frame, table_t)
+        self._sym_flux = (flux_frame[:k], table_t[: k * dtrig.shape[1]])
 
     # -- nonlinear stress ---------------------------------------------------
 
@@ -177,17 +209,25 @@ class SpectralOperators:
     def convection(self, cu, cv):
         """Coefficients of the convection term B(u, v); batched over axis 0.
 
-        (B(u, v), w) = b(u, v, w) for every w in the truncation.  Synthesis
-        and projection are matrix products against the mode tables, so the
-        cost is O(m * G) per row with no m^3 intermediate.
+        (B(u, v), w) = b(u, v, w) = -int (v (x) u) : grad w dx for every w
+        in the truncation.  The momentum flux v (x) u is formed pointwise
+        from one synthesis of each field, turned into coordinates in
+        `_gradient_frame` and projected against the mode gradients, so the
+        cost is O(m * G) per row with no m^3 intermediate.  B(u, u), asked
+        for as `convection(u, u)` with one object, projects only the
+        trace-free symmetric part: u (x) u has no rotation part.
         """
-        _, d, g = self._conv_vals.shape
-        (u_c, batched), (v_c, _) = _as_batch(cu), _as_batch(cv)
-        u = (u_c @ self._conv_vals_flat).reshape(-1, d, g)
-        dv = (v_c @ self._conv_grads_flat).reshape(-1, d, d, g)
-        adv = np.einsum("pbg,pabg->pag", u, dv)  # (u . grad) v on the grid
-        out = adv.reshape(-1, d * g) @ self._conv_vals_flat_t
-        out *= self._conv_weight
+        u, batched = _as_batch(cu)
+        x = self._conv_vals @ u.T  # (d*G, P), component-major
+        if cv is cu:
+            y, (frame, table_t) = x, self._sym_flux
+        else:
+            v, _ = _as_batch(cv)
+            y, (frame, table_t) = self._conv_vals @ v.T, self._flux
+        d = self.basis.dim
+        flux = y.reshape(d, 1, -1) * x.reshape(1, d, -1)  # v_a u_b on the grid
+        coords = frame @ flux.reshape(d * d, -1)  # (frame size, G*P)
+        out = coords.reshape(-1, x.shape[1]).T @ table_t
         return out if batched else out[0]
 
 
@@ -233,7 +273,9 @@ def estimate_convection_bound(ops, rng, n_starts=24, n_rounds=5):
     b = ops.basis
     ksq = b.ksq.astype(float)
     eig = b.eigenvalues
-    vals, grads = ops._conv_vals, ops._conv_grads
+    vals, table = ops._conv_vals, ops._conv_table  # (d*G, m), (m, (d*d - 1)*G)
+    frame = _gradient_frame(b.dim)
+    n_grid = vals.shape[0] // b.dim
     # (n_starts, m) each, drawn restart by restart
     u, v, w = rng.standard_normal((n_starts, 3, b.size)).transpose(1, 0, 2)
 
@@ -241,9 +283,12 @@ def estimate_convection_bound(ops, rng, n_starts=24, n_rounds=5):
         return np.where(np.linalg.norm(new, axis=1)[:, None] > 0, new, old)
 
     for _ in range(n_rounds):
-        # (grad v)^T w = sum_a d_b(v_a) w_a on the grid, then projected
-        field = np.einsum("sabg,sag->sbg", np.tensordot(v, grads, 1), np.tensordot(w, vals, 1))
-        q = ops._conv_weight * np.tensordot(field, vals, ((1, 2), (1, 2)))
+        # (grad v)^T w = sum_a d_b(v_a) w_a on the grid, grad v summed from
+        # its frame coordinates, then projected
+        coords = (v @ table).reshape(n_starts, -1, n_grid)
+        w_grid = (w @ vals.T).reshape(n_starts, b.dim, n_grid)
+        field = np.einsum("sjg,jab,sag->sbg", coords, frame, w_grid)
+        q = ops._conv_weight * (field.reshape(n_starts, -1) @ vals)
         norm = np.linalg.norm(q, axis=1)[:, None]
         u = update(u, q / np.where(norm > 0, norm, 1.0))
         v = update(v, -ops.convection(u, w) / ksq)

@@ -47,12 +47,23 @@ def quadrature_forms(basis, coeffs, n):
 
 
 def convection_form_grid(ops, cu, cv, cw):
-    """b(u, v, w) as one grid sum on the operator's convection grid, without
-    projecting onto the modes (reference path for `ops.convection`)."""
-    u = np.einsum("m,mag->ag", cu, ops._conv_vals)
-    dv = np.einsum("m,mbag->bag", cv, ops._conv_grads)
-    w = np.einsum("m,mag->ag", cw, ops._conv_vals)
-    return float(ops._conv_weight * np.einsum("ag,bag,bg->", u, dv, w))
+    """b(u, v, w) = int (u . grad v) . w dx in advective form as one grid sum,
+    without projecting onto the modes (reference path for `ops.convection`).
+
+    Builds its own tables from float phases (`mode_values`,
+    `mode_gradients`) on the 3*kmax + 1 grid, which integrates the
+    integrand exactly; none of the operator's tables are read.
+    """
+    from levyfluid.basis import mode_gradients, mode_values, uniform_grid
+
+    basis = ops.basis
+    kmax = int(np.max(np.abs(basis.wavevectors)))
+    pts, weight = uniform_grid(basis.dim, 3 * kmax + 1)
+    vals = mode_values(basis, pts)
+    u = np.einsum("m,mag->ag", cu, vals)
+    dv = np.einsum("m,mbag->bag", cv, mode_gradients(basis, pts))
+    w = np.einsum("m,mag->ag", cw, vals)
+    return float(weight * np.einsum("ag,bag,bg->", u, dv, w))
 
 
 def compensated_increment(sigma, marks, coeffs, t0, t1, jump_marks):

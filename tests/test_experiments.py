@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from levyfluid import experiments, operators, solver
+from levyfluid import ergodics, experiments, operators, solver
 from levyfluid.config import parse_config_text
 from levyfluid.ergodics import EnsembleSpec, cauchy_study, draw_initials
 from levyfluid.experiments import build_model, run_ensemble, run_experiment
@@ -316,6 +316,44 @@ class TestCauchyRunner:
         spec = EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law())
         study = cauchy_study([build_model(cfg, level=level) for level in (4, 8, 16)], spec)
         assert summary["refine_dt"] is study["refine_dt"]
+
+
+OCCUPATION = """
+fluid.kappa0 = 0.5
+fluid.p = 1.5
+disc.level = 8
+disc.dt = 0.005
+disc.horizon = 1.0
+noise.kind = additive
+noise.gains = [0.4, 0.2]
+noise.scale = 0.5
+noise.shape_level = 4
+ensemble.paths = 8
+ensemble.seed = 5
+occupation.schedule = [0.5, 0.75, 1.0]
+occupation.burn_in = 0.25
+"""
+
+
+class TestBlownCounts:
+    @pytest.mark.parametrize("text", [
+        CAUCHY,
+        "experiment = occupation\n" + OCCUPATION,
+        "experiment = invariant-bound\n" + OCCUPATION,
+    ], ids=["cauchy", "occupation", "invariant-bound"])
+    def test_summary_reports_blown_paths(self, text, tmp_path, monkeypatch):
+        # paths 2 and 5 start past the blow-up norm, so they freeze at the
+        # first step and drop out of every statistic
+        real = ergodics.draw_initials
+
+        def doomed(spec, basis):
+            out = real(spec, basis)
+            out[[2, 5], 0] = 2e8
+            return out
+
+        monkeypatch.setattr(ergodics, "draw_initials", doomed)
+        run_experiment(parse_config_text(text), out_dir=tmp_path, workers=1)
+        assert json.loads((tmp_path / "summary.json").read_text())["n_blown"] == 2
 
 
 class TestArtifacts:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levyfluid import basis as basis_module
+from levyfluid import operators as operators_module
 from levyfluid.basis import (
     COS,
     build_basis,
@@ -170,11 +171,22 @@ class TestConvection:
         oracle = closed_form_convection(b)
         eye = np.eye(m)
         j, k = np.divmod(np.arange(m * m), m)
-        got = SpectralOperators(b).convection(eye[j], eye[k]).reshape(m, m, m)
+        ops = SpectralOperators(b)
+        got = ops.convection(eye[j], eye[k]).reshape(m, m, m)
         want = oracle.transpose(1, 2, 0)  # [j, k, i]
         scale = np.abs(want).max()
         assert scale > 0
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+        # B(u, u) through the symmetric-flux path: one object in both slots
+        np.testing.assert_allclose(ops.convection(eye, eye), want[np.arange(m), np.arange(m)],
+                                   rtol=1e-12, atol=1e-12 * scale)
+        u = np.random.default_rng(m).standard_normal((8, m))
+        want_uu = np.einsum("pj,pk,jki->pi", u, u, want)
+        fast = ops.convection(u, u)
+        np.testing.assert_allclose(fast, want_uu, rtol=1e-12, atol=1e-12 * np.abs(want_uu).max())
+        # a copy in the second slot takes the general path, rotation included
+        np.testing.assert_allclose(fast, ops.convection(u, u.copy()), rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_uu).max())
 
     def test_linear_in_first_slot_and_zero_at_origin(self, ops16, rng):
         v = rng.standard_normal(16)
@@ -391,23 +403,38 @@ class TestSetupMemory:
 class TestSetupTables:
     @pytest.mark.parametrize("level,dim", [(32, 2), (12, 3)])
     def test_one_phase_evaluation_per_grid(self, monkeypatch, level, dim):
-        # the convection tables are the per-table builds, bit for bit, from
-        # one phase evaluation on each of the two grids
+        # one integer-phase evaluation on each of the two grids and no float
+        # phases; the tables match the float-phase references to rounding
         b = build_basis(level, dim)
-        kmax = int(np.max(np.abs(b.wavevectors)))
-        pts, _ = uniform_grid(dim, 3 * kmax + 1)
-        vals, grads = mode_values(b, pts), mode_gradients(b, pts)
-        real, calls = basis_module._phase_tables, []
+        real, calls, float_calls = operators_module._grid_waves, [], []
 
-        def counted(basis, points):
-            calls.append(points.shape)
-            return real(basis, points)
+        def counted(basis, n):
+            calls.append(n)
+            return real(basis, n)
 
-        monkeypatch.setattr(basis_module, "_phase_tables", counted)
+        monkeypatch.setattr(operators_module, "_grid_waves", counted)
+        monkeypatch.setattr(basis_module, "_phase_tables",
+                            lambda *args: float_calls.append(args))
         ops = SpectralOperators(b)
-        assert len(calls) == 2 and calls[0] != calls[1]
-        assert np.array_equal(ops._conv_vals, vals)
-        assert np.array_equal(ops._conv_grads, grads)
+        monkeypatch.undo()
+        kmax = int(np.max(np.abs(b.wavevectors)))
+        assert sorted(calls) == sorted([ops.stress_grid_size, 3 * kmax + 1])
+        assert float_calls == []
+
+        m, frame = b.size, trace_free_frame(dim)
+        pts, _ = uniform_grid(dim, ops.stress_grid_size)
+        strains = np.einsum("mabg,kab->mkg", mode_strains(b, pts), frame)
+        np.testing.assert_allclose(ops._strain_table, strains.reshape(m, -1), rtol=0, atol=1e-13)
+        pts, _ = uniform_grid(dim, 3 * kmax + 1)
+        vals = mode_values(b, pts).transpose(1, 2, 0).reshape(-1, m)  # (d*G, m)
+        np.testing.assert_allclose(ops._conv_vals, vals, rtol=0, atol=1e-13)
+        table = ops._conv_table.reshape(m, -1, pts.shape[1])
+        strains = np.einsum("mabg,kab->mkg", mode_strains(b, pts), frame)
+        np.testing.assert_allclose(table[:, : frame.shape[0]], strains, rtol=0, atol=1e-13)
+        # the remaining coordinates carry the rotation: together with the
+        # strain they rebuild every mode gradient
+        grads = np.einsum("mjg,jab->mabg", table, operators_module._gradient_frame(dim))
+        np.testing.assert_allclose(grads, mode_gradients(b, pts), rtol=0, atol=1e-13)
 
 
 class TestFiniteDifferenceOracles:

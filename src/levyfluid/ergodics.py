@@ -364,33 +364,38 @@ def make_functional(name, basis, center=None, scale=1.0):
     return table[name]
 
 
-def semigroup_eval(model, phi, xi, t, n_paths, seed, *, path_offset=0):
-    """Monte Carlo estimate of E phi(u(t; xi)) with its standard error."""
+def semigroup_eval(model, phis, xi, t, n_paths, seed, *, path_offset=0):
+    """Monte Carlo estimates of E phi(u(t; xi)) with their standard errors.
+
+    `phis` maps names to functionals; each is evaluated on the same
+    terminals.  Returns name -> (estimate, standard error).
+    """
     if t == 0.0:
-        val = float(phi(np.asarray(xi, float)[None, :])[0])
-        return val, 0.0
+        start = np.asarray(xi, float)[None, :]
+        return {name: (float(phi(start)[0]), 0.0) for name, phi in phis.items()}
     cfg = model.config
     if abs(t - cfg.horizon) > 1e-12:
         raise ValueError("model horizon must equal the evaluation time")
     initials = np.tile(np.asarray(xi, float), (n_paths, 1))
     res = run_paths(model, initials, seed, n_out=2, path_offset=path_offset)
-    vals = phi(res.terminal[res.alive()])
-    return _mean_se(vals)
+    terminal = res.terminal[res.alive()]
+    return {name: _mean_se(phi(terminal)) for name, phi in phis.items()}
 
 
-def chapman_kolmogorov(model_t, model_s, model_ts, phi, xi, n_outer, n_inner, seed):
-    """Direct versus nested estimate of the (t+s)-step semigroup value.
+def chapman_kolmogorov(model_t, model_s, model_ts, phis, xi, n_outer, n_inner, seed):
+    """Direct versus nested estimates of the (t+s)-step semigroup values.
 
     t and s are the horizons of `model_t` and `model_s`; `model_ts` must
     have horizon t + s (`semigroup_eval` raises ValueError otherwise).
     The nested estimator runs n_outer paths to time t, then n_inner paths
     of length s from each terminal state (fresh streams), and averages
     the cluster means; its standard error uses the spread of the cluster
-    means.  Returns both estimates, their standard errors, and the
-    discrepancy z-score.
+    means.  Every functional of `phis` (name -> functional) is evaluated
+    on the terminals of one run of each stage.  Returns, per name, both
+    estimates, their standard errors, and the discrepancy z-score.
     """
     t, s = model_t.config.horizon, model_s.config.horizon
-    direct, direct_se = semigroup_eval(model_ts, phi, xi, t + s, n_outer * n_inner, seed)
+    direct = semigroup_eval(model_ts, phis, xi, t + s, n_outer * n_inner, seed)
 
     # disjoint stream index ranges decorrelate the three stages
     stage1 = run_paths(
@@ -400,47 +405,55 @@ def chapman_kolmogorov(model_t, model_s, model_ts, phi, xi, n_outer, n_inner, se
     seeds2 = np.repeat(np.arange(n_outer), n_inner)
     starts = stage1.terminal[seeds2]
     stage2 = run_paths(model_s, starts, seed, n_out=2, path_offset=2_000_000)
-    vals = phi(stage2.terminal)
-    cluster = vals.reshape(n_outer, n_inner).mean(axis=1)
-    nested, nested_se = _mean_se(cluster)
-    z = abs(direct - nested) / float(np.hypot(direct_se, nested_se) or 1.0)
-    return {
-        "direct": direct,
-        "direct_se": direct_se,
-        "nested": nested,
-        "nested_se": nested_se,
-        "z": z,
-    }
+    out = {}
+    for name, phi in phis.items():
+        cluster = phi(stage2.terminal).reshape(n_outer, n_inner).mean(axis=1)
+        nested, nested_se = _mean_se(cluster)
+        direct_mean, direct_se = direct[name]
+        z = abs(direct_mean - nested) / float(np.hypot(direct_se, nested_se) or 1.0)
+        out[name] = {
+            "direct": direct_mean,
+            "direct_se": direct_se,
+            "nested": nested,
+            "nested_se": nested_se,
+            "z": z,
+        }
+    return out
 
 
-def feller_modulus(model, phi, xi, direction, deltas, n_paths, seed):
-    """Continuity modulus along a deterministic approach to xi.
+def feller_modulus(model, phis, xi, direction, deltas, n_paths, seed):
+    """Continuity moduli along a deterministic approach to xi.
 
     Common random numbers: each perturbed start is coupled to the base
     start through the same jump streams, so |P_t phi(xi_k) - P_t phi(xi)|
-    is estimated from pathwise differences.  Returns one row per delta
-    with the modulus and its standard error.
+    is estimated from pathwise differences.  Every functional of `phis`
+    (name -> functional) is evaluated on the terminals of one run per
+    start.  Returns, per name, one row per delta with the modulus and its
+    standard error, and whether the moduli decrease within their errors.
     """
     base = np.asarray(xi, float)
     d = np.asarray(direction, float)
     d = d / np.linalg.norm(d)
     X = np.tile(base, (n_paths, 1))
     res0 = run_paths(model, X, seed, n_out=2)
-    phi0 = phi(res0.terminal)
-    rows = []
-    for delta in deltas:
-        # the base run's jump draw, shared by every perturbed start
-        resk = run_paths(model, X + delta * d, seed, n_out=2, jumps=res0.jumps)
-        diff = phi(resk.terminal) - phi0
-        mean, se = _mean_se(diff)
-        rows.append({"delta": float(delta), "modulus": abs(mean), "se": se})
-    moduli = [r["modulus"] for r in rows]
-    ses = [r["se"] for r in rows]
-    monotone = all(
-        moduli[i + 1] <= moduli[i] + 2.0 * (ses[i] + ses[i + 1])
-        for i in range(len(rows) - 1)
-    )
-    return {"rows": rows, "monotone": monotone}
+    # the base run's jump draw, shared by every perturbed start
+    terminals = [run_paths(model, X + delta * d, seed, n_out=2, jumps=res0.jumps).terminal
+                 for delta in deltas]
+    out = {}
+    for name, phi in phis.items():
+        phi0 = phi(res0.terminal)
+        rows = []
+        for delta, terminal in zip(deltas, terminals):
+            mean, se = _mean_se(phi(terminal) - phi0)
+            rows.append({"delta": float(delta), "modulus": abs(mean), "se": se})
+        moduli = [r["modulus"] for r in rows]
+        ses = [r["se"] for r in rows]
+        monotone = all(
+            moduli[i + 1] <= moduli[i] + 2.0 * (ses[i] + ses[i + 1])
+            for i in range(len(rows) - 1)
+        )
+        out[name] = {"rows": rows, "monotone": monotone}
+    return out
 
 
 # ---------------------------------------------------------------------------

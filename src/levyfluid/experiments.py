@@ -7,7 +7,7 @@ and returns a machine-readable exit status: 0 pass, 1 verdict fail,
 2 config error, 3 runtime blow-up.
 
 `run_ensemble` splits an ensemble into fixed-size blocks regardless of
-the worker count: ENSEMBLE_BLOCK = 64 paths for `run_paths` ensembles
+the worker count: ENSEMBLE_BLOCK = 128 paths for `run_paths` ensembles
 (moments, audit) and PAIR_BLOCK = 250 coupled pairs for contraction.  A
 block draws each path's jumps once and runs every level (moments, in one
 call for all its levels) or every separation (contraction) on them: the
@@ -23,9 +23,32 @@ block is a 750-row batch.  With m=16 and 1000 pairs (contraction.cfg),
 distance by up to 6.4e-13 of the largest) against one 3000-row batch, and
 64-pair blocks by 1.3e-13; the 250-pair blocks take the least CPU on one
 BLAS thread of a 2-vCPU host, 17.8 s against 20.1 s for one batch and
-20.2 s for 64-pair blocks.  Within a block, paths that
-share a start (mode1 or zero initials, the Chapman-Kolmogorov restarts)
-share one drift evaluation until their first jumps, and the base rows of
+20.2 s for 64-pair blocks.  ENSEMBLE_BLOCK was measured the same way.
+Much of a step's cost does not grow with its rows (the `_march`
+bookkeeping, the drift calls' fixed overhead, the advance), so larger
+blocks amortize it, while fewer blocks than workers leave a worker idle.
+Wall time of `run_experiment` (median [quartiles] of 14 runs per cell,
+the block order rotated between repetitions; 2-vCPU host, one BLAS
+thread):
+
+    run                     workers  64                    128                   256
+    moments, 256 paths (*)  1        0.604 [0.516, 0.662]  0.503 [0.422, 0.533]  0.421 [0.365, 0.453]
+                            2        0.396 [0.371, 0.469]  0.325 [0.306, 0.349]  0.391 [0.325, 0.428]
+    moments.cfg, 1000 paths 1        11.13 [10.78, 12.07]  10.18 [8.62, 10.95]   9.02 [8.48, 9.80]
+                            2        6.08 [5.49, 6.94]     5.47 [5.02, 5.84]     5.20 [4.79, 5.69]
+    audit.cfg, 256 paths    1        0.826 [0.690, 0.924]  0.734 [0.576, 0.756]  0.630 [0.513, 0.715]
+                            2        0.662 [0.573, 0.693]  0.574 [0.525, 0.617]  0.739 [0.599, 0.781]
+
+    (*) the benchmark's `ensemble` workload: levels 4-32, 250 steps, seed 1
+
+128 is the fastest at two workers on both 256-path ensembles, where 256
+makes one block and idles the second worker, and within the quartiles
+of 256 on moments.cfg; one worker favours 256.  The block stays one
+constant, so the artifacts stay byte-identical for any worker count.
+
+Within a block, paths that share a start (mode1 or zero initials, the
+Chapman-Kolmogorov restarts) share one drift evaluation until their
+first jumps, and the base rows of
 one path, equal in start and jump list in every separation, share it for
 the whole run, so the drift calls shrink and round in the last digits
 unlike calls on every row; the groups are found per block, so this too is
@@ -39,6 +62,7 @@ invariant-bound runners run in one process.
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -85,7 +109,7 @@ from .solver import (
 
 __all__ = ["run_experiment", "build_model", "run_ensemble", "ENSEMBLE_BLOCK", "PAIR_BLOCK"]
 
-ENSEMBLE_BLOCK = 64
+ENSEMBLE_BLOCK = 128
 PAIR_BLOCK = 250
 WORKERS_ENV = "LEVYFLUID_WORKERS"
 
@@ -400,19 +424,17 @@ def _run_feller(cfg, out_dir, workers):
     xi = cfg.initial_coeffs()
     direction = np.zeros(cfg.solver.level)
     direction[-1] = 1.0
-    ck_rows, mod_rows = [], []
-    ck_pass, mod_pass = True, True
-    for name in names:
-        phi = make_functional(name, model_t.basis)
-        ck = chapman_kolmogorov(model_t, model_s, model_ts, phi, xi, cfg.n_paths, n_inner,
-                                cfg.seed)
-        ck_rows.append((name, ck["direct"], ck["direct_se"], ck["nested"],
-                        ck["nested_se"], ck["z"]))
-        ck_pass = ck_pass and ck["z"] <= 4.0
-        mod = feller_modulus(model_t, phi, xi, direction, deltas, cfg.n_paths, cfg.seed)
-        for r in mod["rows"]:
-            mod_rows.append((name, r["delta"], r["modulus"], r["se"]))
-        mod_pass = mod_pass and mod["monotone"]
+    phis = {name: make_functional(name, model_t.basis) for name in names}
+    # one simulation of each path set serves every functional
+    cks = chapman_kolmogorov(model_t, model_s, model_ts, phis, xi, cfg.n_paths, n_inner,
+                             cfg.seed)
+    mods = feller_modulus(model_t, phis, xi, direction, deltas, cfg.n_paths, cfg.seed)
+    ck_rows = [(name, ck["direct"], ck["direct_se"], ck["nested"], ck["nested_se"], ck["z"])
+               for name, ck in cks.items()]
+    mod_rows = [(name, r["delta"], r["modulus"], r["se"])
+                for name, mod in mods.items() for r in mod["rows"]]
+    ck_pass = all(ck["z"] <= 4.0 for ck in cks.values())
+    mod_pass = all(mod["monotone"] for mod in mods.values())
     return {
         "passed": ck_pass and mod_pass,
         "chapman_kolmogorov_passed": ck_pass,
@@ -535,6 +557,7 @@ def run_experiment(cfg, out_dir=None, workers=None):
     2 config error, 3 runtime blow-up.  Partial outputs are flushed with
     a TRUNCATED marker when a run aborts.
     """
+    start = time.perf_counter()
     workers = default_workers() if workers is None else max(1, workers)
     out_dir = Path(cfg.out if out_dir is None else out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -565,7 +588,8 @@ def run_experiment(cfg, out_dir=None, workers=None):
     except BlowUpError as exc:
         summary = dict(base_summary, truncated=True, blow_up=exc.report, verdict="FAIL")
         write_summary(out_dir / "summary.json", summary)
-        write_run_meta(out_dir / "run_meta.json")
+        write_run_meta(out_dir / "run_meta.json", time.perf_counter() - start,
+                       {"workers": workers})
         (out_dir / "TRUNCATED").write_text(str(exc) + "\n")
         return 3, summary
     except (ConfigError, KeyError) as exc:
@@ -580,5 +604,5 @@ def run_experiment(cfg, out_dir=None, workers=None):
     summary = dict(base_summary, **report)
     summary["verdict"] = "PASS" if report.get("passed") else "FAIL"
     write_summary(out_dir / "summary.json", summary)
-    write_run_meta(out_dir / "run_meta.json", {"workers": workers})
+    write_run_meta(out_dir / "run_meta.json", time.perf_counter() - start, {"workers": workers})
     return (0 if report.get("passed") else 1), summary

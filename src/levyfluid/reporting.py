@@ -79,9 +79,10 @@ def write_summary(path, summary):
         fh.write("\n")
 
 
-def write_run_meta(path, extra=None):
-    """Wall-clock and environment metadata, segregated from the summary."""
-    meta = {"wall_time": time.time(), "clock": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+def write_run_meta(path, wall_time, extra=None):
+    """Run metadata, segregated from the summary: `wall_time`, the run's
+    duration in seconds, and `clock`, the local time it was written."""
+    meta = {"wall_time": wall_time, "clock": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
     if extra:
         meta.update(extra)
     with open(path, "w", encoding="utf-8") as fh:

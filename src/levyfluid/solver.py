@@ -64,9 +64,10 @@ drift, these savings change no bit.  `_march` yields stacked blocks of
 steps, each ending after a step its caller names as a cut (the output
 steps of `run_paths` and `run_pairs`), after at most FLUSH_STEPS steps,
 and after the last step; the cap bounds the memory of runs with few
-outputs.  A block holds the steps' post-step states, and their pieces
-(U, U1, M, ap, bb, qv) only for a caller that asks: keeping M and the
-drift across a block costs memory on wide batches.  The drivers do no
+outputs.  A block holds the post-step states of the members its caller
+folds (`run_pairs` folds only its first), and their pieces (U, U1, M, ap,
+bb, qv) only for a caller that asks: keeping states, M and the drift
+across a block costs memory on wide batches.  The drivers do no
 arithmetic per step: they fold each block into their accumulators in one
 vectorized pass: running sums by `np.add.accumulate` along the step axis,
 seeded with the running value, which adds in the order of per-step
@@ -215,11 +216,13 @@ class FluidModel:
     def advance(self, states, increment, ap, bb):
         """Apply one step of the configured scheme to a batch of states."""
         dt = self.dt
-        g = increment.copy()
+        # `increment` is never written: the first subtraction allocates
         if ap is not None:
-            g -= dt * (2.0 * self.params.kappa0) * ap
-        if bb is not None:
-            g -= dt * bb
+            g = increment - dt * (2.0 * self.params.kappa0) * ap
+            if bb is not None:
+                g -= dt * bb
+        else:
+            g = increment if bb is None else increment - dt * bb
         if self.config.scheme == "semi-implicit":
             return (states + g) / self._denom
         return states - dt * self.params.kappa1 * self.basis.eigenvalues * states + g
@@ -343,18 +346,20 @@ class _SharedDrift:
         self.freeze(live)
 
     def freeze(self, live):
-        """Choose the representatives among the `live` rows."""
-        self.live = live
-        self.reps = [(_latest(group, self.first, live), _latest(cls, self.first, live))
+        """Choose the representatives among the `live` rows: per member and
+        row, the row standing in for it while dormant and once it has jumped."""
+        own = np.arange(live.size)
+        self.reps = [tuple(np.where(live, _latest(key, self.first, live)[key], own)
+                           for key in (group, cls))
                      for group, cls in self.keys]
 
     def at(self, n):
         """Per member, (rows to evaluate, index scattering their drift to
         every row) at step n, or None when every row needs its own."""
-        dormant, own = self.first >= n, np.arange(self.first.size)
+        dormant = self.first >= n
         shares = []
-        for (group, cls), (rep_group, rep_cls) in zip(self.keys, self.reps):
-            rep = np.where(self.live, np.where(dormant, rep_group[group], rep_cls[cls]), own)
+        for on_group, on_class in self.reps:
+            rep = np.where(dormant, on_group, on_class)
             keep = np.zeros(rep.size, bool)
             keep[rep] = True
             rows = np.flatnonzero(keep)
@@ -379,7 +384,7 @@ def _latest(key, first, live):
 
 
 def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
-           keep_pieces=False):
+           keep_pieces=False, fold=None):
     """Step member i, `states[i]` of shape (P, m_i), by `models[i]`, all in lockstep.
 
     The members share one dt: the steps are models[0]'s n_steps of size
@@ -396,9 +401,10 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
     after a step whose number (1..n_steps) is in `cuts` and after the last
     step.  Per step of a block (k steps), stacked: `steps`, `t` (end
     times) and `n_jumps` (event counts), each (k,); `live` (k, P); per
-    member `U1` (k*P, m_i), the post-step states; and, with `keep_pieces`,
-    per member the stacked (U, U1, M, ap, bb, qv) of `_stack_pieces`, else
-    None.
+    folded member `U1` (k*P, m_i), the post-step states; and, with
+    `keep_pieces`, per folded member the stacked (U, U1, M, ap, bb, qv) of
+    `_stack_pieces`, else None.  The folded members are those `fold`
+    names by index, in its order; by default every member.
     """
     jt = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
     jm = np.concatenate([np.empty(0, np.int64)] + [marks for _, marks in jumps])
@@ -417,6 +423,7 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
     shares, regroup = shared.at(0), False
     leave = set((first[first < n_steps] + 1).tolist())  # steps where some path leaves
     cap = models[0].config.blowup_norm ** 2
+    fold = range(len(models)) if fold is None else fold
     block = []  # the steps since the last yield
     for n in range(n_steps):
         lo, hi = bounds[n], bounds[n + 1]
@@ -431,14 +438,16 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
                 ap, bb = model.drift_pieces(U)
             else:
                 rows, scatter = share
-                ap, bb = (None if a is None else np.take(a, scatter, axis=0)
-                          for a in model.drift_pieces(np.take(U, rows, axis=0)))
+                ap, bb = (None if a is None else a.take(scatter, axis=0)
+                          for a in model.drift_pieces(U.take(rows, axis=0)))
             pieces.append((U, model.advance(U, M, ap, bb), M, ap, bb, qv))
-        l2 = [(U1 * U1).sum(axis=1) for _, U1, *_ in pieces]
-        fine = l2[0] <= cap
-        for sq in l2[1:]:
-            fine &= sq <= cap
-        if not fine.all():
+        # a member's whole sum of squares bounds each of its rows', and is
+        # NaN or inf if any entry is: rows are checked only when one fails
+        if not all(np.vdot(U1, U1) <= cap for _, U1, *_ in pieces):
+            l2 = [(U1 * U1).sum(axis=1) for _, U1, *_ in pieces]
+            fine = l2[0] <= cap
+            for sq in l2[1:]:
+                fine &= sq <= cap
             bad = live & ~fine
             if bad.any():
                 if raise_blowup:
@@ -458,8 +467,8 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
             if frozen is not None:
                 U1[frozen] = U[frozen]
             states[i] = U1
-        block.append((n + 1, t[n + 1], hi - lo, live, list(states),
-                      pieces if keep_pieces else None))
+        block.append((n + 1, t[n + 1], hi - lo, live, [states[i] for i in fold],
+                      [pieces[i] for i in fold] if keep_pieces else None))
         if n + 1 in cuts or len(block) == FLUSH_STEPS or n + 1 == n_steps:
             stacked = _stack_block(block, len(jumps), keep_pieces)
             block = []  # before the caller folds it: the per-step arrays go
@@ -724,7 +733,7 @@ def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, jumps=None):
     if jumps is None:
         jumps = _draw_jumps(model, seed, n_paths, 0)
     out = _output_steps(model.n_steps, n_out)
-    for block in _march([model, model], states, blow_steps, jumps, cuts=out):
+    for block in _march([model, model], states, blow_steps, jumps, cuts=out, fold=(0,)):
         h2 = np.sum(model.basis.eigenvalues * block.U1[0] ** 2, axis=1)
         diss1 = _running_sum(diss1, model.dt * h2.reshape(block.steps.size, n_paths),
                              block.live)[-1]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,23 @@ ensemble.paths = 32
 ensemble.seed = 6
 ensemble.initial = gaussian
 ensemble.scale = 0.4
+"""
+
+# the explicit scheme at dt = 0.25 multiplies each mode by 1 - 12.5*lambda:
+# integrate aborts the audit's first path with exit code 3
+BLOWUP = """
+experiment = audit
+fluid.kappa1 = 50.0
+disc.level = 8
+disc.dt = 0.25
+disc.horizon = 5.0
+disc.scheme = explicit
+disc.convection = false
+disc.stress = false
+noise.kind = zero
+ensemble.paths = 4
+ensemble.initial = mode1
+ensemble.scale = 1.0
 """
 
 
@@ -96,6 +114,19 @@ class TestRunCommand:
         assert (out / "ledger0.jsonl").exists()
         assert (out / "jumps0.jsonl").exists()
 
+    @pytest.mark.parametrize("text, code", [(BASE, 0), (BLOWUP, 3)], ids=["pass", "blowup"])
+    def test_run_meta_records_the_duration(self, tmp_path, text, code):
+        # wall_time is the run's duration, not a timestamp: positive and no
+        # longer than the call that made it
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "meta"
+        start = time.perf_counter()
+        assert main(["run", "--config", cfg, "--out", str(out)]) == code
+        elapsed = time.perf_counter() - start
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert 0.0 < meta["wall_time"] <= elapsed
+        assert meta["clock"] and meta["workers"] >= 1
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         o1, o2 = tmp_path / "a", tmp_path / "b"
@@ -130,21 +161,7 @@ class TestRunCommand:
         assert summary["measured"] > 1e-6
 
     def test_blowup_exit_three_with_truncation_marker(self, tmp_path):
-        text = (
-            "experiment = audit\n"
-            "fluid.kappa1 = 50.0\n"
-            "disc.level = 8\n"
-            "disc.dt = 0.25\n"
-            "disc.horizon = 5.0\n"
-            "disc.scheme = explicit\n"
-            "disc.convection = false\n"
-            "disc.stress = false\n"
-            "noise.kind = zero\n"
-            "ensemble.paths = 4\n"
-            "ensemble.initial = mode1\n"
-            "ensemble.scale = 1.0\n"
-        )
-        cfg = write_cfg(tmp_path, text)
+        cfg = write_cfg(tmp_path, BLOWUP)
         out = tmp_path / "boom"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 3
         assert (out / "TRUNCATED").exists()

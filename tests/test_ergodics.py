@@ -188,7 +188,7 @@ class TestSemigroup:
     def test_constant_functional_is_one(self):
         model = make_model(horizon=0.25)
         phi = make_functional("one", model.basis)
-        val, se = semigroup_eval(model, phi, np.zeros(8), 0.25, 16, seed=3)
+        val, se = semigroup_eval(model, {"one": phi}, np.zeros(8), 0.25, 16, seed=3)["one"]
         assert val == 1.0 and se == 0.0
 
     def test_time_zero_evaluates_pointwise(self):
@@ -196,7 +196,7 @@ class TestSemigroup:
         xi = np.zeros(8)
         xi[0] = 0.3
         phi = make_functional("gauss_bump", model.basis)
-        val, se = semigroup_eval(model, phi, xi, 0.0, 16, seed=3)
+        val, se = semigroup_eval(model, {"gauss_bump": phi}, xi, 0.0, 16, seed=3)["gauss_bump"]
         assert val == pytest.approx(np.exp(-0.09))
         assert se == 0.0
 
@@ -206,21 +206,22 @@ class TestSemigroup:
 
     def test_chapman_kolmogorov_agreement(self):
         model_t, model_s, model_ts = (make_model(dt=2.5e-3, horizon=h) for h in (0.25, 0.25, 0.5))
-        phi = make_functional("inv_bump", build_basis(8, 2))
-        out = chapman_kolmogorov(model_t, model_s, model_ts, phi, np.zeros(8),
-                                 n_outer=32, n_inner=16, seed=5)
+        phis = {"inv_bump": make_functional("inv_bump", build_basis(8, 2))}
+        out = chapman_kolmogorov(model_t, model_s, model_ts, phis, np.zeros(8),
+                                 n_outer=32, n_inner=16, seed=5)["inv_bump"]
         assert out["z"] <= 4.0, out
         # the direct stage runs to t + s, read from the other two horizons
         with pytest.raises(ValueError, match="horizon"):
-            chapman_kolmogorov(model_t, model_s, model_t, phi, np.zeros(8),
+            chapman_kolmogorov(model_t, model_s, model_t, phis, np.zeros(8),
                                n_outer=2, n_inner=2, seed=5)
 
     def test_feller_modulus_decreases(self):
         model = make_model(dt=2.5e-3, horizon=0.25)
-        phi = make_functional("gauss_bump", model.basis)
+        phis = {"gauss_bump": make_functional("gauss_bump", model.basis)}
         d = np.zeros(8)
         d[-1] = 1.0
-        out = feller_modulus(model, phi, np.zeros(8), d, [0.4, 0.2, 0.1], 64, seed=6)
+        out = feller_modulus(model, phis, np.zeros(8), d, [0.4, 0.2, 0.1], 64,
+                             seed=6)["gauss_bump"]
         assert out["monotone"], out["rows"]
         assert out["rows"][-1]["modulus"] < out["rows"][0]["modulus"] + 1e-9
 
@@ -228,10 +229,10 @@ class TestSemigroup:
         # every delta reuses the base run's jumps: one draw per path, and the
         # rows of a fresh draw per delta, bit for bit
         model = make_model(dt=2.5e-3, horizon=0.25)
-        phi = make_functional("gauss_bump", model.basis)
+        phis = {"gauss_bump": make_functional("gauss_bump", model.basis)}
         d = np.zeros(8)
         d[-1] = 1.0
-        args = (model, phi, np.zeros(8), d, [0.4, 0.2, 0.1], 24)
+        args = (model, phis, np.zeros(8), d, [0.4, 0.2, 0.1], 24)
         real_sample, real_run = solver.sample_jumps, ergodics.run_paths
         calls = []
 
@@ -250,6 +251,32 @@ class TestSemigroup:
         calls.clear()
         assert feller_modulus(*args, seed=6) == out
         assert len(calls) == 24 * 4
+
+    def test_functionals_share_one_simulation(self, monkeypatch):
+        # several functionals in one call step each path set once and give
+        # each functional the values of a call of its own, bit for bit
+        model_t, model_s, model_ts = (make_model(dt=2.5e-3, horizon=h) for h in (0.25, 0.25, 0.5))
+        names = ("gauss_bump", "inv_bump", "cos_coord")
+        phis = {name: make_functional(name, model_t.basis) for name in names}
+        xi, d = np.zeros(8), np.zeros(8)
+        d[-1] = 1.0
+        real_run = ergodics.run_paths
+        runs = []
+
+        def counted(*a, **kw):
+            runs.append(a[0])
+            return real_run(*a, **kw)
+
+        monkeypatch.setattr(ergodics, "run_paths", counted)
+        ck = chapman_kolmogorov(model_t, model_s, model_ts, phis, xi, 8, 4, seed=5)
+        mod = feller_modulus(model_t, phis, xi, d, [0.4, 0.2], 16, seed=6)
+        assert len(runs) == 3 + 3  # three stages; the base and one start per delta
+        for name, phi in phis.items():
+            one = {name: phi}
+            assert chapman_kolmogorov(model_t, model_s, model_ts, one, xi, 8, 4, seed=5) == {
+                name: ck[name]}
+            assert feller_modulus(model_t, one, xi, d, [0.4, 0.2], 16, seed=6) == {
+                name: mod[name]}
 
 
 class TestOccupation:

@@ -1,3 +1,4 @@
+import copy
 import pickle
 from dataclasses import replace
 
@@ -559,6 +560,44 @@ class TestLeanStepping:
         for n in range(step, model.n_steps):
             for i in range(3):
                 assert np.array_equal(history[n][i], history[step - 1][i])
+        assert all(np.isfinite(U).all() for U in states)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_freezes_every_member(self, bad):
+        # the second member's advance writes `bad` into path 1 on step 4: the
+        # path freezes in every member at its step-3 state and counts as
+        # blown, and the other paths step as in a run without it
+        model = make_model(dt=2e-3, horizon=0.02)
+        poisoned = copy.copy(model)
+        calls = []
+
+        def advance(U, M, ap, bb):
+            U1 = model.advance(U, M, ap, bb)
+            if len(calls) == 4:
+                U1[1, 2] = bad
+            calls.append(None)
+            return U1
+
+        poisoned.advance = advance
+        X = 0.4 * np.random.default_rng(5).standard_normal((3, 8))
+        jumps = _draw_jumps(model, 11, 3, 0)
+
+        def history(models):
+            states, blow_steps = [X.copy() for _ in models], np.full(3, -1)
+            rows = [[] for _ in models]
+            for block in _march(models, states, blow_steps, jumps, cuts={3, 7}):
+                for i, U1 in enumerate(block.U1):
+                    rows[i].append(U1.reshape(block.steps.size, 3, 8))
+            return [np.concatenate(r) for r in rows], blow_steps, states
+
+        clean, clean_steps, _ = history([model] * 3)
+        got, blow_steps, states = history([model, poisoned, model])
+        assert clean_steps.tolist() == [-1, -1, -1]
+        assert blow_steps.tolist() == [-1, 4, -1]
+        for i in range(3):
+            assert np.array_equal(got[i][:4], clean[i][:4])
+            assert np.array_equal(got[i][4:, 1], np.broadcast_to(clean[i][3, 1], (6, 8)))
+            assert np.array_equal(got[i][:, [0, 2]], clean[i][:, [0, 2]])
         assert all(np.isfinite(U).all() for U in states)
 
 

@@ -133,6 +133,8 @@ _OPTION_RULES = {
     "contraction.separations": (lambda v: len(v) > 0 and min(v) > 0, "need one or more, each > 0"),
     "feller.inner": (lambda v: v >= 1, "must be >= 1"),
     "feller.deltas": (lambda v: len(v) > 0, "need one or more distances"),
+    "feller.functionals": (lambda v: any(n.strip() for n in v.split(",")),
+                           "need one or more functional names"),
 }
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import STREAM_INITIAL, STREAM_STATS, derive_rng
-from .solver import run_levels, run_pairs, run_paths
+from .solver import _draw_jumps, run_levels, run_pairs, run_paths
 
 __all__ = [
     "EnsembleSpec",
@@ -364,21 +364,27 @@ def make_functional(name, basis, center=None, scale=1.0):
     return table[name]
 
 
+def _terminals(model, xi, t, n_paths, seed, path_offset=0):
+    """Terminals of `n_paths` runs from xi to t that did not blow up, and
+    the number that did."""
+    if abs(t - model.config.horizon) > 1e-12:
+        raise ValueError("model horizon must equal the evaluation time")
+    res = run_paths(model, np.tile(np.asarray(xi, float), (n_paths, 1)), seed, n_out=2,
+                    path_offset=path_offset)
+    return res.terminal[res.alive()], int(res.blown.sum())
+
+
 def semigroup_eval(model, phis, xi, t, n_paths, seed, *, path_offset=0):
     """Monte Carlo estimates of E phi(u(t; xi)) with their standard errors.
 
     `phis` maps names to functionals; each is evaluated on the same
-    terminals.  Returns name -> (estimate, standard error).
+    terminals, those of the paths that did not blow up.  Returns name ->
+    (estimate, standard error).
     """
     if t == 0.0:
         start = np.asarray(xi, float)[None, :]
         return {name: (float(phi(start)[0]), 0.0) for name, phi in phis.items()}
-    cfg = model.config
-    if abs(t - cfg.horizon) > 1e-12:
-        raise ValueError("model horizon must equal the evaluation time")
-    initials = np.tile(np.asarray(xi, float), (n_paths, 1))
-    res = run_paths(model, initials, seed, n_out=2, path_offset=path_offset)
-    terminal = res.terminal[res.alive()]
+    terminal, _ = _terminals(model, xi, t, n_paths, seed, path_offset)
     return {name: _mean_se(phi(terminal)) for name, phi in phis.items()}
 
 
@@ -386,30 +392,39 @@ def chapman_kolmogorov(model_t, model_s, model_ts, phis, xi, n_outer, n_inner, s
     """Direct versus nested estimates of the (t+s)-step semigroup values.
 
     t and s are the horizons of `model_t` and `model_s`; `model_ts` must
-    have horizon t + s (`semigroup_eval` raises ValueError otherwise).
-    The nested estimator runs n_outer paths to time t, then n_inner paths
-    of length s from each terminal state (fresh streams), and averages
-    the cluster means; its standard error uses the spread of the cluster
-    means.  Every functional of `phis` (name -> functional) is evaluated
-    on the terminals of one run of each stage.  Returns, per name, both
-    estimates, their standard errors, and the discrepancy z-score.
+    have horizon t + s (ValueError otherwise).  The nested estimator runs
+    n_outer paths to time t, then n_inner paths of length s from each
+    terminal state (fresh streams), and averages the cluster means; its
+    standard error uses the spread of the cluster means.  Blown paths are
+    dropped, not averaged: a direct path, an outer path with its whole
+    cluster, an inner path from its cluster (and a cluster left empty).
+    Every functional of `phis` (name -> functional) is evaluated on the
+    terminals of one run of each stage.  Returns, per name, both
+    estimates, their standard errors, the discrepancy z-score and the
+    blown counts `n_blown_direct`, `n_blown_outer` and `n_blown_inner`
+    (inner paths of clusters that kept their outer path).
     """
     t, s = model_t.config.horizon, model_s.config.horizon
-    direct = semigroup_eval(model_ts, phis, xi, t + s, n_outer * n_inner, seed)
+    direct, n_direct = _terminals(model_ts, xi, t + s, n_outer * n_inner, seed)
 
     # disjoint stream index ranges decorrelate the three stages
     stage1 = run_paths(
         model_t, np.tile(np.asarray(xi, float), (n_outer, 1)), seed,
         n_out=2, path_offset=1_000_000,
     )
-    seeds2 = np.repeat(np.arange(n_outer), n_inner)
-    starts = stage1.terminal[seeds2]
+    starts = np.repeat(stage1.terminal, n_inner, axis=0)
     stage2 = run_paths(model_s, starts, seed, n_out=2, path_offset=2_000_000)
+    alive, inner_blown = stage1.alive()[:, None], stage2.blown.reshape(n_outer, n_inner)
+    kept = alive & ~inner_blown
+    clusters = kept.any(axis=1)
+    counts = {"n_blown_direct": n_direct, "n_blown_outer": int(stage1.blown.sum()),
+              "n_blown_inner": int((alive & inner_blown).sum())}
     out = {}
     for name, phi in phis.items():
-        cluster = phi(stage2.terminal).reshape(n_outer, n_inner).mean(axis=1)
+        values = np.where(kept, phi(stage2.terminal).reshape(n_outer, n_inner), 0.0)
+        cluster = values.sum(axis=1)[clusters] / kept.sum(axis=1)[clusters]
         nested, nested_se = _mean_se(cluster)
-        direct_mean, direct_se = direct[name]
+        direct_mean, direct_se = _mean_se(phi(direct))
         z = abs(direct_mean - nested) / float(np.hypot(direct_se, nested_se) or 1.0)
         out[name] = {
             "direct": direct_mean,
@@ -417,6 +432,7 @@ def chapman_kolmogorov(model_t, model_s, model_ts, phis, xi, n_outer, n_inner, s
             "nested": nested,
             "nested_se": nested_se,
             "z": z,
+            **counts,
         }
     return out
 
@@ -424,28 +440,31 @@ def chapman_kolmogorov(model_t, model_s, model_ts, phis, xi, n_outer, n_inner, s
 def feller_modulus(model, phis, xi, direction, deltas, n_paths, seed):
     """Continuity moduli along a deterministic approach to xi.
 
-    Common random numbers: each perturbed start is coupled to the base
-    start through the same jump streams, so |P_t phi(xi_k) - P_t phi(xi)|
-    is estimated from pathwise differences.  Every functional of `phis`
-    (name -> functional) is evaluated on the terminals of one run per
-    start.  Returns, per name, one row per delta with the modulus and its
-    standard error, and whether the moduli decrease within their errors.
+    Common random numbers: the base start and every perturbed start step
+    in one run under one jump draw per path, so |P_t phi(xi_k) - P_t phi(xi)|
+    is estimated from pathwise differences.  A pair is dropped when either
+    of its paths blew up.  Every functional of `phis` (name -> functional)
+    is evaluated on the terminals of that run.  Returns, per name, one row
+    per delta with the modulus, its standard error and the number of pairs
+    dropped, and whether the moduli decrease within their errors.
     """
-    base = np.asarray(xi, float)
     d = np.asarray(direction, float)
     d = d / np.linalg.norm(d)
-    X = np.tile(base, (n_paths, 1))
-    res0 = run_paths(model, X, seed, n_out=2)
-    # the base run's jump draw, shared by every perturbed start
-    terminals = [run_paths(model, X + delta * d, seed, n_out=2, jumps=res0.jumps).terminal
-                 for delta in deltas]
+    X = np.tile(np.asarray(xi, float), (n_paths, 1))
+    # row i*P + p is start i (the base, then one per delta) of path p
+    starts = np.concatenate([X] + [X + delta * d for delta in deltas])
+    jumps = _draw_jumps(model, seed, n_paths, 0)
+    res = run_paths(model, starts, seed, n_out=2, jumps=jumps * (len(deltas) + 1))
+    blown = res.blown.reshape(-1, n_paths)
     out = {}
     for name, phi in phis.items():
-        phi0 = phi(res0.terminal)
+        values = phi(res.terminal).reshape(-1, n_paths)
         rows = []
-        for delta, terminal in zip(deltas, terminals):
-            mean, se = _mean_se(phi(terminal) - phi0)
-            rows.append({"delta": float(delta), "modulus": abs(mean), "se": se})
+        for delta, value, lost in zip(deltas, values[1:], blown[1:]):
+            kept = ~(blown[0] | lost)
+            mean, se = _mean_se(value[kept] - values[0][kept])
+            rows.append({"delta": float(delta), "modulus": abs(mean), "se": se,
+                         "n_dropped": int(kept.size - kept.sum())})
         moduli = [r["modulus"] for r in rows]
         ses = [r["se"] for r in rows]
         monotone = all(

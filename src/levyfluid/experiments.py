@@ -435,10 +435,18 @@ def _run_feller(cfg, out_dir, workers):
                 for name, mod in mods.items() for r in mod["rows"]]
     ck_pass = all(ck["z"] <= 4.0 for ck in cks.values())
     mod_pass = all(mod["monotone"] for mod in mods.values())
+    # the counts are the same for every functional: they come from one run per path set
+    ck, mod = cks[names[0]], mods[names[0]]
     return {
         "passed": ck_pass and mod_pass,
         "chapman_kolmogorov_passed": ck_pass,
         "modulus_monotone": mod_pass,
+        "n_blown": {
+            "direct": ck["n_blown_direct"],
+            "outer": ck["n_blown_outer"],
+            "inner": ck["n_blown_inner"],
+            "modulus_pairs": [r["n_dropped"] for r in mod["rows"]],
+        },
         "tables": {
             "chapman_kolmogorov": (
                 ("functional", "direct", "direct_se", "nested", "nested_se", "z"),
@@ -555,7 +563,10 @@ def run_experiment(cfg, out_dir=None, workers=None):
 
     Returns (exit_code, summary).  Exit codes: 0 pass, 1 verdict fail,
     2 config error, 3 runtime blow-up.  Partial outputs are flushed with
-    a TRUNCATED marker when a run aborts.
+    a TRUNCATED marker when a run aborts.  A run that reaches its runner
+    writes run_meta.json: `wall_time` and the seconds of its phases,
+    `certify_s` (the noise certificate), `run_s` (the runner) and
+    `write_s` (the CSV tables and the summary).
     """
     start = time.perf_counter()
     workers = default_workers() if workers is None else max(1, workers)
@@ -565,9 +576,11 @@ def run_experiment(cfg, out_dir=None, workers=None):
     basis = build_basis(cfg.solver.level, cfg.solver.dim)
     marks = cfg.marks()
     sigma = cfg.make_sigma(marks)
+    t0 = time.perf_counter()
     cert = certify_noise_bounds(
         sigma, marks, cfg.solver.level, derive_rng(cfg.seed, STREAM_STATS, 999)
     )
+    meta = {"workers": workers, "certify_s": time.perf_counter() - t0}
     base_summary = {
         "experiment": cfg.experiment,
         "config": cfg.canonical(),
@@ -583,13 +596,16 @@ def run_experiment(cfg, out_dir=None, workers=None):
         write_summary(out_dir / "summary.json", summary)
         (out_dir / "TRUNCATED").write_text("noise bounds certificate failed\n")
         return 2, summary
+    t0 = time.perf_counter()
     try:
         report = _RUNNERS[cfg.experiment](cfg, out_dir, workers)
     except BlowUpError as exc:
+        meta["run_s"] = time.perf_counter() - t0
         summary = dict(base_summary, truncated=True, blow_up=exc.report, verdict="FAIL")
+        t0 = time.perf_counter()
         write_summary(out_dir / "summary.json", summary)
-        write_run_meta(out_dir / "run_meta.json", time.perf_counter() - start,
-                       {"workers": workers})
+        meta["write_s"] = time.perf_counter() - t0
+        write_run_meta(out_dir / "run_meta.json", time.perf_counter() - start, meta)
         (out_dir / "TRUNCATED").write_text(str(exc) + "\n")
         return 3, summary
     except (ConfigError, KeyError) as exc:
@@ -597,12 +613,15 @@ def run_experiment(cfg, out_dir=None, workers=None):
         write_summary(out_dir / "summary.json", summary)
         (out_dir / "TRUNCATED").write_text(str(exc) + "\n")
         return 2, summary
+    meta["run_s"] = time.perf_counter() - t0
 
+    t0 = time.perf_counter()
     tables = report.pop("tables", {})
     for name, (columns, rows) in tables.items():
         write_series(out_dir / f"{name}.csv", columns, rows, config_hash=chash)
     summary = dict(base_summary, **report)
     summary["verdict"] = "PASS" if report.get("passed") else "FAIL"
     write_summary(out_dir / "summary.json", summary)
-    write_run_meta(out_dir / "run_meta.json", time.perf_counter() - start, {"workers": workers})
+    meta["write_s"] = time.perf_counter() - t0
+    write_run_meta(out_dir / "run_meta.json", time.perf_counter() - start, meta)
     return (0 if report.get("passed") else 1), summary

@@ -3,15 +3,16 @@
 The mark space is a finite set of atoms with strictly positive rates; jump
 times are exponential clocks with the total rate and the marks are drawn
 categorically, which simulates the random measure exactly.  The jump
-amplitude map sigma(u, z) is autonomous and carries declared growth /
-Lipschitz / fourth moment budgets
+amplitude map is autonomous and factors as sigma(u, z_j) = g_j c(u), a
+per-mark gain times one core.  It carries declared growth / Lipschitz /
+fourth moment budgets
 
     sum_j nu_j |sigma(u, z_j)|^2             <= l0 + l1 |u|^2
     sum_j nu_j |sigma(u, z_j) - sigma(v, z_j)|^2 <= l2 |u - v|^2
     sum_j nu_j |sigma(u, z_j)|^4             <= l3 (1 + |u|^4)
 
 which every catalogue entry states in closed form and which
-`certify_noise_bounds` checks by randomized sampling.
+`certify_noise_bounds` checks by randomized sampling of the core.
 
 Randomness comes from counter-keyed Philox streams: one root seed plus a
 (kind, index) pair per consumer, so ensembles are reproducible and
@@ -113,19 +114,25 @@ def sample_jumps(marks, horizon, rng):
 
 
 class NoiseCoefficient:
-    """Jump amplitude map with declared moment budgets.
+    """Jump amplitude map sigma(u, z_j) = g_j c(u) with declared moment budgets.
 
-    Subclasses implement `block(states)` returning the amplitudes for
-    every mark at once, shape (K, P, m) for states of shape (P, m).
-    `state_free` declares that the block does not depend on the states,
-    only on their shape, so a solver may compute it once per batch shape.
+    Subclasses set the per-mark `gains` g (K,) and implement `core(states)`,
+    c(u) of shape (P, m) for states of shape (P, m).  `state_free` declares
+    that the core is one row whatever the states, so a solver may compute
+    the amplitudes once.
     """
 
     bounds: "NoiseBounds"
     kind = "abstract"
     state_free = False
 
-    def block(self, states):
+    def __init__(self, marks, gains):
+        self.marks = marks
+        self.gains = np.broadcast_to(np.asarray(gains, dtype=float), (marks.size,)).copy()
+        # the mark sums of the budgets: sum_j nu_j g_j^2 and sum_j nu_j g_j^4
+        self.c2, self.c4 = (float(np.sum(marks.rates * self.gains**k)) for k in (2, 4))
+
+    def core(self, states):
         raise NotImplementedError
 
 
@@ -145,22 +152,16 @@ class NoiseBounds:
         }
 
 
-def _gains(marks, gains):
-    g = np.broadcast_to(np.asarray(gains, dtype=float), (marks.size,)).copy()
-    return g
-
-
 class ZeroNoise(NoiseCoefficient):
     kind = "zero"
     state_free = True
 
     def __init__(self, marks):
-        self.marks = marks
+        super().__init__(marks, 0.0)
         self.bounds = NoiseBounds(0.0, 0.0, 0.0, 0.0)
 
-    def block(self, states):
-        p, m = states.shape
-        return np.zeros((self.marks.size, p, m))
+    def core(self, states):
+        return np.zeros(states.shape)
 
 
 class LinearNoise(NoiseCoefficient):
@@ -169,14 +170,11 @@ class LinearNoise(NoiseCoefficient):
     kind = "linear"
 
     def __init__(self, marks, gains):
-        self.marks = marks
-        self.gains = _gains(marks, gains)
-        c2 = float(np.sum(marks.rates * self.gains**2))
-        c4 = float(np.sum(marks.rates * self.gains**4))
-        self.bounds = NoiseBounds(0.0, c2, c2, c4)
+        super().__init__(marks, gains)
+        self.bounds = NoiseBounds(0.0, self.c2, self.c2, self.c4)
 
-    def block(self, states):
-        return self.gains[:, None, None] * states[None, :, :]
+    def core(self, states):
+        return states
 
 
 class AdditiveNoise(NoiseCoefficient):
@@ -186,13 +184,10 @@ class AdditiveNoise(NoiseCoefficient):
     state_free = True
 
     def __init__(self, marks, gains, shape_coeffs):
-        self.marks = marks
-        self.gains = _gains(marks, gains)
+        super().__init__(marks, gains)
         self.shape = np.asarray(shape_coeffs, dtype=float).copy()
         hsq = float(np.sum(self.shape**2))
-        c2 = float(np.sum(marks.rates * self.gains**2))
-        c4 = float(np.sum(marks.rates * self.gains**4))
-        self.bounds = NoiseBounds(c2 * hsq, 0.0, 0.0, c4 * hsq**2)
+        self.bounds = NoiseBounds(self.c2 * hsq, 0.0, 0.0, self.c4 * hsq**2)
 
     def shaped(self, m):
         """Shape coefficients at level m (truncate or zero-pad)."""
@@ -201,12 +196,8 @@ class AdditiveNoise(NoiseCoefficient):
         h[:n] = self.shape[:n]
         return h
 
-    def block(self, states):
-        p, m = states.shape
-        h = self.shaped(m)
-        return np.broadcast_to(
-            self.gains[:, None, None] * h[None, None, :], (self.marks.size, p, m)
-        )
+    def core(self, states):
+        return np.broadcast_to(self.shaped(states.shape[1]), states.shape)
 
 
 class SaturatingNoise(NoiseCoefficient):
@@ -215,17 +206,13 @@ class SaturatingNoise(NoiseCoefficient):
     kind = "saturating"
 
     def __init__(self, marks, gains):
-        self.marks = marks
-        self.gains = _gains(marks, gains)
-        c2 = float(np.sum(marks.rates * self.gains**2))
-        c4 = float(np.sum(marks.rates * self.gains**4))
+        super().__init__(marks, gains)
         # |u|^2/(1+|u|^2) <= 1 gives the constant growth budget; the map
         # u -> u/sqrt(1+|u|^2) has operator-norm derivative <= 1.
-        self.bounds = NoiseBounds(c2, 0.0, c2, c4)
+        self.bounds = NoiseBounds(self.c2, 0.0, self.c2, self.c4)
 
-    def block(self, states):
-        scale = 1.0 / np.sqrt(1.0 + np.sum(states**2, axis=1))
-        return self.gains[:, None, None] * (states * scale[:, None])[None, :, :]
+    def core(self, states):
+        return states * (1.0 / np.sqrt(1.0 + np.sum(states**2, axis=1)))[:, None]
 
 
 @dataclass
@@ -250,22 +237,29 @@ def certify_noise_bounds(sigma, marks, level, rng, n_samples=2000, box_radius=3.
     Measures the smallest constants compatible with the samples given the
     other declared constant (so a passing certificate means the declared
     inequalities hold on every sample), and returns the first violating
-    sample as a witness otherwise.
+    sample as a witness otherwise.  The sums over the marks are
+    c2 |c(u)|^2, c2 |c(u) - c(v)|^2 and c4 |c(u)|^4.  A state-free core
+    would give every sample one row, so it is evaluated at the origin and
+    at one box state, each the other's partner, and must be bit-equal there.
     """
     if n_samples < 1000:
         raise ValueError("the certificate needs at least 1000 samples")
     decl = sigma.bounds
-    u = box_radius * rng.uniform(-1, 1, (n_samples, level))
-    u[0] = 0.0  # pin the origin so the constant term is probed
-    v = box_radius * rng.uniform(-1, 1, (n_samples, level))
+    if sigma.state_free:
+        u = np.zeros((2, level))
+        u[1] = box_radius * rng.uniform(-1, 1, level)
+        v = u[::-1]
+    else:
+        u = box_radius * rng.uniform(-1, 1, (n_samples, level))
+        u[0] = 0.0  # pin the origin so the constant term is probed
+        v = box_radius * rng.uniform(-1, 1, (n_samples, level))
 
-    bu = sigma.block(u)  # (K, P, m)
-    bv = sigma.block(v)
-    nu = marks.rates
-    bu_sq = bu**2
-    s2 = np.einsum("k,kpm->p", nu, bu_sq)
-    s2d = np.einsum("k,kpm->p", nu, (bu - bv) ** 2)
-    s4 = np.einsum("k,kp->p", nu, np.sum(bu_sq, axis=2) ** 2)
+    cu, cv = sigma.core(u), sigma.core(v)
+    c2, c4 = (float(np.sum(marks.rates * sigma.gains**k)) for k in (2, 4))
+    cu_sq = np.sum(cu**2, axis=1)
+    s2 = c2 * cu_sq
+    s2d = c2 * np.sum((cu - cv) ** 2, axis=1)
+    s4 = c4 * cu_sq**2
     usq = np.sum(u**2, axis=1)
     dsq = np.sum((u - v) ** 2, axis=1)
 
@@ -284,6 +278,8 @@ def certify_noise_bounds(sigma, marks, level, rng, n_samples=2000, box_radius=3.
         ("lipschitz", s2d, decl.lipschitz * dsq),
         ("fourth_moment", s4, decl.fourth_moment * (1.0 + usq**2)),
     ]
+    if sigma.state_free:  # the coefficients in which a row differs from the origin's
+        checks.insert(0, ("state_free", np.count_nonzero(cu != cu[0], axis=1), np.zeros(2)))
     witness = None
     for name, lhs, rhs in checks:
         bad = lhs > rhs * tol + 1e-300

@@ -75,11 +75,11 @@ in-place sums; maxima by one reduction; norms, functionals and ledger
 terms evaluated once on the stacked (k*P, m) states.  Blown paths are
 masked out of every block (zero for sums, -inf for maxima); a frozen
 path's last state is its last live one.  A FluidModel computes its
-implicit denominator once and, for noise whose amplitudes do not depend
-on the state (zero and additive), keeps the amplitude block and
-compensator of the last batch size: a run steps one batch, and a new
-size replaces the old one.  Linear and saturating noise are evaluated
-every step: a precomputed affine map would round differently.
+implicit denominator once, and for noise sigma(u, z_j) = g_j c(u) whose
+core is one row h (zero and additive) its K amplitude rows g_j h and its
+compensator row, which fill the increments of any batch size.  Linear and
+saturating noise evaluate their core every step: a precomputed affine
+map would round differently.
 """
 
 from __future__ import annotations
@@ -203,9 +203,12 @@ class FluidModel:
         self.marks = marks
         self.dt = config.dt if config.dt is not None else default_dt(self.basis, config.params.kappa1)
         self.n_steps = _whole_steps(config.horizon, self.dt) if config.horizon > 0 else 0
-        self._state_free = getattr(sigma, "state_free", False)
         self._denom = _read_only(1.0 + self.dt * self.params.kappa1 * self.basis.eigenvalues)
-        self._noise = (None, None)  # (P, (block, compensator)) of state-free noise
+        self._comp = -self.dt * float(np.sum(marks.rates * sigma.gains))  # -dt sum_j nu_j g_j
+        self._rows = None  # state-free noise: (amplitude rows g_j h, compensator row)
+        if sigma.state_free:
+            h = sigma.core(np.zeros((1, config.level)))[0]
+            self._rows = (_read_only(sigma.gains[:, None] * h), _read_only(self._comp * h))
 
     def drift_pieces(self, states):
         """Explicit drift parts: (stress coefficients, convection coefficients)."""
@@ -227,32 +230,27 @@ class FluidModel:
             return (states + g) / self._denom
         return states - dt * self.params.kappa1 * self.basis.eigenvalues * states + g
 
-    def _compensated(self, states):
-        """The (K, P, m) amplitude block (None for zero noise) and the compensator."""
-        if getattr(self.sigma, "kind", "") == "zero":
-            return None, np.zeros(states.shape)
-        blk = self.sigma.block(states)
-        return blk, -self.dt * np.einsum("k,kpm->pm", self.marks.rates, blk)
-
     def noise_increment(self, states, jump_paths, jump_marks):
         """Compensated window increments for a batch and their jump variation.
 
         Returns (M, jump_qv_add) with M of shape (P, m); jump_qv_add is
-        None for a window without jumps.  The amplitude is frozen at the
-        pre-step state.  For state-free noise the block and the
-        compensator depend only on P; they are kept, read-only, until a
-        step brings another batch size.
+        None for a window without jumps.  The amplitude g_j c(u) is frozen
+        at the pre-step state: the compensator is -dt (sum_j nu_j g_j) c(u)
+        and an event of mark j on path p adds g_j c(u_p).  State-free noise
+        fills M from the rows built with the model, for any batch size.
         """
-        if self._state_free:
-            if self._noise[0] != states.shape[0]:
-                self._noise = (states.shape[0], tuple(map(_read_only, self._compensated(states))))
-            blk, inc = self._noise[1]
+        if self._rows is None:
+            core = self.sigma.core(states)
+            inc = self._comp * core
+            if not jump_paths.size:
+                return inc, None
+            amp = self.sigma.gains[jump_marks, None] * core[jump_paths]  # (n_events, m)
         else:
-            blk, inc = self._compensated(states)
-        if blk is None or not jump_paths.size:
-            return inc, None
-        inc = inc.copy()
-        amp = blk[jump_marks, jump_paths, :]  # (n_events, m)
+            inc = np.empty(states.shape)
+            inc[:] = self._rows[1]
+            if not jump_paths.size:
+                return inc, None
+            amp = self._rows[0][jump_marks]
         np.add.at(inc, jump_paths, amp)
         qv = np.zeros(states.shape[0])
         np.add.at(qv, jump_paths, np.sum(amp**2, axis=1))

@@ -70,12 +70,16 @@ def compensated_increment(sigma, marks, coeffs, t0, t1, jump_marks):
     """Integral of sigma against the compensated measure over (t0, t1], one path.
 
     The state is frozen at its left-endpoint value: the jump part sums
-    sigma(u, z_j) over the marks z_j of the window's events, the compensator
-    part subtracts (t1 - t0) * sum_j nu_j sigma(u, z_j).  A per-event loop,
-    independent of the batched `FluidModel.noise_increment`.
+    sigma(u, z_j) = g_j c(u) over the marks z_j of the window's events, the
+    compensator part subtracts (t1 - t0) * sum_j nu_j (g_j c(u)), one mark
+    at a time.  A per-mark and per-event loop, independent of the batched
+    `FluidModel.noise_increment`.
     """
-    u = np.asarray(coeffs, dtype=float)[None, :]
-    out = -(t1 - t0) * np.einsum("k,km->m", marks.rates, sigma.block(u)[:, 0, :])
+    c = sigma.core(np.asarray(coeffs, dtype=float)[None, :])[0]
+    comp = np.zeros(c.size)
+    for nu, g in zip(marks.rates, sigma.gains):
+        comp = comp + nu * (g * c)
+    out = -(t1 - t0) * comp
     for zj in jump_marks:
-        out = out + sigma.block(u)[int(zj), 0]
+        out = out + sigma.gains[int(zj)] * c
     return out

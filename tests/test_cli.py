@@ -127,6 +127,20 @@ class TestRunCommand:
         assert 0.0 < meta["wall_time"] <= elapsed
         assert meta["clock"] and meta["workers"] >= 1
 
+    @pytest.mark.parametrize("text, code", [(BASE, 0), (BLOWUP, 3)], ids=["pass", "blowup"])
+    def test_run_meta_times_its_phases(self, tmp_path, text, code):
+        # the certificate, the runner and the writes, each within the run's
+        # duration and none of them in the byte-stable summary
+        cfg = write_cfg(tmp_path, text)
+        out = tmp_path / "meta"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == code
+        meta = json.loads((out / "run_meta.json").read_text())
+        phases = [meta[key] for key in ("certify_s", "run_s", "write_s")]
+        assert all(p >= 0.0 for p in phases)
+        assert sum(phases) <= meta["wall_time"]
+        summary = (out / "summary.json").read_text()
+        assert not any(key in summary for key in ("certify_s", "run_s", "write_s", "wall_time"))
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         o1, o2 = tmp_path / "a", tmp_path / "b"
@@ -205,3 +219,43 @@ class TestRunAllScript:
         assert proc.returncode == 2
         assert "momnets" in proc.stderr and "moments_oracle" not in proc.stderr
         assert proc.stdout == "" and not any(tmp_path.iterdir())
+
+
+class TestCompareArtifactsScript:
+    def bundle(self, root, modulus, verdict, extra=None):
+        out = root / "results" / "feller"
+        out.mkdir(parents=True)
+        (out / "feller_modulus.csv").write_text(
+            "# config_hash: abc\nfunctional,delta,modulus\n"
+            f"gauss_bump,0.4,{modulus}\ngauss_bump,0.2,0.25\n")
+        summary = {"verdict": verdict, "noise_certificate": {"measured": {"l1": 0.0}}}
+        (out / "summary.json").write_text(json.dumps(dict(summary, **(extra or {}))))
+        (out / "run_meta.json").write_text(json.dumps({"wall_time": modulus}))
+        return root
+
+    def run(self, a, b):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "compare_artifacts.py"), str(a), str(b)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_reports_the_largest_relative_change_and_the_keys(self, tmp_path):
+        a = self.bundle(tmp_path / "a", 0.5, "PASS")
+        b = self.bundle(tmp_path / "b", 0.5 * (1 + 3e-15), "PASS", {"n_blown": {"outer": 0}})
+        csv, summary = self.run(a, b)
+        name, value = csv.split()
+        assert name == "results/feller/feller_modulus.csv"
+        assert float(value) == pytest.approx(3e-15, rel=1e-2)
+        assert summary == "results/feller/summary.json: n_blown.outer"
+
+    def test_equal_bundles_and_one_sided_files(self, tmp_path):
+        a = self.bundle(tmp_path / "a", 0.5, "PASS")
+        b = self.bundle(tmp_path / "b", 0.5, "FAIL")
+        (a / "results" / "feller" / "extra.csv").write_text("x\n1\n")
+        lines = self.run(a, b)
+        assert lines[0].split() == ["results/feller/extra.csv", "only", "in", "A"]
+        assert lines[1].split() == ["results/feller/feller_modulus.csv", "0"]
+        assert lines[2] == "results/feller/summary.json: verdict"

@@ -131,6 +131,7 @@ class TestValidation:
         ("feller", "feller.lag2 = 0.0025"),  # 2.5 steps of dt
         ("feller", "feller.inner = 0"),
         ("feller", "feller.deltas = []"),
+        ("feller", "feller.functionals = ,"),
         ("moments", "moments.levels = []"),
         ("moments", "moments.levels = [8, 4]"),
         ("moments", "moments.levels = [0, 4]"),

@@ -225,32 +225,41 @@ class TestSemigroup:
         assert out["monotone"], out["rows"]
         assert out["rows"][-1]["modulus"] < out["rows"][0]["modulus"] + 1e-9
 
-    def test_feller_modulus_draws_jumps_once(self, monkeypatch):
-        # every delta reuses the base run's jumps: one draw per path, and the
-        # rows of a fresh draw per delta, bit for bit
+    def test_feller_modulus_steps_every_start_in_one_run(self, monkeypatch):
+        # one jump draw per path and one run of the base start and every
+        # perturbed start, row i*P + p seeing the events of path p; the
+        # moduli are those of one run per start on that draw
         model = make_model(dt=2.5e-3, horizon=0.25)
-        phis = {"gauss_bump": make_functional("gauss_bump", model.basis)}
+        phi = make_functional("gauss_bump", model.basis)
         d = np.zeros(8)
         d[-1] = 1.0
-        args = (model, phis, np.zeros(8), d, [0.4, 0.2, 0.1], 24)
+        deltas = [0.4, 0.2, 0.1]
         real_sample, real_run = solver.sample_jumps, ergodics.run_paths
-        calls = []
+        calls, runs = [], []
 
         def counted(*a):
             calls.append(a)
             return real_sample(*a)
 
+        def recorded(model, X, seed, **kw):
+            runs.append((X, kw["jumps"]))
+            return real_run(model, X, seed, **kw)
+
         monkeypatch.setattr(solver, "sample_jumps", counted)
-        out = feller_modulus(*args, seed=6)
-        assert len(calls) == 24
-
-        def redraw(*a, jumps=None, **kw):
-            return real_run(*a, **kw)
-
-        monkeypatch.setattr(ergodics, "run_paths", redraw)
-        calls.clear()
-        assert feller_modulus(*args, seed=6) == out
-        assert len(calls) == 24 * 4
+        monkeypatch.setattr(ergodics, "run_paths", recorded)
+        out = feller_modulus(model, {"gauss_bump": phi}, np.zeros(8), d, deltas, 24,
+                             seed=6)["gauss_bump"]
+        assert len(calls) == 24 and len(runs) == 1
+        X, jumps = runs[0]
+        assert X.shape == (4 * 24, 8)
+        assert all(jumps[i * 24 + p] is jumps[p] for i in range(4) for p in range(24))
+        base = real_run(model, X[:24], 6, n_out=2, jumps=jumps[:24])
+        for i, (delta, row) in enumerate(zip(deltas, out["rows"]), 1):
+            starts = X[i * 24:(i + 1) * 24]
+            assert np.array_equal(starts, X[:24] + delta * d)
+            alone = real_run(model, starts, 6, n_out=2, jumps=jumps[:24])
+            want = abs(np.mean(phi(alone.terminal) - phi(base.terminal)))
+            assert row["modulus"] == pytest.approx(want, rel=1e-9) and row["n_dropped"] == 0
 
     def test_functionals_share_one_simulation(self, monkeypatch):
         # several functionals in one call step each path set once and give
@@ -270,13 +279,81 @@ class TestSemigroup:
         monkeypatch.setattr(ergodics, "run_paths", counted)
         ck = chapman_kolmogorov(model_t, model_s, model_ts, phis, xi, 8, 4, seed=5)
         mod = feller_modulus(model_t, phis, xi, d, [0.4, 0.2], 16, seed=6)
-        assert len(runs) == 3 + 3  # three stages; the base and one start per delta
+        assert len(runs) == 3 + 1  # three stages; every start of the modulus in one run
         for name, phi in phis.items():
             one = {name: phi}
             assert chapman_kolmogorov(model_t, model_s, model_ts, one, xi, 8, 4, seed=5) == {
                 name: ck[name]}
             assert feller_modulus(model_t, one, xi, d, [0.4, 0.2], 16, seed=6) == {
                 name: mod[name]}
+
+
+def cap_between(sup_sq, q):
+    """A blow-up norm whose square lies between the sorted squared sups at
+    quantile q, so that exactly the paths above it blow up."""
+    sup_sq = np.sort(sup_sq)
+    i = int(q * sup_sq.size)
+    assert sup_sq[i - 1] < sup_sq[i]
+    return np.sqrt(0.5 * (sup_sq[i - 1] + sup_sq[i]))
+
+
+class TestBlownPaths:
+    """The Feller estimates drop blown paths and count them, checked against
+    runs without a cap: a path blows up exactly when its squared norm
+    exceeds the cap at some step, and the others keep their trajectories."""
+
+    SIGMA = additive_sigma(scale=5.0)  # jumps of squared size ~1.5
+
+    def models(self, horizons, **kw):
+        return [make_model(dt=2.5e-3, horizon=h, sigma=self.SIGMA, **kw) for h in horizons]
+
+    def test_feller_modulus_drops_pairs_with_a_blown_path(self):
+        (free,) = self.models([0.25])
+        phi = make_functional("inv_bump", free.basis)
+        d = np.zeros(8)
+        d[-1] = 1.0
+        n = 32
+        starts = np.concatenate([np.zeros((n, 8)) + delta * d for delta in (0.0, 0.4, 0.2)])
+        ref = run_paths(free, starts, 6, n_out=2, jumps=solver._draw_jumps(free, 6, n, 0) * 3)
+        sup_sq = ref.series["sup_l2_sq"][-1]
+        norm = cap_between(sup_sq, 0.85)
+        blown = (sup_sq > norm**2).reshape(3, n)
+        values = phi(ref.terminal).reshape(3, n)
+        (capped,) = self.models([0.25], blowup_norm=norm)
+        out = feller_modulus(capped, {"inv_bump": phi}, np.zeros(8), d, [0.4, 0.2], n,
+                             seed=6)["inv_bump"]
+        for i, row in enumerate(out["rows"], 1):
+            kept = ~(blown[0] | blown[i])
+            assert 0 < row["n_dropped"] == n - kept.sum() < n
+            want = abs(np.mean(values[i][kept] - values[0][kept]))
+            assert row["modulus"] == pytest.approx(want, rel=1e-9)
+
+    def test_chapman_kolmogorov_drops_blown_clusters_and_paths(self):
+        n_outer, n_inner, seed = 16, 8, 5
+        t, _, ts = self.models([0.25, 0.25, 0.5])
+        phi = make_functional("inv_bump", t.basis)
+        direct = run_paths(ts, np.zeros((n_outer * n_inner, 8)), seed, n_out=2)
+        norm = cap_between(direct.series["sup_l2_sq"][-1], 0.5)
+        outer = run_paths(t, np.zeros((n_outer, 8)), seed, n_out=2, path_offset=1_000_000)
+        outer_blown = outer.series["sup_l2_sq"][-1] > norm**2
+        inner = run_paths(t, np.repeat(outer.terminal, n_inner, axis=0), seed, n_out=2,
+                          path_offset=2_000_000)
+        kept = (inner.series["sup_l2_sq"][-1] <= norm**2).reshape(n_outer, n_inner)
+        kept &= ~outer_blown[:, None]
+        values = phi(inner.terminal).reshape(n_outer, n_inner)
+        clusters = [values[c][kept[c]].mean() for c in range(n_outer) if kept[c].any()]
+        assert len(clusters) < n_outer - outer_blown.sum()  # a cluster left empty is dropped
+
+        out = chapman_kolmogorov(*self.models([0.25, 0.25, 0.5], blowup_norm=norm),
+                                 {"inv_bump": phi}, np.zeros(8), n_outer, n_inner,
+                                 seed)["inv_bump"]
+        direct_blown = direct.series["sup_l2_sq"][-1] > norm**2
+        assert out["n_blown_direct"] == direct_blown.sum() > 0
+        assert out["n_blown_outer"] == outer_blown.sum() > 0
+        assert out["n_blown_inner"] == (~kept & ~outer_blown[:, None]).sum() > 0
+        assert out["direct"] == pytest.approx(np.mean(phi(direct.terminal[~direct_blown])),
+                                              rel=1e-9)
+        assert out["nested"] == pytest.approx(np.mean(clusters), rel=1e-9)
 
 
 class TestOccupation:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -187,10 +188,13 @@ class TestCertificates:
         h = np.array([1.0, 0.5, 0.0, 0.0])
         sig = AdditiveNoise(marks, g, h)
         l0 = float(np.sum(marks.rates * g**2) * np.sum(h**2))
+        l3 = float(np.sum(marks.rates * g**4) * np.sum(h**2) ** 2)
         cert = certify_noise_bounds(sig, marks, 4, derive_rng(0, STREAM_STATS, 2))
         assert cert.passed
+        # certified from the core's one row: nothing to spare past the closed form
         assert cert.measured.growth_const == pytest.approx(l0, rel=1e-12)
-        assert cert.measured.lipschitz == 0.0
+        assert cert.measured.fourth_moment == pytest.approx(l3, rel=1e-12)
+        assert cert.measured.lipschitz == 0.0 and cert.measured.growth_slope == 0.0
 
     def test_saturating_bounded(self, marks):
         sig = SaturatingNoise(marks, 0.5)
@@ -208,6 +212,32 @@ class TestCertificates:
         assert cert.witness is not None
         assert cert.witness["inequality"] == "growth"
         assert cert.witness["lhs"] > cert.witness["rhs"]
+
+    @pytest.mark.parametrize("kind, field, inequality", [
+        ("additive", "growth_const", "growth"),
+        ("linear", "lipschitz", "lipschitz"),
+    ])
+    def test_understated_budget_fails_with_witness(self, marks, kind, field, inequality):
+        # a budget declared 1% below the closed form fails on the factored core
+        sig = make_noise(kind, marks, gains=np.array([0.3, 0.1]),
+                         shape_coeffs=np.array([1.0, 0.5, 0.0, 0.0]))
+        assert certify_noise_bounds(sig, marks, 4, derive_rng(0, STREAM_STATS, 5)).passed
+        sig.bounds = dataclasses.replace(sig.bounds, **{field: 0.99 * getattr(sig.bounds, field)})
+        cert = certify_noise_bounds(sig, marks, 4, derive_rng(0, STREAM_STATS, 5))
+        assert not cert.passed
+        assert cert.witness["inequality"] == inequality
+        assert cert.witness["lhs"] > cert.witness["rhs"]
+
+    def test_state_free_core_must_be_one_row(self, marks):
+        # a kind that declares a state-free core whose rows follow the state
+        class Mislabelled(LinearNoise):
+            state_free = True
+
+        cert = certify_noise_bounds(Mislabelled(marks, 0.3), marks, 6,
+                                    derive_rng(0, STREAM_STATS, 6))
+        assert not cert.passed
+        assert cert.witness["inequality"] == "state_free"
+        assert cert.witness["lhs"] > cert.witness["rhs"] == 0.0
 
     def test_rejects_small_sample_counts(self, marks):
         with pytest.raises(ValueError):
@@ -250,10 +280,29 @@ class TestCompensatedIncrement:
             want = compensated_increment(sig, marks, U[p], t0, t0 + dt, jm[mine])
             scale = max(np.abs(want).max(), 1e-300)
             assert np.abs(M[p] - want).max() <= 1e-13 * scale, p
-            amps = [sig.block(U[p][None, :])[z, 0] for z in jm[mine]]
+            amps = [sig.gains[z] * sig.core(U[p][None, :])[0] for z in jm[mine]]
             assert qv[p] == pytest.approx(sum(float(a @ a) for a in amps), rel=1e-13, abs=0.0)
         if kind != "zero":
             assert np.all(qv[[0, 2]] > 0) and qv[1] == 0.0
+
+    @pytest.mark.parametrize("kind", ["zero", "additive", "linear", "saturating"])
+    def test_jump_amplitudes_are_gain_times_core(self, marks, kind):
+        # each event adds gains[mark] * core[path], bit for bit, to the
+        # no-jump increment, and its squared norm to the jump variation
+        sig = make_noise(kind, marks, gains=np.array([0.3, 0.1]),
+                         shape_coeffs=np.linspace(1.0, 0.2, 6))
+        model = FluidModel(SolverConfig(params=FluidParams(), level=6, dt=0.1, horizon=1.0),
+                           sig, marks)
+        U = np.random.default_rng(4).standard_normal((4, 6))
+        jp, jm = np.array([0, 3, 0, 2, 3]), np.array([1, 0, 0, 1, 1])
+        amp = sig.gains[jm][:, None] * sig.core(U)[jp]
+        want, _ = model.noise_increment(U, jp[:0], jm[:0])
+        want = np.array(want)
+        np.add.at(want, jp, amp)
+        want_qv = np.zeros(4)
+        np.add.at(want_qv, jp, np.sum(amp**2, axis=1))
+        M, qv = model.noise_increment(U, jp, jm)
+        assert np.array_equal(M, want) and np.array_equal(qv, want_qv)
 
     def _window_increments(self, marks, gains, n_windows, dt, seed):
         """All window increments of a frozen-state additive amplitude,

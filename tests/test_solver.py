@@ -510,8 +510,9 @@ class TestLeanStepping:
             assert np.array_equal(res.series[f"occ_{name}"], integral), name
 
     def test_one_model_serves_batch_sizes(self):
-        # the noise cache keeps the last P: reusing one model for two batch
-        # sizes gives the results of a model that evaluates its noise every step
+        # the amplitude and compensator rows built with the model broadcast
+        # to every batch size: reusing one model for two batch sizes gives
+        # the results of a model that evaluates its core every step
         uncached = additive_sigma()
         uncached.state_free = False
 
@@ -519,10 +520,11 @@ class TestLeanStepping:
             return make_model(dt=2e-3, horizon=0.5, sigma=uncached)
 
         model = make_model(dt=2e-3, horizon=0.5)
+        rows_before = [r.copy() for r in model._rows]
         X = 0.4 * np.random.default_rng(2).standard_normal((64, 8))
         for rows in (slice(None), slice(3), slice(None)):
             got, want = run_paths(model, X[rows], 7), run_paths(reference(), X[rows], 7)
-            assert model._noise[0] == X[rows].shape[0]
+            assert all(np.array_equal(a, b) for a, b in zip(model._rows, rows_before))
             assert np.array_equal(got.terminal, want.terminal)
             for name in got.series:
                 assert np.array_equal(got.series[name], want.series[name]), name

@@ -4,10 +4,13 @@ One assignment per line, full-line comments with '#', dotted keys for
 namespacing.  Values are numbers, booleans, strings, or bracketed lists
 of numbers.  The parser reports every problem it finds with its line
 number: unknown keys are errors (no silent typo tolerance), duplicate
-keys are errors naming both lines, and field validation failures name
-the field and the admissible range.  Defaults are applied for absent
-keys and are echoed into the output manifest, so a run records the full
-effective configuration.
+keys are errors naming both lines, and a value outside its key's range
+is an error naming the key and the admissible range.  Each key's parser,
+default and range rule sit together in SCHEMA; the few rules that tie
+two keys together follow the per-key rules in `parse_config_text`.  A
+config that parses therefore cannot fail on a value at run time.
+Defaults are applied for absent keys and are echoed into the output
+manifest, so a run records the full effective configuration.
 
 Example::
 
@@ -25,15 +28,17 @@ Example::
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import build_basis
-from .ergodics import RegimeError, invariant_moment_bound
+from .ergodics import RegimeError, invariant_moment_bound, make_functional
 from .noise import MarkSpace, make_noise
 from .operators import FluidParams
 from .solver import SolverConfig, _whole_steps, default_dt
@@ -56,6 +61,10 @@ EXPERIMENTS = (
     "invariant-bound",
     "audit",
 )
+
+# the namespaces of the model, echoed into the manifest for every experiment;
+# the others hold the options of one experiment each
+_MANIFEST = ("fluid", "disc", "noise", "ensemble")
 
 _KEY_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
@@ -81,60 +90,87 @@ def _as_int_list(s):
     return [int(x) for x in _as_list(s)]
 
 
-# key -> (parser, default, help); None default means "computed later"
+def _registered(text):
+    """Whether a `feller.functionals` value names one or more functionals,
+    each one that `make_functional` registers."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    basis = build_basis(1, 2)  # a functional is looked up by name; any basis serves
+    try:
+        for name in names:
+            make_functional(name, basis)
+    except KeyError:
+        return False
+    return bool(names)
+
+
+# range rules: (accepts the parsed value, problem message)
+def _one_of(*names):
+    return (lambda v: v in names, "must be one of " + ", ".join(map(str, names)))
+
+
+def _levels(n_min, count):
+    return (lambda v: len(v) >= n_min and v[0] >= 1 and all(b > a for a, b in zip(v, v[1:])),
+            f"need {count} or more levels, strictly increasing and >= 1")
+
+
+_POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+_FINITE = (math.isfinite, "must be finite")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+
+# key -> (parser, default, help, rule); a None default is computed during
+# parsing, and a rule is None or (accepts the parsed value, problem message)
 SCHEMA = {
-    "experiment": (str, None, "one of " + ", ".join(EXPERIMENTS)),
-    "out": (str, "results", "output directory"),
-    "fluid.kappa0": (float, 0.5, "stress magnitude, > 0"),
-    "fluid.kappa1": (float, 1.0, "higher-order viscosity, > 0"),
-    "fluid.reg": (float, 1.0, "shear-factor offset, > 0"),
-    "fluid.p": (float, 1.5, "shear-thinning exponent in (1, 2]"),
-    "disc.dim": (int, 2, "torus dimension, 2 or 3"),
-    "disc.level": (int, 16, "number of basis modes"),
-    "disc.dt": (float, None, "time step; default min(1e-3, 0.1/(kappa1*lam_max))"),
-    "disc.horizon": (float, 1.0, "final time"),
-    "disc.scheme": (str, "semi-implicit", "semi-implicit or explicit"),
-    "disc.convection": (_as_bool, True, "include the convection term"),
-    "disc.stress": (_as_bool, True, "include the nonlinear stress"),
-    "noise.kind": (str, "additive", "zero, linear, additive, saturating"),
-    "noise.rates": (_as_list, [1.0, 3.0], "mark rates nu_j > 0"),
-    "noise.gains": (_as_list, [0.3, 0.1], "per-mark gains g_j"),
-    "noise.profile": (str, "smooth", "additive shape: mode1 or smooth"),
-    "noise.scale": (float, 0.5, "additive shape norm"),
-    "noise.shape_level": (int, 4, "modes carried by the additive shape"),
-    "ensemble.paths": (int, 128, "trajectory count"),
-    "ensemble.seed": (int, 0, "root seed"),
-    "ensemble.initial": (str, "zero", "zero, gaussian, or mode1"),
-    "ensemble.scale": (float, 0.5, "initial-condition scale"),
-    "moments.levels": (_as_int_list, [4, 8, 16, 32], "truncation levels"),
-    "cauchy.levels": (_as_int_list, [4, 8, 16, 32], "nested truncation levels"),
-    "contraction.separations": (_as_list, [1e-1, 1e-2, 1e-3], "|xi1 - xi2| values"),
-    "feller.functionals": (str, "gauss_bump,inv_bump,cos_coord", "registered names"),
-    "feller.lag": (float, 0.25, "first semigroup time t"),
-    "feller.lag2": (float, 0.25, "second semigroup time s"),
-    "feller.inner": (int, 32, "nested estimator inner paths"),
-    "feller.deltas": (_as_list, [0.4, 0.2, 0.1, 0.05], "approach distances"),
-    "occupation.schedule": (_as_list, None, "increasing checkpoint times"),
-    "occupation.burn_in": (float, None, "time dropped before averaging"),
-    "invariant.tolerance": (float, 0.2, "relative slack on the moment bound"),
-    "audit.beta": (float, 0.25, "martingale majorant weight, 2*beta <= 1"),
-}
-
-
-def _levels_ok(n_min):
-    return lambda v: len(v) >= n_min and v[0] >= 1 and all(b > a for a, b in zip(v, v[1:]))
-
-
-# option values under which a runner would crash or pass without measuring
-# anything: key -> (accepts the parsed value, problem message)
-_OPTION_RULES = {
-    "moments.levels": (_levels_ok(1), "need one or more levels, strictly increasing and >= 1"),
-    "cauchy.levels": (_levels_ok(2), "need two or more levels, strictly increasing and >= 1"),
-    "contraction.separations": (lambda v: len(v) > 0 and min(v) > 0, "need one or more, each > 0"),
-    "feller.inner": (lambda v: v >= 1, "must be >= 1"),
-    "feller.deltas": (lambda v: len(v) > 0, "need one or more distances"),
-    "feller.functionals": (lambda v: any(n.strip() for n in v.split(",")),
-                           "need one or more functional names"),
+    "experiment": (str, None, "one of " + ", ".join(EXPERIMENTS), _one_of(*EXPERIMENTS)),
+    "out": (str, "results", "output directory", None),
+    "fluid.kappa0": (float, 0.5, "stress magnitude, > 0", _POSITIVE),
+    "fluid.kappa1": (float, 1.0, "higher-order viscosity, > 0", _POSITIVE),
+    "fluid.reg": (float, 1.0, "shear-factor offset, > 0", _POSITIVE),
+    "fluid.p": (float, 1.5, "shear-thinning exponent in (1, 2]",
+                (lambda v: 1 < v <= 2, "must lie in (1, 2]")),
+    "disc.dim": (int, 2, "torus dimension, 2 or 3", _one_of(2, 3)),
+    "disc.level": (int, 16, "number of basis modes", _AT_LEAST_ONE),
+    "disc.dt": (float, None, "time step; default min(1e-3, 0.1/(kappa1*lam_max))", _POSITIVE),
+    "disc.horizon": (float, 1.0, "final time", _POSITIVE),
+    "disc.scheme": (str, "semi-implicit", "semi-implicit or explicit",
+                    _one_of("semi-implicit", "explicit")),
+    "disc.convection": (_as_bool, True, "include the convection term", None),
+    "disc.stress": (_as_bool, True, "include the nonlinear stress", None),
+    "noise.kind": (str, "additive", "zero, linear, additive, saturating",
+                   _one_of("zero", "linear", "additive", "saturating")),
+    "noise.rates": (_as_list, [1.0, 3.0], "mark rates nu_j > 0",
+                    (lambda v: v and all(0 < r < math.inf for r in v),
+                     "need one or more, each positive and finite")),
+    "noise.gains": (_as_list, [0.3, 0.1], "per-mark gains g_j",
+                    (lambda v: all(map(math.isfinite, v)), "each must be finite")),
+    "noise.profile": (str, "smooth", "additive shape: mode1 or smooth",
+                      _one_of("mode1", "smooth")),
+    "noise.scale": (float, 0.5, "additive shape norm", _FINITE),
+    "noise.shape_level": (int, 4, "modes carried by the additive shape", _AT_LEAST_ONE),
+    "ensemble.paths": (int, 128, "trajectory count", _AT_LEAST_ONE),
+    "ensemble.seed": (int, 0, "root seed", (lambda v: v >= 0, "must be >= 0")),
+    "ensemble.initial": (str, "zero", "zero, gaussian, or mode1",
+                         _one_of("zero", "gaussian", "mode1")),
+    "ensemble.scale": (float, 0.5, "initial-condition scale", _FINITE),
+    "moments.levels": (_as_int_list, [4, 8, 16, 32], "truncation levels", _levels(1, "one")),
+    "cauchy.levels": (_as_int_list, [4, 8, 16, 32], "nested truncation levels",
+                      _levels(2, "two")),
+    "contraction.separations": (_as_list, [1e-1, 1e-2, 1e-3], "|xi1 - xi2| values",
+                                (lambda v: len(v) > 0 and min(v) > 0,
+                                 "need one or more, each > 0")),
+    "feller.functionals": (str, "gauss_bump,inv_bump,cos_coord", "registered names",
+                           (_registered, "need one or more names, each a registered functional")),
+    "feller.lag": (float, 0.25, "first semigroup time t", _POSITIVE),
+    "feller.lag2": (float, 0.25, "second semigroup time s", _POSITIVE),
+    "feller.inner": (int, 32, "nested estimator inner paths", _AT_LEAST_ONE),
+    "feller.deltas": (_as_list, [0.4, 0.2, 0.1, 0.05], "approach distances",
+                      (lambda v: len(v) > 0, "need one or more distances")),
+    "occupation.schedule": (_as_list, None, "increasing checkpoint times", None),
+    "occupation.burn_in": (float, None, "time dropped before averaging", None),
+    "invariant.tolerance": (float, 0.2, "relative slack on the moment bound",
+                            (lambda v: 0 <= v < math.inf, "must be >= 0 and finite")),
+    # the audit's hypothesis 2*beta <= 1: a larger beta would fail it unmeasured
+    "audit.beta": (float, 0.25, "martingale majorant weight, 2*beta <= 1",
+                   (lambda v: 0 <= v <= 0.5, "must lie in [0, 0.5]")),
 }
 
 
@@ -150,83 +186,60 @@ class ConfigError(ValueError):
         super().__init__(lines)
 
 
+def _namespace(values, ns):
+    return {key.partition(".")[2]: v for key, v in values.items() if key.startswith(ns + ".")}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    experiment: str
-    out: str
+    """A validated configuration.
+
+    `values` maps every SCHEMA key to its effective value, defaults
+    applied and noise.gains broadcast to one gain per mark; `fluid` and
+    `solver` are built from its fluid.* and disc.* keys, and `options`
+    maps the running experiment's option names to their values.
+    """
+
+    values: dict
     fluid: FluidParams
     solver: SolverConfig
-    noise_kind: str
-    noise_rates: tuple
-    noise_gains: tuple
-    noise_profile: str
-    noise_scale: float
-    noise_shape_level: int
-    n_paths: int
-    seed: int
-    initial: str
-    initial_scale: float
-    options: dict = field(default_factory=dict)
+    options: dict
+
+    experiment = property(lambda self: self.values["experiment"])
+    out = property(lambda self: self.values["out"])
+    noise_kind = property(lambda self: self.values["noise.kind"])
+    n_paths = property(lambda self: self.values["ensemble.paths"])
+    seed = property(lambda self: self.values["ensemble.seed"])
+    initial = property(lambda self: self.values["ensemble.initial"])
+    initial_scale = property(lambda self: self.values["ensemble.scale"])
 
     def canonical(self):
         """Deterministic dictionary of the full effective configuration."""
-        return {
-            "experiment": self.experiment,
-            "fluid": {
-                "kappa0": self.fluid.kappa0,
-                "kappa1": self.fluid.kappa1,
-                "reg": self.fluid.reg,
-                "p": self.fluid.p,
-            },
-            "disc": {
-                "dim": self.solver.dim,
-                "level": self.solver.level,
-                "dt": self.solver.dt,
-                "horizon": self.solver.horizon,
-                "scheme": self.solver.scheme,
-                # not a key (every run steps on the n*dt grid); echoed so
-                # that every config_hash and summary.json stays as it was
-                "jump_mode": "grid",
-                "convection": self.solver.convection,
-                "stress": self.solver.stress,
-            },
-            "noise": {
-                "kind": self.noise_kind,
-                "rates": list(self.noise_rates),
-                "gains": list(self.noise_gains),
-                "profile": self.noise_profile,
-                "scale": self.noise_scale,
-                "shape_level": self.noise_shape_level,
-            },
-            "ensemble": {
-                "paths": self.n_paths,
-                "seed": self.seed,
-                "initial": self.initial,
-                "scale": self.initial_scale,
-            },
-            "options": {k: self.options[k] for k in sorted(self.options)},
-        }
+        doc = {ns: _namespace(self.values, ns) for ns in _MANIFEST}
+        # not a key (every run steps on the n*dt grid); echoed so that every
+        # config_hash and summary.json stays as it was
+        doc["disc"]["jump_mode"] = "grid"
+        doc["experiment"] = self.experiment
+        doc["options"] = dict(sorted(self.options.items()))
+        return doc
 
     def marks(self):
-        return MarkSpace(np.asarray(self.noise_rates))
+        return MarkSpace(np.asarray(self.values["noise.rates"]))
 
     def shape_coeffs(self):
         """Additive amplitude profile on the first shape_level modes."""
-        basis = build_basis(self.noise_shape_level, self.solver.dim)
-        if self.noise_profile == "mode1":
+        basis = build_basis(self.values["noise.shape_level"], self.solver.dim)
+        if self.values["noise.profile"] == "mode1":
             h = np.zeros(basis.size)
             h[0] = 1.0
-        elif self.noise_profile == "smooth":
-            h = 1.0 / basis.ksq.astype(float)
         else:
-            raise ConfigError([(None, "noise.profile", f"unknown profile {self.noise_profile!r}")])
-        return self.noise_scale * h / np.linalg.norm(h)
+            h = 1.0 / basis.ksq.astype(float)
+        return self.values["noise.scale"] * h / np.linalg.norm(h)
 
     def make_sigma(self, marks):
         shape = self.shape_coeffs() if self.noise_kind == "additive" else None
-        return make_noise(
-            self.noise_kind, marks, gains=np.asarray(self.noise_gains), shape_coeffs=shape
-        )
+        return make_noise(self.noise_kind, marks, gains=np.asarray(self.values["noise.gains"]),
+                          shape_coeffs=shape)
 
     def initial_coeffs(self):
         """Fixed part of the initial condition at the configured level."""
@@ -272,157 +285,84 @@ def _scan(text):
     return entries, problems
 
 
+def _raise_any(problems):
+    if problems:
+        raise ConfigError(sorted(problems, key=lambda p: (p[0] or 0)))
+
+
 def parse_config_text(text, overrides=None):
-    """Parse and validate a config document; collects all errors."""
+    """Parse and validate a config document; collects all errors.
+
+    Lexical and type problems are reported first, then every key's range
+    rule, then the rules that tie keys together, each stage with all of
+    its problems.
+    """
     entries, problems = _scan(text)
     for key, value in (overrides or {}).items():
         entries[key] = (str(value), 0)
 
-    values = {}
+    values = {key: copy.deepcopy(spec[1]) for key, spec in SCHEMA.items()}
     for key, (raw, ln) in entries.items():
         if key not in SCHEMA:
             problems.append((ln, key, "unknown key"))
             continue
-        parser = SCHEMA[key][0]
         try:
-            values[key] = parser(raw)
+            values[key] = SCHEMA[key][0](raw)
         except (ValueError, TypeError) as exc:
             problems.append((ln, key, str(exc)))
+    _raise_any(problems)
 
-    def get(key):
-        if key in values:
-            return values[key]
-        return SCHEMA[key][1]
+    def problem(key, msg):
+        return (entries.get(key, (None, None))[1], key, msg)
 
-    def line_of(key):
-        return entries.get(key, (None, None))[1]
-
-    if problems:
-        raise ConfigError(sorted(problems, key=lambda p: (p[0] or 0)))
-
-    experiment = get("experiment")
+    experiment = values["experiment"]
     if experiment is None:
         problems.append((None, "experiment", "missing (required)"))
-    elif experiment not in EXPERIMENTS:
-        problems.append(
-            (line_of("experiment"), "experiment", f"must be one of {', '.join(EXPERIMENTS)}")
-        )
+    horizon = values["disc.horizon"]
+    if values["occupation.schedule"] is None:
+        values["occupation.schedule"] = [horizon / 2, 3 * horizon / 4, horizon]
+    if values["occupation.burn_in"] is None:
+        values["occupation.burn_in"] = 0.25 * horizon
 
-    try:
-        fluid = FluidParams(
-            kappa0=get("fluid.kappa0"),
-            kappa1=get("fluid.kappa1"),
-            reg=get("fluid.reg"),
-            p=get("fluid.p"),
-        )
-    except ValueError as exc:
-        msg = str(exc)
-        first = msg.split()[0]
-        key = f"fluid.{first}" if f"fluid.{first}" in SCHEMA else "fluid"
-        problems.append((line_of(key), key, msg))
-        fluid = FluidParams()
-
-    if get("disc.dim") not in (2, 3):
-        problems.append((line_of("disc.dim"), "disc.dim", "dimension must be 2 or 3"))
-    if get("disc.level") < 1:
-        problems.append((line_of("disc.level"), "disc.level", "level must be >= 1"))
-    if get("disc.dt") is not None and not get("disc.dt") > 0:
-        problems.append((line_of("disc.dt"), "disc.dt", "dt must be positive"))
-    if not get("disc.horizon") > 0:
-        problems.append((line_of("disc.horizon"), "disc.horizon", "horizon must be positive"))
-    try:
-        solver = SolverConfig(
-            params=fluid,
-            dim=get("disc.dim") if get("disc.dim") in (2, 3) else 2,
-            level=max(1, get("disc.level")),
-            dt=get("disc.dt"),
-            horizon=get("disc.horizon"),
-            scheme=get("disc.scheme"),
-            convection=get("disc.convection"),
-            stress=get("disc.stress"),
-        )
-    except ValueError as exc:
-        problems.append((None, "disc", str(exc)))
-        solver = SolverConfig(params=fluid)
-
-    rates = get("noise.rates")
-    if not rates or any(r <= 0 for r in rates):
-        problems.append((line_of("noise.rates"), "noise.rates", "rates must be positive"))
-        rates = [1.0]
-    gains = get("noise.gains")
-    if len(gains) not in (1, len(rates)):
-        problems.append(
-            (line_of("noise.gains"), "noise.gains", "need one gain or one per mark")
-        )
-        gains = [0.0]
-    if len(gains) == 1:
-        gains = gains * len(rates)
-    if get("noise.kind") not in ("zero", "linear", "additive", "saturating"):
-        problems.append((line_of("noise.kind"), "noise.kind", "unknown noise kind"))
-    if get("ensemble.paths") < 1:
-        problems.append((line_of("ensemble.paths"), "ensemble.paths", "need >= 1 path"))
-    if get("ensemble.initial") not in ("zero", "gaussian", "mode1"):
-        problems.append(
-            (line_of("ensemble.initial"), "ensemble.initial", "unknown initial law")
-        )
-
+    # the model's keys and the running experiment's options; the options of
+    # the other experiments are neither checked nor recorded
+    prefixes = {"invariant-bound": ("invariant", "occupation")}.get(experiment, (experiment,))
     options = {}
-    if experiment in EXPERIMENTS:
-        prefixes = {experiment}
-        if experiment == "invariant-bound":
-            prefixes = {"invariant", "occupation"}
-        for key in SCHEMA:
-            ns, _, rest = key.partition(".")
-            if rest and ns in prefixes:
-                options[rest] = get(key)
-                accepts, msg = _OPTION_RULES.get(key, (lambda v: True, None))
-                if not accepts(options[rest]):
-                    problems.append((line_of(key), key, msg))
-        if "schedule" in options:
-            horizon = get("disc.horizon")
-            if options["schedule"] is None:
-                options["schedule"] = [horizon / 2, 3 * horizon / 4, horizon]
-            if options.get("burn_in") is None:
-                options["burn_in"] = 0.25 * horizon
-            sched = options["schedule"]
-            if sorted(sched) != sched or not sched or abs(sched[-1] - horizon) > 1e-12:
-                problems.append(
-                    (
-                        line_of("occupation.schedule"),
-                        "occupation.schedule",
-                        "must be increasing and end at disc.horizon",
-                    )
-                )
+    for key, (_, _, _, rule) in SCHEMA.items():
+        ns, _, name = key.partition(".")
+        if ns in prefixes:
+            options[name] = values[key]
+        elif name and ns not in _MANIFEST:
+            continue
+        if rule is not None and values[key] is not None and not rule[0](values[key]):
+            problems.append(problem(key, rule[1]))
+    _raise_any(problems)
 
+    rates, gains = values["noise.rates"], values["noise.gains"]
+    if len(gains) not in (1, len(rates)):
+        problems.append(problem("noise.gains", "need one gain or one per mark"))
+    values["noise.gains"] = gains * len(rates) if len(gains) == 1 else gains
+    if "schedule" in options:
+        sched = options["schedule"]
+        if sorted(sched) != sched or not sched or abs(sched[-1] - horizon) > 1e-12:
+            problems.append(
+                problem("occupation.schedule", "must be increasing and end at disc.horizon"))
+        elif not 0 <= options["burn_in"] < sched[0]:
+            problems.append(
+                problem("occupation.burn_in", "must lie in [0, first scheduled time)"))
     if experiment == "feller":  # each lag is the horizon of a model the runner builds
-        dt = solver.dt or default_dt(build_basis(solver.level, solver.dim), fluid.kappa1)
+        dt = values["disc.dt"] or default_dt(
+            build_basis(values["disc.level"], values["disc.dim"]), values["fluid.kappa1"])
         for key in ("feller.lag", "feller.lag2"):
             try:
-                _whole_steps(get(key), dt)
+                _whole_steps(values[key], dt)
             except ValueError as exc:
-                problems.append((line_of(key), key, str(exc)))
+                problems.append(problem(key, str(exc)))
+    _raise_any(problems)
 
-    if problems:
-        raise ConfigError(sorted(problems, key=lambda p: (p[0] or 0)))
-
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        out=get("out"),
-        fluid=fluid,
-        solver=solver,
-        noise_kind=get("noise.kind"),
-        noise_rates=tuple(rates),
-        noise_gains=tuple(gains),
-        noise_profile=get("noise.profile"),
-        noise_scale=get("noise.scale"),
-        noise_shape_level=get("noise.shape_level"),
-        n_paths=get("ensemble.paths"),
-        seed=get("ensemble.seed"),
-        initial=get("ensemble.initial"),
-        initial_scale=get("ensemble.scale"),
-        options=options,
-    )
-
+    fluid = FluidParams(**_namespace(values, "fluid"))
+    cfg = ExperimentConfig(values, fluid, SolverConfig(params=fluid, **_namespace(values, "disc")),
+                           options)
     if experiment == "invariant-bound":
         sigma = cfg.make_sigma(cfg.marks())
         lam1 = build_basis(cfg.solver.level, cfg.solver.dim).lambda1

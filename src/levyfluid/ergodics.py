@@ -30,7 +30,6 @@ __all__ = [
     "cauchy_study",
     "uniqueness_contraction",
     "make_functional",
-    "semigroup_eval",
     "chapman_kolmogorov",
     "feller_modulus",
     "occupation_measure",
@@ -213,13 +212,11 @@ def stationary_second_moments(eigenvalues, kappa1, dt, drive_rates):
     return s / (2.0 * kappa1 * lam + dt * (kappa1 * lam) ** 2)
 
 
-def additive_drive_rates(sigma, marks, level):
+def additive_drive_rates(sigma, level):
     """Per-mode variance rates s_i = sum_j nu_j g_j^2 h_i^2 of additive noise."""
     if sigma.kind != "additive":
         raise ValueError("drive rates are defined for additive amplitudes")
-    h = sigma.shaped(level)
-    c2 = float(np.sum(marks.rates * sigma.gains**2))
-    return c2 * h**2
+    return sigma.c2 * sigma.shaped(level) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -364,28 +361,13 @@ def make_functional(name, basis, center=None, scale=1.0):
     return table[name]
 
 
-def _terminals(model, xi, t, n_paths, seed, path_offset=0):
+def _terminals(model, xi, t, n_paths, seed):
     """Terminals of `n_paths` runs from xi to t that did not blow up, and
     the number that did."""
     if abs(t - model.config.horizon) > 1e-12:
         raise ValueError("model horizon must equal the evaluation time")
-    res = run_paths(model, np.tile(np.asarray(xi, float), (n_paths, 1)), seed, n_out=2,
-                    path_offset=path_offset)
+    res = run_paths(model, np.tile(np.asarray(xi, float), (n_paths, 1)), seed, n_out=2)
     return res.terminal[res.alive()], int(res.blown.sum())
-
-
-def semigroup_eval(model, phis, xi, t, n_paths, seed, *, path_offset=0):
-    """Monte Carlo estimates of E phi(u(t; xi)) with their standard errors.
-
-    `phis` maps names to functionals; each is evaluated on the same
-    terminals, those of the paths that did not blow up.  Returns name ->
-    (estimate, standard error).
-    """
-    if t == 0.0:
-        start = np.asarray(xi, float)[None, :]
-        return {name: (float(phi(start)[0]), 0.0) for name, phi in phis.items()}
-    terminal, _ = _terminals(model, xi, t, n_paths, seed, path_offset)
-    return {name: _mean_se(phi(terminal)) for name, phi in phis.items()}
 
 
 def chapman_kolmogorov(model_t, model_s, model_ts, phis, xi, n_outer, n_inner, seed):
@@ -484,8 +466,10 @@ def occupation_measure(model, functional_names, t_schedule, burn_in, spec):
     """Time averages (1/T) int f(u) dt at an increasing schedule of T.
 
     Runs `spec.n_paths` independent replicas batched together; the
-    average at each checkpoint pools the replicas, the error bar is a
-    block bootstrap over the per-replica block means.  The stabilization
+    average at each checkpoint pools the replicas that did not blow up.
+    With more than one of them, the error bar is a bootstrap over their
+    time averages; with one, a block bootstrap over its time-block means
+    between the burn-in and the checkpoint.  The stabilization
     verdict asks the last three successive averages to agree within
     combined error bars.
     """

@@ -275,7 +275,7 @@ def _run_moments(cfg, out_dir, workers):
                  est["diss_se"], c_hat, est["n_blown"])
             )
         if _is_linear_drift(cfg) and cfg.noise_kind == "additive" and oracle is None:
-            drive = additive_drive_rates(model.sigma, model.marks, level)
+            drive = additive_drive_rates(model.sigma, level)
             if cfg.initial == "gaussian":
                 init_sq = cfg.initial_scale**2 / model.basis.eigenvalues
             else:
@@ -574,11 +574,10 @@ def run_experiment(cfg, out_dir=None, workers=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     basis = build_basis(cfg.solver.level, cfg.solver.dim)
-    marks = cfg.marks()
-    sigma = cfg.make_sigma(marks)
+    sigma = cfg.make_sigma(cfg.marks())
     t0 = time.perf_counter()
     cert = certify_noise_bounds(
-        sigma, marks, cfg.solver.level, derive_rng(cfg.seed, STREAM_STATS, 999)
+        sigma, cfg.solver.level, derive_rng(cfg.seed, STREAM_STATS, 999)
     )
     meta = {"workers": workers, "certify_s": time.perf_counter() - t0}
     base_summary = {
@@ -608,7 +607,7 @@ def run_experiment(cfg, out_dir=None, workers=None):
         write_run_meta(out_dir / "run_meta.json", time.perf_counter() - start, meta)
         (out_dir / "TRUNCATED").write_text(str(exc) + "\n")
         return 3, summary
-    except (ConfigError, KeyError) as exc:
+    except ConfigError as exc:
         summary = dict(base_summary, truncated=True, error=str(exc), verdict="FAIL")
         write_summary(out_dir / "summary.json", summary)
         (out_dir / "TRUNCATED").write_text(str(exc) + "\n")

@@ -231,16 +231,17 @@ class NoiseCertificate:
         }
 
 
-def certify_noise_bounds(sigma, marks, level, rng, n_samples=2000, box_radius=3.0, rtol=1e-9):
+def certify_noise_bounds(sigma, level, rng, n_samples=2000, box_radius=3.0, rtol=1e-9):
     """Randomized check of the declared moment budgets over a state box.
 
     Measures the smallest constants compatible with the samples given the
     other declared constant (so a passing certificate means the declared
     inequalities hold on every sample), and returns the first violating
     sample as a witness otherwise.  The sums over the marks are
-    c2 |c(u)|^2, c2 |c(u) - c(v)|^2 and c4 |c(u)|^4.  A state-free core
-    would give every sample one row, so it is evaluated at the origin and
-    at one box state, each the other's partner, and must be bit-equal there.
+    c2 |c(u)|^2, c2 |c(u) - c(v)|^2 and c4 |c(u)|^4, with sigma's own c2
+    and c4.  A state-free core would give every sample one row, so it is
+    evaluated at the origin and at one box state, each the other's
+    partner, and must be bit-equal there.
     """
     if n_samples < 1000:
         raise ValueError("the certificate needs at least 1000 samples")
@@ -255,7 +256,7 @@ def certify_noise_bounds(sigma, marks, level, rng, n_samples=2000, box_radius=3.
         v = box_radius * rng.uniform(-1, 1, (n_samples, level))
 
     cu, cv = sigma.core(u), sigma.core(v)
-    c2, c4 = (float(np.sum(marks.rates * sigma.gains**k)) for k in (2, 4))
+    c2, c4 = sigma.c2, sigma.c4
     cu_sq = np.sum(cu**2, axis=1)
     s2 = c2 * cu_sq
     s2d = c2 * np.sum((cu - cv) ** 2, axis=1)

@@ -88,12 +88,23 @@ class TestValidateCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "disc.jump_mode" in capsys.readouterr().err
 
-    def test_option_value_a_runner_cannot_measure_with(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, "experiment = cauchy\ncauchy.levels = [8]\n")
+    @pytest.mark.parametrize("experiment, line", [
+        ("cauchy", "cauchy.levels = [8]"),
+        ("moments", "noise.profile = bogus"),
+        ("moments", "noise.shape_level = 0"),
+        ("moments", "disc.scheme = implicit"),
+        ("occupation", "occupation.burn_in = 1.0"),
+        ("feller", "feller.functionals = gauss_bump,bogus"),
+    ])
+    def test_option_value_a_runner_cannot_measure_with(self, tmp_path, capsys, experiment, line):
+        # a config error from both commands, before anything is run or written
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\n{line}\n")
         assert main(["validate", "--config", cfg]) == 2
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "line 2: cauchy.levels" in err
+        # one problem from each command, naming its line and key
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0].startswith(f"config error: line 2: {line.split(' =')[0]}: ")
         assert not (tmp_path / "out").exists()
 
     def test_missing_file(self, capsys):

@@ -141,6 +141,15 @@ class TestValidation:
         ("cauchy", "cauchy.levels = [0, 4]"),
         ("contraction", "contraction.separations = []"),
         ("contraction", "contraction.separations = [0.1, 0.0]"),
+        ("moments", "noise.profile = bogus"),
+        ("moments", "noise.shape_level = 0"),
+        ("moments", "disc.scheme = implicit"),
+        ("moments", "ensemble.seed = -1"),
+        ("occupation", "occupation.burn_in = 1.0"),  # the horizon, past the first scheduled time
+        ("occupation", "occupation.burn_in = -1"),
+        ("feller", "feller.functionals = gauss_bump,bogus"),
+        ("audit", "audit.beta = 0.75"),
+        ("invariant-bound", "invariant.tolerance = -0.1"),
     ])
     def test_option_values_a_runner_cannot_measure_with(self, experiment, line):
         problems = problems_of(f"experiment = {experiment}\n{line}\n")

@@ -18,7 +18,6 @@ from levyfluid.ergodics import (
     mc_moment,
     no_increase_verdict,
     occupation_measure,
-    semigroup_eval,
     stationary_second_moments,
     stochastic_gronwall_audit,
     uniqueness_contraction,
@@ -77,7 +76,7 @@ class TestLinearOracles:
         model = make_model(dt=2e-3, horizon=2.0, convection=False, stress=False)
         spec = EnsembleSpec(256, 11, ("fixed", np.zeros(8)))
         res = run_paths(model, draw_initials(spec, model.basis), spec.seed)
-        drive = additive_drive_rates(sigma, MARKS, 8)
+        drive = additive_drive_rates(sigma, 8)
         series = linear_second_moments(
             model.basis.eigenvalues, PARAMS.kappa1, model.dt, model.n_steps,
             drive, np.zeros(8),
@@ -88,7 +87,7 @@ class TestLinearOracles:
 
     def test_drive_rates_require_additive(self):
         with pytest.raises(ValueError):
-            additive_drive_rates(ZeroNoise(MARKS), MARKS, 4)
+            additive_drive_rates(ZeroNoise(MARKS), 4)
 
 
 class TestMoments:
@@ -185,21 +184,6 @@ class TestContraction:
 
 
 class TestSemigroup:
-    def test_constant_functional_is_one(self):
-        model = make_model(horizon=0.25)
-        phi = make_functional("one", model.basis)
-        val, se = semigroup_eval(model, {"one": phi}, np.zeros(8), 0.25, 16, seed=3)["one"]
-        assert val == 1.0 and se == 0.0
-
-    def test_time_zero_evaluates_pointwise(self):
-        model = make_model(horizon=0.25)
-        xi = np.zeros(8)
-        xi[0] = 0.3
-        phi = make_functional("gauss_bump", model.basis)
-        val, se = semigroup_eval(model, {"gauss_bump": phi}, xi, 0.0, 16, seed=3)["gauss_bump"]
-        assert val == pytest.approx(np.exp(-0.09))
-        assert se == 0.0
-
     def test_unregistered_functional_rejected(self):
         with pytest.raises(KeyError):
             make_functional("unbounded_energy", build_basis(4, 2))
@@ -374,9 +358,17 @@ class TestOccupation:
         row = occ["sq_norm"]["rows"][-1]
         target = stationary_second_moments(
             model.basis.eigenvalues, PARAMS.kappa1, model.dt,
-            additive_drive_rates(sigma, MARKS, 8),
+            additive_drive_rates(sigma, 8),
         ).sum()
         assert abs(row["average"] - target) <= 3.0 * row["se"] + 0.05 * target
+
+    def test_one_replica_gets_block_bootstrap_error_bars(self):
+        # a bootstrap over one replica would give zero; its time blocks give a spread
+        model = make_model(dt=5e-3, horizon=4.0)
+        spec = EnsembleSpec(1, 5, ("fixed", np.zeros(8)))
+        occ = occupation_measure(model, ("sq_norm",), [2.0, 3.0, 4.0], 1.0, spec)
+        ses = [r["se"] for r in occ["sq_norm"]["rows"]]
+        assert len(ses) == 3 and all(np.isfinite(se) and se > 0 for se in ses)
 
 
 class TestInvariantBound:
@@ -397,7 +389,7 @@ class TestInvariantBound:
             sigma = AdditiveNoise(
                 MARKS, rng.uniform(0.05, 0.5, 2), rng.uniform(-1, 1, 12)
             )
-            drive = additive_drive_rates(sigma, MARKS, 12)
+            drive = additive_drive_rates(sigma, 12)
             stat = stationary_second_moments(b.eigenvalues, kappa1, dt, drive)
             measured = float(np.sum(stat) + np.sum(b.eigenvalues * stat))
             ceiling = invariant_moment_bound(

@@ -167,7 +167,7 @@ class TestSampleJumps:
 
 class TestCertificates:
     def test_zero_noise(self, marks):
-        cert = certify_noise_bounds(ZeroNoise(marks), marks, 8, derive_rng(0, STREAM_STATS, 0))
+        cert = certify_noise_bounds(ZeroNoise(marks), 8, derive_rng(0, STREAM_STATS, 0))
         assert cert.passed
         m = cert.measured
         assert (m.growth_const, m.growth_slope, m.lipschitz, m.fourth_moment) == (0, 0, 0, 0)
@@ -177,7 +177,7 @@ class TestCertificates:
         sig = LinearNoise(marks, g)
         c2 = float(np.sum(marks.rates * g**2))
         assert sig.bounds.growth_slope == pytest.approx(c2)
-        cert = certify_noise_bounds(sig, marks, 8, derive_rng(0, STREAM_STATS, 1))
+        cert = certify_noise_bounds(sig, 8, derive_rng(0, STREAM_STATS, 1))
         assert cert.passed
         assert cert.measured.growth_slope == pytest.approx(c2, rel=1e-9)
         assert cert.measured.lipschitz == pytest.approx(c2, rel=1e-9)
@@ -189,7 +189,7 @@ class TestCertificates:
         sig = AdditiveNoise(marks, g, h)
         l0 = float(np.sum(marks.rates * g**2) * np.sum(h**2))
         l3 = float(np.sum(marks.rates * g**4) * np.sum(h**2) ** 2)
-        cert = certify_noise_bounds(sig, marks, 4, derive_rng(0, STREAM_STATS, 2))
+        cert = certify_noise_bounds(sig, 4, derive_rng(0, STREAM_STATS, 2))
         assert cert.passed
         # certified from the core's one row: nothing to spare past the closed form
         assert cert.measured.growth_const == pytest.approx(l0, rel=1e-12)
@@ -198,7 +198,7 @@ class TestCertificates:
 
     def test_saturating_bounded(self, marks):
         sig = SaturatingNoise(marks, 0.5)
-        cert = certify_noise_bounds(sig, marks, 8, derive_rng(0, STREAM_STATS, 3))
+        cert = certify_noise_bounds(sig, 8, derive_rng(0, STREAM_STATS, 3))
         assert cert.passed
         assert cert.measured.growth_const <= sig.bounds.growth_const * (1 + 1e-9)
 
@@ -207,7 +207,7 @@ class TestCertificates:
         # understate the declared growth budget to force a violation
         sig.bounds = type(sig.bounds)(0.0, sig.bounds.growth_slope / 10.0,
                                       sig.bounds.lipschitz, sig.bounds.fourth_moment)
-        cert = certify_noise_bounds(sig, marks, 8, derive_rng(0, STREAM_STATS, 4))
+        cert = certify_noise_bounds(sig, 8, derive_rng(0, STREAM_STATS, 4))
         assert not cert.passed
         assert cert.witness is not None
         assert cert.witness["inequality"] == "growth"
@@ -221,9 +221,9 @@ class TestCertificates:
         # a budget declared 1% below the closed form fails on the factored core
         sig = make_noise(kind, marks, gains=np.array([0.3, 0.1]),
                          shape_coeffs=np.array([1.0, 0.5, 0.0, 0.0]))
-        assert certify_noise_bounds(sig, marks, 4, derive_rng(0, STREAM_STATS, 5)).passed
+        assert certify_noise_bounds(sig, 4, derive_rng(0, STREAM_STATS, 5)).passed
         sig.bounds = dataclasses.replace(sig.bounds, **{field: 0.99 * getattr(sig.bounds, field)})
-        cert = certify_noise_bounds(sig, marks, 4, derive_rng(0, STREAM_STATS, 5))
+        cert = certify_noise_bounds(sig, 4, derive_rng(0, STREAM_STATS, 5))
         assert not cert.passed
         assert cert.witness["inequality"] == inequality
         assert cert.witness["lhs"] > cert.witness["rhs"]
@@ -233,7 +233,7 @@ class TestCertificates:
         class Mislabelled(LinearNoise):
             state_free = True
 
-        cert = certify_noise_bounds(Mislabelled(marks, 0.3), marks, 6,
+        cert = certify_noise_bounds(Mislabelled(marks, 0.3), 6,
                                     derive_rng(0, STREAM_STATS, 6))
         assert not cert.passed
         assert cert.witness["inequality"] == "state_free"
@@ -241,7 +241,7 @@ class TestCertificates:
 
     def test_rejects_small_sample_counts(self, marks):
         with pytest.raises(ValueError):
-            certify_noise_bounds(ZeroNoise(marks), marks, 4,
+            certify_noise_bounds(ZeroNoise(marks), 4,
                                  derive_rng(0, STREAM_STATS, 9), n_samples=100)
 
     def test_make_noise_factory(self, marks):

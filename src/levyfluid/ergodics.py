@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import STREAM_INITIAL, STREAM_STATS, derive_rng
-from .solver import _draw_jumps, run_levels, run_pairs, run_paths
+from .solver import BlowUpError, _draw_jumps, run_levels, run_pairs, run_paths
 
 __all__ = [
     "EnsembleSpec",
@@ -471,7 +471,7 @@ def occupation_measure(model, functional_names, t_schedule, burn_in, spec):
     time averages; with one, a block bootstrap over its time-block means
     between the burn-in and the checkpoint.  The stabilization
     verdict asks the last three successive averages to agree within
-    combined error bars.
+    combined error bars.  Raises BlowUpError when no replica survives.
     """
     t_schedule = sorted(t_schedule)
     horizon = t_schedule[-1]
@@ -486,9 +486,9 @@ def occupation_measure(model, functional_names, t_schedule, burn_in, spec):
     i0 = int(np.argmin(np.abs(res.times - burn_in)))
     ok = res.alive()
     if not ok.any():
-        err = RuntimeError("every occupation replica blew up")
-        err.partial = res
-        raise err
+        step = int(res.blow_steps.min())
+        raise BlowUpError({"step": step, "t": (step + 1) * model.dt,
+                           "n_blown": int(res.blown.sum()), "level": model.config.level})
     n_ok = int(ok.sum())
     for name in fns:
         series = res.series[f"occ_{name}"][:, ok]  # cumulative int f dt

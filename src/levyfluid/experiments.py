@@ -71,7 +71,7 @@ import numpy as np
 
 from . import ergodics
 from .basis import build_basis
-from .config import ConfigError, config_hash
+from .config import config_hash
 from .ergodics import (
     EnsembleSpec,
     additive_drive_rates,
@@ -503,16 +503,15 @@ def _run_audit(cfg, out_dir, workers):
 
     path_reports = []
     for p in range(min(4, cfg.n_paths)):
-        # sample every step so the jump log carries the exact pre-step norms
-        traj = integrate(model, initials[p], cfg.seed, path_index=p,
-                         n_out=model.n_steps + 1)
-        rep = energy_audit(traj, cfg.fluid)
+        traj = integrate(model, initials[p], cfg.seed, path_index=p)
+        rep = energy_audit(traj)
         rep["path"] = p
         path_reports.append(rep)
         if p == 0:
             export_trajectory_csv(out_dir / "trajectory0.csv", traj, model.basis,
                                   config_hash=config_hash(cfg))
             export_ledger_jsonl(out_dir / "ledger0.jsonl", traj)
+            # the trajectory holds every step, so these are the exact pre-step norms
             norms = np.sqrt(np.sum(traj.states**2, axis=1))
             idx = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
             pre = norms[np.clip(idx, 0, norms.size - 1)]
@@ -535,6 +534,7 @@ def _run_audit(cfg, out_dir, workers):
         "passed": passed,
         "gronwall": {k: v for k, v in gron.items() if k not in ("times", "lhs", "bound")},
         "moment_bound_constant": c_hat,
+        "n_blown": int(result.blown.sum()),  # paths dropped from the audit and the constant
         "path_audits": path_reports,
         "tables": {"gronwall": (("t", "lhs", "bound", "margin"), rows)},
     }
@@ -562,11 +562,13 @@ def run_experiment(cfg, out_dir=None, workers=None):
     """Execute the configured experiment and write its artifact bundle.
 
     Returns (exit_code, summary).  Exit codes: 0 pass, 1 verdict fail,
-    2 config error, 3 runtime blow-up.  Partial outputs are flushed with
-    a TRUNCATED marker when a run aborts.  A run that reaches its runner
-    writes run_meta.json: `wall_time` and the seconds of its phases,
-    `certify_s` (the noise certificate), `run_s` (the runner) and
-    `write_s` (the CSV tables and the summary).
+    2 a failed noise certificate, 3 a runner's BlowUpError (the audit's
+    re-stepped path, or an occupation run with no surviving replica).
+    Partial outputs are flushed with a TRUNCATED marker when a run
+    aborts.  A run that reaches its runner writes run_meta.json:
+    `wall_time` and the seconds of its phases, `certify_s` (the noise
+    certificate), `run_s` (the runner) and `write_s` (the CSV tables and
+    the summary).
     """
     start = time.perf_counter()
     workers = default_workers() if workers is None else max(1, workers)
@@ -607,11 +609,6 @@ def run_experiment(cfg, out_dir=None, workers=None):
         write_run_meta(out_dir / "run_meta.json", time.perf_counter() - start, meta)
         (out_dir / "TRUNCATED").write_text(str(exc) + "\n")
         return 3, summary
-    except ConfigError as exc:
-        summary = dict(base_summary, truncated=True, error=str(exc), verdict="FAIL")
-        write_summary(out_dir / "summary.json", summary)
-        (out_dir / "TRUNCATED").write_text(str(exc) + "\n")
-        return 2, summary
     meta["run_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

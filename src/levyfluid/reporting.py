@@ -116,6 +116,7 @@ def export_trajectory_csv(path, traj, basis, *, config_hash=None):
 
 
 def export_ledger_jsonl(path, traj):
-    if traj.ledger is None:
-        raise ValueError("trajectory carries no ledger")
-    write_jsonl(path, traj.ledger.rows())
+    """One JSON row per step: every ledger column's value at that step."""
+    ledger = traj.ledger
+    write_jsonl(path, ({k: float(v[i]) for k, v in ledger.items()}
+                       for i in range(ledger["t"].size)))

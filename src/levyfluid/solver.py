@@ -31,14 +31,16 @@ jump list: it buckets the jumps into step windows, takes every member
 through the noise increment, the drift and the advance, and checks each
 path for blow-up across all members.  `run_paths` is one member,
 `run_pairs` two members of one model, `run_levels` one member per
-truncation level, and `integrate` one single-path member.  All step on
-the n*dt grid of the models' one dt.  The drivers keep only their own
-accumulators, ensemble series, pair distances, level gaps and the ledger,
-and fold `_march`'s blocks into them.
+truncation level, and `integrate` one member of one path that records
+every step.  All step on the n*dt grid of the models' one dt.  The
+drivers keep only their own accumulators, ensemble series, pair
+distances, level gaps and the ledger, and fold `_march`'s blocks into
+them.
 
-Paths blow up by policy, not silently: a non-finite or oversized state
-aborts `integrate` with a report of the step and norms; in the batched
-drivers it freezes the path in every member and flags it as blown.
+Paths blow up by one policy, not silently: `_march` freezes a path with
+a non-finite or oversized state in every member and flags it as blown.
+The batched drivers report the flags; `integrate` turns its path's flag
+into a BlowUpError with a report of the step and norms.
 
 The noise is compound Poisson, so rows that start at one state follow
 one trajectory until their first jumps, and rows that start at one state
@@ -97,7 +99,6 @@ __all__ = [
     "SolverConfig",
     "FluidModel",
     "Trajectory",
-    "EnergyLedger",
     "BlowUpError",
     "EnsembleResult",
     "default_dt",
@@ -106,6 +107,7 @@ __all__ = [
     "run_pairs",
     "run_levels",
     "energy_audit",
+    "replay_residual",
 ]
 
 DT_CAP = 1e-3
@@ -169,18 +171,24 @@ class SolverConfig:
             raise ValueError("level must be >= 1")
         if self.dt is not None and not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not self.horizon > 0:
+            raise ValueError("horizon must be positive")
 
 
 class BlowUpError(RuntimeError):
-    """A trajectory left the finite range; carries the abort report."""
+    """A run left the finite range; carries the abort report.
+
+    A single trajectory's report carries its post-step norm `l2`; an
+    ensemble whose every path blew up reports their count `n_blown`.
+    """
 
     def __init__(self, report):
-        super().__init__(
-            f"trajectory blew up at step {report['step']} (t={report['t']:.6g}, "
-            f"|u|={report['l2']:.3e})"
-        )
+        where = f"step {report['step']} (t={report['t']:.6g}"
+        if "l2" in report:
+            message = f"trajectory blew up at {where}, |u|={report['l2']:.3e})"
+        else:
+            message = f"all {report['n_blown']} paths blew up, the first at {where})"
+        super().__init__(message)
         self.report = report
 
 
@@ -202,7 +210,7 @@ class FluidModel:
         self.sigma = sigma
         self.marks = marks
         self.dt = config.dt if config.dt is not None else default_dt(self.basis, config.params.kappa1)
-        self.n_steps = _whole_steps(config.horizon, self.dt) if config.horizon > 0 else 0
+        self.n_steps = _whole_steps(config.horizon, self.dt)
         self._denom = _read_only(1.0 + self.dt * self.params.kappa1 * self.basis.eigenvalues)
         self._comp = -self.dt * float(np.sum(marks.rates * sigma.gains))  # -dt sum_j nu_j g_j
         self._rows = None  # state-free noise: (amplitude rows g_j h, compensator row)
@@ -257,42 +265,27 @@ class FluidModel:
         return inc, qv
 
 
-@dataclass
-class EnergyLedger:
-    """Per-step scalars of the step energy identity (single trajectory)."""
-
-    columns: dict
-
-    def __getitem__(self, name):
-        return self.columns[name]
-
-    def replay_residual(self):
-        c = self.columns
-        return (
-            c["l2_post_sq"]
-            - c["l2_pre_sq"]
-            + c["backward"]
-            + c["diss"]
-            + c["ap_work"]
-            + c["conv_work"]
-            - c["mart_work"]
-        )
-
-    def rows(self):
-        n = len(self.columns["t"])
-        for i in range(n):
-            yield {k: float(self.columns[k][i]) for k in LEDGER_COLUMNS}
+def replay_residual(ledger):
+    """Per-step residual of the step energy identity in the ledger's columns."""
+    return (
+        ledger["l2_post_sq"]
+        - ledger["l2_pre_sq"]
+        + ledger["backward"]
+        + ledger["diss"]
+        + ledger["ap_work"]
+        + ledger["conv_work"]
+        - ledger["mart_work"]
+    )
 
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray          # (n_times, m)
+    times: np.ndarray           # (n_steps + 1,): 0 and every step's end
+    states: np.ndarray          # (n_steps + 1, m)
     jump_times: np.ndarray
     jump_marks: np.ndarray
-    level: int
-    ledger: EnergyLedger | None = None
-    scheme: str = "semi-implicit"
+    ledger: dict                # LEDGER_COLUMNS -> (n_steps,) per-step values
+    scheme: str
 
     def terminal(self):
         return self.states[-1]
@@ -381,15 +374,16 @@ def _latest(key, first, live):
     return rep
 
 
-def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
-           keep_pieces=False, fold=None):
+def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False, fold=None):
     """Step member i, `states[i]` of shape (P, m_i), by `models[i]`, all in lockstep.
 
     The members share one dt: the steps are models[0]'s n_steps of size
     dt.  Every member sees the P per-path (times, marks) of `jumps`, each
-    event in the window (t_n, t_n+1] that holds it.  A path that blows up
-    in any member raises BlowUpError if `raise_blowup`, else freezes in
-    every member from then on, its step in `blow_steps` (-1 while alive).
+    event in the window (t_n, t_n+1] that holds it.  A path whose state
+    in any member is non-finite or above the blow-up norm freezes in
+    every member from then on, keeping its last live state, and its step
+    goes into `blow_steps` (-1 while alive).  A frozen step keeps its
+    pieces (U, M, ap, bb): advancing them again gives the blown state.
     A member's rows with bit-equal initial rows share one drift
     evaluation until their first jump, and for the whole run where their
     jump lists are equal too (`_SharedDrift`).  `states[i]` is replaced by
@@ -448,15 +442,6 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), raise_blowup=False,
                 fine &= sq <= cap
             bad = live & ~fine
             if bad.any():
-                if raise_blowup:
-                    i = int(np.flatnonzero(bad)[0])
-                    j = next(j for j, sq in enumerate(l2) if not sq[i] <= cap)
-                    U, U1 = pieces[j][:2]
-                    raise BlowUpError({
-                        "step": n, "t": t[n + 1], "l2": float(np.sqrt(abs(np.sum(U1[i] ** 2)))),
-                        "l2_pre": float(np.sqrt(np.sum(U[i] ** 2))),
-                        "level": models[j].config.level,
-                    })
                 blow_steps[bad] = n
                 live = blow_steps < 0
                 frozen = ~live
@@ -535,42 +520,44 @@ def _diag_update(model, dt, U, U1, M, ap, bb, qv_jump):
     return d
 
 
-def integrate(model, initial, seed, *, n_out=21, path_index=0):
-    """One trajectory on [0, horizon] with a full per-step ledger.
+def integrate(model, initial, seed, *, path_index=0):
+    """One trajectory on [0, horizon]: its state at every step, and its ledger.
 
     Deterministic given (seed, path_index): the jump stream is derived by
-    the counter key schedule.  Raises BlowUpError on a non-finite or
-    oversized state; the report carries the step, time and norms.  The
-    ledger is evaluated once per block of `_march`, with the values of a
-    per-step evaluation.  The states are sampled at `n_out` evenly spaced
-    steps.
+    the counter key schedule.  Raises BlowUpError when `_march` flags the
+    path; the report carries the step, time and norms, the post-step norm
+    from advancing the step's kept pieces again (`advance` works row by
+    row, so these are the stepping kernel's bits).  The ledger is
+    evaluated once per block of `_march`, with the values of a per-step
+    evaluation.
     """
     cfg = model.config
     coeffs = np.asarray(initial, dtype=float)[: cfg.level].copy()
     if coeffs.size < cfg.level:
         coeffs = np.concatenate([coeffs, np.zeros(cfg.level - coeffs.size)])
-    if cfg.horizon > 0.0:
-        jumps = _draw_jumps(model, seed, 1, path_index)
-    else:  # no steps: the trajectory is its initial state
-        jumps = [(np.empty(0), np.empty(0, np.int64))]
-    jt, jm = jumps[0]
-    out = _output_steps(model.n_steps, n_out)
+    jumps = _draw_jumps(model, seed, 1, path_index)
     cols = {k: [] for k in LEDGER_COLUMNS}
-    times_out, states_out = [np.zeros(1)], [coeffs[None, :]]
-    for block in _march([model], [coeffs[None, :]], np.full(1, -1), jumps,
-                        raise_blowup=True, keep_pieces=True):
-        diag = _diag_update(model, model.dt, *block.pieces[0])
+    times, states = [np.zeros(1)], [coeffs[None, :]]
+    for block in _march([model], [coeffs[None, :]], np.full(1, -1), jumps, keep_pieces=True):
+        U, _, M, ap, bb, _ = pieces = block.pieces[0]
+        if not block.live[-1, 0]:
+            j = int(np.argmin(block.live[:, 0]))  # the step that blew up
+            U1 = model.advance(*(None if a is None else a[j] for a in (U, M, ap, bb)))
+            raise BlowUpError({
+                "step": int(block.steps[j]) - 1, "t": float(block.t[j]),
+                "l2": float(np.sqrt(abs(np.sum(U1**2)))),
+                "l2_pre": float(np.sqrt(np.sum(U[j] ** 2))), "level": cfg.level,
+            })
+        diag = _diag_update(model, model.dt, *pieces)
         diag.update(t=block.t, dt=np.full(block.steps.size, model.dt),
                     n_jumps=block.n_jumps.astype(float))
         for k in LEDGER_COLUMNS:
             cols[k].append(diag[k])
-        rows = [j for j, n in enumerate(block.steps.tolist()) if n in out]
-        times_out.append(block.t[rows])
-        states_out.append(block.U1[0][rows])
+        times.append(block.t)
+        states.append(block.U1[0])
     return Trajectory(
-        np.concatenate(times_out), np.concatenate(states_out), jt, jm, cfg.level,
-        EnergyLedger({k: np.concatenate([np.empty(0)] + v) for k, v in cols.items()}),
-        cfg.scheme,
+        np.concatenate(times), np.concatenate(states), *jumps[0],
+        {k: np.concatenate(v) for k, v in cols.items()}, cfg.scheme,
     )
 
 
@@ -801,7 +788,7 @@ def run_levels(models, initial_top, seed):
     }
 
 
-def energy_audit(traj, params, *, skew_tol=1e-10, stress_tol=1e-8, replay_tol=1e-9):
+def energy_audit(traj, *, skew_tol=1e-10, stress_tol=1e-8, replay_tol=1e-9):
     """Step-identity and dissipation-inequality audit of one trajectory.
 
     Checks, per step: the convection pairing <B(u,u),u> vanishes within
@@ -814,26 +801,15 @@ def energy_audit(traj, params, *, skew_tol=1e-10, stress_tol=1e-8, replay_tol=1e
     together with its exact decomposition slack = residual + stress work
     + convection work (the residual part is a sum of squares).
     """
-    led = traj.ledger
-    if led is None:
-        raise ValueError("trajectory carries no ledger")
     if traj.scheme != "semi-implicit":
         raise ValueError("the energy audit applies to the semi-implicit scheme")
-    c = led.columns
-    n = len(c["t"])
-    report = {"n_steps": n}
-    if n == 0:
-        report.update(
-            skew_flags=0, stress_flags=0, replay_max=0.0, slack_min=0.0,
-            decomposition_max=0.0, passed=True,
-        )
-        return report
+    c = traj.ledger
     scale_skew = 1.0 + c["l2_pre_sq"] * np.sqrt(np.maximum(c["h2_post_sq"], 0.0))
     skew_flags = int(np.sum(np.abs(c["conv_skew"]) > skew_tol * scale_skew))
     stress_scale = 1.0 + c["l2_pre_sq"] + c["h2_post_sq"]
     stress_flags = int(np.sum(c["ap_pair"] < -stress_tol * stress_scale))
 
-    replay = led.replay_residual()
+    replay = replay_residual(c)
     energy_scale = 1.0 + np.maximum.accumulate(np.abs(c["l2_post_sq"]))
     replay_max = float(np.max(np.abs(np.cumsum(replay)) / energy_scale))
 
@@ -845,7 +821,8 @@ def energy_audit(traj, params, *, skew_tol=1e-10, stress_tol=1e-8, replay_tol=1e
     slack_min = float(np.min(slack))
     decomposition_max = float(np.max(np.abs(decomposition) / energy_scale))
     slack_tol = 1e-6 * float(1.0 + np.max(c["l2_post_sq"]))
-    report.update(
+    return dict(
+        n_steps=len(c["t"]),
         skew_flags=skew_flags,
         stress_flags=stress_flags,
         replay_max=replay_max,
@@ -860,4 +837,3 @@ def energy_audit(traj, params, *, skew_tol=1e-10, stress_tol=1e-8, replay_tol=1e
             and slack_min > -slack_tol
         ),
     )
-    return report

@@ -25,7 +25,8 @@ ensemble.scale = 0.4
 """
 
 # the explicit scheme at dt = 0.25 multiplies each mode by 1 - 12.5*lambda:
-# integrate aborts the audit's first path with exit code 3
+# integrate aborts the audit's first path with exit code 3, and as an
+# occupation run every replica blows up, which exits 3 too
 BLOWUP = """
 experiment = audit
 fluid.kappa1 = 50.0
@@ -185,14 +186,18 @@ class TestRunCommand:
         assert summary["bound"] == 0.0
         assert summary["measured"] > 1e-6
 
-    def test_blowup_exit_three_with_truncation_marker(self, tmp_path):
-        cfg = write_cfg(tmp_path, BLOWUP)
+    @pytest.mark.parametrize("experiment", ["audit", "occupation", "invariant-bound"])
+    def test_blowup_exit_three_with_truncation_marker(self, tmp_path, experiment):
+        text = BLOWUP.replace("experiment = audit", f"experiment = {experiment}")
+        cfg = write_cfg(tmp_path, text)
         out = tmp_path / "boom"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 3
         assert (out / "TRUNCATED").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["truncated"] is True
-        assert "blow_up" in summary
+        assert summary["blow_up"]["step"] == 11
+        if experiment != "audit":  # every replica blows up: none is left to average
+            assert summary["blow_up"]["n_blown"] == 4
 
     def test_regime_violation_rejected_at_parse(self, tmp_path, capsys):
         text = (

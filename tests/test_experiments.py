@@ -8,7 +8,7 @@ from levyfluid import ergodics, experiments, operators, solver
 from levyfluid.config import parse_config_text
 from levyfluid.ergodics import EnsembleSpec, cauchy_study, draw_initials
 from levyfluid.experiments import build_model, run_ensemble, run_experiment
-from levyfluid.solver import run_pairs
+from levyfluid.solver import run_pairs, run_paths
 
 
 BASE = """
@@ -354,6 +354,24 @@ class TestBlownCounts:
         monkeypatch.setattr(ergodics, "draw_initials", doomed)
         run_experiment(parse_config_text(text), out_dir=tmp_path, workers=1)
         assert json.loads((tmp_path / "summary.json").read_text())["n_blown"] == 2
+
+    def test_audit_reports_blown_paths(self, tmp_path, monkeypatch):
+        # a blow-up norm between the paths' suprema drops those above it
+        # from the ensemble; paths 0-3, which integrate re-steps, stay below
+        text = (BASE.replace("experiment = moments", "experiment = audit")
+                .replace("ensemble.initial = mode1", "ensemble.initial = gaussian")
+                .replace("moments.levels = [4, 8]\n", ""))
+        cfg = parse_config_text(text)
+        model = build_model(cfg)
+        X = draw_initials(EnsembleSpec(cfg.n_paths, cfg.seed, cfg.initial_law()), model.basis)
+        sup = np.sqrt(run_paths(model, X, cfg.seed).series["sup_l2_sq"][-1])
+        above = np.sort(sup[sup > sup[:4].max()])
+        assert above.size > 0
+        cap = 0.5 * (sup[:4].max() + above[0])
+        monkeypatch.setattr(experiments, "build_model",
+                            lambda cfg: build_model(cfg, blowup_norm=cap))
+        run_experiment(cfg, out_dir=tmp_path, workers=1)
+        assert json.loads((tmp_path / "summary.json").read_text())["n_blown"] == above.size
 
 
 class TestArtifacts:

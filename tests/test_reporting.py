@@ -43,19 +43,20 @@ class TestWriteSeries:
         assert tuple(rows[0]) == cols
 
     def test_streams_without_buffering(self, tmp_path):
-        path = tmp_path / "big.csv"
-        n_rows = 1_000_000
+        # a streaming writer's peak does not grow with the row count; one
+        # that buffers the rows grows about tenfold from 20 000 to 200 000
+        def peak_at(n_rows):
+            rows = ((i, i * 0.5) for i in range(n_rows))
+            tracemalloc.start()
+            n = write_series(tmp_path / "big.csv", ("i", "x"), rows)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert n == n_rows
+            return peak
 
-        def rows():
-            for i in range(n_rows):
-                yield (i, i * 0.5)
-
-        tracemalloc.start()
-        n = write_series(path, ("i", "x"), rows())
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert n == n_rows
-        assert peak < 32 * 1024 * 1024, f"peak {peak/1e6:.1f} MB"
+        small, large = peak_at(20_000), peak_at(200_000)
+        assert large < 2 * small, f"peak {small/1e6:.2f} -> {large/1e6:.2f} MB"
+        assert large < 4 * 1024 * 1024, f"peak {large/1e6:.1f} MB"
 
     def test_io_error_names_path(self, tmp_path):
         with pytest.raises(OSError) as err:

@@ -32,6 +32,7 @@ from levyfluid.solver import (
     default_dt,
     energy_audit,
     integrate,
+    replay_residual,
     run_levels,
     run_pairs,
     run_paths,
@@ -139,11 +140,8 @@ class TestStep:
 
 class TestTrajectory:
     def test_zero_horizon(self):
-        cfg = SolverConfig(params=PARAMS, level=8, dt=1e-2, horizon=0.0)
-        model = FluidModel(cfg, ZeroNoise(MARKS), MARKS)
-        traj = integrate(model, np.ones(8), seed=0)
-        assert traj.times.tolist() == [0.0]
-        assert np.array_equal(traj.states[0], np.ones(8))
+        with pytest.raises(ValueError):
+            SolverConfig(params=PARAMS, level=8, dt=1e-2, horizon=0.0)
 
     def test_ledger_replay_reconstructs_energy(self):
         model = make_model(dt=1e-3, horizon=1.0)
@@ -156,7 +154,7 @@ class TestTrajectory:
             + led["mart_work"]
         )
         assert replay == pytest.approx(led["l2_post_sq"][-1], abs=1e-10)
-        assert np.abs(led.replay_residual()).max() < 1e-12 * (1 + led["l2_post_sq"].max())
+        assert np.abs(replay_residual(led)).max() < 1e-12 * (1 + led["l2_post_sq"].max())
 
     def test_skew_symmetry_inside_loop(self):
         model = make_model(dt=2e-3, horizon=0.5)
@@ -176,15 +174,15 @@ class TestTrajectory:
     def test_energy_audit_passes(self):
         model = make_model(dt=1e-3, horizon=1.0)
         traj = integrate(model, np.zeros(8), seed=11)
-        report = energy_audit(traj, PARAMS)
+        report = energy_audit(traj)
         assert report["passed"], report
         assert report["slack_min"] > -1e-6
 
-    def test_energy_audit_requires_ledger_and_scheme(self):
-        model = make_model(dt=1e-2, horizon=0.1)
-        traj = replace(integrate(model, np.zeros(8), seed=0), ledger=None)
+    def test_energy_audit_requires_the_semi_implicit_scheme(self):
+        model = make_model(dt=1e-2, horizon=0.1, scheme="explicit")
+        traj = integrate(model, np.zeros(8), seed=0)
         with pytest.raises(ValueError):
-            energy_audit(traj, PARAMS)
+            energy_audit(traj)
 
     def test_restart_from_terminal_continues_trajectory(self):
         # integrating to T in one run equals stopping at T/2 and restarting
@@ -196,7 +194,7 @@ class TestTrajectory:
         model = FluidModel(full_cfg, ZeroNoise(marks), marks)
         rng = np.random.default_rng(5)
         xi = 0.5 * rng.standard_normal(6)
-        full = integrate(model, xi, seed=2, n_out=5)
+        full = integrate(model, xi, seed=2)
 
         half_cfg = SolverConfig(params=par, level=6, dt=1e-2, horizon=0.2)
         half_model = FluidModel(half_cfg, ZeroNoise(marks), marks)
@@ -219,6 +217,9 @@ class TestBlowUpPolicy:
             integrate(model, u0, seed=0)
         rep = err.value.report
         assert set(rep) >= {"step", "t", "l2", "level"}
+        assert rep["t"] == (rep["step"] + 1) * model.dt
+        assert not rep["l2"] <= cfg.blowup_norm
+        assert np.isfinite(rep["l2_pre"]) and rep["l2_pre"] <= cfg.blowup_norm
 
     def test_ensemble_counts_blowups_instead_of_raising(self):
         par = FluidParams(kappa0=0.5, kappa1=50.0, reg=1.0, p=1.5)
@@ -311,7 +312,7 @@ class TestSaturatingNoise:
         xi[0] = 0.8
         traj = integrate(model, xi, seed=15)
         assert np.all(np.isfinite(traj.states))
-        rep = energy_audit(traj, PARAMS)
+        rep = energy_audit(traj)
         assert rep["passed"], rep
         # bounded amplitude: every logged jump quadratic variation respects
         # the declared constant budget of the entry
@@ -331,8 +332,8 @@ class TestThreeDimensional:
         traj = integrate(model, np.zeros(6), seed=1)
         led = traj.ledger
         assert np.all(np.isfinite(traj.states))
-        assert np.abs(led.replay_residual()).max() < 1e-12 * (1 + led["l2_post_sq"].max())
-        rep = energy_audit(traj, PARAMS)
+        assert np.abs(replay_residual(led)).max() < 1e-12 * (1 + led["l2_post_sq"].max())
+        rep = energy_audit(traj)
         assert rep["passed"]
 
 
@@ -385,7 +386,7 @@ class TestEnsembleEngine:
         xi = np.zeros(8)
         xi[0] = 0.5
         res = run_paths(model, xi[None, :], seed=23, n_out=2, track_audit=True)
-        traj = integrate(model, xi, seed=23, n_out=2)
+        traj = integrate(model, xi, seed=23)
         led = traj.ledger
         assert res.series["diss_int"][-1, 0] == pytest.approx(
             float(np.sum(led["diss"])) / (2.0 * PARAMS.kappa1), rel=1e-12
@@ -848,7 +849,7 @@ class TestIntervalFlush:
             return inner(*args)
 
         monkeypatch.setattr(solver, "_diag_update", counted)
-        traj = integrate(model, np.zeros(8), 3, n_out=model.n_steps + 1)
+        traj = integrate(model, np.zeros(8), 3)
         assert traj.times.size == model.n_steps + 1
         assert len(calls) == -(-model.n_steps // FLUSH_STEPS)
         assert sum(calls) == model.n_steps
@@ -978,4 +979,4 @@ class TestIntervalFlush:
         xi = 0.5 * np.random.default_rng(seed).standard_normal(level)
         traj = integrate(model, xi, seed)
         assert traj.ledger["t"].size >= model.n_steps > FLUSH_STEPS
-        assert energy_audit(traj, cfg.params)["replay_max"] < 1e-9
+        assert energy_audit(traj)["replay_max"] < 1e-9

@@ -7,10 +7,13 @@ Each run writes its artifact bundle under the config's `out` directory
 (relative paths are resolved against --out-root, default `results/`).
 --only runs the named config stems alone; a stem with no config exits 2
 before anything runs.  Prints one line per config, with its wall time,
-and a total line.  Exits nonzero if any experiment fails its verdict.
+and a total line with the peak resident memory: the larger of this
+process's and its children's (pool workers'), in MB.  Exits nonzero if
+any experiment fails its verdict.
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -47,7 +50,10 @@ def main(argv=None):
         verdict = summary.get("verdict", "FAIL")
         print(f"{path.stem:<18} {verdict:<5} exit={code}  {seconds:6.1f}s  -> {out_dir}")
         worst = max(worst, code)
-    print(f"{'total':<18} {len(paths)} configs   {total:6.1f}s  workers={workers}")
+    peak_mb = max(resource.getrusage(who).ru_maxrss
+                  for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
+    print(f"{'total':<18} {len(paths)} configs   {total:6.1f}s  workers={workers}"
+          f"  peak_rss={peak_mb:.1f}MB")
     return worst
 
 

@@ -98,12 +98,23 @@ def _mean_se(values):
 
 
 def bootstrap_se(values, rng, n_boot=400):
-    """Plain bootstrap standard error of the mean over iid paths."""
+    """Plain bootstrap standard error of the mean over iid paths.
+
+    The resamples are drawn and averaged in chunks of rows whose index
+    array stays under 64 KB (one row when a row alone is larger).  The
+    generator's stream runs on across calls, so the chunks hold the
+    indices of one (n_boot, n) draw, and each mean reduces the same row:
+    the result has the bits of the unchunked draw.
+    """
     v = np.asarray(values, dtype=float)
     if v.size < 2:
         return 0.0
-    idx = rng.integers(0, v.size, size=(n_boot, v.size))
-    return float(v[idx].mean(axis=1).std(ddof=1))
+    means = np.empty(n_boot)
+    rows = max(1, (64 * 1024 - 1) // (8 * v.size))
+    for lo in range(0, n_boot, rows):
+        idx = rng.integers(0, v.size, size=(min(rows, n_boot - lo), v.size))
+        means[lo : lo + len(idx)] = v[idx].mean(axis=1)
+    return float(means.std(ddof=1))
 
 
 def block_bootstrap_se(series, rng, n_blocks=20, n_boot=400):

@@ -15,9 +15,7 @@ Three operators act on coefficient vectors:
   span; Frobenius products E(u):E(v) are dot products of frame
   coordinates; and gamma(u) E(u) stays in the span.  The operator
   workspace refuses a basis whose mode strains are not trace-free, so the
-  frame can never silently drop a component.  Synthesis and projection
-  are one matrix product each against an (m, k*G) table, O(m * k * G) per
-  row;
+  frame can never silently drop a component;
 * the convection form b(u, v, w) = int u_i d_i(v_j) w_j dx, evaluated in
   divergence form by dealiased collocation (Orszag 1971; Zang 1991 on the
   advective, divergence and rotational forms).  Integrating by parts,
@@ -25,13 +23,16 @@ Three operators act on coefficient vectors:
   last term is zero exactly because every mode is divergence-free.  So
   u and v are synthesized on the uniform grid of 3*kmax + 1 points per
   dimension, the momentum flux v_a u_b is formed pointwise and paired with
-  the mode gradients, which span the trace-free matrices: k trace-free
-  symmetric (strain) coordinates in the stress's frame and d(d-1)/2
-  antisymmetric (rotation) ones (`_gradient_frame`).  For B(u, u) the flux
-  u (x) u is symmetric, so its rotation coordinates vanish and only the k
-  strain coordinates are projected: per row, d + k passes over (m, G)
-  tables (4 in 2D, 8 in 3D) where the advective form (u . grad) v needs
-  d + d^2 + d (8 and 15).
+  the mode gradients, which span the trace-free matrices.  The flux is
+  taken in a basis of rank-one trace-free matrices a_j b_j^T
+  (`_product_forms`), so each of its coordinates is one product
+  (a_j . v)(b_j . u) of two linear forms of the fields, and the mode
+  gradients' coordinates in that basis pair it with them.  For B(u, u)
+  the flux u (x) u is symmetric and k coordinates suffice (u_p u_q for
+  p < q and u_j^2 - u_d^2 = (u_j - u_d)(u_j + u_d)): per row, d + k
+  passes over (m, G) tables (4 in 2D, 8 in 3D) where the advective form
+  (u . grad) v needs d + d^2 + d (8 and 15).
+
   The integrand is a trigonometric polynomial of degree at most 3*kmax,
   which that grid integrates exactly, so the projected coefficients equal
   the Galerkin ones up to rounding and no aliasing error enters.  The
@@ -39,6 +40,21 @@ Three operators act on coefficient vectors:
   = 1/2 int div(u) |v|^2 dx = 0 therefore holds to rounding as well: the
   quadrature reproduces the exact integral, and the modes are
   divergence-free exactly.
+
+Every mode is a scalar wave times a constant vector or matrix, so the
+workspace keeps one scalar (m, G) table per wave kind and grid (dtrig on
+the stress grid; trig and dtrig on the convection grid) and the small
+per-mode coordinates beside them.  Synthesis scales the (P, m)
+coefficients by each of the n coordinates (frame coordinates,
+polarization components) in one broadcast multiply, then makes all n*P
+fields in one (n*P, m) @ (m, G) product.  Projection makes the n planes
+in one (n*P, G) @ (G, m) product, then scales each by its coordinates
+(which carry the quadrature weight) and adds them in place.  The flops
+are those of the n tables scaled by the coordinates, O(m * n * G) per
+row, from n times less table memory.  On small batches the broadcast
+multiply and the combine are NumPy calls that tables scaled in advance
+would fold into their products, so a call there costs a few microseconds
+more.
 
 The shear factor gamma is bounded and smooth for reg > 0, so the stress
 collocation error decays spectrally in the grid size.  Measured envelope
@@ -116,18 +132,43 @@ def trace_free_frame(dim):
     return np.array(frame)
 
 
-def _gradient_frame(dim):
-    """Orthonormal basis of the trace-free dim x dim matrices, the span of
-    every mode gradient, shape (dim^2 - 1, dim, dim): `trace_free_frame`,
-    then the antisymmetric (e_a e_b^T - e_b e_a^T) / sqrt(2) for a < b,
-    made from its off-diagonal elements by negating the lower triangle."""
-    sym = trace_free_frame(dim)
-    off = sym[: dim * (dim - 1) // 2]
-    return np.concatenate([sym, np.triu(off) - np.tril(off)])
+def _product_forms(dim):
+    """Factors (a, b), each of shape (dim*dim - 1, dim), of a basis of the
+    trace-free dim x dim matrices made of rank-one matrices a_j b_j^T.
+
+    First e_p e_q^T for p < q; then (e_j - e_l) (e_j + e_l)^T for j < l,
+    with l = dim - 1 the last index; last e_q e_p^T for p < q.  Each
+    coordinate v^T (a_j b_j^T) u = (a_j . v) (b_j . u) of a flux v (x) u
+    is a product of two linear forms.  The first k = dim(dim+1)/2 - 1 are
+    enough for a symmetric flux u (x) u: u_p u_q, then u_j^2 - u_l^2.
+    """
+    eye = np.eye(dim)
+    pairs = list(itertools.combinations(range(dim), 2))
+    diag = range(dim - 1)
+    a = [eye[p] for p, _ in pairs] + [eye[j] - eye[-1] for j in diag] + [eye[q] for _, q in pairs]
+    b = [eye[q] for _, q in pairs] + [eye[j] + eye[-1] for j in diag] + [eye[p] for p, _ in pairs]
+    return np.array(a), np.array(b)
+
+
+def _form_coords(ek):
+    """Coordinates, each (n, m), of the trace-free mode gradients `ek`
+    (m, d, d) in `_product_forms`: all d*d - 1 for a full flux, and the
+    first k for a symmetric one (where e_p e_q^T and e_q e_p^T pair alike).
+
+    X = sum_j c_j a_j b_j^T for X trace-free: (e_j - e_l)(e_j + e_l)^T has
+    X_jj on the diagonal and also puts +X_jj at (j, l) and -X_jj at (l, j),
+    which the coordinates of e_j e_l^T and e_l e_j^T take back.
+    """
+    p, q = np.triu_indices(ek.shape[1], 1)
+    diag = np.einsum("mjj->mj", ek)[:, :-1]
+    at_last = np.where(q == ek.shape[1] - 1, ek[:, p, p], 0.0)
+    full = np.concatenate([ek[:, p, q] - at_last, diag, ek[:, q, p] + at_last], axis=1)
+    sym = np.concatenate([ek[:, p, q] + ek[:, q, p], diag], axis=1)
+    return full.T, sym.T
 
 
 class SpectralOperators:
-    """Per-basis workspace: mode tables on the two collocation grids.
+    """Per-basis workspace: scalar mode waves on the two collocation grids.
 
     The stress grid has 4*(kmax + 1) points per dimension; the shear factor
     is not polynomial, so its quadrature error decays spectrally in that
@@ -137,49 +178,60 @@ class SpectralOperators:
     and b(u, v, v) = 0 to rounding.  Both grids take their scalar mode
     waves from exact integer phases (`basis._grid_waves`).
 
-    Tables, each O(m * G) memory:
+    Tables, one scalar (m, G) wave per kind and grid, 8*m*(G_s + 2*G_c)
+    bytes in all:
 
-    * stress: the mode strains in the trace-free frame, shape (m, k*G),
-      built straight from their rank-one factors; set-up raises
-      ValueError when some mode gradient has trace above 1e-12 * max|k|;
-    * convection synthesis: the mode velocities, shape (d*G, m);
-    * convection projection: the mode gradients in `_gradient_frame`,
-      shape (m, (d*d - 1)*G), strain coordinates (the first k*G columns)
-      then rotation coordinates.
+    * stress: dtrig on the stress grid, the scalar factor of every mode
+      strain;
+    * convection: trig (the velocities' factor) and dtrig (the
+      gradients') on the convection grid.
+
+    Beside them sit per-mode coordinates, each of shape (n, 1, m), that
+    scale those waves: the mode strains' coordinates in
+    `trace_free_frame` (and, times the quadrature weight, the stress
+    projection's), the polarizations, and the coordinates that pair a
+    flux with the mode gradients in the `_product_forms` basis (times
+    minus the quadrature weight), for the symmetric and the full flux.
+    Set-up raises ValueError when some mode gradient has trace above
+    1e-12 * max|k|.
     """
 
     def __init__(self, basis, oversample=4):
         self.basis = basis
-        dim, m = basis.dim, basis.size
+        dim = basis.dim
         kmax = int(np.max(np.abs(basis.wavevectors)))
         # grad phi_m = (e_m (x) k_m) * dtrig_m, trace-free because e_m . k_m = 0
         ek = np.einsum("ma,mb->mab", basis.polarizations, basis.wavevectors.astype(float))
         if np.abs(np.trace(ek, axis1=1, axis2=2)).max() > 1e-12 * np.sqrt(basis.ksq.max()):
             raise ValueError("mode strains are not trace-free: polarizations not orthogonal to k")
-        frame = _gradient_frame(dim)
-        coords = np.einsum("mab,jab->mj", ek, frame)  # (m, d*d - 1)
         self._frame_size = k = dim * (dim + 1) // 2 - 1
+        coords = np.einsum("mab,jab->jm", ek, trace_free_frame(dim))
+        self._strain_coords = coords[:, None, :]  # (k, 1, m)
+        self._polarizations = basis.polarizations.T.copy()[:, None, :]  # (d, 1, m)
 
         self.stress_grid_size = oversample * (kmax + 1)
-        _, dtrig, self._stress_weight = _grid_waves(basis, self.stress_grid_size)
-        self._strain_table = (coords[:, :k, None] * dtrig[:, None, :]).reshape(m, -1)
-        self._strain_table_t = self._strain_table.T
+        _, self._stress_dtrig, self._stress_weight = _grid_waves(basis, self.stress_grid_size)
+        self._stress_dtrig_t = self._stress_dtrig.T
+        # the projection's coordinates carry the quadrature weight
+        self._stress_out = self._stress_weight * self._strain_coords
 
-        trig, dtrig, self._conv_weight = _grid_waves(basis, 3 * kmax + 1)
-        self._conv_vals = (basis.polarizations.T[:, None, :] * trig.T[None]).reshape(-1, m)
-        self._conv_table = (coords[:, :, None] * dtrig[:, None, :]).reshape(m, -1)
-        # the divergence form's sign and the quadrature weight ride on the
-        # frame rows that turn the grid products into flux coordinates
-        flux_frame = -self._conv_weight * frame.reshape(-1, dim * dim)
-        table_t = self._conv_table.T
-        self._flux = (flux_frame, table_t)
-        self._sym_flux = (flux_frame[:k], table_t[: k * dtrig.shape[1]])
+        self._trig, dtrig, weight = _grid_waves(basis, 3 * kmax + 1)
+        # dtrig only projects: stored (G, m), so that product multiplies
+        # row-major operands, as synthesis does
+        self._dtrig_t = np.ascontiguousarray(dtrig.T)
+        # the mode gradients' coordinates in the rank-one basis pair a flux
+        # with them; the divergence form's sign and the quadrature weight
+        # ride on the coordinates
+        fa, fb = _product_forms(dim)
+        full, half = (-weight * c[:, None, :] for c in _form_coords(ek))
+        self._flux = (fa, fb, full)  # coords (d*d - 1, 1, m)
+        self._sym_flux = (np.concatenate([fa[:k], fb[:k]]), half)  # (2k, d), (k, 1, m)
 
     # -- nonlinear stress ---------------------------------------------------
 
     def _strain(self, c):
-        """Frame coordinates of the strain of a batch (P, m), shape (P, k, G)."""
-        return (c @ self._strain_table).reshape(c.shape[0], self._frame_size, -1)
+        """Frame coordinates of the strain of a batch (P, m), shape (k, P*G)."""
+        return _synthesize(c, self._strain_coords, self._stress_dtrig)
 
     def nonlinear_stress(self, coeffs, params):
         """Galerkin coefficients of the shear-dependent stress.
@@ -187,21 +239,28 @@ class SpectralOperators:
         Accepts a single coefficient vector (m,) or a batch (P, m) and
         returns the same shape.
         """
+        # `_synthesize` and `_project` written out: on the small batches of
+        # long runs their calls' overhead is a measurable share of a step
         c, batched = _as_batch(coeffs)
-        strain = self._strain(c)
-        gamma = np.einsum("pkg,pkg->pg", strain, strain)  # |E(u)|^2, then gamma in place
+        coords, n, rows = self._strain_coords, self._frame_size, len(c)
+        strain = ((coords * c).reshape(n * rows, -1) @ self._stress_dtrig).reshape(n, -1)
+        gamma = np.einsum("kn,kn->n", strain, strain)  # |E(u)|^2, then gamma in place
         gamma += params.reg
         gamma **= (params.p - 2.0) / 2.0
-        strain *= gamma[:, None, :]
-        out = strain.reshape(c.shape[0], -1) @ self._strain_table_t
-        out *= self._stress_weight
+        strain *= gamma
+        planes = (strain.reshape(n * rows, -1) @ self._stress_dtrig_t).reshape(n, rows, -1)
+        planes *= self._stress_out
+        out = planes[0] + planes[1]
+        for j in range(2, n):
+            out += planes[j]
         return out if batched else out[0]
 
     def strain_norm(self, coeffs):
         """||E(u)||_L2 by quadrature on the stress grid; batched over axis 0."""
         c = np.atleast_2d(np.asarray(coeffs, dtype=float))
         strain = self._strain(c)
-        out = np.sqrt(self._stress_weight * np.einsum("pkg,pkg->p", strain, strain))
+        strain = strain.reshape(len(strain), len(c), -1)
+        out = np.sqrt(self._stress_weight * np.einsum("kpg,kpg->p", strain, strain))
         return out if np.ndim(coeffs) == 2 else float(out[0])
 
     # -- convection ---------------------------------------------------------
@@ -211,24 +270,57 @@ class SpectralOperators:
 
         (B(u, v), w) = b(u, v, w) = -int (v (x) u) : grad w dx for every w
         in the truncation.  The momentum flux v (x) u is formed pointwise
-        from one synthesis of each field, turned into coordinates in
-        `_gradient_frame` and projected against the mode gradients, so the
-        cost is O(m * G) per row with no m^3 intermediate.  B(u, u), asked
-        for as `convection(u, u)` with one object, projects only the
-        trace-free symmetric part: u (x) u has no rotation part.
+        from one synthesis of each field, as its coordinates in the
+        `_product_forms` basis, and projected against the mode gradients,
+        so the cost is O(m * G) per row with no m^3 intermediate.  B(u, u),
+        asked for as `convection(u, u)` with one object, projects only the
+        k coordinates of the symmetric flux u (x) u.
         """
-        u, batched = _as_batch(cu)
-        x = self._conv_vals @ u.T  # (d*G, P), component-major
+        u, batched = _as_batch(cu)  # `_synthesize` and `_project` written out
+        pol, rows = self._polarizations, len(u)
+        x = ((pol * u).reshape(len(pol) * rows, -1) @ self._trig).reshape(len(pol), -1)
         if cv is cu:
-            y, (frame, table_t) = x, self._sym_flux
+            forms, coords = self._sym_flux
+            n = len(coords)
+            lin = forms @ x  # a_j . u, then b_j . u
+            flux = lin[:n] * lin[n:]
         else:
-            v, _ = _as_batch(cv)
-            y, (frame, table_t) = self._conv_vals @ v.T, self._flux
-        d = self.basis.dim
-        flux = y.reshape(d, 1, -1) * x.reshape(1, d, -1)  # v_a u_b on the grid
-        coords = frame @ flux.reshape(d * d, -1)  # (frame size, G*P)
-        out = coords.reshape(-1, x.shape[1]).T @ table_t
+            fa, fb, coords = self._flux
+            n = len(coords)
+            flux = (fa @ _synthesize(_as_batch(cv)[0], pol, self._trig)) * (fb @ x)
+        planes = (flux.reshape(n * rows, -1) @ self._dtrig_t).reshape(n, rows, -1)
+        planes *= coords
+        out = planes[0] + planes[1]
+        for j in range(2, n):
+            out += planes[j]
         return out if batched else out[0]
+
+
+def _synthesize(c, coords, waves):
+    """Grid fields of a batch c (P, m) whose modes are scalar `waves`
+    (m, G) times per-mode coordinates `coords` (n, 1, m): shape (n, P*G),
+    row j the P fields of coordinate j.
+
+    The coordinates scale the coefficients, so the n*P fields come from
+    one (n*P, m) @ (m, G) product.
+    """
+    return ((coords * c).reshape(-1, c.shape[1]) @ waves).reshape(len(coords), -1)
+
+
+def _project(fields, rows, coords, waves_t):
+    """Galerkin coefficients (P, m) of grid fields (n, P*G), with P = `rows`,
+    against modes that are scalar waves (m, G), given transposed as
+    `waves_t`, times per-mode coordinates `coords` (n, 1, m): one
+    (n*P, G) @ (G, m) product, then the n planes scaled by their
+    coordinates and added in order.
+    """
+    n = len(fields)
+    planes = (fields.reshape(n * rows, -1) @ waves_t).reshape(n, rows, -1)
+    planes *= coords
+    out = planes[0] + planes[1]  # n >= 2: d >= 2 polarizations, k >= 2 coordinates
+    for j in range(2, n):
+        out += planes[j]
+    return out
 
 
 def _as_batch(coeffs):
@@ -273,9 +365,7 @@ def estimate_convection_bound(ops, rng, n_starts=24, n_rounds=5):
     b = ops.basis
     ksq = b.ksq.astype(float)
     eig = b.eigenvalues
-    vals, table = ops._conv_vals, ops._conv_table  # (d*G, m), (m, (d*d - 1)*G)
-    frame = _gradient_frame(b.dim)
-    n_grid = vals.shape[0] // b.dim
+    pol, (fa, fb, coords) = ops._polarizations, ops._flux
     # (n_starts, m) each, drawn restart by restart
     u, v, w = rng.standard_normal((n_starts, 3, b.size)).transpose(1, 0, 2)
 
@@ -283,12 +373,12 @@ def estimate_convection_bound(ops, rng, n_starts=24, n_rounds=5):
         return np.where(np.linalg.norm(new, axis=1)[:, None] > 0, new, old)
 
     for _ in range(n_rounds):
-        # (grad v)^T w = sum_a d_b(v_a) w_a on the grid, grad v summed from
-        # its frame coordinates, then projected
-        coords = (v @ table).reshape(n_starts, -1, n_grid)
-        w_grid = (w @ vals.T).reshape(n_starts, b.dim, n_grid)
-        field = np.einsum("sjg,jab,sag->sbg", coords, frame, w_grid)
-        q = ops._conv_weight * (field.reshape(n_starts, -1) @ vals)
+        # (grad v)^T w = sum_a d_b(v_a) w_a on the grid: grad v is
+        # sum_j a_j b_j^T g_j, so (grad v)^T w = sum_j b_j (a_j . w) g_j.
+        # The flux coordinates carry -weight, so projecting gives -q.
+        g = _synthesize(v, coords, ops._dtrig_t.T)  # (d*d - 1, S*G)
+        field = fb.T @ ((fa @ _synthesize(w, pol, ops._trig)) * g)
+        q = -_project(field, n_starts, pol, ops._trig.T)
         norm = np.linalg.norm(q, axis=1)[:, None]
         u = update(u, q / np.where(norm > 0, norm, 1.0))
         v = update(v, -ops.convection(u, w) / ksq)
@@ -313,17 +403,15 @@ def stress_jacobians(ops, coeffs, params):
     Returns shape (P, m, m).
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    table = ops._strain_table  # (m, k*G)
-    n_states, m = c.shape
-    strain = ops._strain(c)  # (P, k, G)
-    gsq = np.einsum("pkg,pkg->pg", strain, strain)
+    waves, coords = ops._stress_dtrig, ops._strain_coords[:, 0]  # (m, G), (k, m)
+    strain = ops._strain(c).reshape(len(coords), len(c), -1)  # (k, P, G)
+    gsq = np.einsum("kpg,kpg->pg", strain, strain)
     ex = params.p / 2.0 - 1.0
     gamma = (params.reg + gsq) ** ex
     dgamma = ex * (params.reg + gsq) ** (ex - 1.0)
-    modes = table.reshape(m, ops._frame_size, -1)  # (m, k, G)
-    cross = np.einsum("pkg,mkg->pmg", strain, modes)  # (E(u):E_m) on the grid
-    weighted = (gamma[:, None, None, :] * modes).reshape(n_states, m, -1)
-    gram = weighted @ table.T
+    # E_m = coords_m * waves_m, so E_m:E_l = (coords_m . coords_l) waves_m waves_l
+    gram = (coords.T @ coords) * ((gamma[:, None, :] * waves) @ waves.T)
+    cross = np.einsum("km,kpg->pmg", coords, strain) * waves  # (E(u):E_m) on the grid
     outer = (2.0 * dgamma[:, None, :] * cross) @ cross.transpose(0, 2, 1)
     return ops._stress_weight * (gram + outer)
 

@@ -65,11 +65,13 @@ does each piece of work once and only where needed; unlike the shared
 drift, these savings change no bit.  `_march` yields stacked blocks of
 steps, each ending after a step its caller names as a cut (the output
 steps of `run_paths` and `run_pairs`), after at most FLUSH_STEPS steps,
-and after the last step; the cap bounds the memory of runs with few
-outputs.  A block holds the post-step states of the members its caller
-folds (`run_pairs` folds only its first), and their pieces (U, U1, M, ap,
-bb, qv) only for a caller that asks: keeping states, M and the drift
-across a block costs memory on wide batches.  The drivers do no
+after a step in which some path froze, and after the last step; the cap
+bounds the memory of runs with few outputs, and the freeze cut lets
+`integrate` stop at the step that blew up.  A block holds the post-step
+states of the members its caller folds (`run_pairs` folds only its
+first), and their pieces (U, U1, M, ap, bb, qv) only for a caller that
+asks: keeping states, M and the drift across a block costs memory on
+wide batches.  The drivers do no
 arithmetic per step: they fold each block into their accumulators in one
 vectorized pass: running sums by `np.add.accumulate` along the step axis,
 seeded with the running value, which adds in the order of per-step
@@ -390,12 +392,12 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False, fol
     each step's new state.
 
     Yields _Blocks of at most FLUSH_STEPS consecutive steps, each ending
-    after a step whose number (1..n_steps) is in `cuts` and after the last
-    step.  Per step of a block (k steps), stacked: `steps`, `t` (end
-    times) and `n_jumps` (event counts), each (k,); `live` (k, P); per
-    folded member `U1` (k*P, m_i), the post-step states; and, with
-    `keep_pieces`, per folded member the stacked (U, U1, M, ap, bb, qv) of
-    `_stack_pieces`, else None.  The folded members are those `fold`
+    after a step whose number (1..n_steps) is in `cuts`, after a step in
+    which some path froze, and after the last step.  Per step of a block
+    (k steps), stacked: `steps`, `t` (end times) and `n_jumps` (event
+    counts), each (k,); `live` (k, P); per folded member `U1` (k*P, m_i),
+    the post-step states; and, with `keep_pieces`, per folded member the
+    stacked (U, U1, M, ap, bb, qv) of `_stack_pieces`, else None.  The folded members are those `fold`
     names by index, in its order; by default every member.
     """
     jt = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
@@ -419,6 +421,7 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False, fol
     block = []  # the steps since the last yield
     for n in range(n_steps):
         lo, hi = bounds[n], bounds[n + 1]
+        froze = False
         if any(shares) and (n in leave or regroup):
             if regroup:
                 shared.freeze(live)
@@ -446,13 +449,14 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False, fol
                 live = blow_steps < 0
                 frozen = ~live
                 regroup = True  # a frozen row must stop standing in for others
+                froze = True  # the block ends here, so a caller can stop
         for i, (U, U1, *_) in enumerate(pieces):
             if frozen is not None:
                 U1[frozen] = U[frozen]
             states[i] = U1
         block.append((n + 1, t[n + 1], hi - lo, live, [states[i] for i in fold],
                       [pieces[i] for i in fold] if keep_pieces else None))
-        if n + 1 in cuts or len(block) == FLUSH_STEPS or n + 1 == n_steps:
+        if froze or n + 1 in cuts or len(block) == FLUSH_STEPS or n + 1 == n_steps:
             stacked = _stack_block(block, len(jumps), keep_pieces)
             block = []  # before the caller folds it: the per-step arrays go
             yield stacked
@@ -525,9 +529,10 @@ def integrate(model, initial, seed, *, path_index=0):
 
     Deterministic given (seed, path_index): the jump stream is derived by
     the counter key schedule.  Raises BlowUpError when `_march` flags the
-    path; the report carries the step, time and norms, the post-step norm
-    from advancing the step's kept pieces again (`advance` works row by
-    row, so these are the stepping kernel's bits).  The ledger is
+    path, at the end of the block that the step which blew up closes, so
+    no later step is taken; the report carries the step, time and norms,
+    the post-step norm from advancing the step's kept pieces again
+    (`advance` works row by row, so these are the stepping kernel's bits).  The ledger is
     evaluated once per block of `_march`, with the values of a per-step
     evaluation.
     """

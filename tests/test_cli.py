@@ -237,6 +237,21 @@ class TestRunAllScript:
         assert proc.stdout == "" and not any(tmp_path.iterdir())
 
 
+    def test_total_line_reports_peak_memory(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_all.py"), "--only", "cauchy_oracle",
+             "--workers", "1", "--out-root", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        total = proc.stdout.splitlines()[-1]
+        assert total.startswith("total") and "workers=1" in total
+        peak = float(total.split("peak_rss=")[1].removesuffix("MB"))
+        assert 10.0 < peak < 4096.0
+
+
 class TestCompareArtifactsScript:
     def bundle(self, root, modulus, verdict, extra=None):
         out = root / "results" / "feller"

@@ -90,6 +90,35 @@ class TestLinearOracles:
             additive_drive_rates(ZeroNoise(MARKS), 4)
 
 
+class TestBootstrap:
+    @pytest.mark.parametrize("n", [2, 37, 256, 1000])
+    @pytest.mark.parametrize("make_rng", [lambda: np.random.default_rng(5),
+                                          lambda: np.random.Generator(np.random.Philox(5))],
+                             ids=["pcg64", "philox"])
+    def test_chunked_draw_has_the_bits_of_one_draw(self, n, make_rng):
+        values = np.random.default_rng(n).standard_normal(n)
+        ref = make_rng()
+        idx = ref.integers(0, n, size=(400, n))
+        want = float(values[idx].mean(axis=1).std(ddof=1))
+        rng = make_rng()
+        assert ergodics.bootstrap_se(values, rng) == want
+        # and the stream is left where the one draw leaves it
+        assert rng.integers(0, 2**62, 4).tolist() == ref.integers(0, 2**62, 4).tolist()
+
+    def test_memory_stays_in_chunks(self):
+        import tracemalloc
+
+        values = np.random.default_rng(0).standard_normal(256)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            ergodics.bootstrap_se(values, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+
 class TestMoments:
     def test_zero_system_gives_zero(self):
         model = make_model(sigma=ZeroNoise(MARKS), horizon=0.25)

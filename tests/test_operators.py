@@ -421,20 +421,54 @@ class TestSetupTables:
         assert sorted(calls) == sorted([ops.stress_grid_size, 3 * kmax + 1])
         assert float_calls == []
 
-        m, frame = b.size, trace_free_frame(dim)
+        # the scalar waves times the per-mode coordinates rebuild every
+        # strain, velocity and gradient table of the mode-strain oracles
+        frame = trace_free_frame(dim)
         pts, _ = uniform_grid(dim, ops.stress_grid_size)
-        strains = np.einsum("mabg,kab->mkg", mode_strains(b, pts), frame)
-        np.testing.assert_allclose(ops._strain_table, strains.reshape(m, -1), rtol=0, atol=1e-13)
-        pts, _ = uniform_grid(dim, 3 * kmax + 1)
-        vals = mode_values(b, pts).transpose(1, 2, 0).reshape(-1, m)  # (d*G, m)
-        np.testing.assert_allclose(ops._conv_vals, vals, rtol=0, atol=1e-13)
-        table = ops._conv_table.reshape(m, -1, pts.shape[1])
-        strains = np.einsum("mabg,kab->mkg", mode_strains(b, pts), frame)
-        np.testing.assert_allclose(table[:, : frame.shape[0]], strains, rtol=0, atol=1e-13)
-        # the remaining coordinates carry the rotation: together with the
-        # strain they rebuild every mode gradient
-        grads = np.einsum("mjg,jab->mabg", table, operators_module._gradient_frame(dim))
-        np.testing.assert_allclose(grads, mode_gradients(b, pts), rtol=0, atol=1e-13)
+        strains = np.einsum("mabg,kab->kmg", mode_strains(b, pts), frame)
+        rebuilt = ops._strain_coords[:, 0, :, None] * ops._stress_dtrig  # (k, m, G)
+        np.testing.assert_allclose(rebuilt, strains, rtol=0, atol=1e-13)
+        pts, w = uniform_grid(dim, 3 * kmax + 1)
+        vals = ops._polarizations[:, 0, :, None] * ops._trig  # (d, m, G)
+        np.testing.assert_allclose(vals, mode_values(b, pts).transpose(1, 0, 2),
+                                   rtol=0, atol=1e-13)
+        # the flux coordinates carry -weight: over the rank-one basis they
+        # rebuild every mode gradient, and over the symmetric parts of its
+        # first k every mode strain
+        fa, fb = operators_module._product_forms(dim)
+        rank_one = np.einsum("ja,jb->jab", fa, fb)
+        k, dtrig = len(frame), ops._dtrig_t.T
+        sym = 0.5 * (rank_one[:k] + rank_one[:k].transpose(0, 2, 1))
+        for coords, basis_mats, oracle in ((ops._flux[2], rank_one, mode_gradients),
+                                           (ops._sym_flux[1], sym, mode_strains)):
+            table = -coords[:, 0, :, None] / w * dtrig  # (n, m, G)
+            rebuilt = np.einsum("jmg,jab->mabg", table, basis_mats)
+            np.testing.assert_allclose(rebuilt, oracle(b, pts), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("level,dim", [(64, 2), (12, 3)])
+    def test_one_scalar_table_per_wave_kind_and_grid(self, level, dim):
+        # dtrig on the stress grid, trig and dtrig on the convection grid,
+        # and besides them only per-mode coordinate arrays with no grid axis
+        b = build_basis(level, dim)
+        ops = SpectralOperators(b)
+        kmax = int(np.max(np.abs(b.wavevectors)))
+        m, g_s, g_c = b.size, ops.stress_grid_size**dim, (3 * kmax + 1) ** dim
+        arrays = [a for v in vars(ops).values()
+                  for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+        buffers = {}
+        for a in arrays:
+            while a.base is not None:  # count each allocation once, not its views
+                a = a.base
+            buffers[id(a)] = a
+        tables = [a for a in buffers.values() if a.ndim == 2 and {g_s, g_c} & set(a.shape)]
+        assert sorted(a.size for a in tables) == [m * g_c, m * g_c, m * g_s]
+        # per mode: k strain coordinates, weighted and not, d polarizations,
+        # d*d - 1 full and k symmetric flux coordinates; and the 2*(d*d - 1)
+        # + 2k linear forms of d components
+        k, n = dim * (dim + 1) // 2 - 1, dim * dim - 1
+        coord_bytes = 8 * ((2 * k + dim + n + k) * m + (2 * n + 2 * k) * dim)
+        total = sum(a.nbytes for a in buffers.values())
+        assert total == 8 * m * (g_s + 2 * g_c) + coord_bytes
 
 
 class TestFiniteDifferenceOracles:

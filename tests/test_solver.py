@@ -221,6 +221,27 @@ class TestBlowUpPolicy:
         assert not rep["l2"] <= cfg.blowup_norm
         assert np.isfinite(rep["l2_pre"]) and rep["l2_pre"] <= cfg.blowup_norm
 
+    def test_integrate_stops_at_the_step_that_blew_up(self, monkeypatch):
+        # 20 explicit steps whose state passes the cap at step 5: six steps,
+        # then one advance that rebuilds the report, and no step after it
+        par = FluidParams(kappa0=0.5, kappa1=50.0, reg=1.0, p=1.5)
+        cfg = SolverConfig(params=par, level=8, dt=0.25, horizon=5.0,
+                           scheme="explicit", convection=False, stress=False)
+        model = FluidModel(cfg, ZeroNoise(MARKS), MARKS)
+        assert model.n_steps == 20
+        calls = []
+        real = model.advance
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(model, "advance", counted)
+        with pytest.raises(BlowUpError) as err:
+            integrate(model, np.ones(8), seed=0)
+        assert err.value.report["step"] == 5
+        assert len(calls) == 7
+
     def test_ensemble_counts_blowups_instead_of_raising(self):
         par = FluidParams(kappa0=0.5, kappa1=50.0, reg=1.0, p=1.5)
         cfg = SolverConfig(params=par, level=8, dt=0.25, horizon=5.0,

@@ -46,15 +46,16 @@ workspace keeps one scalar (m, G) table per wave kind and grid (dtrig on
 the stress grid; trig and dtrig on the convection grid) and the small
 per-mode coordinates beside them.  Synthesis scales the (P, m)
 coefficients by each of the n coordinates (frame coordinates,
-polarization components) in one broadcast multiply, then makes all n*P
-fields in one (n*P, m) @ (m, G) product.  Projection makes the n planes
-in one (n*P, G) @ (G, m) product, then scales each by its coordinates
-(which carry the quadrature weight) and adds them in place.  The flops
-are those of the n tables scaled by the coordinates, O(m * n * G) per
-row, from n times less table memory.  On small batches the broadcast
-multiply and the combine are NumPy calls that tables scaled in advance
-would fold into their products, so a call there costs a few microseconds
-more.
+polarization components) in one broadcast multiply, then makes the n*P
+fields in one (n, P, m) @ (m, G) product.  Projection makes the n planes
+in one (n, P, G) @ (G, m) product, then scales each by its coordinates
+(which carry the quadrature weight) and adds them.  The flops are those
+of the n tables scaled by the coordinates, O(m * n * G) per row, from n
+times less table memory.  The broadcast multiply and the scale-and-add
+are NumPy calls that tables scaled in advance fold into their products:
+on batches of a few rows at m <= 16, where each call costs about as
+much as a product, a call takes a few microseconds more than with such
+tables.
 
 The shear factor gamma is bounded and smooth for reg > 0, so the stress
 collocation error decays spectrally in the grid size.  Measured envelope
@@ -230,7 +231,7 @@ class SpectralOperators:
     # -- nonlinear stress ---------------------------------------------------
 
     def _strain(self, c):
-        """Frame coordinates of the strain of a batch (P, m), shape (k, P*G)."""
+        """Frame coordinates of the strain of a batch (P, m), shape (k, P, G)."""
         return _synthesize(c, self._strain_coords, self._stress_dtrig)
 
     def nonlinear_stress(self, coeffs, params):
@@ -239,27 +240,19 @@ class SpectralOperators:
         Accepts a single coefficient vector (m,) or a batch (P, m) and
         returns the same shape.
         """
-        # `_synthesize` and `_project` written out: on the small batches of
-        # long runs their calls' overhead is a measurable share of a step
         c, batched = _as_batch(coeffs)
-        coords, n, rows = self._strain_coords, self._frame_size, len(c)
-        strain = ((coords * c).reshape(n * rows, -1) @ self._stress_dtrig).reshape(n, -1)
-        gamma = np.einsum("kn,kn->n", strain, strain)  # |E(u)|^2, then gamma in place
+        strain = self._strain(c)
+        gamma = np.einsum("kpg,kpg->pg", strain, strain)  # |E(u)|^2, then gamma in place
         gamma += params.reg
         gamma **= (params.p - 2.0) / 2.0
         strain *= gamma
-        planes = (strain.reshape(n * rows, -1) @ self._stress_dtrig_t).reshape(n, rows, -1)
-        planes *= self._stress_out
-        out = planes[0] + planes[1]
-        for j in range(2, n):
-            out += planes[j]
+        out = _project(strain, self._stress_out, self._stress_dtrig_t)
         return out if batched else out[0]
 
     def strain_norm(self, coeffs):
         """||E(u)||_L2 by quadrature on the stress grid; batched over axis 0."""
         c = np.atleast_2d(np.asarray(coeffs, dtype=float))
         strain = self._strain(c)
-        strain = strain.reshape(len(strain), len(c), -1)
         out = np.sqrt(self._stress_weight * np.einsum("kpg,kpg->p", strain, strain))
         return out if np.ndim(coeffs) == 2 else float(out[0])
 
@@ -276,49 +269,43 @@ class SpectralOperators:
         asked for as `convection(u, u)` with one object, projects only the
         k coordinates of the symmetric flux u (x) u.
         """
-        u, batched = _as_batch(cu)  # `_synthesize` and `_project` written out
-        pol, rows = self._polarizations, len(u)
-        x = ((pol * u).reshape(len(pol) * rows, -1) @ self._trig).reshape(len(pol), -1)
+        u, batched = _as_batch(cu)
+        x = _synthesize(u, self._polarizations, self._trig).reshape(len(self._polarizations), -1)
         if cv is cu:
             forms, coords = self._sym_flux
-            n = len(coords)
-            lin = forms @ x  # a_j . u, then b_j . u
-            flux = lin[:n] * lin[n:]
+            lin = forms @ x  # a_j . u, then b_j . u; their products in place
+            flux = lin[: len(coords)]
+            flux *= lin[len(coords):]
         else:
             fa, fb, coords = self._flux
-            n = len(coords)
-            flux = (fa @ _synthesize(_as_batch(cv)[0], pol, self._trig)) * (fb @ x)
-        planes = (flux.reshape(n * rows, -1) @ self._dtrig_t).reshape(n, rows, -1)
-        planes *= coords
-        out = planes[0] + planes[1]
-        for j in range(2, n):
-            out += planes[j]
+            v = _synthesize(_as_batch(cv)[0], self._polarizations, self._trig)
+            flux = (fa @ v.reshape(len(v), -1)) * (fb @ x)
+        out = _project(flux.reshape(len(coords), len(u), -1), coords, self._dtrig_t)
         return out if batched else out[0]
 
 
 def _synthesize(c, coords, waves):
     """Grid fields of a batch c (P, m) whose modes are scalar `waves`
-    (m, G) times per-mode coordinates `coords` (n, 1, m): shape (n, P*G),
-    row j the P fields of coordinate j.
+    (m, G) times per-mode coordinates `coords` (n, 1, m): shape (n, P, G),
+    plane j the P fields of coordinate j.
 
     The coordinates scale the coefficients, so the n*P fields come from
-    one (n*P, m) @ (m, G) product.
+    one product of the (n, P, m) scaled coefficients with the waves.
     """
-    return ((coords * c).reshape(-1, c.shape[1]) @ waves).reshape(len(coords), -1)
+    return np.matmul(coords * c, waves)
 
 
-def _project(fields, rows, coords, waves_t):
-    """Galerkin coefficients (P, m) of grid fields (n, P*G), with P = `rows`,
-    against modes that are scalar waves (m, G), given transposed as
-    `waves_t`, times per-mode coordinates `coords` (n, 1, m): one
-    (n*P, G) @ (G, m) product, then the n planes scaled by their
-    coordinates and added in order.
+def _project(fields, coords, waves_t):
+    """Galerkin coefficients (P, m) of grid fields (n, P, G) against modes
+    that are scalar waves (m, G), given transposed as `waves_t`, times
+    per-mode coordinates `coords` (n, 1, m): one product makes the n
+    planes (n, P, m), which are scaled by their coordinates and added in
+    order.
     """
-    n = len(fields)
-    planes = (fields.reshape(n * rows, -1) @ waves_t).reshape(n, rows, -1)
+    planes = np.matmul(fields, waves_t)
     planes *= coords
     out = planes[0] + planes[1]  # n >= 2: d >= 2 polarizations, k >= 2 coordinates
-    for j in range(2, n):
+    for j in range(2, len(planes)):
         out += planes[j]
     return out
 
@@ -376,9 +363,10 @@ def estimate_convection_bound(ops, rng, n_starts=24, n_rounds=5):
         # (grad v)^T w = sum_a d_b(v_a) w_a on the grid: grad v is
         # sum_j a_j b_j^T g_j, so (grad v)^T w = sum_j b_j (a_j . w) g_j.
         # The flux coordinates carry -weight, so projecting gives -q.
-        g = _synthesize(v, coords, ops._dtrig_t.T)  # (d*d - 1, S*G)
-        field = fb.T @ ((fa @ _synthesize(w, pol, ops._trig)) * g)
-        q = -_project(field, n_starts, pol, ops._trig.T)
+        g = _synthesize(v, coords, ops._dtrig_t.T).reshape(len(coords), -1)  # (d*d - 1, S*G)
+        w_grid = _synthesize(w, pol, ops._trig).reshape(len(pol), -1)
+        field = fb.T @ ((fa @ w_grid) * g)
+        q = -_project(field.reshape(len(pol), n_starts, -1), pol, ops._trig.T)
         norm = np.linalg.norm(q, axis=1)[:, None]
         u = update(u, q / np.where(norm > 0, norm, 1.0))
         v = update(v, -ops.convection(u, w) / ksq)
@@ -404,7 +392,7 @@ def stress_jacobians(ops, coeffs, params):
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=float))
     waves, coords = ops._stress_dtrig, ops._strain_coords[:, 0]  # (m, G), (k, m)
-    strain = ops._strain(c).reshape(len(coords), len(c), -1)  # (k, P, G)
+    strain = ops._strain(c)  # (k, P, G)
     gsq = np.einsum("kpg,kpg->pg", strain, strain)
     ex = params.p / 2.0 - 1.0
     gamma = (params.reg + gsq) ** ex

@@ -216,6 +216,7 @@ class FluidModel:
         self._denom = _read_only(1.0 + self.dt * self.params.kappa1 * self.basis.eigenvalues)
         self._comp = -self.dt * float(np.sum(marks.rates * sigma.gains))  # -dt sum_j nu_j g_j
         self._rows = None  # state-free noise: (amplitude rows g_j h, compensator row)
+        self._quiet = None  # state-free noise: the read-only M of a window without jumps
         if sigma.state_free:
             h = sigma.core(np.zeros((1, config.level)))[0]
             self._rows = (_read_only(sigma.gains[:, None] * h), _read_only(self._comp * h))
@@ -236,9 +237,13 @@ class FluidModel:
                 g -= dt * bb
         else:
             g = increment if bb is None else increment - dt * bb
-        if self.config.scheme == "semi-implicit":
+        if self.config.scheme != "semi-implicit":
+            return states - dt * self.params.kappa1 * self.basis.eigenvalues * states + g
+        if g is increment:
             return (states + g) / self._denom
-        return states - dt * self.params.kappa1 * self.basis.eigenvalues * states + g
+        g += states  # the bits of (states + g) / denom, in g's buffer
+        g /= self._denom
+        return g
 
     def noise_increment(self, states, jump_paths, jump_marks):
         """Compensated window increments for a batch and their jump variation.
@@ -247,7 +252,9 @@ class FluidModel:
         None for a window without jumps.  The amplitude g_j c(u) is frozen
         at the pre-step state: the compensator is -dt (sum_j nu_j g_j) c(u)
         and an event of mark j on path p adds g_j c(u_p).  State-free noise
-        fills M from the rows built with the model, for any batch size.
+        fills M from the rows built with the model, for any batch size; for
+        a window without jumps it returns a read-only M that it keeps until
+        the batch shape changes.
         """
         if self._rows is None:
             core = self.sigma.core(states)
@@ -256,10 +263,12 @@ class FluidModel:
                 return inc, None
             amp = self.sigma.gains[jump_marks, None] * core[jump_paths]  # (n_events, m)
         else:
+            if not jump_paths.size:
+                if self._quiet is None or self._quiet.shape != states.shape:
+                    self._quiet = _read_only(np.repeat(self._rows[1][None], len(states), axis=0))
+                return self._quiet, None
             inc = np.empty(states.shape)
             inc[:] = self._rows[1]
-            if not jump_paths.size:
-                return inc, None
             amp = self._rows[0][jump_marks]
         np.add.at(inc, jump_paths, amp)
         qv = np.zeros(states.shape[0])
@@ -419,26 +428,30 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False, fol
     cap = models[0].config.blowup_norm ** 2
     fold = range(len(models)) if fold is None else fold
     block = []  # the steps since the last yield
+    quiet = (jp[:0], jm[:0])  # the events of a window without any
     for n in range(n_steps):
         lo, hi = bounds[n], bounds[n + 1]
-        froze = False
+        events = (jp[lo:hi], jm[lo:hi]) if hi > lo else quiet
         if any(shares) and (n in leave or regroup):
             if regroup:
                 shared.freeze(live)
             shares, regroup = shared.at(n), False
-        pieces = []
-        for model, U, share in zip(models, states, shares):
-            M, qv = model.noise_increment(U, jp[lo:hi], jm[lo:hi])
+        pieces, ok = [], True
+        for i, (model, U, share) in enumerate(zip(models, states, shares)):
+            M, qv = model.noise_increment(U, *events)
             if share is None:
                 ap, bb = model.drift_pieces(U)
             else:
                 rows, scatter = share
                 ap, bb = (None if a is None else a.take(scatter, axis=0)
                           for a in model.drift_pieces(U.take(rows, axis=0)))
-            pieces.append((U, model.advance(U, M, ap, bb), M, ap, bb, qv))
-        # a member's whole sum of squares bounds each of its rows', and is
-        # NaN or inf if any entry is: rows are checked only when one fails
-        if not all(np.vdot(U1, U1) <= cap for _, U1, *_ in pieces):
+            U1 = states[i] = model.advance(U, M, ap, bb)
+            pieces.append((U, U1, M, ap, bb, qv))
+            # a member's whole sum of squares bounds each of its rows', and
+            # is NaN or inf if any entry is: rows are checked only when one fails
+            ok = ok and np.vdot(U1, U1) <= cap
+        froze = False
+        if not ok:
             l2 = [(U1 * U1).sum(axis=1) for _, U1, *_ in pieces]
             fine = l2[0] <= cap
             for sq in l2[1:]:
@@ -450,10 +463,9 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False, fol
                 frozen = ~live
                 regroup = True  # a frozen row must stop standing in for others
                 froze = True  # the block ends here, so a caller can stop
-        for i, (U, U1, *_) in enumerate(pieces):
-            if frozen is not None:
+        if frozen is not None:
+            for U, U1, *_ in pieces:  # U1 is states[i]: frozen rows keep U
                 U1[frozen] = U[frozen]
-            states[i] = U1
         block.append((n + 1, t[n + 1], hi - lo, live, [states[i] for i in fold],
                       [pieces[i] for i in fold] if keep_pieces else None))
         if froze or n + 1 in cuts or len(block) == FLUSH_STEPS or n + 1 == n_steps:

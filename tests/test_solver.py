@@ -551,6 +551,21 @@ class TestLeanStepping:
             for name in got.series:
                 assert np.array_equal(got.series[name], want.series[name]), name
 
+    def test_quiet_windows_share_one_read_only_increment(self):
+        # a window without jumps gets the compensator rows, in one array
+        # that no caller can write; a window with jumps gets its own
+        model = make_model()
+        U = np.zeros((5, 8))
+        none = (np.empty(0, np.int64), np.empty(0, np.int64))
+        M, qv = model.noise_increment(U, *none)
+        assert qv is None and not M.flags.writeable
+        assert np.array_equal(M, np.tile(model._rows[1], (5, 1)))
+        assert model.noise_increment(U, *none)[0] is M
+        J, qv = model.noise_increment(U, np.array([2]), np.array([1]))
+        assert J.flags.writeable and J is not M and qv[2] > 0
+        assert np.array_equal(J[2], M[2] + model._rows[0][1])
+        assert np.array_equal(np.delete(J, 2, axis=0), np.delete(M, 2, axis=0))
+
     @settings(max_examples=25, deadline=None)
     @given(xi=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
            n=st.integers(1, 3), seed=st.integers(0, 2**16))

@@ -61,6 +61,7 @@ invariant-bound runners run in one process.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -87,7 +88,7 @@ from .ergodics import (
     stochastic_gronwall_audit,
     uniqueness_contraction,
 )
-from .noise import STREAM_STATS, certify_noise_bounds, derive_rng, write_jump_log
+from .noise import STREAM_BOUND, STREAM_STATS, certify_noise_bounds, derive_rng, write_jump_log
 from .operators import estimate_convection_bound
 from .reporting import (
     export_ledger_jsonl,
@@ -134,9 +135,9 @@ def _pair_block(models, initials, seed, offset, partners, n_out, conv_bound):
     jumps = _draw_jumps(model, seed, initials.shape[0], offset)
     out = run_pairs(model, np.tile(initials, (k, 1)), np.concatenate(partners), seed,
                     conv_bound, n_out=n_out, jumps=jumps * k)
-    split = {key: np.split(v, k, axis=-1) for key, v in out.items() if key != "times"}
-    return [dict({key: v[i] for key, v in split.items()}, times=out["times"])
-            for i in range(k)]
+    # each per-path array (..., k*P) as (k, ..., P): the partner first
+    return {key: v if key == "times" else np.moveaxis(v.reshape(*v.shape[:-1], k, -1), -2, 0)
+            for key, v in out.items()}
 
 
 class LevelResults(list):
@@ -159,8 +160,6 @@ def _merge_results(parts):
         terminal=np.concatenate([p.terminal for p in parts], axis=0),
         blown=np.concatenate([p.blown for p in parts]),
         blow_steps=np.concatenate([p.blow_steps for p in parts]),
-        n_jumps=np.concatenate([p.n_jumps for p in parts]),
-        jumps=[j for p in parts for j in p.jumps],
     )
 
 
@@ -170,14 +169,9 @@ def _merge_levels(parts):
 
 
 def _merge_pairs(parts):
-    # parts[block][partner] is a run_pairs dict whose last axis is the path
-    per_partner = list(zip(*parts))
-    merged = {
-        k: np.stack([np.concatenate([r[k] for r in runs], axis=-1) for runs in per_partner])
-        for k in ("wsq", "rho_wsq", "wsq0", "blown")
-    }
-    merged["times"] = np.stack([runs[0]["times"] for runs in per_partner])
-    return merged
+    # parts[block] is a `_pair_block` dict whose last axis is the path
+    return {key: v if key == "times" else np.concatenate([p[key] for p in parts], axis=-1)
+            for key, v in parts[0].items()}
 
 
 _worker_models = None  # set in each pool worker: the models of the call it serves
@@ -186,6 +180,13 @@ _worker_models = None  # set in each pool worker: the models of the call it serv
 def _start_worker(models):
     global _worker_models
     _worker_models = models
+    # a worker is one lane of the pool, so BLAS threads within it only
+    # contend for the same cores: numpy's bundled OpenBLAS, where found
+    # (dlopen hands back numpy's loaded copy), gets one thread
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_-*.so"):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            lib.scipy_openblas_set_num_threads64_(1)
 
 
 def _in_worker(job):
@@ -204,11 +205,13 @@ def run_ensemble(models, initials, seed, *, n_out=11, track_audit=False,
     EnsembleResult per model, whose `blown` has shape (n_models, P).  The
     models must share the horizon and the mark rates, which fix the law of
     the shared draw (ValueError otherwise); they may differ in anything
-    else, such as the level or dt.  With `partners`, a list of (P, m)
+    else, such as the level or dt.  With `partners`, a list of k (P, m)
     batches, couples path i of the one batch of `initials` to row i of
     each partner batch through `run_pairs` on the one model, on
-    PAIR_BLOCK-pair blocks; the result is run_pairs' dict with every array
-    stacked over the partners, paths on the last axis.
+    PAIR_BLOCK-pair blocks.  The result has run_pairs' keys: `times`
+    (n_out,), and each per-path array with the partner first and the path
+    last, `wsq` and `rho_wsq` (k, n_out, P), `wsq0` and `blown` (k, P).
+    Pool workers run numpy's OpenBLAS on one thread each.
     """
     if any(m.config.horizon != models[0].config.horizon
            or not np.array_equal(m.marks.rates, models[0].marks.rates) for m in models):
@@ -260,7 +263,7 @@ def _run_moments(cfg, out_dir, workers):
     for level, model, initials, result in zip(levels, models, batches, results):
         init_sq = float(np.mean(np.sum(initials**2, axis=1)))
         for r in (1, 2):
-            est = mc_moment(model, spec, r, result=result)
+            est = mc_moment(result, r, cfg.seed)
             stats[r]["sup"].append(est["sup_moment"])
             stats[r]["sup_se"].append(est["sup_se"])
             stats[r]["diss"].append(est["diss_moment"])
@@ -371,20 +374,18 @@ def _run_cauchy(cfg, out_dir, workers):
 def _run_contraction(cfg, out_dir, workers):
     separations = cfg.options["separations"]
     model = build_model(cfg)
-    rng = ergodics.derive_rng(cfg.seed, 3, 0)
-    conv_bound = estimate_convection_bound(model.ops, rng)
+    conv_bound = estimate_convection_bound(model.ops, derive_rng(cfg.seed, STREAM_BOUND))
     xi1 = cfg.initial_coeffs()
     direction = np.zeros(cfg.solver.level)
     direction[0] = 1.0
-    spec = EnsembleSpec(cfg.n_paths, cfg.seed)
     partners = [xi1 + sep * direction for sep in separations]
     pairs = run_ensemble([model], [np.tile(xi1, (cfg.n_paths, 1))], cfg.seed,
                          partners=[np.tile(xi2, (cfg.n_paths, 1)) for xi2 in partners],
                          conv_bound=conv_bound, workers=workers)
     rows, finals, n_blown = [], [], []
     for k, (sep, xi2) in enumerate(zip(separations, partners)):
-        out = uniqueness_contraction(model, spec, xi1, xi2, conv_bound,
-                                     result={key: v[k] for key, v in pairs.items()})
+        out = uniqueness_contraction(
+            {key: v if key == "times" else v[k] for key, v in pairs.items()}, xi1, xi2)
         for t, s, e, r in zip(out["times"], out["statistic"], out["stderr"],
                               out["raw_statistic"]):
             rows.append((sep, t, s, e, r))

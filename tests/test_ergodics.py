@@ -24,7 +24,7 @@ from levyfluid.ergodics import (
 )
 from levyfluid.noise import AdditiveNoise, LinearNoise, MarkSpace, ZeroNoise
 from levyfluid.operators import FluidParams
-from levyfluid.solver import FluidModel, SolverConfig, run_paths
+from levyfluid.solver import FluidModel, SolverConfig, run_pairs, run_paths
 
 MARKS = MarkSpace(np.array([1.0, 3.0]))
 PARAMS = FluidParams(kappa0=0.5, kappa1=1.0, reg=1.0, p=1.5)
@@ -123,15 +123,16 @@ class TestMoments:
     def test_zero_system_gives_zero(self):
         model = make_model(sigma=ZeroNoise(MARKS), horizon=0.25)
         spec = EnsembleSpec(8, 3, ("fixed", np.zeros(8)))
-        est = mc_moment(model, spec, 1)
+        result = run_paths(model, draw_initials(spec, model.basis), spec.seed)
+        est = mc_moment(result, 1, spec.seed)
         assert est["sup_moment"] == 0.0
         assert est["diss_moment"] == 0.0
         assert est["n_blown"] == 0
 
     def test_r_validation(self):
-        model = make_model(horizon=0.25)
+        result = run_paths(make_model(horizon=0.25), np.zeros((2, 8)), 0)
         with pytest.raises(ValueError):
-            mc_moment(model, EnsembleSpec(2, 0), 3)
+            mc_moment(result, 3, 0)
 
     def test_trend_verdict(self):
         ok, diag = no_increase_verdict([1.0, 0.9, 0.85], [0.05, 0.05, 0.05])
@@ -173,12 +174,18 @@ class TestCauchy:
             assert out["rows"][i]["terminal_gap_sq"] == pytest.approx(expected, rel=1e-3)
 
 
+def coupled(model, spec, xi1, xi2, conv_bound):
+    """`uniqueness_contraction` of spec.n_paths pairs all started at (xi1, xi2)."""
+    X1, X2 = (np.tile(xi, (spec.n_paths, 1)) for xi in (xi1, xi2))
+    return uniqueness_contraction(run_pairs(model, X1, X2, spec.seed, conv_bound), xi1, xi2)
+
+
 class TestContraction:
     def test_identical_initials_zero_statistic(self):
         model = make_model(horizon=0.25)
         spec = EnsembleSpec(4, 5)
         xi = np.zeros(8)
-        out = uniqueness_contraction(model, spec, xi, xi, conv_bound=0.2)
+        out = coupled(model, spec, xi, xi, conv_bound=0.2)
         assert np.all(out["statistic"] == 0.0)
 
     def test_linear_closed_form_decay(self):
@@ -190,7 +197,7 @@ class TestContraction:
         xi1 = np.zeros(8)
         xi2 = np.zeros(8)
         xi2[0] = 0.05
-        out = uniqueness_contraction(model, spec, xi1, xi2, conv_bound=0.3)
+        out = coupled(model, spec, xi1, xi2, conv_bound=0.3)
         lam = model.basis.eigenvalues[0]
         for t, s in zip(out["times"][1:], out["statistic"][1:]):
             n = round(t / model.dt)
@@ -204,7 +211,7 @@ class TestContraction:
         d = np.zeros(8)
         d[0] = 1.0
         outs = [
-            uniqueness_contraction(model, spec, xi, xi + s * d, conv_bound=0.2)
+            coupled(model, spec, xi, xi + s * d, conv_bound=0.2)
             for s in (0.1, 0.01)
         ]
         a, b = (o["statistic"][-1] for o in outs)

@@ -1,5 +1,8 @@
+import ctypes
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,14 +41,25 @@ def _level_models(cfg):
 
 def _assert_same(a, b):
     """Two EnsembleResults agree bit for bit."""
-    for name in ("times", "terminal", "blown", "blow_steps", "n_jumps"):
+    for name in ("times", "terminal", "blown", "blow_steps"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.series.keys() == b.series.keys()
     for key in a.series:
         assert np.array_equal(a.series[key], b.series[key]), key
-    assert len(a.jumps) == len(b.jumps)
-    for (ta, za), (tb, zb) in zip(a.jumps, b.jumps):
-        assert np.array_equal(ta, tb) and np.array_equal(za, zb)
+
+
+def _numpy_openblas(symbol):
+    """numpy's bundled OpenBLAS, or a skip where it lacks `symbol`."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, symbol):
+            return lib
+    pytest.skip(f"no numpy-bundled OpenBLAS with {symbol}")
+
+
+def _blas_threads(models):
+    return _numpy_openblas("scipy_openblas_get_num_threads64_").scipy_openblas_get_num_threads64_()
 
 
 class TestRunEnsemble:
@@ -61,7 +75,6 @@ class TestRunEnsemble:
         assert np.array_equal(serial.terminal, pooled.terminal)
         for key in serial.series:
             assert np.array_equal(serial.series[key], pooled.series[key])
-        assert np.array_equal(serial.n_jumps, pooled.n_jumps)
 
     def test_merge_preserves_path_order(self, monkeypatch):
         monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 16)
@@ -149,6 +162,19 @@ class TestRunEnsemble:
                 (alone,) = run_ensemble([model], [X], cfg.seed, workers=workers)
                 _assert_same(res, alone)
 
+    def test_pool_workers_run_one_blas_thread(self):
+        # the parent runs two BLAS threads, so the worker's 1 is its own setting
+        lib = _numpy_openblas("scipy_openblas_get_num_threads64_")
+        parent = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            with ProcessPoolExecutor(max_workers=2, initializer=experiments._start_worker,
+                                     initargs=([],)) as pool:
+                counts = list(pool.map(experiments._in_worker, [(_blas_threads, ())] * 2))
+        finally:
+            lib.scipy_openblas_set_num_threads64_(parent)
+        assert counts == [1, 1]
+
     @pytest.mark.parametrize("override", [{"disc.horizon": 0.25}, {"noise.rates": "[1.0, 2.0]"}],
                              ids=["horizon", "mark_rates"])
     def test_models_share_horizon_and_mark_rates(self, override):
@@ -223,9 +249,14 @@ class TestContractionRunner:
         X1 = 0.4 * rng.standard_normal((cfg.n_paths, 8))
         partners = [X1 + 0.1 * rng.standard_normal(X1.shape) for _ in range(2)]
         merged = run_ensemble([model], [X1], cfg.seed, partners=partners, conv_bound=0.2)
+        # times once; every per-path array with the partner first, the path last
+        n_out = merged["times"].size
+        assert merged["wsq"].shape == merged["rho_wsq"].shape == (2, n_out, cfg.n_paths)
+        assert merged["wsq0"].shape == merged["blown"].shape == (2, cfg.n_paths)
         for k, X2 in enumerate(partners):
             whole = run_pairs(model, X1, X2, cfg.seed, 0.2)
-            for key in ("times", "wsq", "rho_wsq", "wsq0"):
+            assert np.allclose(merged["times"], whole["times"], rtol=1e-12, atol=1e-15)
+            for key in ("wsq", "rho_wsq", "wsq0"):
                 assert np.allclose(merged[key][k], whole[key], rtol=1e-12, atol=1e-15)
             assert np.array_equal(merged["blown"][k], whole["blown"])
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from levyfluid.noise import (
+    STREAM_BOUND,
+    STREAM_INITIAL,
     STREAM_JUMPS,
     STREAM_STATS,
     AdditiveNoise,
@@ -43,6 +45,11 @@ class TestMarkSpace:
 
     def test_total_rate(self, marks):
         assert marks.total_rate == 4.0
+
+
+def test_stream_kinds_are_distinct():
+    kinds = (STREAM_JUMPS, STREAM_INITIAL, STREAM_STATS, STREAM_BOUND)
+    assert len(set(kinds)) == len(kinds)
 
 
 class TestSampleJumps:
@@ -238,11 +245,6 @@ class TestCertificates:
         assert not cert.passed
         assert cert.witness["inequality"] == "state_free"
         assert cert.witness["lhs"] > cert.witness["rhs"] == 0.0
-
-    def test_rejects_small_sample_counts(self, marks):
-        with pytest.raises(ValueError):
-            certify_noise_bounds(ZeroNoise(marks), 4,
-                                 derive_rng(0, STREAM_STATS, 9), n_samples=100)
 
     def test_make_noise_factory(self, marks):
         assert make_noise("zero", marks).kind == "zero"

@@ -143,6 +143,12 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             SolverConfig(params=PARAMS, level=8, dt=1e-2, horizon=0.0)
 
+    @pytest.mark.parametrize("shape", [(7,), (9,), (1, 8)])
+    def test_initial_of_the_wrong_shape_raises(self, shape):
+        model = make_model(dt=1e-2, horizon=0.1)
+        with pytest.raises(ValueError, match="initial must have shape"):
+            integrate(model, np.zeros(shape), seed=7)
+
     def test_ledger_replay_reconstructs_energy(self):
         model = make_model(dt=1e-3, horizon=1.0)
         xi = np.zeros(8)
@@ -465,7 +471,8 @@ class TestOneKernel:
         assert solo1.blow_steps[0] == solo2.blow_steps[0] == -1
         # the second member alone would blow up later than the first
         assert 0 < k < solo2.blow_steps[1]
-        a, b = first_steps(X1, 5, k, solo1.jumps), first_steps(X2, 5, k, solo2.jumps)
+        jumps = _draw_jumps(model, 5, 2, 0)
+        a, b = first_steps(X1, 5, k, jumps), first_steps(X2, 5, k, jumps)
         assert np.array_equal(solo1.terminal[1], a[1])
         out = run_pairs(model, X1, X2, seed=5, conv_bound=0.2)
         assert out["blown"].tolist() == [False, True]
@@ -483,11 +490,12 @@ class TestOneKernel:
         assert solo[1].blow_steps[0] == -1 and k > 0
         out = run_levels(models, X, seed=5)
         assert out["blown"].tolist() == [False, True]
+        jumps = _draw_jumps(models[0], 5, 2, 0)
         for run, terminal in zip(solo, out["terminals"]):
             Xl = X[:, : terminal.shape[1]]
             assert np.all(np.isfinite(terminal))
             assert np.array_equal(terminal[0], run.terminal[0])
-            assert np.array_equal(terminal[1], first_steps(Xl, 5, k, run.jumps)[1])
+            assert np.array_equal(terminal[1], first_steps(Xl, 5, k, jumps)[1])
 
 
 class TestLeanStepping:
@@ -504,8 +512,9 @@ class TestLeanStepping:
         assert res.blown.tolist() == [False, True, False]
         assert 0 < res.blow_steps[1] < model.n_steps - 1
         keep = [0, 2]
+        jumps = _draw_jumps(model, 5, 3, 0)
         alone = run_paths(model, X[keep], 5, n_out=21, track_audit=True, functionals=fns,
-                          jumps=[res.jumps[p] for p in keep])
+                          jumps=[jumps[p] for p in keep])
         assert np.array_equal(res.terminal[keep], alone.terminal)
         for name, series in alone.series.items():
             assert np.array_equal(res.series[name][:, keep], series), name
@@ -760,7 +769,7 @@ class TestSharedDrift:
         model = make_model(dt=2e-3, horizon=0.5, sigma=LinearNoise(MARKS, np.array([0.25, 0.1])))
         X, group = grouped_initials([12, 12], seed=4)
         res = run_paths(model, X, 8, track_audit=True)
-        calm = res.n_jumps == 0
+        calm = np.array([t.size == 0 for t, _ in _draw_jumps(model, 8, len(X), 0)])
         for g in range(2):
             members = np.flatnonzero(calm & (group == g))
             assert members.size >= 2
@@ -776,7 +785,7 @@ class TestSharedDrift:
         seed = 17
         alone = [integrate(model, X[p], seed, path_index=p).terminal() for p in range(9)]
         res = run_paths(model, X, seed)
-        assert res.n_jumps.min() == 0
+        assert min(t.size for t, _ in _draw_jumps(model, seed, len(X), 0)) == 0
         assert rel_close(res.terminal, np.array(alone))
         # pairs: the base path against a shifted partner
         X2 = X + 0.01 * np.eye(8)[0]
@@ -981,7 +990,8 @@ class TestIntervalFlush:
         assert res.series["h2_sq"][-1, 1] == np.sum(model.basis.eigenvalues * res.terminal[1] ** 2)
         # and the survivors are those of a run without it
         keep = [0, 2]
-        alone = run_paths(model, X[keep], 5, n_out=2, jumps=[res.jumps[p] for p in keep], **kw)
+        jumps = _draw_jumps(model, 5, 3, 0)
+        alone = run_paths(model, X[keep], 5, n_out=2, jumps=[jumps[p] for p in keep], **kw)
         assert np.array_equal(res.terminal[keep], alone.terminal)
         for name, series in alone.series.items():
             assert np.array_equal(res.series[name][:, keep], series), name

@@ -177,16 +177,25 @@ def _merge_pairs(parts):
 _worker_models = None  # set in each pool worker: the models of the call it serves
 
 
+def _openblas(symbol):
+    """`symbol` of numpy's bundled OpenBLAS (dlopen hands back numpy's
+    loaded copy), or None where no such library has it."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_-*.so"):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, symbol):
+            return getattr(lib, symbol)
+    return None
+
+
 def _start_worker(models):
     global _worker_models
     _worker_models = models
     # a worker is one lane of the pool, so BLAS threads within it only
-    # contend for the same cores: numpy's bundled OpenBLAS, where found
-    # (dlopen hands back numpy's loaded copy), gets one thread
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_-*.so"):
-        lib = ctypes.CDLL(str(path))
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            lib.scipy_openblas_set_num_threads64_(1)
+    # contend for the same cores: numpy's bundled OpenBLAS, where found,
+    # gets one thread
+    set_threads = _openblas("scipy_openblas_set_num_threads64_")
+    if set_threads is not None:
+        set_threads(1)
 
 
 def _in_worker(job):
@@ -210,7 +219,7 @@ def run_ensemble(models, initials, seed, *, n_out=11, track_audit=False,
     each partner batch through `run_pairs` on the one model, on
     PAIR_BLOCK-pair blocks.  The result has run_pairs' keys: `times`
     (n_out,), and each per-path array with the partner first and the path
-    last, `wsq` and `rho_wsq` (k, n_out, P), `wsq0` and `blown` (k, P).
+    last, `wsq` and `rho_wsq` (k, n_out, P) and `blown` (k, P).
     Pool workers run numpy's OpenBLAS on one thread each.
     """
     if any(m.config.horizon != models[0].config.horizon
@@ -569,7 +578,9 @@ def run_experiment(cfg, out_dir=None, workers=None):
     aborts.  A run that reaches its runner writes run_meta.json:
     `wall_time` and the seconds of its phases, `certify_s` (the noise
     certificate), `run_s` (the runner) and `write_s` (the CSV tables and
-    the summary).
+    the summary); `workers`; and `blas_threads`, the thread count of
+    numpy's bundled OpenBLAS in the calling process (null where that
+    library is not found).
     """
     start = time.perf_counter()
     workers = default_workers() if workers is None else max(1, workers)
@@ -582,7 +593,9 @@ def run_experiment(cfg, out_dir=None, workers=None):
     cert = certify_noise_bounds(
         sigma, cfg.solver.level, derive_rng(cfg.seed, STREAM_STATS, 999)
     )
-    meta = {"workers": workers, "certify_s": time.perf_counter() - t0}
+    get_threads = _openblas("scipy_openblas_get_num_threads64_")
+    meta = {"workers": workers, "certify_s": time.perf_counter() - t0,
+            "blas_threads": None if get_threads is None else get_threads()}
     base_summary = {
         "experiment": cfg.experiment,
         "config": cfg.canonical(),

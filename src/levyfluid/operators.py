@@ -42,20 +42,37 @@ Three operators act on coefficient vectors:
   divergence-free exactly.
 
 Every mode is a scalar wave times a constant vector or matrix, so the
-workspace keeps one scalar (m, G) table per wave kind and grid (dtrig on
-the stress grid; trig and dtrig on the convection grid) and the small
+workspace keeps one scalar wave transform per kind and grid (dtrig on the
+stress grid; trig and dtrig on the convection grid) and the small
 per-mode coordinates beside them.  Synthesis scales the (P, m)
 coefficients by each of the n coordinates (frame coordinates,
 polarization components) in one broadcast multiply, then makes the n*P
-fields in one (n, P, m) @ (m, G) product.  Projection makes the n planes
-in one (n, P, G) @ (G, m) product, then scales each by its coordinates
-(which carry the quadrature weight) and adds them.  The flops are those
-of the n tables scaled by the coordinates, O(m * n * G) per row, from n
-times less table memory.  The broadcast multiply and the scale-and-add
-are NumPy calls that tables scaled in advance fold into their products:
-on batches of a few rows at m <= 16, where each call costs about as
-much as a product, a call takes a few microseconds more than with such
-tables.
+fields from the scaled coefficients.  Projection makes the n planes
+(n, P, m) of the fields, then scales each by its coordinates (which
+carry the quadrature weight) and adds them.  A transform takes one of two
+forms, chosen per grid from the dimension, the level and the grid size
+(`_grid_transforms`):
+
+* dense (`_DenseWaves`), below the crossover: one (m, G) table, so
+  synthesis and projection are one product each, O(m * n * G) flops per
+  row.  Every shipped config runs here;
+* factored (`_FactoredWaves`), above it: every mode wave is a sum of at
+  most 2^(d-1) products of 1-D waves, so the sums factor into a
+  stacked product over the last axis and one product over the leading
+  ones (sum factorization), at O(m N + J^(d-1) N^d) flops per row and
+  coordinate for an N^d grid with J = 2 (kmax + 1) 1-D waves per axis.
+  Its tables hold O(m N + J^(d-1) N^(d-1)) entries instead of m N^d, and
+  it reuses buffers for its intermediates.  It gives the dense results to
+  rounding (1e-13 relative in the tests), with each coordinate's values
+  in another order, (N^(d-1), P, N) instead of (P, G).  The pointwise
+  work between synthesis and projection is the same per point either
+  way, so it does not depend on the form; the Jacobians and the strain
+  norm, which need the (P, G) split, ask for it (`planes`).
+
+The broadcast multiply and the scale-and-add are NumPy calls that tables
+scaled in advance fold into their products: on batches of a few rows at
+m <= 16, where each call costs about as much as a product, a call takes
+a few microseconds more than with such tables.
 
 The shear factor gamma is bounded and smooth for reg > 0, so the stress
 collocation error decays spectrally in the grid size.  Measured envelope
@@ -76,7 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _grid_waves
+from .basis import SIN, TWO_PI, _grid_waves
 
 __all__ = [
     "FluidParams",
@@ -177,15 +194,22 @@ class SpectralOperators:
     points per dimension, the fewest on which every triple product of
     basis modes is integrated exactly, so convection is exact to rounding
     and b(u, v, v) = 0 to rounding.  Both grids take their scalar mode
-    waves from exact integer phases (`basis._grid_waves`).
+    waves from exact integer phases (`basis._grid_waves`, or the same
+    residues axis by axis in the factored form).
 
-    Tables, one scalar (m, G) wave per kind and grid, 8*m*(G_s + 2*G_c)
-    bytes in all:
+    Transforms, one scalar wave per kind and grid (see the module
+    docstring for the two forms):
 
     * stress: dtrig on the stress grid, the scalar factor of every mode
       strain;
     * convection: trig (the velocities' factor) and dtrig (the
       gradients') on the convection grid.
+
+    A dense grid's tables take 8*m*G bytes per kind, 8*m*(G_s + 2*G_c)
+    when both grids are dense.  A factored grid's take
+    8*H*K*(M*N + N^(d-1)) bytes per kind for N points per axis, K blocks
+    of at most M modes and H = 2^(d-1): 0.1-0.3 MB per kind at m = 256 in
+    2D, against 3.3 MB (stress) and 1.6 MB (convection) dense.
 
     Beside them sit per-mode coordinates, each of shape (n, 1, m), that
     scale those waves: the mode strains' coordinates in
@@ -211,15 +235,12 @@ class SpectralOperators:
         self._polarizations = basis.polarizations.T.copy()[:, None, :]  # (d, 1, m)
 
         self.stress_grid_size = oversample * (kmax + 1)
-        _, self._stress_dtrig, self._stress_weight = _grid_waves(basis, self.stress_grid_size)
-        self._stress_dtrig_t = self._stress_dtrig.T
+        _, self._stress_waves, self._stress_weight = _grid_transforms(basis, self.stress_grid_size)
         # the projection's coordinates carry the quadrature weight
         self._stress_out = self._stress_weight * self._strain_coords
 
-        self._trig, dtrig, weight = _grid_waves(basis, 3 * kmax + 1)
-        # dtrig only projects: stored (G, m), so that product multiplies
-        # row-major operands, as synthesis does
-        self._dtrig_t = np.ascontiguousarray(dtrig.T)
+        self._trig, dtrig, weight = _grid_transforms(basis, 3 * kmax + 1)
+        self._dtrig = dtrig.for_projection()  # dtrig mostly projects
         # the mode gradients' coordinates in the rank-one basis pair a flux
         # with them; the divergence form's sign and the quadrature weight
         # ride on the coordinates
@@ -231,8 +252,10 @@ class SpectralOperators:
     # -- nonlinear stress ---------------------------------------------------
 
     def _strain(self, c):
-        """Frame coordinates of the strain of a batch (P, m), shape (k, P, G)."""
-        return _synthesize(c, self._strain_coords, self._stress_dtrig)
+        """Frame coordinates of the strain of a batch (P, m) on the stress
+        grid, shape (k, ...): (k, P, G) dense, or as `_FactoredWaves` lays
+        them out."""
+        return self._stress_waves.synthesize(c, self._strain_coords)
 
     def nonlinear_stress(self, coeffs, params):
         """Galerkin coefficients of the shear-dependent stress.
@@ -242,17 +265,17 @@ class SpectralOperators:
         """
         c, batched = _as_batch(coeffs)
         strain = self._strain(c)
-        gamma = np.einsum("kpg,kpg->pg", strain, strain)  # |E(u)|^2, then gamma in place
+        gamma = np.einsum("k...,k...->...", strain, strain)  # |E(u)|^2, then gamma in place
         gamma += params.reg
         gamma **= (params.p - 2.0) / 2.0
         strain *= gamma
-        out = _project(strain, self._stress_out, self._stress_dtrig_t)
+        out = self._stress_waves.project(strain, self._stress_out)
         return out if batched else out[0]
 
     def strain_norm(self, coeffs):
         """||E(u)||_L2 by quadrature on the stress grid; batched over axis 0."""
         c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        strain = self._strain(c)
+        strain = self._stress_waves.planes(self._strain(c))
         out = np.sqrt(self._stress_weight * np.einsum("kpg,kpg->p", strain, strain))
         return out if np.ndim(coeffs) == 2 else float(out[0])
 
@@ -270,7 +293,7 @@ class SpectralOperators:
         k coordinates of the symmetric flux u (x) u.
         """
         u, batched = _as_batch(cu)
-        x = _synthesize(u, self._polarizations, self._trig).reshape(len(self._polarizations), -1)
+        x = self._trig.synthesize(u, self._polarizations).reshape(len(self._polarizations), -1)
         if cv is cu:
             forms, coords = self._sym_flux
             lin = forms @ x  # a_j . u, then b_j . u; their products in place
@@ -278,31 +301,200 @@ class SpectralOperators:
             flux *= lin[len(coords):]
         else:
             fa, fb, coords = self._flux
-            v = _synthesize(_as_batch(cv)[0], self._polarizations, self._trig)
+            v = self._trig.synthesize(_as_batch(cv)[0], self._polarizations)
             flux = (fa @ v.reshape(len(v), -1)) * (fb @ x)
-        out = _project(flux.reshape(len(coords), len(u), -1), coords, self._dtrig_t)
+        out = self._dtrig.project(flux.reshape(len(coords), len(u), -1), coords)
         return out if batched else out[0]
 
 
-def _synthesize(c, coords, waves):
-    """Grid fields of a batch c (P, m) whose modes are scalar `waves`
-    (m, G) times per-mode coordinates `coords` (n, 1, m): shape (n, P, G),
-    plane j the P fields of coordinate j.
+# a grid's waves are factored where its dense (m, G) table would hold at
+# least this many entries: the measured crossover of the two transforms,
+# in 2D and in 3D, at one BLAS thread (CHANGES.md gives the table)
+FACTORED_MIN_ENTRIES = 2**14
 
-    The coordinates scale the coefficients, so the n*P fields come from
-    one product of the (n, P, m) scaled coefficients with the waves.
+
+def _grid_transforms(basis, n):
+    """The modes' scalar waves on `uniform_grid(basis.dim, n)`, and its
+    quadrature weight: (trig, dtrig, weight).
+
+    Each wave is a transform that synthesizes grid fields from scaled
+    coefficients and projects grid fields back.  Below the crossover in
+    `FACTORED_MIN_ENTRIES` it is a dense (m, G) table (`_DenseWaves`);
+    above it, sums of products of 1-D waves (`_FactoredWaves`).  The
+    choice reads the dimension, the level and the grid size only, so a
+    workspace makes it once, whatever the batches it is given.
     """
-    return np.matmul(coords * c, waves)
+    if basis.size * n**basis.dim < FACTORED_MIN_ENTRIES:
+        trig, dtrig, weight = _grid_waves(basis, n)
+        return _DenseWaves(trig), _DenseWaves(dtrig), weight
+    return (*_FactoredWaves.on_grid(basis, n), (TWO_PI / n) ** basis.dim)
 
 
-def _project(fields, coords, waves_t):
-    """Galerkin coefficients (P, m) of grid fields (n, P, G) against modes
-    that are scalar waves (m, G), given transposed as `waves_t`, times
-    per-mode coordinates `coords` (n, 1, m): one product makes the n
-    planes (n, P, m), which are scaled by their coordinates and added in
-    order.
+class _DenseWaves:
+    """Scalar waves as one (m, G) table; fields (n, P, G).
+
+    Synthesis scales the (P, m) coefficients by each of the n coordinates
+    in one broadcast multiply, then makes the n*P fields in one
+    (n, P, m) @ (m, G) product.  Projection makes the n planes in one
+    (n, P, G) @ (G, m) product, then scales each by its coordinates and
+    adds them.
     """
-    planes = np.matmul(fields, waves_t)
+
+    def __init__(self, waves):
+        self.waves = waves
+
+    def for_projection(self):
+        """The same waves stored (G, m), so that projection multiplies
+        row-major operands, as synthesis does; for waves that mostly
+        project."""
+        return _DenseWaves(np.ascontiguousarray(self.waves.T).T)
+
+    def table(self):
+        return self.waves
+
+    def planes(self, fields):
+        return fields
+
+    def synthesize(self, c, coords):
+        return np.matmul(coords * c, self.waves)
+
+    def project(self, fields, coords):
+        return _add_planes(np.matmul(fields, self.waves.T), coords)
+
+
+class _FactoredWaves:
+    """Scalar waves as sums of products of 1-D waves (sum factorization;
+    Orszag 1980; Deville, Fischer and Mund 2002); fields (n, N^(d-1), P, N).
+
+    trig(k . x) is the real (cos) or the imaginary (sin) part of
+    prod_a (cos + i sin)(k_a x_a): a sum of products of 1-D waves, one per
+    set of axes that take their sine, of even size for cos and odd size
+    for sin, with sign (-1)^(size // 2).  sin(k_a x) = sign(k_a) sin(|k_a| x)
+    and sin(0) = 0.  The modes fall into blocks by |k| on the leading d - 1
+    axes.  Each choice h of cos or sin on those axes gives one leading
+    wave per block, a row of `lead` (H*K, N^(d-1)), H = 2^(d-1); beside it
+    each mode of the block has one wave on the last axis, a row of
+    `waves` (H, K, M, N), zero where the term vanishes.
+
+    Synthesis gathers the scaled coefficients into their blocks
+    (n, P, K, M), makes the last-axis fields of every block and choice in
+    one stacked product with `waves`, then sums them against the leading
+    waves in one product per coordinate.  Projection is its adjoint, and a
+    gather puts each mode back.  The grid keeps the order of
+    `uniform_grid` with the P fields between its leading axes and its last
+    one.  Per row and
+    coordinate this costs O(H K M N + H K N^d) against O(m N^d) for the
+    dense table, with H K (M N + N^(d-1)) table entries per kind.
+    """
+
+    def __init__(self, lead, waves, block, slot, members):
+        self._lead, self._waves = lead, waves
+        self._block, self._slot, self._members = block, slot, members
+        self._buffers = {}  # see `_scratch`
+
+    @classmethod
+    def on_grid(cls, basis, n):
+        """(trig, dtrig) on `uniform_grid(basis.dim, n)`, from integer
+        phases (j*i mod n) as in `basis._grid_waves`, sharing the blocks
+        and the leading waves."""
+        dim, m = basis.dim, basis.size
+        kabs = np.abs(basis.wavevectors)
+        width = int(kabs.max()) + 1
+        x = (TWO_PI / n) * np.arange(n)
+        residues = (np.arange(width)[:, None] * np.arange(n)) % n
+        table = np.concatenate([np.cos(x)[residues], np.sin(x)[residues]])  # row j + width*sine
+        # a block holds the modes with one |k| on the leading axes; a mode's
+        # slot is its rank in its block
+        keys, block = np.unique(kabs[:, :-1], axis=0, return_inverse=True)
+        block = block.ravel()
+        order = np.argsort(block, kind="stable")
+        slot = np.empty(m, dtype=np.int64)
+        slot[order] = np.arange(m) - np.searchsorted(block[order], block[order])
+        members = np.zeros((len(keys), slot.max() + 1), dtype=np.int64)  # padding reads mode 0
+        members[block, slot] = np.arange(m)
+        sines = np.array(list(itertools.product((0, 1), repeat=dim)))  # (2^d, d), last axis fastest
+        rows = keys + width * sines[::2, None, :-1]  # (H, K, d-1): each choice h, each block
+        lead = table[rows[..., 0]]
+        for a in range(1, dim - 1):
+            lead = (lead[..., :, None] * table[rows[..., a]][..., None, :]).reshape(*rows.shape[:2], -1)
+        lead = lead.reshape(-1, n ** (dim - 1))
+        k = basis.wavevectors.T  # (d, m)
+        sines = sines[:, :, None]
+        size = sines.sum(axis=1)  # (2^d, 1)
+        out = []
+        for derivative in (False, True):
+            is_sin = basis.phases == SIN
+            amp = np.full(m, basis.amplitude)
+            if derivative:  # cos' = -sin, sin' = cos
+                amp[~is_sin] *= -1.0
+                is_sin = ~is_sin
+            kept = (size % 2 == is_sin) & ~np.any(sines & (k == 0), axis=1)
+            coef = amp * (-1.0) ** (size // 2) * np.prod(np.where(sines, np.sign(k), 1), axis=1)
+            last = table[kabs[:, -1] + width * sines[:, -1]]  # (2^d, m, N)
+            waves = np.zeros((len(rows), len(keys), members.shape[1], n))
+            waves[:, block, slot] = (np.where(kept, coef, 0.0)[:, :, None] * last).reshape(
+                len(rows), 2, m, n).sum(axis=1)  # at most one term per choice h
+            out.append(cls(lead, waves, block, slot, members))
+        return out
+
+    def for_projection(self):
+        return self
+
+    def table(self):
+        """The dense (m, G) table, built on demand."""
+        m = self._block.size
+        return self.planes(self.synthesize(np.eye(m), np.ones((1, 1, m))))[0]
+
+    def planes(self, fields):
+        """`fields` in the dense layout (n, P, G)."""
+        n, _, p, _ = fields.shape
+        return np.moveaxis(fields, 2, 1).reshape(n, p, -1)
+
+    def synthesize(self, c, coords):
+        s = coords * c
+        n, p = s.shape[:2]
+        h, k, width, size = self._waves.shape
+        # mode="clip" writes `out` directly (the indices are in range)
+        blocks = np.take(s, self._members, axis=2, mode="clip",
+                         out=self._scratch("blocks", (n, p, k, width)))
+        last = np.matmul(blocks.transpose(0, 2, 1, 3)[:, None], self._waves,
+                         out=self._scratch("last", (n, h, k, p, size)))
+        return np.matmul(self._lead.T, last.reshape(n, h * k, -1)).reshape(n, -1, p, size)
+
+    def project(self, fields, coords):
+        """Galerkin coefficients of `fields`, given in any shape (n, ...)
+        that keeps the order of the values synthesis returns."""
+        h, k, width, size = self._waves.shape
+        fields = fields.reshape(len(fields), self._lead.shape[1], -1)
+        n, p = len(fields), fields.shape[2] // size
+        last = self._scratch("last", (n, h, k, p, size))
+        np.matmul(self._lead, fields, out=last.reshape(n, h * k, -1))
+        terms = np.matmul(last, self._waves.transpose(0, 1, 3, 2),
+                          out=self._scratch("terms", (n, h, k, p, width)))
+        blocks = terms.sum(axis=1, out=self._scratch("sums", (n, k, p, width)))
+        planes = blocks[:, self._block, :, self._slot]  # (m, n, P)
+        return _add_planes(np.ascontiguousarray(planes.transpose(1, 2, 0)), coords)
+
+    def _scratch(self, name, shape):
+        """A buffer of this transform's own for its intermediates, reused
+        by every call with the same shape, and not pickled.  Fresh
+        intermediates on every call were handed back to the system by the
+        C allocator and faulted in again on the next call: about 1000
+        minor page faults per call at m = 256.  So a workspace is not for
+        concurrent use from threads."""
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.shape != shape:
+            buffer = self._buffers[name] = np.empty(shape)
+        return buffer
+
+    def __getstate__(self):
+        return dict(vars(self), _buffers={})
+
+
+def _add_planes(planes, coords):
+    """Galerkin coefficients (P, m) from the n planes (n, P, m) of the
+    projected fields: each scaled by its per-mode coordinates `coords`
+    (n, 1, m), then added in order."""
     planes *= coords
     out = planes[0] + planes[1]  # n >= 2: d >= 2 polarizations, k >= 2 coordinates
     for j in range(2, len(planes)):
@@ -363,10 +555,10 @@ def estimate_convection_bound(ops, rng):
         # (grad v)^T w = sum_a d_b(v_a) w_a on the grid: grad v is
         # sum_j a_j b_j^T g_j, so (grad v)^T w = sum_j b_j (a_j . w) g_j.
         # The flux coordinates carry -weight, so projecting gives -q.
-        g = _synthesize(v, coords, ops._dtrig_t.T).reshape(len(coords), -1)  # (d*d - 1, S*G)
-        w_grid = _synthesize(w, pol, ops._trig).reshape(len(pol), -1)
+        g = ops._dtrig.synthesize(v, coords).reshape(len(coords), -1)  # (d*d - 1, S*G)
+        w_grid = ops._trig.synthesize(w, pol).reshape(len(pol), -1)
         field = fb.T @ ((fa @ w_grid) * g)
-        q = -_project(field.reshape(len(pol), len(u), -1), pol, ops._trig.T)
+        q = -ops._trig.project(field.reshape(len(pol), len(u), -1), pol)
         norm = np.linalg.norm(q, axis=1)[:, None]
         u = update(u, q / np.where(norm > 0, norm, 1.0))
         v = update(v, -ops.convection(u, w) / ksq)
@@ -391,8 +583,8 @@ def stress_jacobians(ops, coeffs, params):
     Returns shape (P, m, m).
     """
     c = np.atleast_2d(np.asarray(coeffs, dtype=float))
-    waves, coords = ops._stress_dtrig, ops._strain_coords[:, 0]  # (m, G), (k, m)
-    strain = ops._strain(c)  # (k, P, G)
+    waves, coords = ops._stress_waves.table(), ops._strain_coords[:, 0]  # (m, G), (k, m)
+    strain = ops._stress_waves.planes(ops._strain(c))  # (k, P, G)
     gsq = np.einsum("kpg,kpg->pg", strain, strain)
     ex = params.p / 2.0 - 1.0
     gamma = (params.reg + gsq) ** ex

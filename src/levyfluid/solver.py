@@ -745,7 +745,6 @@ def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, jumps=None):
         "times": np.array(times),
         "wsq": np.array(wsq),
         "rho_wsq": np.array(rho_wsq),
-        "wsq0": wsq0,
         "blown": blow_steps >= 0,
     }
 

@@ -153,6 +153,21 @@ class TestRunCommand:
         summary = (out / "summary.json").read_text()
         assert not any(key in summary for key in ("certify_s", "run_s", "write_s", "wall_time"))
 
+    def test_run_meta_records_the_blas_threads(self, tmp_path):
+        # the calling process's OpenBLAS thread count, or null where numpy
+        # bundles no OpenBLAS with the symbol; never in the summary
+        from levyfluid.experiments import _openblas
+
+        get_threads = _openblas("scipy_openblas_get_num_threads64_")
+        cfg = write_cfg(tmp_path, BASE)
+        out = tmp_path / "meta"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        assert meta["blas_threads"] == (None if get_threads is None else get_threads())
+        if get_threads is not None:
+            assert meta["blas_threads"] >= 1
+        assert "blas_threads" not in (out / "summary.json").read_text()
+
     def test_seed_override_changes_hash(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         o1, o2 = tmp_path / "a", tmp_path / "b"

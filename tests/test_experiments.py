@@ -76,6 +76,22 @@ class TestRunEnsemble:
         for key in serial.series:
             assert np.array_equal(serial.series[key], pooled.series[key])
 
+    def test_factored_model_is_byte_stable(self, monkeypatch):
+        # at level 128 both grids are above the crossover and take the
+        # factored waves; serial and pooled runs agree bit for bit
+        monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 8)
+        cfg = parse_config_text(BASE.replace("disc.level = 8", "disc.level = 128")
+                                .replace("disc.horizon = 0.5", "disc.horizon = 0.1"))
+        model = build_model(cfg)
+        for waves in (model.ops._stress_waves, model.ops._trig, model.ops._dtrig):
+            assert isinstance(waves, operators._FactoredWaves)
+        initials = draw_initials(EnsembleSpec(cfg.n_paths, cfg.seed, ("gaussian", 0.3)),
+                                 model.basis)
+        (serial,) = run_ensemble([model], [initials], cfg.seed, track_audit=True, workers=1)
+        (pooled,) = run_ensemble([model], [initials], cfg.seed, track_audit=True, workers=2)
+        _assert_same(serial, pooled)
+        assert not serial.blown.any()
+
     def test_merge_preserves_path_order(self, monkeypatch):
         monkeypatch.setattr(experiments, "ENSEMBLE_BLOCK", 16)
         cfg = parse_config_text(BASE)
@@ -252,11 +268,11 @@ class TestContractionRunner:
         # times once; every per-path array with the partner first, the path last
         n_out = merged["times"].size
         assert merged["wsq"].shape == merged["rho_wsq"].shape == (2, n_out, cfg.n_paths)
-        assert merged["wsq0"].shape == merged["blown"].shape == (2, cfg.n_paths)
+        assert merged["blown"].shape == (2, cfg.n_paths)
         for k, X2 in enumerate(partners):
             whole = run_pairs(model, X1, X2, cfg.seed, 0.2)
             assert np.allclose(merged["times"], whole["times"], rtol=1e-12, atol=1e-15)
-            for key in ("wsq", "rho_wsq", "wsq0"):
+            for key in ("wsq", "rho_wsq"):
                 assert np.allclose(merged[key][k], whole[key], rtol=1e-12, atol=1e-15)
             assert np.array_equal(merged["blown"][k], whole["blown"])
 

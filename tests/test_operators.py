@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -400,11 +401,36 @@ class TestSetupMemory:
         assert np.all(pair <= 1e-10 * (1.0 + l2_sq * h2))
 
 
+def _paths(monkeypatch, factored):
+    """Make every grid take the factored waves, or every grid the dense ones."""
+    monkeypatch.setattr(operators_module, "FACTORED_MIN_ENTRIES", 0 if factored else np.inf)
+
+
+def _is_factored(basis, n):
+    return basis.size * n**basis.dim >= operators_module.FACTORED_MIN_ENTRIES
+
+
+def _arrays(obj):
+    """The arrays an object holds, directly or in tuples and lists, and
+    through the wave transforms it holds."""
+    out = []
+    for v in vars(obj).values():
+        if isinstance(v, np.ndarray):
+            out.append(v)
+        elif isinstance(v, (tuple, list)):
+            out.extend(a for part in v for a in (part if isinstance(part, tuple) else (part,))
+                       if isinstance(a, np.ndarray))
+        elif isinstance(v, (operators_module._DenseWaves, operators_module._FactoredWaves)):
+            out.extend(_arrays(v))
+    return out
+
+
 class TestSetupTables:
-    @pytest.mark.parametrize("level,dim", [(32, 2), (12, 3)])
+    @pytest.mark.parametrize("level,dim", [(32, 2), (12, 3), (64, 2), (256, 2), (64, 3)])
     def test_one_phase_evaluation_per_grid(self, monkeypatch, level, dim):
-        # one integer-phase evaluation on each of the two grids and no float
-        # phases; the tables match the float-phase references to rounding
+        # one integer-phase evaluation on each dense grid, none on a
+        # factored one, and no float phases; the tables match the
+        # float-phase references to rounding
         b = build_basis(level, dim)
         real, calls, float_calls = operators_module._grid_waves, [], []
 
@@ -418,7 +444,8 @@ class TestSetupTables:
         ops = SpectralOperators(b)
         monkeypatch.undo()
         kmax = int(np.max(np.abs(b.wavevectors)))
-        assert sorted(calls) == sorted([ops.stress_grid_size, 3 * kmax + 1])
+        grids = [ops.stress_grid_size, 3 * kmax + 1]
+        assert sorted(calls) == sorted(n for n in grids if not _is_factored(b, n))
         assert float_calls == []
 
         # the scalar waves times the per-mode coordinates rebuild every
@@ -426,10 +453,10 @@ class TestSetupTables:
         frame = trace_free_frame(dim)
         pts, _ = uniform_grid(dim, ops.stress_grid_size)
         strains = np.einsum("mabg,kab->kmg", mode_strains(b, pts), frame)
-        rebuilt = ops._strain_coords[:, 0, :, None] * ops._stress_dtrig  # (k, m, G)
+        rebuilt = ops._strain_coords[:, 0, :, None] * ops._stress_waves.table()  # (k, m, G)
         np.testing.assert_allclose(rebuilt, strains, rtol=0, atol=1e-13)
         pts, w = uniform_grid(dim, 3 * kmax + 1)
-        vals = ops._polarizations[:, 0, :, None] * ops._trig  # (d, m, G)
+        vals = ops._polarizations[:, 0, :, None] * ops._trig.table()  # (d, m, G)
         np.testing.assert_allclose(vals, mode_values(b, pts).transpose(1, 0, 2),
                                    rtol=0, atol=1e-13)
         # the flux coordinates carry -weight: over the rank-one basis they
@@ -437,7 +464,7 @@ class TestSetupTables:
         # first k every mode strain
         fa, fb = operators_module._product_forms(dim)
         rank_one = np.einsum("ja,jb->jab", fa, fb)
-        k, dtrig = len(frame), ops._dtrig_t.T
+        k, dtrig = len(frame), ops._dtrig.table()
         sym = 0.5 * (rank_one[:k] + rank_one[:k].transpose(0, 2, 1))
         for coords, basis_mats, oracle in ((ops._flux[2], rank_one, mode_gradients),
                                            (ops._sym_flux[1], sym, mode_strains)):
@@ -445,30 +472,118 @@ class TestSetupTables:
             rebuilt = np.einsum("jmg,jab->mabg", table, basis_mats)
             np.testing.assert_allclose(rebuilt, oracle(b, pts), rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("level,dim", [(64, 2), (12, 3)])
+    @pytest.mark.parametrize("level,dim", [(64, 2), (12, 3), (256, 2), (64, 3)])
     def test_one_scalar_table_per_wave_kind_and_grid(self, level, dim):
-        # dtrig on the stress grid, trig and dtrig on the convection grid,
-        # and besides them only per-mode coordinate arrays with no grid axis
+        # a dense grid holds its (m, G) waves: dtrig on the stress grid,
+        # trig and dtrig on the convection grid.  A factored grid holds no
+        # array with a grid axis of G: per grid, the leading waves
+        # (H*K, N^(d-1)) and the block index arrays, and per kind the
+        # last-axis waves (H, K, M, N), H = 2^(d-1), for K blocks of at most
+        # M modes.  The padding of the blocks is not fixed by m, so for them
+        # the test bounds K*M by 3m (it is at most 1.9m in 2D and 2.25m in 3D
+        # for m <= 512).  Besides them only per-mode coordinate arrays with
+        # no grid axis
         b = build_basis(level, dim)
         ops = SpectralOperators(b)
         kmax = int(np.max(np.abs(b.wavevectors)))
-        m, g_s, g_c = b.size, ops.stress_grid_size**dim, (3 * kmax + 1) ** dim
-        arrays = [a for v in vars(ops).values()
-                  for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray)]
+        m, n_s, n_c = b.size, ops.stress_grid_size, 3 * kmax + 1
         buffers = {}
-        for a in arrays:
+        for a in _arrays(ops):
             while a.base is not None:  # count each allocation once, not its views
                 a = a.base
             buffers[id(a)] = a
-        tables = [a for a in buffers.values() if a.ndim == 2 and {g_s, g_c} & set(a.shape)]
-        assert sorted(a.size for a in tables) == [m * g_c, m * g_c, m * g_s]
+        grids = {n_s: (ops._stress_waves,), n_c: (ops._trig, ops._dtrig)}
+        expected, h = 0, 2 ** (dim - 1)
+        for n, waves in grids.items():
+            if not _is_factored(b, n):
+                assert {type(w) for w in waves} == {operators_module._DenseWaves}
+                expected += 8 * m * n**dim * len(waves)
+                continue
+            assert {type(w) for w in waves} == {operators_module._FactoredWaves}
+            n_blocks, width = waves[0]._members.shape
+            assert m <= n_blocks * width <= 3 * m
+            assert waves[0]._lead.shape == (h * n_blocks, n ** (dim - 1))
+            for w in waves:
+                assert w._waves.shape == (h, n_blocks, width, n)
+            expected += 8 * (h * n_blocks * n ** (dim - 1) + len(waves) * h * n_blocks * width * n
+                             + 2 * m + n_blocks * width)
+        factored_g = {n**dim for n in grids if _is_factored(b, n)}
+        assert not any(factored_g & set(a.shape) for a in buffers.values())
         # per mode: k strain coordinates, weighted and not, d polarizations,
         # d*d - 1 full and k symmetric flux coordinates; and the 2*(d*d - 1)
         # + 2k linear forms of d components
         k, n = dim * (dim + 1) // 2 - 1, dim * dim - 1
         coord_bytes = 8 * ((2 * k + dim + n + k) * m + (2 * n + 2 * k) * dim)
-        total = sum(a.nbytes for a in buffers.values())
-        assert total == 8 * m * (g_s + 2 * g_c) + coord_bytes
+        assert sum(a.nbytes for a in buffers.values()) == expected + coord_bytes
+
+
+class TestFactoredWaves:
+    """The factored waves give the dense results to rounding, in every
+    operator that reads the waves."""
+
+    @pytest.mark.parametrize("dim,m", [(2, 32), (2, 64), (2, 128), (2, 256),
+                                       (3, 12), (3, 36), (3, 64)])
+    def test_factored_matches_dense(self, monkeypatch, params, dim, m):
+        b = build_basis(m, dim)
+        ops = {}
+        for factored in (False, True):
+            _paths(monkeypatch, factored)
+            ops[factored] = SpectralOperators(b)
+        kinds = {type(w) for w in (ops[True]._stress_waves, ops[True]._trig, ops[True]._dtrig)}
+        assert kinds == {operators_module._FactoredWaves}
+        kinds = {type(w) for w in (ops[False]._stress_waves, ops[False]._trig, ops[False]._dtrig)}
+        assert kinds == {operators_module._DenseWaves}
+        rng = np.random.default_rng(m)
+        U, V = 0.6 * rng.standard_normal((2, 24, m))
+        for fn in (lambda o: o.nonlinear_stress(U, params),
+                   lambda o: o.convection(U, U),
+                   lambda o: o.convection(U, V),
+                   lambda o: o.strain_norm(U),
+                   lambda o: stress_jacobians(o, U[:4], params),
+                   lambda o: estimate_convection_bound(o, np.random.default_rng(5))):
+            want, got = fn(ops[False]), fn(ops[True])
+            # relative to the larger of 1 and the largest value: the
+            # first shell alone (d = 3, m = 12) has no triads, so B(u, v)
+            # is zero to rounding there
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(np.asarray(got) - want).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("dim,m", [(2, 16), (2, 64), (2, 256), (3, 64)])
+    def test_path_does_not_depend_on_the_batch(self, monkeypatch, params, dim, m):
+        b = build_basis(m, dim)
+        ops = SpectralOperators(b)
+        used = []
+        for cls in (operators_module._DenseWaves, operators_module._FactoredWaves):
+            for name in ("synthesize", "project"):
+                real = getattr(cls, name)
+
+                def counted(self, *args, real=real, cls=cls):
+                    used.append(cls)
+                    return real(self, *args)
+
+                monkeypatch.setattr(cls, name, counted)
+        U = 0.6 * np.random.default_rng(1).standard_normal((1000, m))
+        paths = {}
+        for rows in (U[:1], U):
+            used.clear()
+            stress, conv = ops.nonlinear_stress(rows, params), ops.convection(rows, rows)
+            paths[len(rows)] = list(used)
+            for got, want in ((stress[0], ops.nonlinear_stress(U[0], params)),
+                              (conv[0], ops.convection(U[0], U[0]))):
+                assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+        assert paths[1] == paths[1000] and len(paths[1]) == 4
+
+    def test_scratch_buffers_are_not_pickled(self, params):
+        # a factored workspace reuses buffers for its intermediates; a
+        # pickled copy (a pool worker's) starts without them and agrees
+        ops = SpectralOperators(build_basis(256, 2))
+        U = 0.6 * np.random.default_rng(2).standard_normal((8, 256))
+        want = ops.nonlinear_stress(U, params)
+        assert ops._stress_waves._buffers
+        copy = pickle.loads(pickle.dumps(ops))
+        assert copy._stress_waves._buffers == {}
+        assert np.array_equal(copy.nonlinear_stress(U, params), want)
+        assert np.array_equal(ops.nonlinear_stress(U, params), want)
 
 
 class TestFiniteDifferenceOracles:

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import build_basis
-from .ergodics import RegimeError, invariant_moment_bound, make_functional
+from .ergodics import (FELLER_FUNCTIONALS, GRONWALL_BETA, RegimeError, invariant_moment_bound,
+                       occupation_grid)
 from .noise import MarkSpace, make_noise
 from .operators import FluidParams
 from .solver import SolverConfig, _whole_steps, default_dt
@@ -90,19 +91,6 @@ def _as_int_list(s):
     return [int(x) for x in _as_list(s)]
 
 
-def _registered(text):
-    """Whether a `feller.functionals` value names one or more functionals,
-    each one that `make_functional` registers."""
-    names = [n.strip() for n in text.split(",") if n.strip()]
-    basis = build_basis(1, 2)  # a functional is looked up by name; any basis serves
-    try:
-        for name in names:
-            make_functional(name, basis)
-    except KeyError:
-        return False
-    return bool(names)
-
-
 # range rules: (accepts the parsed value, problem message)
 def _one_of(*names):
     return (lambda v: v in names, "must be one of " + ", ".join(map(str, names)))
@@ -131,8 +119,6 @@ SCHEMA = {
     "disc.level": (int, 16, "number of basis modes", _AT_LEAST_ONE),
     "disc.dt": (float, None, "time step; default min(1e-3, 0.1/(kappa1*lam_max))", _POSITIVE),
     "disc.horizon": (float, 1.0, "final time", _POSITIVE),
-    "disc.scheme": (str, "semi-implicit", "semi-implicit or explicit",
-                    _one_of("semi-implicit", "explicit")),
     "disc.convection": (_as_bool, True, "include the convection term", None),
     "disc.stress": (_as_bool, True, "include the nonlinear stress", None),
     "noise.kind": (str, "additive", "zero, linear, additive, saturating",
@@ -142,8 +128,6 @@ SCHEMA = {
                      "need one or more, each positive and finite")),
     "noise.gains": (_as_list, [0.3, 0.1], "per-mark gains g_j",
                     (lambda v: all(map(math.isfinite, v)), "each must be finite")),
-    "noise.profile": (str, "smooth", "additive shape: mode1 or smooth",
-                      _one_of("mode1", "smooth")),
     "noise.scale": (float, 0.5, "additive shape norm", _FINITE),
     "noise.shape_level": (int, 4, "modes carried by the additive shape", _AT_LEAST_ONE),
     "ensemble.paths": (int, 128, "trajectory count", _AT_LEAST_ONE),
@@ -157,8 +141,6 @@ SCHEMA = {
     "contraction.separations": (_as_list, [1e-1, 1e-2, 1e-3], "|xi1 - xi2| values",
                                 (lambda v: len(v) > 0 and min(v) > 0,
                                  "need one or more, each > 0")),
-    "feller.functionals": (str, "gauss_bump,inv_bump,cos_coord", "registered names",
-                           (_registered, "need one or more names, each a registered functional")),
     "feller.lag": (float, 0.25, "first semigroup time t", _POSITIVE),
     "feller.lag2": (float, 0.25, "second semigroup time s", _POSITIVE),
     "feller.inner": (int, 32, "nested estimator inner paths", _AT_LEAST_ONE),
@@ -168,9 +150,17 @@ SCHEMA = {
     "occupation.burn_in": (float, None, "time dropped before averaging", None),
     "invariant.tolerance": (float, 0.2, "relative slack on the moment bound",
                             (lambda v: 0 <= v < math.inf, "must be >= 0 and finite")),
-    # the audit's hypothesis 2*beta <= 1: a larger beta would fail it unmeasured
-    "audit.beta": (float, 0.25, "martingale majorant weight, 2*beta <= 1",
-                   (lambda v: 0 <= v <= 0.5, "must lie in [0, 0.5]")),
+}
+
+# retired keys, each fixed at the one value every run used; the manifest still
+# records them (a model key always, an option for its experiment only), so that
+# every config_hash and summary.json stays as it was
+_RETIRED = {
+    "disc.jump_mode": "grid",  # every run steps on the n*dt grid
+    "disc.scheme": "semi-implicit",
+    "noise.profile": "smooth",  # the additive shape 1/|k|^2
+    "feller.functionals": ",".join(FELLER_FUNCTIONALS),
+    "audit.beta": GRONWALL_BETA,
 }
 
 
@@ -216,28 +206,25 @@ class ExperimentConfig:
     def canonical(self):
         """Deterministic dictionary of the full effective configuration."""
         doc = {ns: _namespace(self.values, ns) for ns in _MANIFEST}
-        # not a key (every run steps on the n*dt grid); echoed so that every
-        # config_hash and summary.json stays as it was
-        doc["disc"]["jump_mode"] = "grid"
+        options = dict(self.options)
+        for key, value in _RETIRED.items():
+            ns, _, name = key.partition(".")
+            if ns in _MANIFEST:
+                doc[ns][name] = value
+            elif ns == self.experiment:
+                options[name] = value
         doc["experiment"] = self.experiment
-        doc["options"] = dict(sorted(self.options.items()))
+        doc["options"] = dict(sorted(options.items()))
         return doc
 
     def marks(self):
         return MarkSpace(np.asarray(self.values["noise.rates"]))
 
-    def shape_coeffs(self):
-        """Additive amplitude profile on the first shape_level modes."""
-        basis = build_basis(self.values["noise.shape_level"], self.solver.dim)
-        if self.values["noise.profile"] == "mode1":
-            h = np.zeros(basis.size)
-            h[0] = 1.0
-        else:
-            h = 1.0 / basis.ksq.astype(float)
-        return self.values["noise.scale"] * h / np.linalg.norm(h)
-
     def make_sigma(self, marks):
-        shape = self.shape_coeffs() if self.noise_kind == "additive" else None
+        shape = None
+        if self.noise_kind == "additive":  # the profile 1/|k|^2 on the first shape_level modes
+            h = 1.0 / build_basis(self.values["noise.shape_level"], self.solver.dim).ksq
+            shape = self.values["noise.scale"] * h / np.linalg.norm(h)
         return make_noise(self.noise_kind, marks, gains=np.asarray(self.values["noise.gains"]),
                           shape_coeffs=shape)
 
@@ -342,17 +329,19 @@ def parse_config_text(text, overrides=None):
     if len(gains) not in (1, len(rates)):
         problems.append(problem("noise.gains", "need one gain or one per mark"))
     values["noise.gains"] = gains * len(rates) if len(gains) == 1 else gains
+    dt = values["disc.dt"] or default_dt(
+        build_basis(values["disc.level"], values["disc.dim"]), values["fluid.kappa1"])
     if "schedule" in options:
         sched = options["schedule"]
         if sorted(sched) != sched or not sched or abs(sched[-1] - horizon) > 1e-12:
             problems.append(
                 problem("occupation.schedule", "must be increasing and end at disc.horizon"))
-        elif not 0 <= options["burn_in"] < sched[0]:
-            problems.append(
-                problem("occupation.burn_in", "must lie in [0, first scheduled time)"))
+        else:
+            try:  # the runner averages from the burn-in's output time on
+                occupation_grid(round(horizon / dt), dt, sched, options["burn_in"])
+            except ValueError as exc:
+                problems.append(problem("occupation.burn_in", str(exc)))
     if experiment == "feller":  # each lag is the horizon of a model the runner builds
-        dt = values["disc.dt"] or default_dt(
-            build_basis(values["disc.level"], values["disc.dim"]), values["fluid.kappa1"])
         for key in ("feller.lag", "feller.lag2"):
             try:
                 _whole_steps(values[key], dt)

@@ -23,7 +23,8 @@ import numpy as np
 from .noise import STREAM_INITIAL, STREAM_STATS, derive_rng
 # run_pairs has no caller here; bench/spans.py's OutcomeProbe wraps it under
 # this module's name and needs it present
-from .solver import BlowUpError, _draw_jumps, run_levels, run_pairs, run_paths  # noqa: F401
+from .solver import (BlowUpError, _draw_jumps, _output_steps, run_levels,  # noqa: F401
+                     run_pairs, run_paths)
 
 __all__ = [
     "EnsembleSpec",
@@ -34,6 +35,7 @@ __all__ = [
     "make_functional",
     "chapman_kolmogorov",
     "feller_modulus",
+    "occupation_grid",
     "occupation_measure",
     "invariant_moment_bound",
     "RegimeError",
@@ -180,7 +182,8 @@ def no_increase_verdict(estimates, ses):
     y = np.asarray(estimates, dtype=float)
     if y.size < 2:
         return True, {"slope_z": 0.0, "pair_z": []}
-    se = np.maximum(np.asarray(ses, dtype=float), 1e-300)
+    # a zero SE is floored where the weight 1/se^2 is still a normal float
+    se = np.maximum(np.asarray(ses, dtype=float), 1e-100)
     pair_z = []
     for i in range(y.size - 1):
         s = float(np.hypot(se[i], se[i + 1]))
@@ -343,7 +346,6 @@ def make_functional(name, basis):
     """Continuous functionals registered for semigroup and occupation estimates.
 
     Bounded, for the semigroup (Chapman-Kolmogorov, Feller) checks:
-    one:            u -> 1
     gauss_bump:     u -> exp(-|u|^2)
     inv_bump:       u -> 1 / (1 + |u|^2)
     cos_coord:      u -> cos(c_1(u))
@@ -354,7 +356,6 @@ def make_functional(name, basis):
     raise KeyError (boundedness cannot be certified).
     """
     table = {
-        "one": lambda s: np.ones(s.shape[0]),
         "gauss_bump": lambda s: np.exp(-np.sum(s**2, axis=1)),
         "inv_bump": lambda s: 1.0 / (1.0 + np.sum(s**2, axis=1)),
         "cos_coord": lambda s: np.cos(s[:, 0]),
@@ -364,6 +365,9 @@ def make_functional(name, basis):
     if name not in table:
         raise KeyError(f"functional {name!r} is not registered")
     return table[name]
+
+
+FELLER_FUNCTIONALS = ("gauss_bump", "inv_bump", "cos_coord")  # bounded, for the semigroup checks
 
 
 def _terminals(model, xi, t, n_paths, seed):
@@ -467,6 +471,22 @@ def feller_modulus(model, phis, xi, direction, deltas, n_paths, seed):
 # ---------------------------------------------------------------------------
 
 
+def occupation_grid(n_steps, dt, t_schedule, burn_in):
+    """An occupation run's output count, max(64, 2 * len(t_schedule)), and
+    the output-time indices that the burn-in and each scheduled time snap
+    to, the nearest; ValueError unless the burn-in lies in [0, first
+    scheduled time) and the first scheduled time snaps past it."""
+    if not 0 <= burn_in < t_schedule[0]:
+        raise ValueError("must lie in [0, first scheduled time)")
+    n_out = max(64, 2 * len(t_schedule))
+    times = np.array([n * dt for n in sorted(_output_steps(n_steps, n_out))])
+    i0, *checkpoints = (int(np.argmin(np.abs(times - t))) for t in (burn_in, *t_schedule))
+    if checkpoints[0] <= i0:
+        raise ValueError(f"snaps to output time {times[i0]:.6g}, as does the first scheduled "
+                         f"time {t_schedule[0]:g}: an average from it to itself measures nothing")
+    return n_out, i0, checkpoints
+
+
 def occupation_measure(model, functional_names, t_schedule, burn_in, spec):
     """Time averages (1/T) int f(u) dt at an increasing schedule of T.
 
@@ -474,21 +494,20 @@ def occupation_measure(model, functional_names, t_schedule, burn_in, spec):
     average at each checkpoint pools the replicas that did not blow up.
     With more than one of them, the error bar is a bootstrap over their
     time averages; with one, a block bootstrap over its time-block means
-    between the burn-in and the checkpoint.  The stabilization
-    verdict asks the last three successive averages to agree within
-    combined error bars.  Raises BlowUpError when no replica survives.
+    between the burn-in and the checkpoint, each the output time nearest
+    the time given (`occupation_grid`).  The stabilization verdict asks
+    the last three successive averages to agree within combined error
+    bars.  Raises BlowUpError when no replica survives.
     """
     t_schedule = sorted(t_schedule)
-    horizon = t_schedule[-1]
-    if model.config.horizon != horizon:
+    if model.config.horizon != t_schedule[-1]:
         raise ValueError("model horizon must equal the last scheduled time")
+    n_out, i0, checkpoints = occupation_grid(model.n_steps, model.dt, t_schedule, burn_in)
     fns = {name: make_functional(name, model.basis) for name in functional_names}
     initials = draw_initials(spec, model.basis)
-    n_out = max(64, 2 * len(t_schedule))
     res = run_paths(model, initials, spec.seed, n_out=n_out, functionals=fns)
     rng = derive_rng(spec.seed, STREAM_STATS, 11)
     out = {}
-    i0 = int(np.argmin(np.abs(res.times - burn_in)))
     ok = res.alive()
     if not ok.any():
         step = int(res.blow_steps.min())
@@ -498,12 +517,8 @@ def occupation_measure(model, functional_names, t_schedule, burn_in, spec):
     for name in fns:
         series = res.series[f"occ_{name}"][:, ok]  # cumulative int f dt
         rows = []
-        for T in t_schedule:
-            i = int(np.argmin(np.abs(res.times - T)))
-            span = res.times[i] - res.times[i0]
-            if span <= 0:
-                continue
-            per_path = (series[i] - series[i0]) / span
+        for i in checkpoints:
+            per_path = (series[i] - series[i0]) / (res.times[i] - res.times[i0])
             mean, _ = _mean_se(per_path)
             if n_ok > 1:
                 se = bootstrap_se(per_path, rng)
@@ -594,7 +609,10 @@ def invariant_moment_check(model, spec, t_schedule, burn_in, *, tolerance=0.2):
 # ---------------------------------------------------------------------------
 
 
-def stochastic_gronwall_audit(result, alpha, *, beta=0.25, delta=0.0, headroom=1.001):
+GRONWALL_BETA = 0.25  # the audit's martingale majorant weight, within 2*beta <= 1
+
+
+def stochastic_gronwall_audit(result, alpha, *, beta=GRONWALL_BETA, delta=0.0, headroom=1.001):
     """Audit of the stochastic Gronwall lemma on an ensemble of ledgers.
 
     Builds, per path and output time, the monotone energy envelope

@@ -74,6 +74,7 @@ from . import ergodics
 from .basis import build_basis
 from .config import config_hash
 from .ergodics import (
+    FELLER_FUNCTIONALS,
     EnsembleSpec,
     additive_drive_rates,
     chapman_kolmogorov,
@@ -424,7 +425,6 @@ def _run_contraction(cfg, out_dir, workers):
 
 
 def _run_feller(cfg, out_dir, workers):
-    names = [n.strip() for n in cfg.options["functionals"].split(",") if n.strip()]
     t, s = cfg.options["lag"], cfg.options["lag2"]
     n_inner = cfg.options["inner"]
     deltas = cfg.options["deltas"]
@@ -434,7 +434,7 @@ def _run_feller(cfg, out_dir, workers):
     xi = cfg.initial_coeffs()
     direction = np.zeros(cfg.solver.level)
     direction[-1] = 1.0
-    phis = {name: make_functional(name, model_t.basis) for name in names}
+    phis = {name: make_functional(name, model_t.basis) for name in FELLER_FUNCTIONALS}
     # one simulation of each path set serves every functional
     cks = chapman_kolmogorov(model_t, model_s, model_ts, phis, xi, cfg.n_paths, n_inner,
                              cfg.seed)
@@ -446,7 +446,7 @@ def _run_feller(cfg, out_dir, workers):
     ck_pass = all(ck["z"] <= 4.0 for ck in cks.values())
     mod_pass = all(mod["monotone"] for mod in mods.values())
     # the counts are the same for every functional: they come from one run per path set
-    ck, mod = cks[names[0]], mods[names[0]]
+    ck, mod = cks[FELLER_FUNCTIONALS[0]], mods[FELLER_FUNCTIONALS[0]]
     return {
         "passed": ck_pass and mod_pass,
         "chapman_kolmogorov_passed": ck_pass,
@@ -508,8 +508,7 @@ def _run_audit(cfg, out_dir, workers):
     initials = draw_initials(spec, model.basis)
     result = run_ensemble([model], [initials], cfg.seed, n_out=21, track_audit=True,
                           workers=workers)[0]
-    gron = stochastic_gronwall_audit(result, 2.0 * cfg.fluid.kappa1,
-                                     beta=cfg.options["beta"])
+    gron = stochastic_gronwall_audit(result, 2.0 * cfg.fluid.kappa1)
 
     path_reports = []
     for p in range(min(4, cfg.n_paths)):

@@ -8,8 +8,7 @@ where A is the diagonal fourth-order operator, Ap the nonlinear stress,
 B the convection term and M the compensated jump increment of the window
 with the amplitude frozen at the left endpoint.  The stiff linear part is
 implicit (a diagonal division, unconditionally stable); the nonlinear
-terms are explicit; jumps are accumulated exactly.  An explicit variant
-(forward Euler on the linear part too) exists for cross-checks.
+terms are explicit; jumps are accumulated exactly.
 
 Every step satisfies the energy identity
 
@@ -161,14 +160,11 @@ class SolverConfig:
     level: int = 8
     dt: float | None = None
     horizon: float = 1.0
-    scheme: str = "semi-implicit"  # or "explicit", for cross-checks
     convection: bool = True
     stress: bool = True
     blowup_norm: float = BLOWUP_NORM
 
     def __post_init__(self):
-        if self.scheme not in ("semi-implicit", "explicit"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.level < 1:
             raise ValueError("level must be >= 1")
         if self.dt is not None and not self.dt > 0:
@@ -228,7 +224,7 @@ class FluidModel:
         return ap, bb
 
     def advance(self, states, increment, ap, bb):
-        """Apply one step of the configured scheme to a batch of states."""
+        """Apply one semi-implicit step to a batch of states."""
         dt = self.dt
         # `increment` is never written: the first subtraction allocates
         if ap is not None:
@@ -237,8 +233,6 @@ class FluidModel:
                 g -= dt * bb
         else:
             g = increment if bb is None else increment - dt * bb
-        if self.config.scheme != "semi-implicit":
-            return states - dt * self.params.kappa1 * self.basis.eigenvalues * states + g
         if g is increment:
             return (states + g) / self._denom
         g += states  # the bits of (states + g) / denom, in g's buffer
@@ -296,7 +290,6 @@ class Trajectory:
     jump_times: np.ndarray
     jump_marks: np.ndarray
     ledger: dict                # LEDGER_COLUMNS -> (n_steps,) per-step values
-    scheme: str
 
     def terminal(self):
         return self.states[-1]
@@ -575,7 +568,7 @@ def integrate(model, initial, seed, *, path_index=0):
         states.append(block.U1[0])
     return Trajectory(
         np.concatenate(times), np.concatenate(states), *jumps[0],
-        {k: np.concatenate(v) for k, v in cols.items()}, cfg.scheme,
+        {k: np.concatenate(v) for k, v in cols.items()},
     )
 
 
@@ -815,8 +808,6 @@ def energy_audit(traj):
     together with its exact decomposition slack = residual + stress work
     + convection work (the residual part is a sum of squares).
     """
-    if traj.scheme != "semi-implicit":
-        raise ValueError("the energy audit applies to the semi-implicit scheme")
     c = traj.ledger
     scale_skew = 1.0 + c["l2_pre_sq"] * np.sqrt(np.maximum(c["h2_post_sq"], 0.0))
     skew_flags = int(np.sum(np.abs(c["conv_skew"]) > 1e-10 * scale_skew))

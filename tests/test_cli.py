@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from levyfluid import experiments
 from levyfluid.cli import main
+from levyfluid.config import _RETIRED
 
 BASE = """
 experiment = audit
@@ -24,23 +26,32 @@ ensemble.initial = gaussian
 ensemble.scale = 0.4
 """
 
-# the explicit scheme at dt = 0.25 multiplies each mode by 1 - 12.5*lambda:
-# integrate aborts the audit's first path with exit code 3, and as an
-# occupation run every replica blows up, which exits 3 too
+# a mark that never fires (rate 1e-12) whose compensator adds the additive
+# shape h (|h| = 0.5, on the first shell) at every step of 0.25: from zero,
+# u_n = 8 h (1 - 1.125^-n), whose norm passes BLOWUP_CAP at step 11 (after
+# 12 steps); with the models' blow-up norm at that cap, integrate aborts the
+# audit's first path with exit code 3, and as an occupation run every
+# replica blows up, which exits 3 too
 BLOWUP = """
 experiment = audit
-fluid.kappa1 = 50.0
 disc.level = 8
 disc.dt = 0.25
 disc.horizon = 5.0
-disc.scheme = explicit
 disc.convection = false
 disc.stress = false
-noise.kind = zero
+noise.kind = additive
+noise.rates = [1e-12]
+noise.gains = [-4e12]
 ensemble.paths = 4
-ensemble.initial = mode1
-ensemble.scale = 1.0
 """
+BLOWUP_CAP = 2.95  # between 4 (1 - 1.125^-11) = 2.91 and 4 (1 - 1.125^-12) = 3.03
+
+
+def cap_the_models(monkeypatch):
+    """Every model the runners build blows up above BLOWUP_CAP."""
+    build = experiments.build_model
+    monkeypatch.setattr(experiments, "build_model",
+                        lambda cfg, **kw: build(cfg, blowup_norm=BLOWUP_CAP, **kw))
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -83,19 +94,22 @@ class TestValidateCommand:
         assert main(["validate", "--config", cfg]) == 2
         assert "duplicate key" in capsys.readouterr().err
 
-    def test_adapted_jump_mode_exit_code(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, BASE + "disc.jump_mode = adapted\n")
+    @pytest.mark.parametrize("key", sorted(_RETIRED))
+    def test_retired_key_exit_code(self, tmp_path, capsys, key):
+        experiment = "feller" if key.startswith("feller.") else "audit"
+        text = BASE.replace("experiment = audit", f"experiment = {experiment}")
+        cfg = write_cfg(tmp_path, text + f"{key} = {_RETIRED[key]}\n")
         assert main(["validate", "--config", cfg]) == 2
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert "disc.jump_mode" in capsys.readouterr().err
+        line = len(text.splitlines()) + 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: line {line}: {key}: unknown key"] * 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, line", [
         ("cauchy", "cauchy.levels = [8]"),
-        ("moments", "noise.profile = bogus"),
         ("moments", "noise.shape_level = 0"),
-        ("moments", "disc.scheme = implicit"),
         ("occupation", "occupation.burn_in = 1.0"),
-        ("feller", "feller.functionals = gauss_bump,bogus"),
     ])
     def test_option_value_a_runner_cannot_measure_with(self, tmp_path, capsys, experiment, line):
         # a config error from both commands, before anything is run or written
@@ -107,6 +121,24 @@ class TestValidateCommand:
         assert len(err) == 2 and err[0] == err[1]
         assert err[0].startswith(f"config error: line 2: {line.split(' =')[0]}: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("experiment", ["occupation", "invariant-bound"])
+    def test_burn_in_that_snaps_onto_the_first_scheduled_time(self, tmp_path, capsys,
+                                                              experiment):
+        # 1000 steps, 64 output times: 0.995 snaps to the output time 1.0,
+        # the only scheduled time, which would leave no average to take
+        text = (f"experiment = {experiment}\ndisc.level = 8\ndisc.dt = 0.001\n"
+                "disc.horizon = 1.0\nnoise.kind = additive\nensemble.paths = 4\n"
+                "occupation.schedule = [1.0]\noccupation.burn_in = {}\n")
+        cfg = write_cfg(tmp_path, text.format(0.995))
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0].startswith("config error: line 8: occupation.burn_in: snaps to output time 1,")
+        assert not (tmp_path / "out").exists()
+        # 0.99 snaps to the output time before it
+        assert main(["validate", "--config", write_cfg(tmp_path, text.format(0.99))]) == 0
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.cfg"]) == 2
@@ -127,9 +159,11 @@ class TestRunCommand:
         assert (out / "jumps0.jsonl").exists()
 
     @pytest.mark.parametrize("text, code", [(BASE, 0), (BLOWUP, 3)], ids=["pass", "blowup"])
-    def test_run_meta_records_the_duration(self, tmp_path, text, code):
+    def test_run_meta_records_the_duration(self, tmp_path, monkeypatch, text, code):
         # wall_time is the run's duration, not a timestamp: positive and no
         # longer than the call that made it
+        if code == 3:
+            cap_the_models(monkeypatch)
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "meta"
         start = time.perf_counter()
@@ -140,9 +174,11 @@ class TestRunCommand:
         assert meta["clock"] and meta["workers"] >= 1
 
     @pytest.mark.parametrize("text, code", [(BASE, 0), (BLOWUP, 3)], ids=["pass", "blowup"])
-    def test_run_meta_times_its_phases(self, tmp_path, text, code):
+    def test_run_meta_times_its_phases(self, tmp_path, monkeypatch, text, code):
         # the certificate, the runner and the writes, each within the run's
         # duration and none of them in the byte-stable summary
+        if code == 3:
+            cap_the_models(monkeypatch)
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "meta"
         assert main(["run", "--config", cfg, "--out", str(out)]) == code
@@ -202,7 +238,8 @@ class TestRunCommand:
         assert summary["measured"] > 1e-6
 
     @pytest.mark.parametrize("experiment", ["audit", "occupation", "invariant-bound"])
-    def test_blowup_exit_three_with_truncation_marker(self, tmp_path, experiment):
+    def test_blowup_exit_three_with_truncation_marker(self, tmp_path, monkeypatch, experiment):
+        cap_the_models(monkeypatch)
         text = BLOWUP.replace("experiment = audit", f"experiment = {experiment}")
         cfg = write_cfg(tmp_path, text)
         out = tmp_path / "boom"

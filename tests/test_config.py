@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from levyfluid.basis import build_basis
 from levyfluid.config import (
+    _RETIRED,
     EXPERIMENTS,
     ConfigError,
     config_hash,
@@ -17,7 +18,8 @@ from levyfluid.ergodics import RegimeError, invariant_moment_bound
 from levyfluid.noise import LinearNoise, MarkSpace
 
 MINIMAL = "experiment = moments\n"
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "scripts" / "configs"
 # config_hash of every shipped config; a change here changes the hash in
 # every summary.json and CSV header of that experiment
 SHIPPED_HASHES = {
@@ -131,7 +133,6 @@ class TestValidation:
         ("feller", "feller.lag2 = 0.0025"),  # 2.5 steps of dt
         ("feller", "feller.inner = 0"),
         ("feller", "feller.deltas = []"),
-        ("feller", "feller.functionals = ,"),
         ("moments", "moments.levels = []"),
         ("moments", "moments.levels = [8, 4]"),
         ("moments", "moments.levels = [0, 4]"),
@@ -141,28 +142,38 @@ class TestValidation:
         ("cauchy", "cauchy.levels = [0, 4]"),
         ("contraction", "contraction.separations = []"),
         ("contraction", "contraction.separations = [0.1, 0.0]"),
-        ("moments", "noise.profile = bogus"),
         ("moments", "noise.shape_level = 0"),
-        ("moments", "disc.scheme = implicit"),
         ("moments", "ensemble.seed = -1"),
         ("occupation", "occupation.burn_in = 1.0"),  # the horizon, past the first scheduled time
         ("occupation", "occupation.burn_in = -1"),
-        ("feller", "feller.functionals = gauss_bump,bogus"),
-        ("audit", "audit.beta = 0.75"),
         ("invariant-bound", "invariant.tolerance = -0.1"),
     ])
     def test_option_values_a_runner_cannot_measure_with(self, experiment, line):
         problems = problems_of(f"experiment = {experiment}\n{line}\n")
         assert [(ln, key) for ln, key, _ in problems] == [(2, line.split(" =")[0])]
 
-    @pytest.mark.parametrize("mode", ["adapted", "thinning"])
-    def test_jump_mode_other_than_grid(self, mode):
-        # every run steps on the n*dt grid: disc.jump_mode is no key, for any
-        # value, grid included; the manifest still records the grid
-        for value in (mode, "grid"):
-            problems = problems_of(MINIMAL + f"disc.jump_mode = {value}\n")
-            assert [(ln, key) for ln, key, _ in problems] == [(2, "disc.jump_mode")]
-        assert parse_config_text(MINIMAL).canonical()["disc"]["jump_mode"] == "grid"
+    @pytest.mark.parametrize("key", sorted(_RETIRED))
+    def test_retired_key_is_unknown(self, key):
+        # each took one value in every run and is now fixed in the code: no
+        # value is accepted, its fixed one included
+        ns = key.partition(".")[0]
+        experiment = ns if ns in EXPERIMENTS else "moments"
+        for value in (_RETIRED[key], "other"):
+            problems = problems_of(f"experiment = {experiment}\n{key} = {value}\n")
+            assert problems == [(2, key, "unknown key")]
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_manifest_records_the_retired_keys(self, experiment):
+        # the model's always, an experiment's own only under its options
+        extra = "noise.kind = additive\n" if experiment == "invariant-bound" else ""
+        doc = parse_config_text(f"experiment = {experiment}\n{extra}").canonical()
+        assert doc["disc"]["jump_mode"] == "grid"
+        assert doc["disc"]["scheme"] == "semi-implicit"
+        assert doc["noise"]["profile"] == "smooth"
+        options = doc["options"]
+        feller = experiment == "feller"
+        assert options.get("functionals") == ("gauss_bump,inv_bump,cos_coord" if feller else None)
+        assert options.get("beta") == (0.25 if experiment == "audit" else None)
 
 
 class TestOverridesAndHash:
@@ -241,8 +252,8 @@ class TestDerivedObjects:
             names = {"ensemble": {"paths": "paths", "seed": "seed",
                                   "initial": "initial", "scale": "scale"}}
             for key, val in doc[section].items():
-                if val is None or (section, key) == ("disc", "jump_mode"):
-                    continue  # None is a default; jump_mode echoes the grid, no key
+                if val is None or f"{section}.{key}" in _RETIRED:
+                    continue  # None is a default; a retired key is echoed, not set
                 if isinstance(val, bool):
                     val = str(val).lower()
                 elif isinstance(val, list):
@@ -251,3 +262,12 @@ class TestDerivedObjects:
         lines.append("cauchy.levels = [4, 12]")
         reparsed = parse_config_text("\n".join(lines) + "\n")
         assert config_hash(reparsed) == config_hash(cfg)
+
+
+class TestReadme:
+    def test_config_block_parses(self):
+        # the README's example config, verbatim
+        text = (ROOT / "README.md").read_text()
+        block = text.split("## Config format", 1)[1].split("```\n", 2)[1]
+        cfg = parse_config_text(block)
+        assert cfg.experiment == "cauchy" and cfg.options["levels"] == [4, 8, 16, 32]

@@ -140,6 +140,15 @@ class TestMoments:
         bad, diag = no_increase_verdict([1.0, 2.0, 3.0], [0.01, 0.01, 0.01])
         assert not bad and diag["slope_z"] > 1.645
 
+    def test_trend_verdict_with_zero_standard_errors(self):
+        # a deterministic ensemble: every SE is 0, and the verdict still reads
+        # the estimates (under the suite's RuntimeWarning filter, no division
+        # by zero either)
+        ok, diag = no_increase_verdict([0.5, 0.5, 0.5], [0.0, 0.0, 0.0])
+        assert ok and diag["slope_z"] == 0.0
+        bad, diag = no_increase_verdict([0.5, 0.5 + 1e-12, 0.5 + 2e-12], [0.0, 0.0, 0.0])
+        assert not bad and diag["slope_z"] > 1.645
+
 
 class TestCauchy:
     def test_levels_must_increase(self):

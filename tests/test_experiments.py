@@ -346,7 +346,6 @@ ensemble.paths = 8
 ensemble.seed = 4
 ensemble.initial = mode1
 ensemble.scale = 0.4
-feller.functionals = gauss_bump,inv_bump
 feller.lag = 0.02
 feller.lag2 = 0.04
 feller.inner = 2

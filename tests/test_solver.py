@@ -15,6 +15,8 @@ from levyfluid.noise import (
     AdditiveNoise,
     LinearNoise,
     MarkSpace,
+    NoiseBounds,
+    NoiseCoefficient,
     SaturatingNoise,
     ZeroNoise,
     derive_rng,
@@ -55,8 +57,6 @@ def make_model(level=8, dt=1e-3, horizon=1.0, sigma=None, **kw):
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(params=PARAMS, scheme="leapfrog")
         with pytest.raises(ValueError):
             SolverConfig(params=PARAMS, level=0)
         with pytest.raises(ValueError):
@@ -184,12 +184,6 @@ class TestTrajectory:
         assert report["passed"], report
         assert report["slack_min"] > -1e-6
 
-    def test_energy_audit_requires_the_semi_implicit_scheme(self):
-        model = make_model(dt=1e-2, horizon=0.1, scheme="explicit")
-        traj = integrate(model, np.zeros(8), seed=0)
-        with pytest.raises(ValueError):
-            energy_audit(traj)
-
     def test_restart_from_terminal_continues_trajectory(self):
         # integrating to T in one run equals stopping at T/2 and restarting
         # from the terminal state, when the restarted run reuses the same
@@ -212,28 +206,20 @@ class TestTrajectory:
 
 
 class TestBlowUpPolicy:
-    def test_explicit_overstep_aborts_with_report(self):
-        # explicit scheme far beyond its stability limit
-        par = FluidParams(kappa0=0.5, kappa1=50.0, reg=1.0, p=1.5)
-        cfg = SolverConfig(params=par, level=8, dt=0.25, horizon=5.0,
-                           scheme="explicit", convection=False, stress=False)
-        model = FluidModel(cfg, ZeroNoise(MARKS), MARKS)
-        u0 = np.ones(8)
+    def test_overstep_aborts_with_report(self):
+        model = unstable_model()
         with pytest.raises(BlowUpError) as err:
-            integrate(model, u0, seed=0)
+            integrate(model, np.ones(8), seed=0)
         rep = err.value.report
         assert set(rep) >= {"step", "t", "l2", "level"}
         assert rep["t"] == (rep["step"] + 1) * model.dt
-        assert not rep["l2"] <= cfg.blowup_norm
-        assert np.isfinite(rep["l2_pre"]) and rep["l2_pre"] <= cfg.blowup_norm
+        assert not rep["l2"] <= model.config.blowup_norm
+        assert np.isfinite(rep["l2_pre"]) and rep["l2_pre"] <= model.config.blowup_norm
 
     def test_integrate_stops_at_the_step_that_blew_up(self, monkeypatch):
-        # 20 explicit steps whose state passes the cap at step 5: six steps,
-        # then one advance that rebuilds the report, and no step after it
-        par = FluidParams(kappa0=0.5, kappa1=50.0, reg=1.0, p=1.5)
-        cfg = SolverConfig(params=par, level=8, dt=0.25, horizon=5.0,
-                           scheme="explicit", convection=False, stress=False)
-        model = FluidModel(cfg, ZeroNoise(MARKS), MARKS)
+        # 20 steps whose state passes the cap at step 5: six steps, then one
+        # advance that rebuilds the report, and no step after it
+        model = unstable_model()
         assert model.n_steps == 20
         calls = []
         real = model.advance
@@ -244,15 +230,12 @@ class TestBlowUpPolicy:
 
         monkeypatch.setattr(model, "advance", counted)
         with pytest.raises(BlowUpError) as err:
-            integrate(model, np.ones(8), seed=0)
+            integrate(model, blowing_batch(5)[1], seed=0)
         assert err.value.report["step"] == 5
         assert len(calls) == 7
 
     def test_ensemble_counts_blowups_instead_of_raising(self):
-        par = FluidParams(kappa0=0.5, kappa1=50.0, reg=1.0, p=1.5)
-        cfg = SolverConfig(params=par, level=8, dt=0.25, horizon=5.0,
-                           scheme="explicit", convection=False, stress=False)
-        model = FluidModel(cfg, ZeroNoise(MARKS), MARKS)
+        model = unstable_model()
         res = run_paths(model, np.ones((3, 8)), seed=0)
         assert res.blown.all()
         assert np.all(res.blow_steps >= 0)
@@ -275,16 +258,6 @@ class TestSchemes:
             errs.append(np.sqrt(np.mean(np.sum((got.terminal - want) ** 2, axis=1))))
         rates = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(rates) >= 0.5, (errs, rates)
-
-    def test_explicit_and_implicit_agree_to_first_order(self):
-        sigma = additive_sigma()
-        diffs = []
-        for dt in (4e-3, 2e-3, 1e-3):
-            a = integrate(make_model(dt=dt, horizon=0.5, sigma=sigma), np.zeros(8), seed=2)
-            b = integrate(make_model(dt=dt, horizon=0.5, sigma=sigma, scheme="explicit"),
-                          np.zeros(8), seed=2)
-            diffs.append(np.linalg.norm(a.terminal() - b.terminal()))
-        assert diffs[-1] < diffs[0]
 
 
 class TestCoupledRuns:
@@ -426,14 +399,38 @@ class TestEnsembleEngine:
         )
 
 
+class SecondShellPump(NoiseCoefficient):
+    """sigma(u, z_j) = g_j u on the modes from index 4 on (the second shell
+    of a 2D basis), zero on the first four: a test noise that drives one
+    shell and leaves the other to decay."""
+
+    kind = "pump"
+
+    def __init__(self, marks, gains):
+        super().__init__(marks, gains)
+        self.bounds = NoiseBounds(0.0, self.c2, self.c2, self.c4)
+
+    def core(self, states):
+        c = np.array(states)
+        c[:, :4] = 0.0
+        return c
+
+
+# mark 0 never fires (rate 1e-12) and mark 1 (rate 3) has gain 0: jumps are
+# drawn and bucketed but change no state
+PUMP_MARKS = MarkSpace(np.array([1e-12, 3.0]))
+
+
 def unstable_model(level=8, horizon=5.0):
-    # explicit steps with dt * kappa1 = 3: the first shell (eigenvalue 0.5)
-    # contracts by 0.5 per step, the second (eigenvalue 2) grows by 5, so a
-    # path with second-shell content blows up and one without stays bounded
+    # semi-implicit steps of dt = 0.25 with kappa1 = 12 and the compensator
+    # -dt*nu_0*g_0*u = 34 u on the second shell: the first shell (eigenvalue
+    # 0.5) contracts by 1/2.5 = 0.4 per step, the second (eigenvalue 2) grows
+    # by 35/7 = 5, so a path with second-shell content blows up and one
+    # without stays bounded
     par = FluidParams(kappa0=0.5, kappa1=12.0, reg=1.0, p=1.5)
     cfg = SolverConfig(params=par, level=level, dt=0.25, horizon=horizon,
-                       scheme="explicit", convection=False, stress=False)
-    return FluidModel(cfg, additive_sigma(level), MARKS)
+                       convection=False, stress=False)
+    return FluidModel(cfg, SecondShellPump(PUMP_MARKS, [-136.0 / 1e-12, 0.0]), PUMP_MARKS)
 
 
 def first_steps(X, seed, k, jumps):
@@ -590,7 +587,7 @@ class TestLeanStepping:
     @settings(max_examples=25, deadline=None)
     @given(step=st.integers(1, 18), member=st.integers(0, 2), path=st.integers(0, 2))
     def test_blowup_freezes_every_member_at_once(self, step, member, path):
-        # explicit steps scale the second shell by -5: an amplitude of
+        # `unstable_model` scales the second shell by 5: an amplitude of
         # 3e8 / 5^(step+1) first exceeds the cap 1e8 on step `step`
         model = unstable_model()
         states = [np.zeros((3, 8)) for _ in range(3)]

@@ -336,11 +336,14 @@ def parse_config_text(text, overrides=None):
         if sorted(sched) != sched or not sched or abs(sched[-1] - horizon) > 1e-12:
             problems.append(
                 problem("occupation.schedule", "must be increasing and end at disc.horizon"))
-        else:
-            try:  # the runner averages from the burn-in's output time on
-                occupation_grid(round(horizon / dt), dt, sched, options["burn_in"])
+        else:  # the runner averages over the horizon's steps from the burn-in on
+            key = "disc.horizon"
+            try:
+                n_steps = _whole_steps(horizon, dt)
+                key = "occupation.burn_in"
+                occupation_grid(n_steps, dt, sched, options["burn_in"])
             except ValueError as exc:
-                problems.append(problem("occupation.burn_in", str(exc)))
+                problems.append(problem(key, str(exc)))
     if experiment == "feller":  # each lag is the horizon of a model the runner builds
         for key in ("feller.lag", "feller.lag2"):
             try:

@@ -494,10 +494,9 @@ def occupation_measure(model, functional_names, t_schedule, burn_in, spec):
     average at each checkpoint pools the replicas that did not blow up.
     With more than one of them, the error bar is a bootstrap over their
     time averages; with one, a block bootstrap over its time-block means
-    between the burn-in and the checkpoint, each the output time nearest
-    the time given (`occupation_grid`).  The stabilization verdict asks
-    the last three successive averages to agree within combined error
-    bars.  Raises BlowUpError when no replica survives.
+    between the burn-in and the checkpoint, each snapped to an output time
+    by `occupation_grid`.  The stabilization verdict asks the last three
+    averages to agree within combined error bars; BlowUpError if none survives.
     """
     t_schedule = sorted(t_schedule)
     if model.config.horizon != t_schedule[-1]:
@@ -612,7 +611,7 @@ def invariant_moment_check(model, spec, t_schedule, burn_in, *, tolerance=0.2):
 GRONWALL_BETA = 0.25  # the audit's martingale majorant weight, within 2*beta <= 1
 
 
-def stochastic_gronwall_audit(result, alpha, *, beta=GRONWALL_BETA, delta=0.0, headroom=1.001):
+def stochastic_gronwall_audit(result, alpha, *, delta=0.0, headroom=1.001):
     """Audit of the stochastic Gronwall lemma on an ensemble of ledgers.
 
     Builds, per path and output time, the monotone energy envelope
@@ -628,7 +627,7 @@ def stochastic_gronwall_audit(result, alpha, *, beta=GRONWALL_BETA, delta=0.0, h
     weight is zero here, so its integral budget constant is zero.
 
     Measures the smallest (gamma, extra) with E I <= beta E X + gamma
-    int E X + delta E Y + extra on the data (beta, delta are supplied and
+    int E X + delta E Y + extra on the data (beta = GRONWALL_BETA; they
     must satisfy 2*beta <= 1, 2*delta <= alpha), checks every hypothesis,
     then verifies the conclusion
 
@@ -660,7 +659,7 @@ def stochastic_gronwall_audit(result, alpha, *, beta=GRONWALL_BETA, delta=0.0, h
     I = s["mart_sup"][:, ok] + s["qv_disc_cum"][:, ok] + W
     Z = s["l2_sq"][0, ok]
 
-    hyp = {"two_beta": 2.0 * beta <= 1.0, "two_delta": 2.0 * delta <= alpha}
+    hyp = {"two_beta": 2.0 * GRONWALL_BETA <= 1.0, "two_delta": 2.0 * delta <= alpha}
     lhs = X + alpha * Y  # equals the energy envelope
     slack = (Z[None, :] + I) - lhs
     hyp["pathwise"] = bool(np.min(slack) >= -1e-9 * (1.0 + np.max(np.abs(lhs))))
@@ -670,7 +669,7 @@ def stochastic_gronwall_audit(result, alpha, *, beta=GRONWALL_BETA, delta=0.0, h
     # the measured majorant to the exponential bound is exact, so the
     # conclusion must hold on the data whenever the hypotheses do.
     intEX = np.concatenate([[0.0], np.cumsum(EX[:-1] * np.diff(times))])
-    resid = EI - beta * EX - delta * EY
+    resid = EI - GRONWALL_BETA * EX - delta * EY
     horizon = float(times[-1]) if times[-1] > 0 else 1.0
     candidates = np.concatenate([[0.0], np.geomspace(1e-2 / horizon, 3.0 / horizon, 24)])
     best = None
@@ -681,7 +680,7 @@ def stochastic_gronwall_audit(result, alpha, *, beta=GRONWALL_BETA, delta=0.0, h
             best = (g, c_tilde, final)
     gamma, extra, _ = best
     hyp["mean_majorant"] = bool(
-        np.all(EI <= beta * EX + gamma * intEX + delta * EY + extra + 1e-12)
+        np.all(EI <= GRONWALL_BETA * EX + gamma * intEX + delta * EY + extra + 1e-12)
     )
 
     applicable = all(hyp.values())
@@ -692,7 +691,7 @@ def stochastic_gronwall_audit(result, alpha, *, beta=GRONWALL_BETA, delta=0.0, h
         "applicable": applicable,
         "hypotheses": hyp,
         "alpha": alpha,
-        "beta": beta,
+        "beta": GRONWALL_BETA,
         "gamma": gamma,
         "delta": delta,
         "extra": extra,

@@ -140,6 +140,20 @@ class TestValidateCommand:
         # 0.99 snaps to the output time before it
         assert main(["validate", "--config", write_cfg(tmp_path, text.format(0.99))]) == 0
 
+    @pytest.mark.parametrize("experiment", ["occupation", "invariant-bound"])
+    @pytest.mark.parametrize("dt", [0.003, 1.5])
+    def test_horizon_that_is_no_whole_number_of_steps(self, tmp_path, capsys, experiment, dt):
+        # the occupation averages need the horizon's step count; a dt past
+        # the horizon is reported there too, not as a burn-in problem
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\ndisc.level = 8\n"
+                        f"disc.dt = {dt}\ndisc.horizon = 1.0\nnoise.kind = additive\n")
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0].startswith("config error: line 4: disc.horizon: horizon 1 is not a whole number")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.cfg"]) == 2
 

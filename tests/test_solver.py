@@ -400,37 +400,42 @@ class TestEnsembleEngine:
 
 
 class SecondShellPump(NoiseCoefficient):
-    """sigma(u, z_j) = g_j u on the modes from index 4 on (the second shell
-    of a 2D basis), zero on the first four: a test noise that drives one
-    shell and leaves the other to decay."""
+    """sigma(u, z_j) = g_j (h + P u): a fixed field h = FIRST_SHELL on the
+    first four modes (the first shell of a 2D basis) plus the state's part
+    P u on the modes from index 4 on: a test noise that drives the second
+    shell with the state and the first with additive jumps."""
 
     kind = "pump"
+    FIRST_SHELL = np.array([0.5, 0.3, 0.2, 0.1])
 
     def __init__(self, marks, gains):
         super().__init__(marks, gains)
-        self.bounds = NoiseBounds(0.0, self.c2, self.c2, self.c4)
+        hsq = float(np.sum(self.FIRST_SHELL**2))  # 0.39: (hsq + x)^2 <= 2 (1 + x^2)
+        self.bounds = NoiseBounds(self.c2 * hsq, self.c2, self.c2, 2.0 * self.c4)
 
     def core(self, states):
         c = np.array(states)
-        c[:, :4] = 0.0
+        c[:, :4] = self.FIRST_SHELL
         return c
 
 
-# mark 0 never fires (rate 1e-12) and mark 1 (rate 3) has gain 0: jumps are
-# drawn and bucketed but change no state
+# mark 0 never fires (rate 1e-12); mark 1 (rate 3) jumps by h/16 on the
+# first shell and by u/16 on the second; the compensator is
+# -dt*(nu_0*g_0 + nu_1*g_1)*(h + P u) = 34*(h + P u) at dt = 0.25
 PUMP_MARKS = MarkSpace(np.array([1e-12, 3.0]))
+PUMP_GAINS = [-(136.0 + 3.0 / 16.0) / 1e-12, 1.0 / 16.0]
 
 
 def unstable_model(level=8, horizon=5.0):
-    # semi-implicit steps of dt = 0.25 with kappa1 = 12 and the compensator
-    # -dt*nu_0*g_0*u = 34 u on the second shell: the first shell (eigenvalue
-    # 0.5) contracts by 1/2.5 = 0.4 per step, the second (eigenvalue 2) grows
-    # by 35/7 = 5, so a path with second-shell content blows up and one
-    # without stays bounded
+    # semi-implicit steps of dt = 0.25 with kappa1 = 12: the first shell
+    # (eigenvalue 0.5) contracts by 1/2.5 = 0.4 per step towards the
+    # bounded drive 34 h / 1.5, the second (eigenvalue 2) grows by 35/7 = 5
+    # on a step without jumps and by (35 + n/16)/7 on a step with n, so a
+    # path with second-shell content blows up and one without stays bounded
     par = FluidParams(kappa0=0.5, kappa1=12.0, reg=1.0, p=1.5)
     cfg = SolverConfig(params=par, level=level, dt=0.25, horizon=horizon,
                        convection=False, stress=False)
-    return FluidModel(cfg, SecondShellPump(PUMP_MARKS, [-136.0 / 1e-12, 0.0]), PUMP_MARKS)
+    return FluidModel(cfg, SecondShellPump(PUMP_MARKS, PUMP_GAINS), PUMP_MARKS)
 
 
 def first_steps(X, seed, k, jumps):
@@ -513,6 +518,11 @@ class TestLeanStepping:
         alone = run_paths(model, X[keep], 5, n_out=21, track_audit=True, functionals=fns,
                           jumps=[jumps[p] for p in keep])
         assert np.array_equal(res.terminal[keep], alone.terminal)
+        # the survivors' jumps move them
+        none = (np.empty(0), np.empty(0, np.int64))
+        assert all(jumps[p][0].size for p in keep)
+        still = run_paths(model, X[keep], 5, jumps=[none, none])
+        assert np.all(np.abs(alone.terminal - still.terminal).max(axis=1) > 1e-3)
         for name, series in alone.series.items():
             assert np.array_equal(res.series[name][:, keep], series), name
             # the blown path's accumulators stop at its last finite state

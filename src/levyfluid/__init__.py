@@ -15,7 +15,7 @@ averages and the invariant second-moment bound.
 from .basis import GalerkinBasis, build_basis
 from .noise import MarkSpace, derive_rng, sample_jumps
 from .operators import FluidParams, SpectralOperators
-from .solver import FluidModel, SolverConfig, integrate
+from .solver import FluidModel, SolverConfig
 
 __version__ = "0.1.0"
 
@@ -29,6 +29,5 @@ __all__ = [
     "SpectralOperators",
     "SolverConfig",
     "FluidModel",
-    "integrate",
     "__version__",
 ]

@@ -329,27 +329,33 @@ def parse_config_text(text, overrides=None):
     if len(gains) not in (1, len(rates)):
         problems.append(problem("noise.gains", "need one gain or one per mark"))
     values["noise.gains"] = gains * len(rates) if len(gains) == 1 else gains
-    dt = values["disc.dt"] or default_dt(
-        build_basis(values["disc.level"], values["disc.dim"]), values["fluid.kappa1"])
+    # the runner builds one model per level of moments and cauchy, else one at
+    # disc.level; each steps its horizon (feller: each lag) in whole steps of its dt
+    dts = {level: values["disc.dt"] or default_dt(build_basis(level, values["disc.dim"]),
+                                                   values["fluid.kappa1"])
+           for level in options.get("levels", [values["disc.level"]])}
+    for key in ("feller.lag", "feller.lag2") if experiment == "feller" else ("disc.horizon",):
+        for dt in dict.fromkeys(dts.values()):
+            try:
+                _whole_steps(values[key], dt)
+            except ValueError as exc:
+                problems.append(problem(key, str(exc)))
+                break
+    if experiment == "cauchy" and len(set(dts.values())) > 1:  # the levels step in lockstep
+        problems.append(problem("cauchy.levels", "the levels must share one dt, but the default "
+                                "dt differs between them: set disc.dt"))
     if "schedule" in options:
         sched = options["schedule"]
         if sorted(sched) != sched or not sched or abs(sched[-1] - horizon) > 1e-12:
             problems.append(
                 problem("occupation.schedule", "must be increasing and end at disc.horizon"))
-        else:  # the runner averages over the horizon's steps from the burn-in on
-            key = "disc.horizon"
+        elif all(key != "disc.horizon" for _, key, _ in problems):
+            # the runner averages over the horizon's steps from the burn-in on
+            (dt,) = dts.values()
             try:
-                n_steps = _whole_steps(horizon, dt)
-                key = "occupation.burn_in"
-                occupation_grid(n_steps, dt, sched, options["burn_in"])
+                occupation_grid(_whole_steps(horizon, dt), dt, sched, options["burn_in"])
             except ValueError as exc:
-                problems.append(problem(key, str(exc)))
-    if experiment == "feller":  # each lag is the horizon of a model the runner builds
-        for key in ("feller.lag", "feller.lag2"):
-            try:
-                _whole_steps(values[key], dt)
-            except ValueError as exc:
-                problems.append(problem(key, str(exc)))
+                problems.append(problem("occupation.burn_in", str(exc)))
     _raise_any(problems)
 
     fluid = FluidParams(**_namespace(values, "fluid"))

@@ -57,7 +57,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Trajectory count, root seed, and the initial-condition law.
+    """Path count, root seed, and the initial-condition law.
 
     law = ("fixed", coeffs) pins every path to the same state;
     law = ("gaussian", scale) draws independent coefficients with
@@ -509,9 +509,7 @@ def occupation_measure(model, functional_names, t_schedule, burn_in, spec):
     out = {}
     ok = res.alive()
     if not ok.any():
-        step = int(res.blow_steps.min())
-        raise BlowUpError({"step": step, "t": (step + 1) * model.dt,
-                           "n_blown": int(res.blown.sum()), "level": model.config.level})
+        raise BlowUpError.of(res, model)
     n_ok = int(ok.sum())
     for name in fns:
         series = res.series[f"occ_{name}"][:, ok]  # cumulative int f dt
@@ -609,9 +607,11 @@ def invariant_moment_check(model, spec, t_schedule, burn_in, *, tolerance=0.2):
 
 
 GRONWALL_BETA = 0.25  # the audit's martingale majorant weight, within 2*beta <= 1
+GRONWALL_DELTA = 0.0  # the majorant's weight on E Y, within 2*delta <= alpha
+GRONWALL_HEADROOM = 1.001  # the factor on the smallest `extra` that fits the data
 
 
-def stochastic_gronwall_audit(result, alpha, *, delta=0.0, headroom=1.001):
+def stochastic_gronwall_audit(result, alpha):
     """Audit of the stochastic Gronwall lemma on an ensemble of ledgers.
 
     Builds, per path and output time, the monotone energy envelope
@@ -627,8 +627,9 @@ def stochastic_gronwall_audit(result, alpha, *, delta=0.0, headroom=1.001):
     weight is zero here, so its integral budget constant is zero.
 
     Measures the smallest (gamma, extra) with E I <= beta E X + gamma
-    int E X + delta E Y + extra on the data (beta = GRONWALL_BETA; they
-    must satisfy 2*beta <= 1, 2*delta <= alpha), checks every hypothesis,
+    int E X + delta E Y + extra on the data (beta = GRONWALL_BETA, delta =
+    GRONWALL_DELTA; they must satisfy 2*beta <= 1, 2*delta <= alpha), and
+    takes GRONWALL_HEADROOM times that `extra`; checks every hypothesis,
     then verifies the conclusion
 
         E[X + alpha Y] <= 2 exp(2 t gamma) (E Z + extra)
@@ -659,7 +660,7 @@ def stochastic_gronwall_audit(result, alpha, *, delta=0.0, headroom=1.001):
     I = s["mart_sup"][:, ok] + s["qv_disc_cum"][:, ok] + W
     Z = s["l2_sq"][0, ok]
 
-    hyp = {"two_beta": 2.0 * GRONWALL_BETA <= 1.0, "two_delta": 2.0 * delta <= alpha}
+    hyp = {"two_beta": 2.0 * GRONWALL_BETA <= 1.0, "two_delta": 2.0 * GRONWALL_DELTA <= alpha}
     lhs = X + alpha * Y  # equals the energy envelope
     slack = (Z[None, :] + I) - lhs
     hyp["pathwise"] = bool(np.min(slack) >= -1e-9 * (1.0 + np.max(np.abs(lhs))))
@@ -669,18 +670,18 @@ def stochastic_gronwall_audit(result, alpha, *, delta=0.0, headroom=1.001):
     # the measured majorant to the exponential bound is exact, so the
     # conclusion must hold on the data whenever the hypotheses do.
     intEX = np.concatenate([[0.0], np.cumsum(EX[:-1] * np.diff(times))])
-    resid = EI - GRONWALL_BETA * EX - delta * EY
+    resid = EI - GRONWALL_BETA * EX - GRONWALL_DELTA * EY
     horizon = float(times[-1]) if times[-1] > 0 else 1.0
     candidates = np.concatenate([[0.0], np.geomspace(1e-2 / horizon, 3.0 / horizon, 24)])
     best = None
     for g in candidates:
-        c_tilde = max(0.0, float(np.max(resid - g * intEX))) * headroom
+        c_tilde = max(0.0, float(np.max(resid - g * intEX))) * GRONWALL_HEADROOM
         final = 2.0 * np.exp(2.0 * g * horizon) * (EZ + c_tilde)
         if best is None or final < best[2]:
             best = (g, c_tilde, final)
     gamma, extra, _ = best
     hyp["mean_majorant"] = bool(
-        np.all(EI <= GRONWALL_BETA * EX + gamma * intEX + delta * EY + extra + 1e-12)
+        np.all(EI <= GRONWALL_BETA * EX + gamma * intEX + GRONWALL_DELTA * EY + extra + 1e-12)
     )
 
     applicable = all(hyp.values())
@@ -693,7 +694,7 @@ def stochastic_gronwall_audit(result, alpha, *, delta=0.0, headroom=1.001):
         "alpha": alpha,
         "beta": GRONWALL_BETA,
         "gamma": gamma,
-        "delta": delta,
+        "delta": GRONWALL_DELTA,
         "extra": extra,
         "times": times,
         "lhs": EX + alpha * EY,

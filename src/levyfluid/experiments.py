@@ -103,8 +103,8 @@ from .solver import (
     EnsembleResult,
     FluidModel,
     _draw_jumps,
+    _jump_steps,
     energy_audit,
-    integrate,
     run_pairs,
     run_paths,
 )
@@ -151,6 +151,7 @@ class LevelResults(list):
 
 
 def _merge_results(parts):
+    # the audited paths are the first of the ensemble, so all in the first block
     first = parts[0]
     series = {
         k: np.concatenate([p.series[k] for p in parts], axis=1) for k in first.series
@@ -161,6 +162,8 @@ def _merge_results(parts):
         terminal=np.concatenate([p.terminal for p in parts], axis=0),
         blown=np.concatenate([p.blown for p in parts]),
         blow_steps=np.concatenate([p.blow_steps for p in parts]),
+        ledger=first.ledger,
+        states=first.states,
     )
 
 
@@ -508,23 +511,23 @@ def _run_audit(cfg, out_dir, workers):
     initials = draw_initials(spec, model.basis)
     result = run_ensemble([model], [initials], cfg.seed, n_out=21, track_audit=True,
                           workers=workers)[0]
+    # the path audits read the ledgers of the ensemble's first paths
+    ledgers = [{k: v[:, p] for k, v in result.ledger.items()}
+               for p in range(result.states.shape[1])]
+    if result.blown[:len(ledgers)].any():  # an audited path has no whole ledger
+        raise BlowUpError.of(result, model)
     gron = stochastic_gronwall_audit(result, 2.0 * cfg.fluid.kappa1)
+    path_reports = [dict(energy_audit(ledger), path=p) for p, ledger in enumerate(ledgers)]
 
-    path_reports = []
-    for p in range(min(4, cfg.n_paths)):
-        traj = integrate(model, initials[p], cfg.seed, path_index=p)
-        rep = energy_audit(traj)
-        rep["path"] = p
-        path_reports.append(rep)
-        if p == 0:
-            export_trajectory_csv(out_dir / "trajectory0.csv", traj, model.basis,
-                                  config_hash=config_hash(cfg))
-            export_ledger_jsonl(out_dir / "ledger0.jsonl", traj)
-            # the trajectory holds every step, so these are the exact pre-step norms
-            norms = np.sqrt(np.sum(traj.states**2, axis=1))
-            idx = np.searchsorted(traj.times, traj.jump_times, side="left") - 1
-            pre = norms[np.clip(idx, 0, norms.size - 1)]
-            write_jump_log(out_dir / "jumps0.jsonl", traj.jump_times, traj.jump_marks, pre)
+    ledger = ledgers[0]
+    jump_times, jump_marks = _draw_jumps(model, cfg.seed, 1, 0)[0]
+    export_trajectory_csv(out_dir / "trajectory0.csv", np.concatenate([[0.0], ledger["t"]]),
+                          np.concatenate([initials[:1], result.states[:, 0]]), jump_times,
+                          model.basis, config_hash=config_hash(cfg))
+    export_ledger_jsonl(out_dir / "ledger0.jsonl", ledger)
+    # a jump's pre-jump norm is that of the state before the step that takes it
+    pre = np.sqrt(ledger["l2_pre_sq"][_jump_steps(jump_times, model.dt, model.n_steps)])
+    write_jump_log(out_dir / "jumps0.jsonl", jump_times, jump_marks, pre)
 
     rows = [
         (t, l, b, m)
@@ -571,8 +574,9 @@ def run_experiment(cfg, out_dir=None, workers=None):
     """Execute the configured experiment and write its artifact bundle.
 
     Returns (exit_code, summary).  Exit codes: 0 pass, 1 verdict fail,
-    2 a failed noise certificate, 3 a runner's BlowUpError (the audit's
-    re-stepped path, or an occupation run with no surviving replica).
+    2 a failed noise certificate, 3 a runner's BlowUpError (an audit whose
+    audited paths include a blown one, or an occupation run with no
+    surviving replica).
     Partial outputs are flushed with a TRUNCATED marker when a run
     aborts.  A run that reaches its runner writes run_meta.json:
     `wall_time` and the seconds of its phases, `certify_s` (the noise

@@ -90,20 +90,21 @@ def write_run_meta(path, wall_time, extra=None):
         fh.write("\n")
 
 
-def export_trajectory_csv(path, traj, basis, *, config_hash=None):
-    """Time series of a trajectory: t, |u|, ||u||_1, ||u||_2, jumps so far."""
+def export_trajectory_csv(path, times, states, jump_times, basis, *, config_hash=None):
+    """Time series of one path, its (n,) `times` and (n, m) `states`, with
+    its sorted `jump_times`: t, |u|, ||u||_1, ||u||_2, jumps so far."""
     eig = basis.eigenvalues
     ksq = basis.ksq
 
     def rows():
-        for t, state in zip(traj.times, traj.states):
+        for t, state in zip(times, states):
             c2 = state**2
             yield (
                 f"{t:.12g}",
                 f"{np.sqrt(c2.sum()):.12g}",
                 f"{np.sqrt((ksq * c2).sum()):.12g}",
                 f"{np.sqrt((eig * c2).sum()):.12g}",
-                int(np.searchsorted(traj.jump_times, t, side="right")),
+                int(np.searchsorted(jump_times, t, side="right")),
             )
 
     return write_series(
@@ -115,8 +116,8 @@ def export_trajectory_csv(path, traj, basis, *, config_hash=None):
     )
 
 
-def export_ledger_jsonl(path, traj):
-    """One JSON row per step: every ledger column's value at that step."""
-    ledger = traj.ledger
+def export_ledger_jsonl(path, ledger):
+    """One JSON row per step of one path's `ledger` (column -> (n_steps,)
+    values): every column's value at that step."""
     write_jsonl(path, ({k: float(v[i]) for k, v in ledger.items()}
                        for i in range(ledger["t"].size)))

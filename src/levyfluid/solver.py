@@ -24,22 +24,21 @@ inequality decomposes as
 
 with the first term nonnegative by construction.
 
-The four drivers share one stepping kernel, `_march`.  It steps a list
+The three drivers share one stepping kernel, `_march`.  It steps a list
 of members, each a batch of paths with its model, in lockstep under one
 jump list: it buckets the jumps into step windows, takes every member
 through the noise increment, the drift and the advance, and checks each
 path for blow-up across all members.  `run_paths` is one member,
-`run_pairs` two members of one model, `run_levels` one member per
-truncation level, and `integrate` one member of one path that records
-every step.  All step on the n*dt grid of the models' one dt.  The
+`run_pairs` two members of one model, and `run_levels` one member per
+truncation level.  All step on the n*dt grid of the models' one dt.  The
 drivers keep only their own accumulators, ensemble series, pair
-distances, level gaps and the ledger, and fold `_march`'s blocks into
-them.
+distances, level gaps and, for an audit, the ledger of the first
+AUDITED_PATHS paths, and fold `_march`'s blocks into them.
 
 Paths blow up by one policy, not silently: `_march` freezes a path with
 a non-finite or oversized state in every member and flags it as blown.
-The batched drivers report the flags; `integrate` turns its path's flag
-into a BlowUpError with a report of the step and norms.
+The drivers report the flags; a caller that cannot go on without a path
+raises a BlowUpError with the ensemble's report.
 
 The noise is compound Poisson, so rows that start at one state follow
 one trajectory until their first jumps, and rows that start at one state
@@ -64,9 +63,9 @@ does each piece of work once and only where needed; unlike the shared
 drift, these savings change no bit.  `_march` yields stacked blocks of
 steps, each ending after a step its caller names as a cut (the output
 steps of `run_paths` and `run_pairs`), after at most FLUSH_STEPS steps,
-after a step in which some path froze, and after the last step; the cap
-bounds the memory of runs with few outputs, and the freeze cut lets
-`integrate` stop at the step that blew up.  A block holds the post-step
+and after the last step; the cap bounds the memory of runs with few
+outputs.  Every fold adds and takes maxima in step order, so no bit
+depends on where a block ends.  A block holds the post-step
 states of the members its caller folds (`run_pairs` folds only its
 first), and their pieces (U, U1, M, ap, bb, qv) only for a caller that
 asks: keeping states, M and the drift across a block costs memory on
@@ -99,11 +98,9 @@ from .operators import FluidParams, SpectralOperators
 __all__ = [
     "SolverConfig",
     "FluidModel",
-    "Trajectory",
     "BlowUpError",
     "EnsembleResult",
     "default_dt",
-    "integrate",
     "run_paths",
     "run_pairs",
     "run_levels",
@@ -114,6 +111,7 @@ __all__ = [
 DT_CAP = 1e-3
 BLOWUP_NORM = 1e8
 FLUSH_STEPS = 64  # most steps in one block of `_march`
+AUDITED_PATHS = 4  # the first paths whose ledger and states an audited `run_paths` keeps
 
 LEDGER_COLUMNS = (
     "t",
@@ -174,20 +172,21 @@ class SolverConfig:
 
 
 class BlowUpError(RuntimeError):
-    """A run left the finite range; carries the abort report.
-
-    A single trajectory's report carries its post-step norm `l2`; an
-    ensemble whose every path blew up reports their count `n_blown`.
-    """
+    """A run left the finite range; carries the abort report: the `step`
+    and time `t` of the first blow-up, the count `n_blown` of blown paths
+    and the model's `level`."""
 
     def __init__(self, report):
-        where = f"step {report['step']} (t={report['t']:.6g}"
-        if "l2" in report:
-            message = f"trajectory blew up at {where}, |u|={report['l2']:.3e})"
-        else:
-            message = f"all {report['n_blown']} paths blew up, the first at {where})"
-        super().__init__(message)
+        super().__init__(f"{report['n_blown']} blown path(s), the first at step "
+                         f"{report['step']} (t={report['t']:.6g})")
         self.report = report
+
+    @classmethod
+    def of(cls, result, model):
+        """The error for `result`, an EnsembleResult of `model` with a blown path."""
+        step = int(result.blow_steps[result.blown].min())
+        return cls({"step": step, "t": (step + 1) * model.dt,
+                    "n_blown": int(result.blown.sum()), "level": model.config.level})
 
 
 def _read_only(a):
@@ -283,18 +282,6 @@ def replay_residual(ledger):
     )
 
 
-@dataclass
-class Trajectory:
-    times: np.ndarray           # (n_steps + 1,): 0 and every step's end
-    states: np.ndarray          # (n_steps + 1, m)
-    jump_times: np.ndarray
-    jump_marks: np.ndarray
-    ledger: dict                # LEDGER_COLUMNS -> (n_steps,) per-step values
-
-    def terminal(self):
-        return self.states[-1]
-
-
 def _draw_jumps(model, seed, n_paths, offset):
     """Per-path (times, marks), each from the stream keyed by its path index."""
     return [
@@ -304,7 +291,12 @@ def _draw_jumps(model, seed, n_paths, offset):
     ]
 
 
-_Block = namedtuple("_Block", "steps t n_jumps live U1 pieces")
+def _jump_steps(times, dt, n_steps):
+    """The step n whose window (n*dt, (n+1)*dt] holds each of the jump `times`."""
+    return np.clip(np.ceil(times / dt).astype(np.int64) - 1, 0, n_steps - 1)
+
+
+_Block = namedtuple("_Block", "steps t live U1 pieces")
 
 
 def _output_steps(n_steps, n_out):
@@ -394,10 +386,9 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False, fol
     each step's new state.
 
     Yields _Blocks of at most FLUSH_STEPS consecutive steps, each ending
-    after a step whose number (1..n_steps) is in `cuts`, after a step in
-    which some path froze, and after the last step.  Per step of a block
-    (k steps), stacked: `steps`, `t` (end times) and `n_jumps` (event
-    counts), each (k,); `live` (k, P); per folded member `U1` (k*P, m_i),
+    after a step whose number (1..n_steps) is in `cuts` and after the last
+    step.  Per step of a block (k steps), stacked: `steps` and `t` (end
+    times), each (k,); `live` (k, P); per folded member `U1` (k*P, m_i),
     the post-step states; and, with `keep_pieces`, per folded member the
     stacked (U, U1, M, ap, bb, qv) of `_stack_pieces`, else None.  The folded members are those `fold`
     names by index, in its order; by default every member.
@@ -407,7 +398,7 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False, fol
     jp = np.repeat(np.arange(len(jumps)), [times.size for times, _ in jumps])
     h, n_steps = models[0].dt, models[0].n_steps
     t = [n * h for n in range(n_steps + 1)]
-    steps = np.clip(np.ceil(jt / h).astype(np.int64) - 1, 0, n_steps - 1)
+    steps = _jump_steps(jt, h, n_steps)
     order = np.argsort(steps, kind="stable")
     jm, jp, steps = jm[order], jp[order], steps[order]
     bounds = np.searchsorted(steps, np.arange(n_steps + 1)).tolist()
@@ -443,7 +434,6 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False, fol
             # a member's whole sum of squares bounds each of its rows', and
             # is NaN or inf if any entry is: rows are checked only when one fails
             ok = ok and np.vdot(U1, U1) <= cap
-        froze = False
         if not ok:
             l2 = [(U1 * U1).sum(axis=1) for _, U1, *_ in pieces]
             fine = l2[0] <= cap
@@ -455,13 +445,12 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False, fol
                 live = blow_steps < 0
                 frozen = ~live
                 regroup = True  # a frozen row must stop standing in for others
-                froze = True  # the block ends here, so a caller can stop
         if frozen is not None:
             for U, U1, *_ in pieces:  # U1 is states[i]: frozen rows keep U
                 U1[frozen] = U[frozen]
-        block.append((n + 1, t[n + 1], hi - lo, live, [states[i] for i in fold],
+        block.append((n + 1, t[n + 1], live, [states[i] for i in fold],
                       [pieces[i] for i in fold] if keep_pieces else None))
-        if froze or n + 1 in cuts or len(block) == FLUSH_STEPS or n + 1 == n_steps:
+        if n + 1 in cuts or len(block) == FLUSH_STEPS or n + 1 == n_steps:
             stacked = _stack_block(block, len(jumps), keep_pieces)
             block = []  # before the caller folds it: the per-step arrays go
             yield stacked
@@ -469,9 +458,9 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False, fol
 
 def _stack_block(rows, n_paths, keep_pieces):
     """`_march`'s per-step rows stacked into one _Block."""
-    steps, t, n_jumps, live, U1, pieces = zip(*rows)
+    steps, t, live, U1, pieces = zip(*rows)
     return _Block(
-        np.array(steps), np.array(t), np.array(n_jumps), np.stack(live),
+        np.array(steps), np.array(t), np.stack(live),
         [np.concatenate(u) for u in zip(*U1)],
         [_stack_pieces(p, n_paths) for p in zip(*pieces)] if keep_pieces else None,
     )
@@ -503,22 +492,22 @@ def _stack_pieces(pieces, n_paths):
                  for part in (U, U1, M, ap, bb, qv))
 
 
-def _audit_terms(model, dt, U, U1, M, ap, bb, qv_jump):
-    """The ledger terms `run_paths` audits: the `_AUDIT_SUMS` columns and conv_skew."""
+def _audit_terms(model, dt, U, U1, M, ap, bb):
+    """The ledger terms that `run_paths` adds up over every path: the `_AUDIT_SUMS` columns."""
     return {
         "ap_work": 4.0 * model.params.kappa0 * dt * _pair(ap, U1),
-        "conv_skew": _pair(bb, U),
         "conv_work": 2.0 * dt * _pair(bb, U1),
         "mart_pre": 2.0 * _pair(M, U),
         "qv_disc": np.sum(M**2, axis=1),
-        "qv_jump": qv_jump,
         "resid_sq": np.sum((M - (U1 - U)) ** 2, axis=1),
     }
 
 
 def _diag_update(model, dt, U, U1, M, ap, bb, qv_jump):
     """Per-path terms of the step energy identity: the ledger columns from l2_pre_sq on."""
-    d = _audit_terms(model, dt, U, U1, M, ap, bb, qv_jump)
+    d = _audit_terms(model, dt, U, U1, M, ap, bb)
+    d["conv_skew"] = _pair(bb, U)
+    d["qv_jump"] = qv_jump
     d["l2_pre_sq"] = np.sum(U**2, axis=1)
     d["l2_post_sq"] = np.sum(U1**2, axis=1)
     d["h2_post_sq"] = np.sum(model.basis.eigenvalues * U1**2, axis=1)
@@ -527,49 +516,6 @@ def _diag_update(model, dt, U, U1, M, ap, bb, qv_jump):
     d["backward"] = np.sum((U - U1) ** 2, axis=1)
     d["mart_work"] = 2.0 * _pair(M, U1)
     return d
-
-
-def integrate(model, initial, seed, *, path_index=0):
-    """One trajectory on [0, horizon]: its state at every step, and its ledger.
-
-    `initial` has shape (level,) (ValueError otherwise).  Deterministic
-    given (seed, path_index): the jump stream is derived by the counter
-    key schedule.  Raises BlowUpError when `_march` flags the
-    path, at the end of the block that the step which blew up closes, so
-    no later step is taken; the report carries the step, time and norms,
-    the post-step norm from advancing the step's kept pieces again
-    (`advance` works row by row, so these are the stepping kernel's bits).  The ledger is
-    evaluated once per block of `_march`, with the values of a per-step
-    evaluation.
-    """
-    cfg = model.config
-    coeffs = np.array(initial, dtype=float)
-    if coeffs.shape != (cfg.level,):
-        raise ValueError("initial must have shape (level,)")
-    jumps = _draw_jumps(model, seed, 1, path_index)
-    cols = {k: [] for k in LEDGER_COLUMNS}
-    times, states = [np.zeros(1)], [coeffs[None, :]]
-    for block in _march([model], [coeffs[None, :]], np.full(1, -1), jumps, keep_pieces=True):
-        U, _, M, ap, bb, _ = pieces = block.pieces[0]
-        if not block.live[-1, 0]:
-            j = int(np.argmin(block.live[:, 0]))  # the step that blew up
-            U1 = model.advance(*(None if a is None else a[j] for a in (U, M, ap, bb)))
-            raise BlowUpError({
-                "step": int(block.steps[j]) - 1, "t": float(block.t[j]),
-                "l2": float(np.sqrt(abs(np.sum(U1**2)))),
-                "l2_pre": float(np.sqrt(np.sum(U[j] ** 2))), "level": cfg.level,
-            })
-        diag = _diag_update(model, model.dt, *pieces)
-        diag.update(t=block.t, dt=np.full(block.steps.size, model.dt),
-                    n_jumps=block.n_jumps.astype(float))
-        for k in LEDGER_COLUMNS:
-            cols[k].append(diag[k])
-        times.append(block.t)
-        states.append(block.U1[0])
-    return Trajectory(
-        np.concatenate(times), np.concatenate(states), *jumps[0],
-        {k: np.concatenate(v) for k, v in cols.items()},
-    )
 
 
 @dataclass
@@ -581,6 +527,9 @@ class EnsembleResult:
     terminal: np.ndarray            # (P, m)
     blown: np.ndarray               # (P,) bool
     blow_steps: np.ndarray          # (P,) int, -1 if alive
+    # with track_audit, of the first A = min(AUDITED_PATHS, P) paths:
+    ledger: dict | None = None      # LEDGER_COLUMNS -> (n_steps, A) per-step values
+    states: np.ndarray | None = None  # (n_steps, A, m) post-step states
 
     def alive(self):
         return ~self.blown
@@ -598,17 +547,14 @@ _SERIES_AUDIT = (
     "mart_cum",
     "mart_sup",
     "qv_disc_cum",
-    "qv_jump_cum",
     "resid_cum",
     "apwork_cum",
     "convwork_cum",
-    "skew_max",
 )
 # audit running sums and the ledger column each one adds up
 _AUDIT_SUMS = {
     "mart_cum": "mart_pre",
     "qv_disc_cum": "qv_disc",
-    "qv_jump_cum": "qv_jump",
     "resid_cum": "resid_sq",
     "apwork_cum": "ap_work",
     "convwork_cum": "conv_work",
@@ -628,7 +574,10 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     fold each block of `_march`, cut at the output steps, at once, with
     the bits of per-step updates.  Each of `functionals` (name -> a map
     from (n, m) states to (n,) values) is integrated in time as
-    `occ_<name>`: dt * fn(u) added per step.
+    `occ_<name>`: dt * fn(u) added per step.  With `track_audit`, the
+    audit series are snapshotted too, and the result keeps the per-step
+    ledger and the post-step states of the first AUDITED_PATHS paths: the
+    rows of this batch, not a second run of them.
     """
     cfg = model.config
     U = np.array(initials, dtype=float)
@@ -657,6 +606,8 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
         return {name: acc[name].copy() for name in snap_names}
 
     snaps, times = [snapshot()], [0.0]  # one per output time
+    audited = min(AUDITED_PATHS, n_paths)
+    ledger, kept = {}, []  # the audited rows' per-step values and states
     out = _output_steps(model.n_steps, n_out)
     states = [U]
     for block in _march([model], states, blow_steps, jumps, cuts=out,
@@ -681,27 +632,44 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
         raise_max("sup_l2_sq", l2)
         raise_max("sup_energy", l2 + two_kappa1 * diss)
         if track_audit:
-            diag = _audit_terms(model, dt, *block.pieces[0])
+            pieces = block.pieces[0]
+            diag = _audit_terms(model, dt, *pieces[:-1])
             diag = {column: v.reshape(k, n_paths) for column, v in diag.items()}
             for name, column in _AUDIT_SUMS.items():
                 running = add(name, diag[column])
                 if name == "mart_cum":
                     raise_max("mart_sup", np.abs(running))
-            scale = 1.0 + l2 * np.sqrt(np.maximum(h2, 0.0))
-            raise_max("skew_max", np.abs(diag["conv_skew"]) / scale)
+            rows = [None if a is None else
+                    a.reshape(k, n_paths, *a.shape[1:])[:, :audited].reshape(-1, *a.shape[1:])
+                    for a in pieces]
+            for column, v in _diag_update(model, dt, *rows).items():
+                ledger.setdefault(column, []).append(v.reshape(k, audited))
+            kept.append(U1.reshape(k, n_paths, -1)[:, :audited])
         for name, fn in functionals.items():
             add(f"occ_{name}", dt * fn(U1).reshape(k, n_paths))
         if block.steps[-1] in out:
             times.append(block.t[-1])
             snaps.append(snapshot())
 
-    return EnsembleResult(
+    result = EnsembleResult(
         times=np.array(times),
         series={name: np.array([snap[name] for snap in snaps]) for name in snap_names},
         terminal=states[0],
         blown=blow_steps >= 0,
         blow_steps=blow_steps,
     )
+    if track_audit:
+        ledger = {column: np.concatenate(v) for column, v in ledger.items()}
+        steps = np.arange(1, model.n_steps + 1)
+        ledger["t"] = np.repeat((steps * dt)[:, None], audited, axis=1)
+        ledger["dt"] = np.full(ledger["t"].shape, dt)
+        # each path's event count per step, from its own jump list
+        ledger["n_jumps"] = np.stack([
+            np.bincount(_jump_steps(t, dt, model.n_steps), minlength=model.n_steps)
+            for t, _ in jumps[:audited]], axis=1).astype(float)
+        result.ledger = {column: ledger[column] for column in LEDGER_COLUMNS}
+        result.states = np.concatenate(kept)
+    return result
 
 
 def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, jumps=None):
@@ -794,9 +762,10 @@ def run_levels(models, initial_top, seed):
     }
 
 
-def energy_audit(traj):
-    """Step-identity and dissipation-inequality audit of one trajectory.
+def energy_audit(ledger):
+    """Step-identity and dissipation-inequality audit of one path's ledger.
 
+    `ledger` maps LEDGER_COLUMNS to the path's (n_steps,) per-step values.
     Checks, per step: the convection pairing <B(u,u),u> vanishes within
     1e-10 * (1 + |u|^2 ||u||_2); the stress pairing <Ap(u),u> is above
     -1e-8 * (1 + ||u||_1^2); and the ledger replays the terminal energy,
@@ -808,7 +777,7 @@ def energy_audit(traj):
     together with its exact decomposition slack = residual + stress work
     + convection work (the residual part is a sum of squares).
     """
-    c = traj.ledger
+    c = ledger
     scale_skew = 1.0 + c["l2_pre_sq"] * np.sqrt(np.maximum(c["h2_post_sq"], 0.0))
     skew_flags = int(np.sum(np.abs(c["conv_skew"]) > 1e-10 * scale_skew))
     stress_scale = 1.0 + c["l2_pre_sq"] + c["h2_post_sq"]

@@ -11,6 +11,8 @@ from levyfluid import experiments
 from levyfluid.cli import main
 from levyfluid.config import _RETIRED
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
 BASE = """
 experiment = audit
 fluid.kappa0 = 0.5
@@ -29,9 +31,9 @@ ensemble.scale = 0.4
 # a mark that never fires (rate 1e-12) whose compensator adds the additive
 # shape h (|h| = 0.5, on the first shell) at every step of 0.25: from zero,
 # u_n = 8 h (1 - 1.125^-n), whose norm passes BLOWUP_CAP at step 11 (after
-# 12 steps); with the models' blow-up norm at that cap, integrate aborts the
-# audit's first path with exit code 3, and as an occupation run every
-# replica blows up, which exits 3 too
+# 12 steps); with the models' blow-up norm at that cap every path blows up,
+# so the audit has no whole ledger for its audited paths and exits 3, and an
+# occupation run has no replica left to average, which exits 3 too
 BLOWUP = """
 experiment = audit
 disc.level = 8
@@ -153,6 +155,41 @@ class TestValidateCommand:
         assert len(err) == 2 and err[0] == err[1]
         assert err[0].startswith("config error: line 4: disc.horizon: horizon 1 is not a whole number")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stem", ["audit", "moments"])
+    def test_shipped_config_whose_horizon_is_no_whole_number_of_steps(self, tmp_path, capsys,
+                                                                      stem):
+        # every model the runner builds steps the horizon: 1.0 is 333.3 steps of 0.003
+        text = (CONFIG_DIR / f"{stem}.cfg").read_text()
+        assert "disc.dt = 0.001\n" in text
+        cfg = write_cfg(tmp_path, text.replace("disc.dt = 0.001\n", "disc.dt = 0.003\n"))
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        line = text.splitlines().index("disc.horizon = 1.0") + 1
+        assert err[0] == (f"config error: line {line}: disc.horizon: horizon 1 is not a whole "
+                          "number >= 1 of steps of dt = 0.003")
+        assert not (tmp_path / "out").exists()
+
+    def test_cauchy_levels_whose_default_dt_differs(self, tmp_path, capsys):
+        # with no disc.dt the default dt is 1e-3 up to level 32 and 5e-4 at
+        # 64; the levels step in lockstep, so they must share one dt
+        text = (CONFIG_DIR / "cauchy.cfg").read_text()
+        text = (text.replace("disc.dt = 0.001\n", "").replace("disc.level = 32", "disc.level = 64")
+                .replace("disc.horizon = 1.0", "disc.horizon = 0.01")
+                .replace("cauchy.levels = [4, 8, 16, 32]", "cauchy.levels = [16, 32, 64]"))
+        cfg = write_cfg(tmp_path, text)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        line = text.splitlines().index("cauchy.levels = [16, 32, 64]") + 1
+        assert err[0].startswith(f"config error: line {line}: cauchy.levels: the levels must "
+                                 "share one dt")
+        assert not (tmp_path / "out").exists()
+        # one disc.dt for every level: the config is fine
+        assert main(["validate", "--config", write_cfg(tmp_path, text + "disc.dt = 0.0005\n")]) == 0
 
     def test_missing_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.cfg"]) == 2
@@ -356,3 +393,29 @@ class TestCompareArtifactsScript:
         assert lines[0].split() == ["results/feller/extra.csv", "only", "in", "A"]
         assert lines[1].split() == ["results/feller/feller_modulus.csv", "0"]
         assert lines[2] == "results/feller/summary.json: verdict"
+
+    def test_jsonl_records_and_numeric_summary_keys(self, tmp_path):
+        # logs compare field by field, naming the field of the largest change;
+        # a summary key that differs in numbers only carries its largest change
+        audits = [{"path": 0, "replay_max": 6.8e-15}, {"path": 1, "replay_max": 2.6e-14}]
+        roots = []
+        for name, scale in (("a", 1.0), ("b", 1.0 + 4e-3)):
+            root = self.bundle(tmp_path / name, 0.5, "PASS", {
+                "path_audits": [dict(audits[0], replay_max=6.8e-15 * scale), audits[1]],
+                "gronwall": {"gamma": 0.0, "extra": 0.12 * scale}})
+            out = root / "results" / "feller"
+            (out / "ledger0.jsonl").write_text(
+                json.dumps({"t": 0.001, "conv_skew": 1e-17 * scale, "n": 0}) + "\n"
+                + json.dumps({"t": 0.002, "conv_skew": 2e-17, "n": 1}) + "\n")
+            (out / "jumps0.jsonl").write_text(json.dumps({"t": 0.5, "mark": 1}) + "\n")
+            roots.append(root)
+        (roots[1] / "results" / "feller" / "jumps0.jsonl").write_text(
+            json.dumps({"t": 0.5, "mark": 1}) + "\n" + json.dumps({"t": 0.7, "mark": 0}) + "\n")
+        lines = self.run(*roots)
+        assert lines[1].split() == ["results/feller/jumps0.jsonl", "record", "counts", "differ"]
+        name, value, field = lines[2].split()
+        assert name == "results/feller/ledger0.jsonl" and field == "(conv_skew)"
+        assert float(value) == pytest.approx(4e-3, rel=1e-2)
+        keys = lines[3].removeprefix("results/feller/summary.json: ").split(", ")
+        assert [key.split()[0] for key in keys] == ["gronwall.extra", "path_audits"]
+        assert all(float(key.split()[1]) == pytest.approx(4e-3, rel=1e-2) for key in keys)

@@ -403,7 +403,7 @@ class TestBlownCounts:
 
     def test_audit_reports_blown_paths(self, tmp_path, monkeypatch):
         # a blow-up norm between the paths' suprema drops those above it
-        # from the ensemble; paths 0-3, which integrate re-steps, stay below
+        # from the ensemble; paths 0-3, whose ledgers the audit reads, stay below
         text = (BASE.replace("experiment = moments", "experiment = audit")
                 .replace("ensemble.initial = mode1", "ensemble.initial = gaussian")
                 .replace("moments.levels = [4, 8]\n", ""))

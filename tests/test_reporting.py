@@ -12,7 +12,7 @@ from levyfluid.reporting import (
     write_series,
     write_summary,
 )
-from levyfluid.solver import FluidModel, SolverConfig, integrate
+from levyfluid.solver import FluidModel, SolverConfig, run_paths
 
 
 class TestWriteSeries:
@@ -81,27 +81,36 @@ class TestSummary:
 
 
 @pytest.fixture(scope="module")
-def traj():
+def audited():
     marks = MarkSpace(np.array([2.0]))
     cfg = SolverConfig(params=FluidParams(), level=4, dt=1e-2, horizon=0.2)
     model = FluidModel(cfg, ZeroNoise(marks), marks)
-    return model, integrate(model, np.array([0.5, 0, 0, 0]), seed=1)
+    return model, run_paths(model, np.array([[0.5, 0, 0, 0]]), seed=1, track_audit=True)
 
 
-class TestTrajectoryExports:
+class TestPathExports:
 
-    def test_csv_series(self, tmp_path, traj):
-        model, t = traj
+    def test_csv_series(self, tmp_path, audited):
+        model, res = audited
         path = tmp_path / "traj.csv"
-        n = export_trajectory_csv(path, t, model.basis, config_hash="ff")
-        assert n == t.times.size
-        header = path.read_text().splitlines()
-        assert header[2].split(",") == ["t", "l2", "h1", "h2", "jump_count"]
+        times = np.concatenate([[0.0], res.ledger["t"][:, 0]])
+        states = np.concatenate([[[0.5, 0, 0, 0]], res.states[:, 0]])
+        jump_times = np.array([0.05, 0.05, 0.15])
+        n = export_trajectory_csv(path, times, states, jump_times, model.basis, config_hash="ff")
+        assert n == times.size == model.n_steps + 1
+        lines = path.read_text().splitlines()
+        assert lines[2].split(",") == ["t", "l2", "h1", "h2", "jump_count"]
+        rows = [line.split(",") for line in lines[3:]]
+        assert [float(r[0]) for r in rows] == pytest.approx(times.tolist())
+        assert float(rows[0][1]) == 0.5
+        # the jumps up to each time, one counted at its own time
+        assert [int(r[4]) for r in rows] == [0] * 5 + [2] * 10 + [3] * 6
 
-    def test_ledger_jsonl(self, tmp_path, traj):
-        _, t = traj
+    def test_ledger_jsonl(self, tmp_path, audited):
+        _, res = audited
         path = tmp_path / "ledger.jsonl"
-        export_ledger_jsonl(path, t)
+        ledger = {k: v[:, 0] for k, v in res.ledger.items()}
+        export_ledger_jsonl(path, ledger)
         rows = [json.loads(l) for l in path.read_text().splitlines()]
-        assert len(rows) == t.ledger["t"].size
-        assert "l2_post_sq" in rows[0]
+        assert len(rows) == ledger["t"].size
+        assert [row["l2_post_sq"] for row in rows] == ledger["l2_post_sq"].tolist()

@@ -24,7 +24,9 @@ from levyfluid.noise import (
 )
 from levyfluid.operators import FluidParams
 from levyfluid.solver import (
+    AUDITED_PATHS,
     FLUSH_STEPS,
+    LEDGER_COLUMNS,
     BlowUpError,
     FluidModel,
     SolverConfig,
@@ -33,7 +35,6 @@ from levyfluid.solver import (
     _march,
     default_dt,
     energy_audit,
-    integrate,
     replay_residual,
     run_levels,
     run_pairs,
@@ -53,6 +54,12 @@ def additive_sigma(level=8, scale=1.0):
 def make_model(level=8, dt=1e-3, horizon=1.0, sigma=None, **kw):
     cfg = SolverConfig(params=PARAMS, level=level, dt=dt, horizon=horizon, **kw)
     return FluidModel(cfg, sigma if sigma is not None else additive_sigma(level), MARKS)
+
+
+def one_path(model, xi, seed):
+    """The audited run of the one path `xi`: (its result, its ledger)."""
+    res = run_paths(model, np.asarray(xi)[None, :], seed, track_audit=True)
+    return res, {k: v[:, 0] for k, v in res.ledger.items()}
 
 
 class TestConfig:
@@ -94,9 +101,9 @@ class TestConfig:
 class TestStep:
     def test_zero_equilibrium(self):
         model = make_model(sigma=ZeroNoise(MARKS), dt=1e-2, horizon=0.5)
-        traj = integrate(model, np.zeros(8), seed=0)
-        assert np.all(traj.states == 0.0)
-        assert np.all(traj.ledger["l2_post_sq"] == 0.0)
+        res, led = one_path(model, np.zeros(8), seed=0)
+        assert np.all(res.states == 0.0)
+        assert np.all(led["l2_post_sq"] == 0.0)
 
     def test_single_mode_geometric_decay(self):
         # linear part only: exact per-step division by 1 + dt*kappa1*lam
@@ -105,11 +112,11 @@ class TestStep:
         amp = 0.8
         u0 = np.zeros(8)
         u0[0] = amp
-        traj = integrate(model, u0, seed=0)
+        terminal = run_paths(model, u0[None, :], seed=0).terminal[0]
         lam = model.basis.eigenvalues[0]
         expected = amp / (1.0 + model.dt * PARAMS.kappa1 * lam) ** model.n_steps
-        assert traj.terminal()[0] == pytest.approx(expected, rel=1e-13)
-        assert np.abs(traj.terminal()[1:]).max() == 0.0
+        assert terminal[0] == pytest.approx(expected, rel=1e-13)
+        assert np.abs(terminal[1:]).max() == 0.0
 
     def test_unconditional_linear_stability(self):
         # implicit treatment contracts the L2 norm for any dt
@@ -128,8 +135,7 @@ class TestStep:
         model = make_model(sigma=ZeroNoise(MARKS), dt=1e-3, horizon=0.2)
         rng = np.random.default_rng(1)
         u0 = rng.standard_normal(8) * 0.5
-        traj = integrate(model, u0, seed=0)
-        led = traj.ledger
+        _, led = one_path(model, u0, seed=0)
         # discrete energy inequality: the post-step energy plus dissipation
         # stays below the pre-step energy up to the explicit-term residual
         gain = led["l2_post_sq"] + led["diss"] - led["l2_pre_sq"]
@@ -138,23 +144,22 @@ class TestStep:
         assert led["l2_post_sq"][-1] < led["l2_pre_sq"][0]
 
 
-class TestTrajectory:
+class TestOnePath:
     def test_zero_horizon(self):
         with pytest.raises(ValueError):
             SolverConfig(params=PARAMS, level=8, dt=1e-2, horizon=0.0)
 
-    @pytest.mark.parametrize("shape", [(7,), (9,), (1, 8)])
+    @pytest.mark.parametrize("shape", [(1, 7), (1, 9), (8,)])
     def test_initial_of_the_wrong_shape_raises(self, shape):
         model = make_model(dt=1e-2, horizon=0.1)
-        with pytest.raises(ValueError, match="initial must have shape"):
-            integrate(model, np.zeros(shape), seed=7)
+        with pytest.raises(ValueError, match="initials must have shape"):
+            run_paths(model, np.zeros(shape), seed=7)
 
     def test_ledger_replay_reconstructs_energy(self):
         model = make_model(dt=1e-3, horizon=1.0)
         xi = np.zeros(8)
         xi[0] = 1.0
-        traj = integrate(model, xi, seed=7)
-        led = traj.ledger
+        _, led = one_path(model, xi, seed=7)
         replay = led["l2_pre_sq"][0] + np.sum(
             -led["backward"] - led["diss"] - led["ap_work"] - led["conv_work"]
             + led["mart_work"]
@@ -165,22 +170,20 @@ class TestTrajectory:
     def test_skew_symmetry_inside_loop(self):
         model = make_model(dt=2e-3, horizon=0.5)
         rng = np.random.default_rng(3)
-        traj = integrate(model, 0.5 * rng.standard_normal(8), seed=5)
-        led = traj.ledger
+        _, led = one_path(model, 0.5 * rng.standard_normal(8), seed=5)
         scale = 1e-10 * (1.0 + led["l2_pre_sq"] * np.sqrt(led["h2_post_sq"]))
         assert np.all(np.abs(led["conv_skew"]) <= scale)
 
     def test_stress_pairing_nonnegative_every_step(self):
         model = make_model(dt=2e-3, horizon=0.5)
         rng = np.random.default_rng(4)
-        traj = integrate(model, 0.5 * rng.standard_normal(8), seed=6)
-        led = traj.ledger
+        _, led = one_path(model, 0.5 * rng.standard_normal(8), seed=6)
         assert np.all(led["ap_pair"] >= -1e-8 * (1.0 + led["l2_pre_sq"]))
 
     def test_energy_audit_passes(self):
         model = make_model(dt=1e-3, horizon=1.0)
-        traj = integrate(model, np.zeros(8), seed=11)
-        report = energy_audit(traj)
+        _, led = one_path(model, np.zeros(8), seed=11)
+        report = energy_audit(led)
         assert report["passed"], report
         assert report["slack_min"] > -1e-6
 
@@ -194,45 +197,27 @@ class TestTrajectory:
         model = FluidModel(full_cfg, ZeroNoise(marks), marks)
         rng = np.random.default_rng(5)
         xi = 0.5 * rng.standard_normal(6)
-        full = integrate(model, xi, seed=2)
+        full = run_paths(model, xi[None, :], seed=2)
 
         half_cfg = SolverConfig(params=par, level=6, dt=1e-2, horizon=0.2)
         half_model = FluidModel(half_cfg, ZeroNoise(marks), marks)
-        first = integrate(half_model, xi, seed=2)
+        first = run_paths(half_model, xi[None, :], seed=2)
         assert first.times[-1] == pytest.approx(0.2)
-        second = integrate(half_model, first.terminal(), seed=3)
+        second = run_paths(half_model, first.terminal, seed=3)
         # deterministic drift: restart reproduces the full run's terminal
-        assert np.allclose(second.terminal(), full.terminal(), rtol=1e-12, atol=1e-14)
+        assert np.allclose(second.terminal, full.terminal, rtol=1e-12, atol=1e-14)
 
 
 class TestBlowUpPolicy:
-    def test_overstep_aborts_with_report(self):
+    def test_report_names_the_first_blowup(self):
+        # paths 1 and 2 of four blow up, at steps 5 and 3
         model = unstable_model()
-        with pytest.raises(BlowUpError) as err:
-            integrate(model, np.ones(8), seed=0)
-        rep = err.value.report
-        assert set(rep) >= {"step", "t", "l2", "level"}
-        assert rep["t"] == (rep["step"] + 1) * model.dt
-        assert not rep["l2"] <= model.config.blowup_norm
-        assert np.isfinite(rep["l2_pre"]) and rep["l2_pre"] <= model.config.blowup_norm
-
-    def test_integrate_stops_at_the_step_that_blew_up(self, monkeypatch):
-        # 20 steps whose state passes the cap at step 5: six steps, then one
-        # advance that rebuilds the report, and no step after it
-        model = unstable_model()
-        assert model.n_steps == 20
-        calls = []
-        real = model.advance
-
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(model, "advance", counted)
-        with pytest.raises(BlowUpError) as err:
-            integrate(model, blowing_batch(5)[1], seed=0)
-        assert err.value.report["step"] == 5
-        assert len(calls) == 7
+        X = np.vstack([blowing_batch(5), blowing_batch(3)[1:2]])
+        res = run_paths(model, X, seed=0)
+        assert res.blow_steps.tolist() == [-1, 5, -1, 3]
+        err = BlowUpError.of(res, model)
+        assert err.report == {"step": 3, "t": 4 * model.dt, "n_blown": 2, "level": 8}
+        assert str(err) == "2 blown path(s), the first at step 3 (t=1)"
 
     def test_ensemble_counts_blowups_instead_of_raising(self):
         model = unstable_model()
@@ -310,14 +295,13 @@ class TestSaturatingNoise:
         model = make_model(dt=2e-3, horizon=0.5, sigma=sigma)
         xi = np.zeros(8)
         xi[0] = 0.8
-        traj = integrate(model, xi, seed=15)
-        assert np.all(np.isfinite(traj.states))
-        rep = energy_audit(traj)
+        res, led = one_path(model, xi, seed=15)
+        assert np.all(np.isfinite(res.states))
+        rep = energy_audit(led)
         assert rep["passed"], rep
         # bounded amplitude: every logged jump quadratic variation respects
         # the declared constant budget of the entry
         per_jump_cap = float(np.max(sigma.gains) ** 2)
-        led = traj.ledger
         assert np.all(led["qv_jump"] <= per_jump_cap * np.maximum(led["n_jumps"], 1) + 1e-12)
 
 
@@ -329,23 +313,39 @@ class TestThreeDimensional:
         sigma = AdditiveNoise(marks, np.array([0.3, 0.1]), h)
         cfg = SolverConfig(params=PARAMS, dim=3, level=6, dt=2e-3, horizon=0.2)
         model = FluidModel(cfg, sigma, marks)
-        traj = integrate(model, np.zeros(6), seed=1)
-        led = traj.ledger
-        assert np.all(np.isfinite(traj.states))
+        res, led = one_path(model, np.zeros(6), seed=1)
+        assert np.all(np.isfinite(res.states))
         assert np.abs(replay_residual(led)).max() < 1e-12 * (1 + led["l2_post_sq"].max())
-        rep = energy_audit(traj)
+        rep = energy_audit(led)
         assert rep["passed"]
 
 
 class TestEnsembleEngine:
-    def test_matches_single_trajectory(self):
+    @pytest.mark.parametrize("n_paths", [2, 7])
+    def test_audit_keeps_the_batch_rows_of_its_first_paths(self, n_paths):
+        # the ledgers and states are those of the audited batch's own rows,
+        # bit for bit, not of a second run of the paths
         model = make_model(dt=2e-3, horizon=0.5)
-        xi = np.zeros(8)
-        xi[1] = 0.3
-        traj = integrate(model, xi, seed=13)
-        res = run_paths(model, xi[None, :], seed=13, n_out=3)
-        # both step on the n*dt grid, so the terminals agree bit for bit
-        assert np.array_equal(res.terminal[0], traj.terminal())
+        X = 0.4 * np.random.default_rng(4).standard_normal((n_paths, 8))
+        jumps = _draw_jumps(model, 13, n_paths, 0)
+        res = run_paths(model, X, 13, n_out=3, track_audit=True, jumps=jumps)
+        A = min(AUDITED_PATHS, n_paths)
+        assert res.states.shape == (model.n_steps, A, 8)
+        assert list(res.ledger) == list(LEDGER_COLUMNS)
+        assert all(v.shape == (model.n_steps, A) for v in res.ledger.values())
+        led = res.ledger
+        for p in range(A):
+            assert np.array_equal(res.states[-1, p], res.terminal[p])
+            assert led["l2_post_sq"][-1, p] == res.series["l2_sq"][-1, p]
+            assert led["h2_post_sq"][-1, p] == res.series["h2_sq"][-1, p]
+            assert led["l2_pre_sq"][0, p] == res.series["l2_sq"][0, p]
+            assert np.array_equal(led["l2_pre_sq"][1:, p], led["l2_post_sq"][:-1, p])
+            assert led["n_jumps"][:, p].sum() == jumps[p][0].size
+            for name, column in (("mart_cum", "mart_pre"), ("qv_disc_cum", "qv_disc"),
+                                 ("resid_cum", "resid_sq"), ("apwork_cum", "ap_work")):
+                assert np.cumsum(led[column][:, p])[-1] == res.series[name][-1, p], name
+        assert np.array_equal(led["t"][:, 0], model.dt * np.arange(1, model.n_steps + 1))
+        assert run_paths(model, X, 13, n_out=3).ledger is None
 
     def test_path_streams_independent_of_batch_layout(self):
         # each path owns its stream; the only cross-batch effect is BLAS
@@ -385,9 +385,7 @@ class TestEnsembleEngine:
         model = make_model(dt=2e-3, horizon=0.5)
         xi = np.zeros(8)
         xi[0] = 0.5
-        res = run_paths(model, xi[None, :], seed=23, n_out=2, track_audit=True)
-        traj = integrate(model, xi, seed=23)
-        led = traj.ledger
+        res, led = one_path(model, xi, seed=23)
         assert res.series["diss_int"][-1, 0] == pytest.approx(
             float(np.sum(led["diss"])) / (2.0 * PARAMS.kappa1), rel=1e-12
         )
@@ -682,17 +680,9 @@ def rel_close(a, b, rtol=1e-12):
 
 
 def series_close(got, want):
-    """EnsembleResult series agree to rel 1e-12, columns (paths) as rows.
-
-    skew_max is a rounding residual (|<B(u,u),u>| is zero in exact
-    arithmetic), so it is held to an absolute bound far below the 1e-10
-    of the skew check instead.
-    """
+    """EnsembleResult series agree to rel 1e-12, columns (paths) as rows."""
     for name, series in got.items():
-        if name == "skew_max":
-            assert np.all(np.abs(series - want[name]) <= 1e-14), name
-        else:
-            assert rel_close(series.T, want[name].T), name
+        assert rel_close(series.T, want[name].T), name
 
 
 class TestSharedDrift:
@@ -790,13 +780,14 @@ class TestSharedDrift:
         model = make_model(dt=2e-3, horizon=0.5, sigma=sigma)
         X, _ = grouped_initials([6, 3], seed=2)
         seed = 17
-        alone = [integrate(model, X[p], seed, path_index=p).terminal() for p in range(9)]
+        alone = [run_paths(model, X[p:p + 1], seed, path_offset=p).terminal[0] for p in range(9)]
         res = run_paths(model, X, seed)
         assert min(t.size for t, _ in _draw_jumps(model, seed, len(X), 0)) == 0
         assert rel_close(res.terminal, np.array(alone))
         # pairs: the base path against a shifted partner
         X2 = X + 0.01 * np.eye(8)[0]
-        partner = [integrate(model, X2[p], seed, path_index=p).terminal() for p in range(9)]
+        partner = [run_paths(model, X2[p:p + 1], seed, path_offset=p).terminal[0]
+                   for p in range(9)]
         pairs = run_pairs(model, X, X2, seed, conv_bound=0.2)
         wsq = np.sum((np.array(alone) - np.array(partner)) ** 2, axis=1)
         assert np.allclose(pairs["wsq"][-1], wsq, rtol=1e-12, atol=0)
@@ -806,7 +797,8 @@ class TestSharedDrift:
         out = run_levels(models, X, seed)
         for m, terminal in zip(models, out["terminals"]):
             lv = m.config.level
-            single = [integrate(m, X[p, :lv], seed, path_index=p).terminal() for p in range(9)]
+            single = [run_paths(m, X[p:p + 1, :lv], seed, path_offset=p).terminal[0]
+                      for p in range(9)]
             assert rel_close(terminal, np.array(single))
 
     def test_chapman_kolmogorov_start_equals_one_run_per_group(self):
@@ -892,7 +884,7 @@ class TestIntervalFlush:
     """Steps folded a block of `_march` at a time give the bits of per-step updates."""
 
     def test_audit_ledger_is_evaluated_once_per_block(self, monkeypatch):
-        # audit samples every state; the ledger still folds whole blocks
+        # the ledger keeps every step of the audited paths, and still folds whole blocks
         model = make_model(dt=2e-3, horizon=0.3)
         calls, inner = [], solver._diag_update
 
@@ -901,10 +893,11 @@ class TestIntervalFlush:
             return inner(*args)
 
         monkeypatch.setattr(solver, "_diag_update", counted)
-        traj = integrate(model, np.zeros(8), 3)
-        assert traj.times.size == model.n_steps + 1
+        X = 0.4 * np.random.default_rng(1).standard_normal((6, 8))
+        res = run_paths(model, X, 3, n_out=2, track_audit=True)
+        assert res.ledger["t"].shape == (model.n_steps, AUDITED_PATHS)
         assert len(calls) == -(-model.n_steps // FLUSH_STEPS)
-        assert sum(calls) == model.n_steps
+        assert sum(calls) == model.n_steps * AUDITED_PATHS
 
     def test_run_paths_blocks_end_at_every_output_step(self, monkeypatch):
         model = make_model(dt=2e-3, horizon=0.3)
@@ -965,21 +958,24 @@ class TestIntervalFlush:
     def test_ledger_equals_per_step_terms(self, monkeypatch):
         model = make_model(dt=2e-3, horizon=0.3,
                            sigma=SaturatingNoise(MARKS, np.array([0.4, 0.2])))
-        xi = 0.5 * np.random.default_rng(2).standard_normal(8)
-        traj = integrate(model, xi, 12)
-        jumps = [(traj.jump_times, traj.jump_marks)]
-        want = {k: [] for k in solver.LEDGER_COLUMNS}
+        X = 0.5 * np.random.default_rng(2).standard_normal((6, 8))
+        jumps = _draw_jumps(model, 12, 6, 0)
+        res = run_paths(model, X, 12, track_audit=True, jumps=jumps)
+        want = {k: [] for k in LEDGER_COLUMNS}
+        A = AUDITED_PATHS
         monkeypatch.setattr(solver, "FLUSH_STEPS", 1)  # one-step blocks: the per-step terms
-        for s in _march([model], [xi[None, :].copy()], np.full(1, -1), jumps,
-                        keep_pieces=True):
+        for s in _march([model], [X.copy()], np.full(6, -1), jumps, keep_pieces=True):
             assert s.steps.size == 1
-            d = _diag_update(model, model.dt, *s.pieces[0])
-            d.update(t=s.t, dt=np.full(1, model.dt), n_jumps=s.n_jumps)
+            d = _diag_update(model, model.dt, *(None if a is None else a[:A] for a in s.pieces[0]))
+            # the audited paths' events in the step's window (n*dt, (n+1)*dt]
+            lo, hi = (s.steps[0] - 1) * model.dt, s.steps[0] * model.dt
+            d.update(t=np.full(A, s.t[0]), dt=np.full(A, model.dt),
+                     n_jumps=np.array([np.sum((t > lo) & (t <= hi)) for t, _ in jumps[:A]], float))
             for k in want:
-                want[k].append(float(d[k][0]))
-        assert len(want["t"]) > FLUSH_STEPS and traj.jump_times.size > 0
+                want[k].append(d[k])
+        assert len(want["t"]) > FLUSH_STEPS and all(t.size > 0 for t, _ in jumps[:A])
         for k, values in want.items():
-            assert np.array_equal(traj.ledger[k], np.array(values)), k
+            assert np.array_equal(res.ledger[k], np.array(values)), k
 
     def test_blowup_mid_interval(self):
         # the second path blows up on step 100, inside the second cap interval
@@ -1030,6 +1026,6 @@ class TestIntervalFlush:
         cfg = SolverConfig(params=replace(PARAMS, p=p), level=level, dt=2e-3, horizon=0.2)
         model = FluidModel(cfg, sigma, MARKS)
         xi = 0.5 * np.random.default_rng(seed).standard_normal(level)
-        traj = integrate(model, xi, seed)
-        assert traj.ledger["t"].size >= model.n_steps > FLUSH_STEPS
-        assert energy_audit(traj)["replay_max"] < 1e-9
+        _, led = one_path(model, xi, seed)
+        assert led["t"].size >= model.n_steps > FLUSH_STEPS
+        assert energy_audit(led)["replay_max"] < 1e-9

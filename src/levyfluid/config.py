@@ -361,6 +361,12 @@ def parse_config_text(text, overrides=None):
     fluid = FluidParams(**_namespace(values, "fluid"))
     cfg = ExperimentConfig(values, fluid, SolverConfig(params=fluid, **_namespace(values, "disc")),
                            options)
+    if experiment == "contraction":  # the runner starts each partner at xi1 + sep * e_1
+        x0 = float(cfg.initial_coeffs()[0])
+        same = [f"{sep:g}" for sep in options["separations"] if ((x0 + sep) - x0) ** 2 == 0.0]
+        if same:  # the pairs would measure nothing
+            raise ConfigError([problem("contraction.separations", f"{', '.join(same)}: the "
+                                       f"partner's squared distance from the start {x0:g} is 0")])
     if experiment == "invariant-bound":
         sigma = cfg.make_sigma(cfg.marks())
         lam1 = build_basis(cfg.solver.level, cfg.solver.dim).lambda1

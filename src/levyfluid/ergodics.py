@@ -307,17 +307,12 @@ def uniqueness_contraction(result, xi1, xi2):
     blown) for pairs started at (xi1, xi2).  Reports
     E[rho(t) |u1 - u2|^2] / |xi1 - xi2|^2 on its output grid, with rho the
     exponential weight built from the first path's dissipation.  The
-    theory bounds this by a constant independent of the separation.
+    theory bounds this by a constant independent of the separation; a
+    zero separation, which it cannot measure, raises ValueError.
     """
     sep_sq = float(np.sum((np.asarray(xi1) - np.asarray(xi2)) ** 2))
     if sep_sq == 0.0:
-        stat = np.zeros(result["times"].size)
-        ses = np.zeros_like(stat)
-        return {
-            "times": result["times"], "statistic": stat, "stderr": ses,
-            "raw_statistic": stat.copy(), "sep_sq": 0.0,
-            "n_blown": int(result["blown"].sum()),
-        }
+        raise ValueError("the pairs start at one state: a zero separation measures nothing")
     ok = ~result["blown"]
     stat, ses, raw = [], [], []
     for wrow, rrow in zip(result["rho_wsq"], result["wsq"]):
@@ -399,12 +394,11 @@ def chapman_kolmogorov(model_t, model_s, model_ts, phis, xi, n_outer, n_inner, s
     direct, n_direct = _terminals(model_ts, xi, t + s, n_outer * n_inner, seed)
 
     # disjoint stream index ranges decorrelate the three stages
-    stage1 = run_paths(
-        model_t, np.tile(np.asarray(xi, float), (n_outer, 1)), seed,
-        n_out=2, path_offset=1_000_000,
-    )
+    stage1 = run_paths(model_t, np.tile(np.asarray(xi, float), (n_outer, 1)), seed, n_out=2,
+                       jumps=_draw_jumps(model_t, seed, n_outer, 1_000_000))
     starts = np.repeat(stage1.terminal, n_inner, axis=0)
-    stage2 = run_paths(model_s, starts, seed, n_out=2, path_offset=2_000_000)
+    stage2 = run_paths(model_s, starts, seed, n_out=2,
+                       jumps=_draw_jumps(model_s, seed, starts.shape[0], 2_000_000))
     alive, inner_blown = stage1.alive()[:, None], stage2.blown.reshape(n_outer, n_inner)
     kept = alive & ~inner_blown
     clusters = kept.any(axis=1)

@@ -17,10 +17,12 @@ Each path owns its derived noise stream, so the artifacts are
 byte-identical for any worker count and any block-to-worker assignment.
 Block size still matters in the last digits, because BLAS blocking makes
 a row's result depend on the batch it sits in.  A contraction block steps
-all its separations as one batch, so with three separations a 250-pair
-block is a 750-row batch.  With m=16 and 1000 pairs (contraction.cfg),
-250-pair blocks move the statistic by up to 1.4e-13 relative (a pair
-distance by up to 6.4e-13 of the largest) against one 3000-row batch, and
+both sides of all its separations as one batch, so with three separations
+a 250-pair block is a 1500-row batch.  PAIR_BLOCK was measured when each
+side was a batch of its own, 750 rows a block and 3000 for the whole
+ensemble.  With m=16 and 1000 pairs (contraction.cfg), 250-pair blocks
+move the statistic by up to 1.4e-13 relative (a pair distance by up to
+6.4e-13 of the largest) against one batch for the whole ensemble, and
 64-pair blocks by 1.3e-13; the 250-pair blocks take the least CPU on one
 BLAS thread of a 2-vCPU host, 17.8 s against 20.1 s for one batch and
 20.2 s for 64-pair blocks.  ENSEMBLE_BLOCK was measured the same way.
@@ -48,15 +50,15 @@ constant, so the artifacts stay byte-identical for any worker count.
 
 Within a block, paths that share a start (mode1 or zero initials, the
 Chapman-Kolmogorov restarts) share one drift evaluation until their
-first jumps, and the base rows of
-one path, equal in start and jump list in every separation, share it for
-the whole run, so the drift calls shrink and round in the last digits
-unlike calls on every row; the groups are found per block, so this too is
-the same for any worker count.  Only the runners build FluidModels, each
-distinct model once, in the calling process; a pool worker steps the
-caller's models, handed to its initializer (inherited at fork, pickled
-under spawn and forkserver).  The cauchy, feller, occupation and
-invariant-bound runners run in one process.
+first jumps, and the k base rows of one path, one per separation and
+equal in start and jump list, share it for the whole run, so the drift
+calls shrink and round in the last digits unlike calls on every row;
+the groups are found per block, so this too is the same for any worker
+count.  Only the runners build FluidModels, each distinct model once, in
+the calling process; a pool worker steps the caller's models, handed to
+its initializer (inherited at fork, pickled under spawn and forkserver).
+The cauchy, feller, occupation and invariant-bound runners run in one
+process.
 """
 
 from __future__ import annotations

@@ -191,6 +191,24 @@ class TestValidateCommand:
         # one disc.dt for every level: the config is fine
         assert main(["validate", "--config", write_cfg(tmp_path, text + "disc.dt = 0.0005\n")]) == 0
 
+    @pytest.mark.parametrize("start, bad", [
+        ("ensemble.initial = mode1\nensemble.scale = 0.4\n", "1e-17"),  # 0.4 + 1e-17 == 0.4
+        ("", "1e-170"),  # from zero, the squared distance underflows
+    ], ids=["mode1", "zero"])
+    def test_separation_that_leaves_the_pairs_at_one_start(self, tmp_path, capsys, start, bad):
+        text = ("experiment = contraction\ndisc.level = 8\ndisc.horizon = 0.05\n"
+                f"ensemble.paths = 20\n{start}contraction.separations = [0.1, {bad}]\n")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        line = len(text.splitlines())
+        assert err[0].startswith(f"config error: line {line}: contraction.separations: {bad}: ")
+        assert not (tmp_path / "out").exists()
+        ok = write_cfg(tmp_path, text.replace(bad, "1e-3"))
+        assert main(["validate", "--config", ok]) == 0
+
     def test_missing_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.cfg"]) == 2
 

@@ -190,12 +190,15 @@ def coupled(model, spec, xi1, xi2, conv_bound):
 
 
 class TestContraction:
-    def test_identical_initials_zero_statistic(self):
-        model = make_model(horizon=0.25)
-        spec = EnsembleSpec(4, 5)
-        xi = np.zeros(8)
-        out = coupled(model, spec, xi, xi, conv_bound=0.2)
-        assert np.all(out["statistic"] == 0.0)
+    @pytest.mark.parametrize("sep", [0.0, 1e-170])
+    def test_a_zero_separation_is_refused(self, sep):
+        # the pairs measure nothing: the partner is the base, or its
+        # squared distance from it underflows to zero
+        model = make_model(horizon=0.05)
+        xi1 = np.zeros(8)
+        xi2 = xi1 + sep * np.eye(8)[0]
+        with pytest.raises(ValueError, match="zero separation"):
+            coupled(model, EnsembleSpec(4, 5), xi1, xi2, conv_bound=0.2)
 
     def test_linear_closed_form_decay(self):
         # no noise, no nonlinearity, base path at rest: the weight is 1 and
@@ -363,10 +366,11 @@ class TestBlownPaths:
         phi = make_functional("inv_bump", t.basis)
         direct = run_paths(ts, np.zeros((n_outer * n_inner, 8)), seed, n_out=2)
         norm = cap_between(direct.series["sup_l2_sq"][-1], 0.5)
-        outer = run_paths(t, np.zeros((n_outer, 8)), seed, n_out=2, path_offset=1_000_000)
+        outer = run_paths(t, np.zeros((n_outer, 8)), seed, n_out=2,
+                          jumps=solver._draw_jumps(t, seed, n_outer, 1_000_000))
         outer_blown = outer.series["sup_l2_sq"][-1] > norm**2
         inner = run_paths(t, np.repeat(outer.terminal, n_inner, axis=0), seed, n_out=2,
-                          path_offset=2_000_000)
+                          jumps=solver._draw_jumps(t, seed, n_outer * n_inner, 2_000_000))
         kept = (inner.series["sup_l2_sq"][-1] <= norm**2).reshape(n_outer, n_inner)
         kept &= ~outer_blown[:, None]
         values = phi(inner.terminal).reshape(n_outer, n_inner)

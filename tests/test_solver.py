@@ -337,7 +337,7 @@ class TestEnsembleEngine:
         for p in range(A):
             assert np.array_equal(res.states[-1, p], res.terminal[p])
             assert led["l2_post_sq"][-1, p] == res.series["l2_sq"][-1, p]
-            assert led["h2_post_sq"][-1, p] == res.series["h2_sq"][-1, p]
+            assert led["h2_post_sq"][-1, p] == np.sum(model.basis.eigenvalues * res.terminal[p]**2)
             assert led["l2_pre_sq"][0, p] == res.series["l2_sq"][0, p]
             assert np.array_equal(led["l2_pre_sq"][1:, p], led["l2_post_sq"][:-1, p])
             assert led["n_jumps"][:, p].sum() == jumps[p][0].size
@@ -357,7 +357,7 @@ class TestEnsembleEngine:
         X[:, 0] = np.linspace(0.1, 0.6, 6)
         full = run_paths(model, X, seed=19)
         first = run_paths(model, X[:3], seed=19)
-        rest = run_paths(model, X[3:], seed=19, path_offset=3)
+        rest = run_paths(model, X[3:], seed=19, jumps=_draw_jumps(model, 19, 6, 0)[3:])
         assert np.allclose(full.terminal[:3], first.terminal, rtol=1e-12, atol=1e-15)
         assert np.allclose(full.terminal[3:], rest.terminal, rtol=1e-12, atol=1e-15)
 
@@ -461,24 +461,29 @@ class TestOneKernel:
         out = run_levels([model], X, seed=5)
         assert np.array_equal(out["terminals"][0], run_paths(model, X, 5).terminal)
 
-    def test_pair_blowup_freezes_both_members_at_one_step(self):
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_either_row_blowing_up_blows_its_pair(self, side):
+        # pair 1's row on `side` blows up: the pair is blown, that row
+        # freezes at its step, and the pair's other row and pair 0 step on
+        # as they would alone
         model = unstable_model()
-        X1 = np.vstack([np.zeros(8), np.ones(8)])
-        X2 = np.vstack([np.zeros(8), 1e-3 * np.ones(8)])
-        X2[0, 0] = 0.3
-        solo1, solo2 = run_paths(model, X1, 5), run_paths(model, X2, 5)
-        k = solo1.blow_steps[1]
-        assert solo1.blow_steps[0] == solo2.blow_steps[0] == -1
-        # the second member alone would blow up later than the first
-        assert 0 < k < solo2.blow_steps[1]
+        calm, boom = 0.2 * np.eye(8)[0], 1e-3 * np.ones(8)
+        sides = [np.vstack([np.zeros(8), calm]), np.vstack([0.3 * np.eye(8)[0], calm])]
+        sides[side][1] = boom
         jumps = _draw_jumps(model, 5, 2, 0)
-        a, b = first_steps(X1, 5, k, jumps), first_steps(X2, 5, k, jumps)
-        assert np.array_equal(solo1.terminal[1], a[1])
-        out = run_pairs(model, X1, X2, seed=5, conv_bound=0.2)
+        alone = [[run_paths(model, X[p:p + 1], 5, jumps=jumps[p:p + 1]) for p in range(2)]
+                 for X in sides]
+        k = alone[side][1].blow_steps[0]
+        assert 0 < k < model.n_steps - 1
+        assert sum(run.blown.sum() for row in alone for run in row) == 1
+        frozen = first_steps(boom[None], 5, k, jumps[1:])[0]  # the state before step k
+        assert np.array_equal(alone[side][1].terminal[0], frozen)
+        out = run_pairs(model, *sides, seed=5, conv_bound=0.2)
         assert out["blown"].tolist() == [False, True]
         assert np.all(np.isfinite(out["wsq"]))
-        assert out["wsq"][-1, 1] == np.sum((a[1] - b[1]) ** 2)
-        assert out["wsq"][-1, 0] == np.sum((solo1.terminal[0] - solo2.terminal[0]) ** 2)
+        for p in range(2):
+            want = np.sum((alone[0][p].terminal[0] - alone[1][p].terminal[0]) ** 2)
+            assert out["wsq"][-1, p] == pytest.approx(want, rel=1e-12)
 
     def test_level_blowup_freezes_every_level_at_one_step(self):
         models = [unstable_model(level=4), unstable_model(level=8)]
@@ -606,7 +611,7 @@ class TestLeanStepping:
         jumps = _draw_jumps(model, 11, 3, 0)
         history = []  # per step, the path's row in every member
         for s in _march([model] * 3, states, blow_steps, jumps, cuts={5, 11}):
-            rows = [U1.reshape(s.steps.size, 3, 8) for U1 in s.U1]
+            rows = [U1.reshape(s.steps.size, 3, 8).copy() for U1 in s.U1]  # U1 is reused
             history.extend(zip(*(r[:, path] for r in rows)))
         others = [p for p in range(3) if p != path]
         assert blow_steps[path] == step and np.all(blow_steps[others] == -1)
@@ -639,8 +644,8 @@ class TestLeanStepping:
             states, blow_steps = [X.copy() for _ in models], np.full(3, -1)
             rows = [[] for _ in models]
             for block in _march(models, states, blow_steps, jumps, cuts={3, 7}):
-                for i, U1 in enumerate(block.U1):
-                    rows[i].append(U1.reshape(block.steps.size, 3, 8))
+                for i, U1 in enumerate(block.U1):  # copied: the next block reuses U1
+                    rows[i].append(U1.reshape(block.steps.size, 3, 8).copy())
             return [np.concatenate(r) for r in rows], blow_steps, states
 
         clean, clean_steps, _ = history([model] * 3)
@@ -707,7 +712,7 @@ class TestSharedDrift:
         rows = count_drift_rows(model)
         res = run_paths(model, X, 3, jumps=jumps)
 
-        def want(group):
+        def want(group, first=first, lists=lists):
             # a jumped path shares with its class (start and jump list), a
             # dormant one with its group (start)
             return [len(set(zip(group[first < n], lists[first < n])))
@@ -719,39 +724,41 @@ class TestSharedDrift:
         alone = np.vstack([run_paths(model, X[p:p + 1], 3, jumps=jumps[p:p + 1]).terminal
                            for p in range(X.shape[0])])
         assert rel_close(res.terminal, alone)
-        # a pair groups each member's rows on their own: path 1's partner
-        # splits it from group 0 in the second member only
+        # pairs are one batch of both sides, grouped together: path 1's
+        # partner splits it from group 0 on the second side only, and no
+        # start is on both sides
         X2 = 2 * X
         X2[1, 0] += 0.01
         rows.clear()
         run_pairs(model, X, X2, 3, conv_bound=0.2, jumps=jumps)
         pair_group = group.copy()
         pair_group[1] = group.max() + 1
-        assert rows == [r for step in zip(want(group), want(pair_group)) for r in step]
+        both = np.concatenate([group, pair_group + pair_group.max() + 1])
+        assert rows == want(both, np.tile(first, 2), np.tile(lists, 2))
 
-    def test_stacked_separations_share_the_base_member(self):
+    def test_stacked_separations_share_the_base_rows(self):
         # the layout of a contraction block: k separations of P pairs as
-        # one batch, row i*P + p the pair of separation i and path p
+        # one batch, the k copies of the P base rows over the kP partners,
+        # row i*P + p of each side the pair of separation i and path p
         model = make_model(dt=2e-3, horizon=1.0, sigma=LinearNoise(MARKS, np.array([0.25, 0.1])))
         P, k, seed = 6, 3, 5
         xi1 = 0.4 * np.eye(8)[0]
         jumps = _draw_jumps(model, seed, P, 0)
         first = np.array([np.ceil(t.min() / model.dt) - 1 for t, _ in jumps])
         assert first.max() < model.n_steps - 50  # every path jumps, well before the end
-        states = [np.tile(xi1, (k * P, 1)),
-                  np.concatenate([np.tile(xi1 + sep * np.eye(8)[1], (P, 1))
-                                  for sep in (0.1, 0.01, 0.001)])]
+        states = [np.concatenate([np.tile(xi1, (k * P, 1))]
+                                 + [np.tile(xi1 + sep * np.eye(8)[1], (P, 1))
+                                    for sep in (0.1, 0.01, 0.001)])]
         rows = count_drift_rows(model)
-        for _ in _march([model, model], states, np.full(k * P, -1), jumps * k):
+        for _ in _march([model], states, np.full(2 * k * P, -1), jumps * (2 * k)):
             pass
-        base, partner = rows[0::2], rows[1::2]
-        # one row per path and one per dormant group, in each separation's
-        # partners but only once in the shared base member
+        # one drift call per step: one row per path and one per dormant
+        # group, once for the k base copies and once per separation's partners
         want = [int(np.sum(first < n)) + int(np.any(first >= n)) for n in range(model.n_steps)]
-        assert base == want and partner == [k * r for r in want]
-        assert max(base[int(first.max()) + 1:]) == P
+        assert rows == [(k + 1) * r for r in want]
+        assert max(rows[int(first.max()) + 1:]) == (k + 1) * P
         # the base rows of one path are one trajectory in every separation
-        ends = states[0].reshape(k, P, 8)
+        ends = states[0][:k * P].reshape(k, P, 8)
         assert np.array_equal(ends, np.broadcast_to(ends[0], ends.shape))
         assert not np.array_equal(ends[0, 0], ends[0, 1])
 
@@ -780,13 +787,15 @@ class TestSharedDrift:
         model = make_model(dt=2e-3, horizon=0.5, sigma=sigma)
         X, _ = grouped_initials([6, 3], seed=2)
         seed = 17
-        alone = [run_paths(model, X[p:p + 1], seed, path_offset=p).terminal[0] for p in range(9)]
+        jumps = _draw_jumps(model, seed, len(X), 0)
+        alone = [run_paths(model, X[p:p + 1], seed, jumps=jumps[p:p + 1]).terminal[0]
+                 for p in range(9)]
         res = run_paths(model, X, seed)
-        assert min(t.size for t, _ in _draw_jumps(model, seed, len(X), 0)) == 0
+        assert min(t.size for t, _ in jumps) == 0
         assert rel_close(res.terminal, np.array(alone))
         # pairs: the base path against a shifted partner
         X2 = X + 0.01 * np.eye(8)[0]
-        partner = [run_paths(model, X2[p:p + 1], seed, path_offset=p).terminal[0]
+        partner = [run_paths(model, X2[p:p + 1], seed, jumps=jumps[p:p + 1]).terminal[0]
                    for p in range(9)]
         pairs = run_pairs(model, X, X2, seed, conv_bound=0.2)
         wsq = np.sum((np.array(alone) - np.array(partner)) ** 2, axis=1)
@@ -797,7 +806,7 @@ class TestSharedDrift:
         out = run_levels(models, X, seed)
         for m, terminal in zip(models, out["terminals"]):
             lv = m.config.level
-            single = [run_paths(m, X[p:p + 1, :lv], seed, path_offset=p).terminal[0]
+            single = [run_paths(m, X[p:p + 1, :lv], seed, jumps=jumps[p:p + 1]).terminal[0]
                       for p in range(9)]
             assert rel_close(terminal, np.array(single))
 
@@ -805,12 +814,11 @@ class TestSharedDrift:
         model = make_model(dt=2e-3, horizon=0.25)
         n_inner = 6
         X, _ = grouped_initials([n_inner] * 4, seed=5)
-        offset = 2_000_000
-        whole = run_paths(model, X, 21, n_out=5, track_audit=True, path_offset=offset)
+        jumps = _draw_jumps(model, 21, len(X), 2_000_000)
+        whole = run_paths(model, X, 21, n_out=5, track_audit=True, jumps=jumps)
         for g in range(4):
             rows = slice(g * n_inner, (g + 1) * n_inner)
-            part = run_paths(model, X[rows], 21, n_out=5, track_audit=True,
-                             path_offset=offset + g * n_inner)
+            part = run_paths(model, X[rows], 21, n_out=5, track_audit=True, jumps=jumps[rows])
             assert rel_close(whole.terminal[rows], part.terminal)
             series_close(part.series, {k: v[:, rows] for k, v in whole.series.items()})
 
@@ -955,6 +963,19 @@ class TestIntervalFlush:
             for a, b in zip(other["energy_gap_int"], levels["energy_gap_int"]):
                 assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n_paths", [3, 6])
+    def test_kept_audit_rows_do_not_depend_on_the_blocks(self, n_paths):
+        # the audited states and ledger outlive the blocks, whose buffers
+        # the next block reuses: they are copies, the same for any blocks
+        model = make_model(dt=2e-3, horizon=0.3)
+        assert model.n_steps > 2 * FLUSH_STEPS
+        X = 0.4 * np.random.default_rng(3).standard_normal((n_paths, 8))
+        a, b = (run_paths(model, X, 7, n_out=n_out, track_audit=True) for n_out in (2, 11))
+        assert np.array_equal(a.states, b.states)
+        for column in LEDGER_COLUMNS:
+            assert np.array_equal(a.ledger[column], b.ledger[column]), column
+        assert np.array_equal(a.states[-1], a.terminal[:AUDITED_PATHS])
+
     def test_ledger_equals_per_step_terms(self, monkeypatch):
         model = make_model(dt=2e-3, horizon=0.3,
                            sigma=SaturatingNoise(MARKS, np.array([0.4, 0.2])))
@@ -966,7 +987,9 @@ class TestIntervalFlush:
         monkeypatch.setattr(solver, "FLUSH_STEPS", 1)  # one-step blocks: the per-step terms
         for s in _march([model], [X.copy()], np.full(6, -1), jumps, keep_pieces=True):
             assert s.steps.size == 1
-            d = _diag_update(model, model.dt, *(None if a is None else a[:A] for a in s.pieces[0]))
+            # copied: the block's buffers are reused, and the ledger keeps qv_jump
+            d = _diag_update(model, model.dt,
+                             *(None if a is None else a[:A].copy() for a in s.pieces[0]))
             # the audited paths' events in the step's window (n*dt, (n+1)*dt]
             lo, hi = (s.steps[0] - 1) * model.dt, s.steps[0] * model.dt
             d.update(t=np.full(A, s.t[0]), dt=np.full(A, model.dt),
@@ -990,7 +1013,8 @@ class TestIntervalFlush:
         for name, series in every.series.items():
             assert np.all(series[100:, 1] == series[100, 1]), name
         assert res.series["l2_sq"][-1, 1] == np.sum(res.terminal[1] ** 2)
-        assert res.series["h2_sq"][-1, 1] == np.sum(model.basis.eigenvalues * res.terminal[1] ** 2)
+        assert res.ledger["h2_post_sq"][-1, 1] == np.sum(model.basis.eigenvalues
+                                                          * res.terminal[1] ** 2)
         # and the survivors are those of a run without it
         keep = [0, 2]
         jumps = _draw_jumps(model, 5, 3, 0)

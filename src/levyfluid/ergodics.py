@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import STREAM_INITIAL, STREAM_STATS, derive_rng
+from .noise import STREAM_INITIAL, STREAM_STATS, derive_rng, keyed_draws
 # run_pairs has no caller here; bench/spans.py's OutcomeProbe wraps it under
 # this module's name and needs it present
 from .solver import (BlowUpError, _draw_jumps, _output_steps, run_levels,  # noqa: F401
@@ -84,12 +84,10 @@ def draw_initials(spec, basis):
         return out
     if kind == "gaussian":
         scale = float(spec.law[1])
-        out = np.empty((spec.n_paths, basis.size))
         std = scale / np.sqrt(basis.eigenvalues)
-        for p in range(spec.n_paths):
-            rng = derive_rng(spec.seed, STREAM_INITIAL, p)
-            out[p] = std * rng.standard_normal(basis.size)
-        return out
+        rows = keyed_draws(spec.seed, STREAM_INITIAL, range(spec.n_paths),
+                           lambda rng: rng.standard_normal(basis.size))
+        return std * np.array(rows)
     raise ValueError(f"unknown initial-condition law {kind!r}")
 
 

@@ -66,7 +66,6 @@ from __future__ import annotations
 import ctypes
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -246,6 +245,9 @@ def run_ensemble(models, initials, seed, *, n_out=11, track_audit=False,
         jobs = [(X1[a:b], seed, a, [x[a:b] for x in partners], n_out, conv_bound)
                 for a, b in blocks(PAIR_BLOCK)]
     if workers > 1 and len(jobs) > 1:
+        # imported here, so that a run that starts no pool never loads it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
                                  initializer=_start_worker, initargs=(models,)) as pool:
             parts = list(pool.map(_in_worker, [(task, args) for args in jobs]))
@@ -448,7 +450,12 @@ def _run_feller(cfg, out_dir, workers):
                for name, ck in cks.items()]
     mod_rows = [(name, r["delta"], r["modulus"], r["se"])
                 for name, mod in mods.items() for r in mod["rows"]]
-    ck_pass = all(ck["z"] <= 4.0 for ck in cks.values())
+    # within 4 joint SE, or within a floor scaled to the values' magnitude
+    # (as occupation_measure's stabilization gate has): a deterministic
+    # semigroup has SEs near zero, and its one-ulp gaps make z large
+    ck_pass = all(ck["z"] <= 4.0
+                  or abs(ck["direct"] - ck["nested"]) <= 1e-8 + 1e-6 * abs(ck["direct"])
+                  for ck in cks.values())
     mod_pass = all(mod["monotone"] for mod in mods.values())
     # the counts are the same for every functional: they come from one run per path set
     ck, mod = cks[FELLER_FUNCTIONALS[0]], mods[FELLER_FUNCTIONALS[0]]

@@ -16,7 +16,10 @@ which every catalogue entry states in closed form and which
 
 Randomness comes from counter-keyed Philox streams: one root seed plus a
 (kind, index) pair per consumer, so ensembles are reproducible and
-independent of execution order.
+independent of execution order.  A stream's Philox key is the one numpy's
+`SeedSequence(entropy=root, spawn_key=(kind, index))` gives; `stream_keys`
+computes it for many indices at once, and `keyed_draws` makes the draws
+of a whole range of per-path streams on one re-keyed generator.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ __all__ = [
     "AdditiveNoise",
     "SaturatingNoise",
     "derive_rng",
+    "keyed_draws",
     "sample_jumps",
+    "stream_keys",
     "certify_noise_bounds",
     "write_jump_log",
     "STREAM_JUMPS",
@@ -51,15 +56,107 @@ STREAM_STATS = 2
 STREAM_BOUND = 3  # the convection-bound estimate's restarts
 
 
+# the hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+
+
+def _words(n):
+    """Little-endian 32-bit words of a non-negative integer; [0] for 0."""
+    n = int(n)
+    if n < 0:
+        raise ValueError(f"stream keys take non-negative integers, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def stream_keys(root_seed, kind, indices):
+    """Philox keys (n, 2) uint64 of the streams (root_seed; kind, index) for
+    each of the n `indices` (below 2**64), word for word those of
+    `SeedSequence(entropy=root_seed, spawn_key=(kind, index)).generate_state(2, np.uint64)`.
+
+    This is SeedSequence's schedule with a 4-word pool: hash the entropy
+    words (the root's, zero-padded to the pool, then the kind's, then the
+    index's) into the pool, mix every pool word into every other, then
+    hash the pool out into 4 words.  Everything before the index words is
+    the same for every index, so it runs once on Python integers; the
+    index words, and the output, run on uint64 arrays, masked to 32 bits
+    after every product as SeedSequence's uint32 arithmetic wraps.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = (value ^ const) & _MASK32
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        out = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return out ^ (out >> 16)
+
+    entropy = _words(root_seed)
+    entropy += [0] * (_POOL_WORDS - len(entropy)) + _words(kind)
+    pool = [hashmix(w) for w in entropy[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_WORDS:]:
+        pool = [mix(x, hashmix(w)) for x in pool]
+
+    index = np.array(indices, dtype=np.uint64).reshape(-1)
+    pool = [mix(x, hashmix(index & _MASK32)) for x in np.array(pool, dtype=np.uint64)[:, None]]
+    high = index >> 32
+    if high.any():  # an index of two words mixes in its second one
+        wide = [mix(x, hashmix(high)) for x in pool]
+        pool = [np.where(high > 0, b, a) for a, b in zip(pool, wide)]
+    const = _INIT_B
+    out = []
+    for x in pool:
+        x = (x ^ const) & _MASK32
+        const = const * _MULT_B & _MASK32
+        x = x * const & _MASK32
+        out.append(x ^ (x >> 16))
+    return np.stack([out[0] | out[1] << 32, out[2] | out[3] << 32], axis=1)
+
+
 def derive_rng(root_seed, kind, index=0):
-    """Counter-keyed generator: Philox seeded by (root_seed; kind, index)."""
-    ss = np.random.SeedSequence(entropy=int(root_seed), spawn_key=(int(kind), int(index)))
-    return np.random.Generator(np.random.Philox(ss))
+    """Counter-keyed generator: Philox keyed by (root_seed; kind, index)."""
+    return np.random.Generator(np.random.Philox(key=stream_keys(root_seed, kind, [index])[0]))
+
+
+def keyed_draws(root_seed, kind, indices, draw):
+    """[draw(rng) for each index], rng the generator `derive_rng(root_seed,
+    kind, index)` returns, in the state it starts in.
+
+    One generator is re-keyed for each index, which costs a fraction of
+    building a SeedSequence, a Philox and a Generator per stream.  The
+    generator does not outlive the call, so `draw` must return what it
+    drew, not the generator.
+    """
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    state = bits.state  # counter and buffer as fresh; only the key changes
+    out = []
+    for key in stream_keys(root_seed, kind, indices):
+        state["state"]["key"] = key
+        bits.state = state
+        out.append(draw(rng))
+    return out
 
 
 @dataclass(frozen=True)
 class MarkSpace:
-    """Finite mark space: atom rates nu_j > 0 with total rate Lambda."""
+    """Finite mark space: atom rates nu_j > 0 with total rate Lambda
+    (`total_rate`, summed once)."""
 
     rates: np.ndarray
 
@@ -72,8 +169,9 @@ class MarkSpace:
         r = r.copy()
         r.flags.writeable = False
         object.__setattr__(self, "rates", r)
+        object.__setattr__(self, "total_rate", float(r.sum()))
         # the mark cdf as Generator.choice builds it from p = nu / Lambda
-        cdf = (r / float(r.sum())).cumsum()
+        cdf = (r / self.total_rate).cumsum()
         cdf /= cdf[-1]
         cdf.flags.writeable = False
         object.__setattr__(self, "cdf", cdf)
@@ -81,10 +179,6 @@ class MarkSpace:
     @property
     def size(self):
         return self.rates.size
-
-    @property
-    def total_rate(self):
-        return float(self.rates.sum())
 
 
 def sample_jumps(marks, horizon, rng):
@@ -103,16 +197,15 @@ def sample_jumps(marks, horizon, rng):
     t = 0.0
     block = max(16, int(lam * horizon + 4 * np.sqrt(lam * horizon) + 1))
     while True:
-        gaps = rng.exponential(1.0 / lam, size=block)
-        arrivals = t + np.cumsum(gaps)
-        inside = arrivals[arrivals <= horizon]
-        times.append(inside)
-        if inside.size < block:
+        arrivals = t + np.cumsum(rng.exponential(1.0 / lam, size=block))
+        inside = int(arrivals.searchsorted(horizon, side="right"))
+        times.append(arrivals[:inside])
+        if inside < block:  # this block's gaps passed the horizon
             break
         t = arrivals[-1]
-    times = np.concatenate(times) if times else np.empty(0)
+    times = times[0] if len(times) == 1 else np.concatenate(times)
     labels = marks.cdf.searchsorted(rng.random(times.size), side="right")
-    return times, labels.astype(np.int64)
+    return times, labels.astype(np.int64, copy=False)
 
 
 class NoiseCoefficient:

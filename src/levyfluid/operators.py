@@ -62,7 +62,9 @@ forms, chosen per grid from the dimension, the level and the grid size
   ones (sum factorization), at O(m N + J^(d-1) N^d) flops per row and
   coordinate for an N^d grid with J = 2 (kmax + 1) 1-D waves per axis.
   Its tables hold O(m N + J^(d-1) N^(d-1)) entries instead of m N^d, and
-  it reuses buffers for its intermediates.  It gives the dense results to
+  its intermediates go into one module-level scratch arena (`_scratch`)
+  that every factored transform in the process shares, so the module is
+  not for concurrent use from threads.  It gives the dense results to
   rounding (1e-13 relative in the tests), with each coordinate's values
   in another order, (N^(d-1), P, N) instead of (P, G).  The pointwise
   work between synthesis and projection is the same per point either
@@ -89,6 +91,7 @@ the quadrature error in its value.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -390,7 +393,6 @@ class _FactoredWaves:
     def __init__(self, lead, waves, block, slot, members):
         self._lead, self._waves = lead, waves
         self._block, self._slot, self._members = block, slot, members
-        self._buffers = {}  # see `_scratch`
 
     @classmethod
     def on_grid(cls, basis, n):
@@ -456,9 +458,9 @@ class _FactoredWaves:
         h, k, width, size = self._waves.shape
         # mode="clip" writes `out` directly (the indices are in range)
         blocks = np.take(s, self._members, axis=2, mode="clip",
-                         out=self._scratch("blocks", (n, p, k, width)))
+                         out=_scratch("blocks", (n, p, k, width)))
         last = np.matmul(blocks.transpose(0, 2, 1, 3)[:, None], self._waves,
-                         out=self._scratch("last", (n, h, k, p, size)))
+                         out=_scratch("last", (n, h, k, p, size)))
         return np.matmul(self._lead.T, last.reshape(n, h * k, -1)).reshape(n, -1, p, size)
 
     def project(self, fields, coords):
@@ -467,28 +469,39 @@ class _FactoredWaves:
         h, k, width, size = self._waves.shape
         fields = fields.reshape(len(fields), self._lead.shape[1], -1)
         n, p = len(fields), fields.shape[2] // size
-        last = self._scratch("last", (n, h, k, p, size))
+        last = _scratch("last", (n, h, k, p, size))
         np.matmul(self._lead, fields, out=last.reshape(n, h * k, -1))
         terms = np.matmul(last, self._waves.transpose(0, 1, 3, 2),
-                          out=self._scratch("terms", (n, h, k, p, width)))
-        blocks = terms.sum(axis=1, out=self._scratch("sums", (n, k, p, width)))
+                          out=_scratch("terms", (n, h, k, p, width)))
+        blocks = terms.sum(axis=1, out=_scratch("sums", (n, k, p, width)))
         planes = blocks[:, self._block, :, self._slot]  # (m, n, P)
         return _add_planes(np.ascontiguousarray(planes.transpose(1, 2, 0)), coords)
 
-    def _scratch(self, name, shape):
-        """A buffer of this transform's own for its intermediates, reused
-        by every call with the same shape, and not pickled.  Fresh
-        intermediates on every call were handed back to the system by the
-        C allocator and faulted in again on the next call: about 1000
-        minor page faults per call at m = 256.  So a workspace is not for
-        concurrent use from threads."""
-        buffer = self._buffers.get(name)
-        if buffer is None or buffer.shape != shape:
-            buffer = self._buffers[name] = np.empty(shape)
-        return buffer
 
-    def __getstate__(self):
-        return dict(vars(self), _buffers={})
+# Scratch for the factored transforms' intermediates: one flat float64
+# buffer per role, shared by every transform of every workspace in the
+# process.  The transforms run one at a time, so each buffer need only be
+# as large as its role's largest request.
+_ARENA = {}
+
+
+def _scratch(role, shape):
+    """A C-contiguous view of `shape` on the arena's buffer for `role`,
+    which grows to the largest request and is reused by every later call.
+
+    Fresh intermediates on every call were handed back to the system by
+    the C allocator and faulted in again on the next call: about 1000
+    minor page faults per call at m = 256.  A view is only valid until the
+    next request for its role, and no transform returns one: synthesis and
+    projection return fresh arrays.  So this module is not for concurrent
+    use from threads.  Each process has its own arena, and pickling a
+    workspace copies none of it.
+    """
+    size = math.prod(shape)
+    flat = _ARENA.get(role)
+    if flat is None or flat.size < size:
+        flat = _ARENA[role] = np.empty(size)
+    return flat[:size].reshape(shape)
 
 
 def _add_planes(planes, coords):

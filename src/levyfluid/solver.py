@@ -96,7 +96,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import build_basis
-from .noise import STREAM_JUMPS, derive_rng, sample_jumps
+from .noise import STREAM_JUMPS, keyed_draws, sample_jumps
 from .operators import FluidParams, SpectralOperators
 
 __all__ = [
@@ -288,11 +288,9 @@ def replay_residual(ledger):
 
 def _draw_jumps(model, seed, n_paths, offset):
     """Per-path (times, marks), each from the stream keyed by its path index."""
-    return [
-        sample_jumps(model.marks, model.config.horizon,
-                     derive_rng(seed, STREAM_JUMPS, offset + p))
-        for p in range(n_paths)
-    ]
+    marks, horizon = model.marks, model.config.horizon
+    return keyed_draws(seed, STREAM_JUMPS, range(offset, offset + n_paths),
+                       lambda rng: sample_jumps(marks, horizon, rng))
 
 
 def _jump_steps(times, dt, n_steps):

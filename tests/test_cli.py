@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from levyfluid import experiments
+from levyfluid import ergodics, experiments
 from levyfluid.cli import main
 from levyfluid.config import _RETIRED
 
@@ -306,6 +306,40 @@ class TestRunCommand:
         assert summary["bound"] == 0.0
         assert summary["measured"] > 1e-6
 
+    @staticmethod
+    def _zero_noise_feller(tmp_path):
+        lines = (CONFIG_DIR / "feller.cfg").read_text().splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith(("noise.gains", "noise.scale")))
+        return write_cfg(tmp_path, text.replace("noise.kind = additive", "noise.kind = zero"))
+
+    def test_deterministic_semigroup_passes_the_chapman_kolmogorov_gate(self, tmp_path):
+        # with no noise the direct and nested values differ by rounding, and
+        # their standard errors are near zero, so z is large (7.8 for
+        # gauss_bump) and stays as reported; the magnitude floor passes it
+        out = tmp_path / "run"
+        assert main(["run", "--config", self._zero_noise_feller(tmp_path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["verdict"] == "PASS" and summary["chapman_kolmogorov_passed"]
+        rows = (out / "chapman_kolmogorov.csv").read_text().splitlines()[2:]
+        assert max(float(row.split(",")[-1]) for row in rows) > 4.0
+
+    def test_a_semigroup_that_does_not_compose_fails_the_gate(self, tmp_path, monkeypatch):
+        # the nested stage (lag 0.25, 64 * 24 rows) starts 0.05 off the outer
+        # terminals along the last mode: a real gap, far above the floor
+        real = ergodics.run_paths
+
+        def shifted(model, X, seed, **kw):
+            if model.config.horizon == 0.25 and X.shape[0] == 64 * 24:
+                X = X.copy()
+                X[:, -1] += 0.05
+            return real(model, X, seed, **kw)
+
+        monkeypatch.setattr(ergodics, "run_paths", shifted)
+        out = tmp_path / "run"
+        assert main(["run", "--config", self._zero_noise_feller(tmp_path), "--out", str(out)]) == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert not summary["chapman_kolmogorov_passed"] and summary["modulus_monotone"]
+
     @pytest.mark.parametrize("experiment", ["audit", "occupation", "invariant-bound"])
     def test_blowup_exit_three_with_truncation_marker(self, tmp_path, monkeypatch, experiment):
         cap_the_models(monkeypatch)
@@ -329,6 +363,17 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, text)
         assert main(["run", "--config", cfg]) == 2
         assert "dissipative regime" in capsys.readouterr().err
+
+
+def test_importing_the_runners_loads_no_process_pool():
+    # the pool is imported where run_ensemble starts one, so a fresh
+    # interpreter that imports the runners and the CLI has not loaded it
+    code = ("import sys, levyfluid.experiments, levyfluid.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(experiments.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestWorkersEnv:

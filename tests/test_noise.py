@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,12 +20,16 @@ from levyfluid.noise import (
     ZeroNoise,
     certify_noise_bounds,
     derive_rng,
+    keyed_draws,
     make_noise,
     sample_jumps,
+    stream_keys,
     write_jump_log,
 )
+from levyfluid.basis import build_basis
+from levyfluid.ergodics import EnsembleSpec, draw_initials
 from levyfluid.operators import FluidParams
-from levyfluid.solver import FluidModel, SolverConfig
+from levyfluid.solver import FluidModel, SolverConfig, _draw_jumps
 
 from conftest import compensated_increment
 
@@ -50,6 +55,64 @@ class TestMarkSpace:
 def test_stream_kinds_are_distinct():
     kinds = (STREAM_JUMPS, STREAM_INITIAL, STREAM_STATS, STREAM_BOUND)
     assert len(set(kinds)) == len(kinds)
+
+
+def _seed_sequence_rng(seed, kind, index):
+    """The per-path generator as numpy builds it from a SeedSequence."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(kind, index))
+    return np.random.Generator(np.random.Philox(ss))
+
+
+class TestKeyedStreams:
+    SEEDS = (0, 1, 2**32 - 1, 2**32, 2**40 + 3, 10**20)
+    # one-word indices, the Chapman-Kolmogorov stages' offsets among them,
+    # then two-word ones
+    INDICES = (0, 1, 1_000_001, 2_000_000, 2_000_017, 2**32 - 1, 2**32, 2**40 + 7)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_equal_seed_sequence(self, seed):
+        for kind in range(4):
+            want = [np.random.SeedSequence(entropy=seed, spawn_key=(kind, i)).generate_state(
+                2, np.uint64) for i in self.INDICES]
+            got = stream_keys(seed, kind, self.INDICES)
+            assert got.dtype == np.uint64 and np.array_equal(got, want)
+
+    def test_derived_generator_equals_seed_sequence_generator(self):
+        for seed, index in ((0, 0), (10**20, 2**32 - 1), (7, 2**40 + 7)):
+            a, b = derive_rng(seed, STREAM_STATS, index), _seed_sequence_rng(seed, STREAM_STATS, index)
+            assert np.array_equal(a.standard_normal(9), b.standard_normal(9))
+            assert a.random() == b.random()
+
+    def test_keyed_draws_start_each_stream_fresh(self):
+        # a draw that reads different amounts per stream leaves nothing for the next
+        got = keyed_draws(3, STREAM_STATS, range(5, 12), lambda rng: rng.random(rng.integers(1, 9)))
+        for index, values in zip(range(5, 12), got):
+            rng = _seed_sequence_rng(3, STREAM_STATS, index)
+            assert np.array_equal(values, rng.random(rng.integers(1, 9)))
+
+    @pytest.mark.parametrize("horizon", [0.05, 1.525, 40.0])
+    def test_jump_draws_equal_per_path_streams(self, marks, horizon):
+        # at horizon 1.525 paths 2781 (seed 0), 119 (seed 1) and 937 (seed 2)
+        # take a second block of gaps
+        model = SimpleNamespace(marks=marks, config=SimpleNamespace(horizon=horizon))
+        two_blocks = 0
+        for seed, offset in ((0, 2770), (1, 110), (2, 930), (5, 1_000_000), (5, 2_000_000)):
+            got = _draw_jumps(model, seed, 20, offset)
+            for p, (times, labels) in enumerate(got):
+                want = sample_jumps(marks, horizon, _seed_sequence_rng(seed, STREAM_JUMPS, offset + p))
+                assert times.dtype == want[0].dtype and times.tobytes() == want[0].tobytes()
+                assert labels.dtype == np.int64 and labels.tobytes() == want[1].tobytes()
+                two_blocks += times.size >= 16
+        assert horizon != 1.525 or two_blocks >= 3
+
+    @pytest.mark.parametrize("m,dim", [(8, 2), (64, 2), (12, 3)])
+    def test_gaussian_initials_equal_per_path_streams(self, m, dim):
+        basis = build_basis(m, dim)
+        got = draw_initials(EnsembleSpec(50, 17, ("gaussian", 0.7)), basis)
+        std = 0.7 / np.sqrt(basis.eigenvalues)
+        want = np.array([std * _seed_sequence_rng(17, STREAM_INITIAL, p).standard_normal(m)
+                         for p in range(50)])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSampleJumps:

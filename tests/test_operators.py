@@ -573,17 +573,50 @@ class TestFactoredWaves:
                 assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
         assert paths[1] == paths[1000] and len(paths[1]) == 4
 
-    def test_scratch_buffers_are_not_pickled(self, params):
-        # a factored workspace reuses buffers for its intermediates; a
-        # pickled copy (a pool worker's) starts without them and agrees
+
+class TestScratchArena:
+    """Every factored transform of every workspace takes its intermediates
+    from one module-level arena; no result is a view on it."""
+
+    @staticmethod
+    def _results(ops, U, params):
+        return [ops.nonlinear_stress(U, params), ops.convection(U, U), ops.convection(U, U[::-1]),
+                ops.strain_norm(U), ops._trig.synthesize(U, ops._polarizations)]
+
+    def test_results_are_not_overwritten_by_another_workspace(self, monkeypatch, params):
+        _paths(monkeypatch, True)
+        ops_a, ops_b = SpectralOperators(build_basis(64, 2)), SpectralOperators(build_basis(32, 2))
+        rng = np.random.default_rng(3)
+        U = 0.6 * rng.standard_normal((16, 64))
+        got = self._results(ops_a, U, params)
+        for r in got:
+            assert not any(np.shares_memory(r, flat) for flat in operators_module._ARENA.values())
+        kept = [r.copy() for r in got]
+        # a smaller workspace and batch: its calls reuse the scratch in place
+        self._results(ops_b, 0.6 * rng.standard_normal((8, 32)), params)
+        for r, want, again in zip(got, kept, self._results(ops_a, U, params)):
+            assert np.array_equal(r, want) and np.array_equal(again, want)
+
+    def test_pickled_workspace_agrees_bit_for_bit(self, params):
         ops = SpectralOperators(build_basis(256, 2))
+        assert isinstance(ops._stress_waves, operators_module._FactoredWaves)
         U = 0.6 * np.random.default_rng(2).standard_normal((8, 256))
-        want = ops.nonlinear_stress(U, params)
-        assert ops._stress_waves._buffers
+        want = self._results(ops, U, params)
         copy = pickle.loads(pickle.dumps(ops))
-        assert copy._stress_waves._buffers == {}
-        assert np.array_equal(copy.nonlinear_stress(U, params), want)
-        assert np.array_equal(ops.nonlinear_stress(U, params), want)
+        for a, b, c in zip(want, self._results(copy, U, params), self._results(ops, U, params)):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    def test_a_second_workspace_allocates_no_scratch(self, monkeypatch, params):
+        _paths(monkeypatch, True)
+        b = build_basis(48, 2)
+        U = 0.6 * np.random.default_rng(4).standard_normal((8, 48))
+        want = self._results(SpectralOperators(b), U, params)
+        arena = dict(operators_module._ARENA)
+        assert set(arena) == {"blocks", "last", "terms", "sums"}
+        got = self._results(SpectralOperators(b), U, params)
+        assert {k: id(v) for k, v in operators_module._ARENA.items()} == {
+            k: id(v) for k, v in arena.items()}
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
 
 
 class TestFiniteDifferenceOracles:

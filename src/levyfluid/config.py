@@ -102,6 +102,8 @@ def _levels(n_min, count):
 
 
 _POSITIVE = (lambda v: 0 < v < math.inf, "must be positive and finite")
+_ALL_POSITIVE = (lambda v: len(v) > 0 and all(0 < x < math.inf for x in v),
+                 "need one or more, each positive and finite")
 _FINITE = (math.isfinite, "must be finite")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 
@@ -123,9 +125,7 @@ SCHEMA = {
     "disc.stress": (_as_bool, True, "include the nonlinear stress", None),
     "noise.kind": (str, "additive", "zero, linear, additive, saturating",
                    _one_of("zero", "linear", "additive", "saturating")),
-    "noise.rates": (_as_list, [1.0, 3.0], "mark rates nu_j > 0",
-                    (lambda v: v and all(0 < r < math.inf for r in v),
-                     "need one or more, each positive and finite")),
+    "noise.rates": (_as_list, [1.0, 3.0], "mark rates nu_j > 0", _ALL_POSITIVE),
     "noise.gains": (_as_list, [0.3, 0.1], "per-mark gains g_j",
                     (lambda v: all(map(math.isfinite, v)), "each must be finite")),
     "noise.scale": (float, 0.5, "additive shape norm", _FINITE),
@@ -139,13 +139,11 @@ SCHEMA = {
     "cauchy.levels": (_as_int_list, [4, 8, 16, 32], "nested truncation levels",
                       _levels(2, "two")),
     "contraction.separations": (_as_list, [1e-1, 1e-2, 1e-3], "|xi1 - xi2| values",
-                                (lambda v: len(v) > 0 and min(v) > 0,
-                                 "need one or more, each > 0")),
+                                _ALL_POSITIVE),
     "feller.lag": (float, 0.25, "first semigroup time t", _POSITIVE),
     "feller.lag2": (float, 0.25, "second semigroup time s", _POSITIVE),
     "feller.inner": (int, 32, "nested estimator inner paths", _AT_LEAST_ONE),
-    "feller.deltas": (_as_list, [0.4, 0.2, 0.1, 0.05], "approach distances",
-                      (lambda v: len(v) > 0, "need one or more distances")),
+    "feller.deltas": (_as_list, [0.4, 0.2, 0.1, 0.05], "approach distances", _ALL_POSITIVE),
     "occupation.schedule": (_as_list, None, "increasing checkpoint times", None),
     "occupation.burn_in": (float, None, "time dropped before averaging", None),
     "invariant.tolerance": (float, 0.2, "relative slack on the moment bound",

@@ -24,34 +24,33 @@ inequality decomposes as
 
 with the first term nonnegative by construction.
 
-The three drivers share one stepping kernel, `_march`.  It steps a list
-of members, each a batch of P rows with its model, in lockstep under one
-jump list per path, row p of every member: it buckets the jumps into
-step windows, takes every member through the noise increment, the drift
-and the advance, and checks each path for blow-up across all members.
-`run_paths` is one member, and so is `run_pairs`: 2P rows, the first
+The three drivers share one stepping kernel, `_march`.  It steps one
+batch of P rows by one model, row p under its own jump list: it buckets
+the jumps into step windows, takes the batch through the noise
+increment, the drift and the advance, and checks each row for blow-up.
+`run_paths` is one batch, and so is `run_pairs`: 2P rows, the first
 sides over the second, rows p and P + p under pair p's jumps.
-`run_levels` is one member per truncation level.  All step on the n*dt
-grid of the models' one dt.  The drivers keep only their own
+`run_levels` runs one `_march` per truncation level, all under the same
+jump lists, and takes their blocks side by side.  All step on
+the n*dt grid of the models' one dt.  The drivers keep only their own
 accumulators, ensemble series, pair distances, level gaps and, for an
-audit, the ledger of the first AUDITED_PATHS paths, and fold `_march`'s
-blocks into them.
+audit, the ledger of the first AUDITED_PATHS paths, read their current
+states from `_march`'s blocks and fold the blocks into them.
 
-Paths blow up by one policy, not silently: `_march` freezes a path with
-a non-finite or oversized state in every member and flags it as blown;
-a pair is blown when either of its rows is.  The drivers report the
-flags; a caller that cannot go on without a path raises a BlowUpError
-with the ensemble's report.
+Paths blow up by one policy, not silently: `_march` freezes a row with
+a non-finite or oversized state and flags it as blown; a pair is blown
+when either of its rows is, and a path of `run_levels` when it blew up
+at any level.  The drivers report the flags; a caller that cannot go on
+without a path raises a BlowUpError with the ensemble's report.
 
 The noise is compound Poisson, so paths that start at one state follow
 one trajectory until their first jumps, and paths that start at one state
 and see one jump list are one trajectory for the whole run: a contraction
 block stacks its k separations, so its batch holds each path's base start
-k times under one jump list.  `_march` groups the paths once, from all
-the members' rows side by side: by the bits of a path's initial rows (a
-group), and within a group by the bytes of its jump list (a class).  It
-evaluates the drift on one path per dormant group and one per class that
-has jumped, the same rows in every member, scattering it back to every
+k times under one jump list.  `_march` groups the rows once: by the bits
+of a row's initial state (a group), and within a group by the bytes of
+its jump list (a class).  It evaluates the drift on one row per dormant
+group and one per class that has jumped, scattering it back to every
 row by one index array; the index is rebuilt at the steps where some
 path leaves its group and at the step after some path freezes, since a
 frozen row must not stand in for live ones.  The noise, the advance, the
@@ -70,12 +69,11 @@ output steps of `run_paths` and `run_pairs`), after at most FLUSH_STEPS
 steps, and after the last step; the cap bounds the memory of runs with
 few outputs.  Every fold adds and takes maxima in step order, so no bit
 depends on where a block ends.  Each step's post-step states and live
-flags, and their pieces (U, U1, M, ap, bb, qv) only for a caller that
-asks, go into buffers allocated once and reused, so a block holds only
-until the next one: a driver copies what it keeps, as `run_paths` does
-its audited rows.  The drivers do no
-arithmetic per step: they fold each block into their accumulators in one
-vectorized pass: running sums by `np.add.accumulate` along the step axis,
+flags, and their pieces (U, U1, M, ap, bb) only for a caller that asks,
+go into buffers allocated once and reused, so a block holds only until
+the next one: a driver copies what it keeps, as `run_paths` does its
+audited rows.  The drivers do no arithmetic per step: they fold each
+block into their accumulators in one vectorized pass: running sums by `np.add.accumulate` along the step axis,
 seeded with the running value, which adds in the order of per-step
 in-place sums; maxima by one reduction; norms, functionals and ledger
 terms evaluated once on the block's (k*P, m) states.  Blown paths are
@@ -85,7 +83,9 @@ implicit denominator once, and for noise sigma(u, z_j) = g_j c(u) whose
 core is one row h (zero and additive) its K amplitude rows g_j h and its
 compensator row, which fill the increments of any batch size.  Linear and
 saturating noise evaluate their core every step: a precomputed affine
-map would round differently.
+map would round differently.  Only the audit reads the jump variation
+sum |g_j c(u)|^2, so `run_paths` computes it for the audited paths
+alone, from their jump lists and pre-step states.
 """
 
 from __future__ import annotations
@@ -243,34 +243,31 @@ class FluidModel:
         return g
 
     def noise_increment(self, states, jump_paths, jump_marks):
-        """Compensated window increments for a batch and their jump variation.
+        """Compensated window increments M, shape (P, m), for a batch.
 
-        Returns (M, jump_qv_add) with M of shape (P, m); jump_qv_add is
-        None for a window without jumps.  The amplitude g_j c(u) is frozen
-        at the pre-step state: the compensator is -dt (sum_j nu_j g_j) c(u)
-        and an event of mark j on path p adds g_j c(u_p).  State-free noise
-        fills M from the rows built with the model, for any batch size; for
-        a window without jumps it returns a read-only M that it keeps until
-        the batch shape changes.
+        The amplitude g_j c(u) is frozen at the pre-step state: the
+        compensator is -dt (sum_j nu_j g_j) c(u) and an event of mark j on
+        path p adds g_j c(u_p).  State-free noise fills M from the rows
+        built with the model, for any batch size; for a window without
+        jumps it returns a read-only M that it keeps until the batch shape
+        changes.
         """
         if self._rows is None:
             core = self.sigma.core(states)
             inc = self._comp * core
             if not jump_paths.size:
-                return inc, None
+                return inc
             amp = self.sigma.gains[jump_marks, None] * core[jump_paths]  # (n_events, m)
         else:
             if not jump_paths.size:
                 if self._quiet is None or self._quiet.shape != states.shape:
                     self._quiet = _read_only(np.repeat(self._rows[1][None], len(states), axis=0))
-                return self._quiet, None
+                return self._quiet
             inc = np.empty(states.shape)
             inc[:] = self._rows[1]
             amp = self._rows[0][jump_marks]
         np.add.at(inc, jump_paths, amp)
-        qv = np.zeros(states.shape[0])
-        np.add.at(qv, jump_paths, np.sum(amp**2, axis=1))
-        return inc, qv
+        return inc
 
 
 def replay_residual(ledger):
@@ -293,6 +290,15 @@ def _draw_jumps(model, seed, n_paths, offset):
                        lambda rng: sample_jumps(marks, horizon, rng))
 
 
+def _path_jumps(model, seed, n_paths, jumps):
+    """`jumps`, one (times, marks) per path, or the paths' draws when None."""
+    if jumps is None:
+        return _draw_jumps(model, seed, n_paths, 0)
+    if len(jumps) != n_paths:
+        raise ValueError(f"jumps holds {len(jumps)} jump lists for {n_paths} paths")
+    return jumps
+
+
 def _jump_steps(times, dt, n_steps):
     """The step n whose window (n*dt, (n+1)*dt] holds each of the jump `times`."""
     return np.clip(np.ceil(times / dt).astype(np.int64) - 1, 0, n_steps - 1)
@@ -309,24 +315,22 @@ def _output_steps(n_steps, n_out):
 class _SharedDrift:
     """Which paths need their own drift evaluation at a step.
 
-    Paths with bit-equal initial rows, in every member side by side, form
-    a group; paths of a group whose jump lists are equal too, times and
+    Paths (the rows of one batch) with bit-equal initial rows form a
+    group; paths of a group whose jump lists are equal too, times and
     marks byte for byte, form a class, one trajectory for the whole run.
     At step n a path whose first jump window is n or later is dormant: it
     has had the same increments as the rest of its group, so its state is
-    the group's in every member.  A path that has jumped has its class's
-    state.  Each group and each class is evaluated on one live path, the
-    one with the latest first jump (the last to leave), the highest index
-    among ties.  A frozen path evaluates its own: it never stands in for a
-    live one.  Every member takes the same rows.
+    the group's.  A path that has jumped has its class's state.  Each
+    group and each class is evaluated on one live path, the one with the
+    latest first jump (the last to leave), the highest index among ties.
+    A frozen path evaluates its own: it never stands in for a live one.
     """
 
     def __init__(self, states, jumps, first, live):
         ids = {}
         lists = np.array([ids.setdefault((times.tobytes(), marks.tobytes()), len(ids))
                           for times, marks in jumps], np.int64)
-        rows = np.hstack(states)
-        rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        rows = states.view(np.dtype((np.void, states.itemsize * states.shape[1]))).ravel()
         _, group = np.unique(rows, return_inverse=True)  # bytewise: bit-equal rows
         _, cls = np.unique(group * len(ids) + lists, return_inverse=True)
         self.first, self.keys = first, (group, cls)
@@ -372,34 +376,32 @@ def _blocks(n_steps, cuts):
             for lo, end in zip([0] + ends, ends) for a in range(lo, end, FLUSH_STEPS)]
 
 
-def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False):
-    """Step member i, `states[i]` of shape (P, m_i), by `models[i]`, all in lockstep.
+def _march(model, U, blow_steps, jumps, *, cuts=(), keep_pieces=False):
+    """Step the batch `U` of shape (P, m) by `model`; `U` is not written.
 
-    The members share one dt: the steps are models[0]'s n_steps of size
-    dt.  Every member sees the P per-path (times, marks) of `jumps`, each
-    event in the window (t_n, t_n+1] that holds it.  A path whose state
-    in any member is non-finite or above the blow-up norm freezes in
-    every member from then on, keeping its last live state, and its step
-    goes into `blow_steps` (-1 while alive).  A frozen step keeps its
-    pieces (U, M, ap, bb): advancing them again gives the blown state.
-    Paths with bit-equal initial rows in every member share one drift
-    evaluation until their first jump, and for the whole run where their
-    jump lists are equal too (`_SharedDrift`).  `states[i]` is replaced by
-    each step's new state.
+    The steps are the model's n_steps of size dt.  Row p sees the per-path
+    (times, marks) `jumps[p]`, each event in the window (t_n, t_n+1] that
+    holds it.  A row whose state is non-finite or above the blow-up norm
+    freezes from then on, keeping its last live state, and its step goes
+    into `blow_steps` (-1 while alive).  A frozen step keeps its pieces
+    (U, M, ap, bb): advancing them again gives the blown state.  Rows with
+    bit-equal initial states share one drift evaluation until their first
+    jump, and for the whole run where their jump lists are equal too
+    (`_SharedDrift`).
 
     Yields _Blocks of at most FLUSH_STEPS consecutive steps, each ending
     after a step whose number (1..n_steps) is in `cuts` and after the last
     step.  Per step of a block (k steps), stacked: `steps` and `t` (end
-    times), each (k,); `live` (k, P); per member `U1` (k*P, m_i), the
-    post-step states; and, with `keep_pieces`, per member the stacked
-    (U, U1, M, ap, bb, qv), each (k*P, ...) (an absent drift piece None,
-    an absent jump variation zero), else None.  The blocks are views of
-    buffers allocated once: a block holds until the next one is yielded.
+    times), each (k,); `live` (k, P); `U1` (k*P, m), the post-step states,
+    whose last P rows are the current states; and, with `keep_pieces`,
+    the stacked (U, U1, M, ap, bb), each (k*P, m) (an absent drift piece
+    None), else None.  The blocks are views of buffers allocated once: a
+    block holds until the next one is yielded.
     """
     jt = np.concatenate([np.empty(0)] + [times for times, _ in jumps])
     jm = np.concatenate([np.empty(0, np.int64)] + [marks for _, marks in jumps])
     jp = np.repeat(np.arange(len(jumps)), [times.size for times, _ in jumps])
-    h, n_steps = models[0].dt, models[0].n_steps
+    h, n_steps = model.dt, model.n_steps
     steps = _jump_steps(jt, h, n_steps)
     order = np.argsort(steps, kind="stable")
     jm, jp, steps = jm[order], jp[order], steps[order]
@@ -409,22 +411,19 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False):
     first = np.full(P, n_steps)  # each path's first jump window
     np.minimum.at(first, jp, steps)
     live, frozen = blow_steps < 0, None
-    shared = _SharedDrift(states, jumps, first, live)
+    shared = _SharedDrift(U, jumps, first, live)
     share, regroup = shared.at(0), False
     leave = set((first[first < n_steps] + 1).tolist())  # steps where some path leaves
-    cap = models[0].config.blowup_norm ** 2
+    cap = model.config.blowup_norm ** 2
     K = min(FLUSH_STEPS, n_steps)
-    # per member, row 0 the states entering the block and row j + 1 those after its step j
-    post = [np.empty((K + 1,) + U.shape) for U in states]
+    post = np.empty((K + 1,) + U.shape)  # row 0 the states entering the block, j + 1 after step j
     live_at = np.empty((K, P), bool)
-    # per member, M, ap and bb (K, P, m_i) and qv (K, P); None for an absent drift piece
-    kept = [[np.empty((K,) + U.shape) if on else None
-             for on in (True, model.config.stress, model.config.convection)]
-            + [np.empty((K, P))] for model, U in zip(models, states)] if keep_pieces else None
+    # M, ap and bb, each (K, P, m); None for an absent drift piece
+    kept = [np.empty((K,) + U.shape) if on else None
+            for on in (True, model.config.stress, model.config.convection)] if keep_pieces else None
     quiet = (jp[:0], jm[:0])  # the events of a window without any
     for a, b in _blocks(n_steps, cuts):
-        for buf, U in zip(post, states):
-            buf[0] = U
+        post[0] = U
         for j, n in enumerate(range(a, b)):
             lo, hi = bounds[n], bounds[n + 1]
             events = (jp[lo:hi], jm[lo:hi]) if hi > lo else quiet
@@ -432,42 +431,37 @@ def _march(models, states, blow_steps, jumps, *, cuts=(), keep_pieces=False):
                 if regroup:
                     shared.freeze(live)
                 share, regroup = shared.at(n), False
-            ok = True
-            for i, (model, U) in enumerate(zip(models, states)):
-                M, qv = model.noise_increment(U, *events)
-                if share is None:
-                    ap, bb = model.drift_pieces(U)
-                else:
-                    rows, scatter = share
-                    ap, bb = (None if p is None else p.take(scatter, axis=0)
-                              for p in model.drift_pieces(U.take(rows, axis=0)))
-                U1 = states[i] = model.advance(U, M, ap, bb)
-                if keep_pieces:
-                    for buf, piece in zip(kept[i], (M, ap, bb, qv)):
-                        if buf is not None:
-                            buf[j] = 0.0 if piece is None else piece
-                # a member's whole sum of squares bounds each of its rows', and
-                # is NaN or inf if any entry is: rows are checked only when one fails
-                ok = ok and np.vdot(U1, U1) <= cap
-            if not ok:
-                fine = np.logical_and.reduce([(U1 * U1).sum(axis=1) <= cap for U1 in states])
-                bad = live & ~fine
+            M = model.noise_increment(U, *events)
+            if share is None:
+                ap, bb = model.drift_pieces(U)
+            else:
+                rows, scatter = share
+                ap, bb = (None if p is None else p.take(scatter, axis=0)
+                          for p in model.drift_pieces(U.take(rows, axis=0)))
+            U = model.advance(U, M, ap, bb)
+            if keep_pieces:
+                for buf, piece in zip(kept, (M, ap, bb)):
+                    if buf is not None:
+                        buf[j] = piece
+            del M, ap, bb  # a suspended march holds no step's pieces
+            # the batch's whole sum of squares bounds each row's, and is NaN
+            # or inf if any entry is: rows are checked only when it fails
+            if not np.vdot(U, U) <= cap:
+                bad = live & ~((U * U).sum(axis=1) <= cap)
                 if bad.any():
                     blow_steps[bad] = n
                     live = blow_steps < 0
                     frozen = ~live
                     regroup = True  # a frozen row must stop standing in for others
-            for buf, U1 in zip(post, states):
-                if frozen is not None:
-                    U1[frozen] = buf[j][frozen]  # row j holds the step's U
-                buf[j + 1] = U1
+            if frozen is not None:
+                U[frozen] = post[j][frozen]  # row j holds the step's U
+            post[j + 1] = U
             live_at[j] = live
         k, numbers = b - a, np.arange(a + 1, b + 1)
-        yield _Block(numbers, numbers * h, live_at[:k],
-                     [_flat(buf[1:k + 1]) for buf in post],
-                     [(_flat(buf[:k]), _flat(buf[1:k + 1]),
-                       *(None if part is None else _flat(part[:k]) for part in parts))
-                      for buf, parts in zip(post, kept)] if keep_pieces else None)
+        yield _Block(numbers, numbers * h, live_at[:k], _flat(post[1:k + 1]),
+                     (_flat(post[:k]), _flat(post[1:k + 1]),
+                      *(None if part is None else _flat(part[:k]) for part in kept))
+                     if keep_pieces else None)
 
 
 def _flat(a):
@@ -501,11 +495,11 @@ def _audit_terms(model, dt, U, U1, M, ap, bb):
     }
 
 
-def _diag_update(model, dt, U, U1, M, ap, bb, qv_jump):
-    """Per-path terms of the step energy identity: the ledger columns from l2_pre_sq on."""
+def _diag_update(model, dt, U, U1, M, ap, bb):
+    """Per-path terms of the step energy identity: the ledger columns from
+    l2_pre_sq on but qv_jump and n_jumps, which come from the jump lists."""
     d = _audit_terms(model, dt, U, U1, M, ap, bb)
     d["conv_skew"] = _pair(bb, U)
-    d["qv_jump"] = qv_jump
     d["l2_pre_sq"] = np.sum(U**2, axis=1)
     d["l2_post_sq"] = np.sum(U1**2, axis=1)
     d["h2_post_sq"] = np.sum(model.basis.eigenvalues * U1**2, axis=1)
@@ -582,8 +576,7 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     if U.ndim != 2 or U.shape[1] != cfg.level:
         raise ValueError("initials must have shape (paths, level)")
     n_paths = U.shape[0]
-    if jumps is None:
-        jumps = _draw_jumps(model, seed, n_paths, 0)
+    jumps = _path_jumps(model, seed, n_paths, jumps)
     functionals = functionals or {}
     eig, dt = model.basis.eigenvalues, model.dt
     two_kappa1 = 2.0 * model.params.kappa1
@@ -606,10 +599,8 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     audited = min(AUDITED_PATHS, n_paths)
     ledger, kept = {}, []  # the audited rows' per-step values and states
     out = _output_steps(model.n_steps, n_out)
-    states = [U]
-    for block in _march([model], states, blow_steps, jumps, cuts=out,
-                        keep_pieces=track_audit):
-        k, live, (U1,) = block.steps.size, block.live, block.U1
+    for block in _march(model, U, blow_steps, jumps, cuts=out, keep_pieces=track_audit):
+        k, live, U1 = block.steps.size, block.live, block.U1
         sq = U1**2
         l2 = np.sum(sq, axis=1).reshape(k, n_paths)
         h2 = np.sum(eig * sq, axis=1).reshape(k, n_paths)
@@ -629,8 +620,8 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
         raise_max("sup_l2_sq", l2)
         raise_max("sup_energy", l2 + two_kappa1 * diss)
         if track_audit:
-            pieces = block.pieces[0]
-            diag = _audit_terms(model, dt, *pieces[:-1])
+            pieces = block.pieces
+            diag = _audit_terms(model, dt, *pieces)
             diag = {column: v.reshape(k, n_paths) for column, v in diag.items()}
             for name, column in _AUDIT_SUMS.items():
                 running = add(name, diag[column])
@@ -652,7 +643,7 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     result = EnsembleResult(
         times=np.array(times),
         series={name: np.array([snap[name] for snap in snaps]) for name in snap_names},
-        terminal=states[0],
+        terminal=block.U1[-n_paths:].copy(),
         blown=blow_steps >= 0,
         blow_steps=blow_steps,
     )
@@ -661,12 +652,17 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
         steps = np.arange(1, model.n_steps + 1)
         ledger["t"] = np.repeat((steps * dt)[:, None], audited, axis=1)
         ledger["dt"] = np.full(ledger["t"].shape, dt)
-        # each path's event count per step, from its own jump list
-        ledger["n_jumps"] = np.stack([
-            np.bincount(_jump_steps(t, dt, model.n_steps), minlength=model.n_steps)
-            for t, _ in jumps[:audited]], axis=1).astype(float)
-        result.ledger = {column: ledger[column] for column in LEDGER_COLUMNS}
         result.states = np.concatenate(kept)
+        # each path's event count and jump variation per step, from its own
+        # jump list and its pre-step states
+        pre = np.concatenate([U[None, :audited], result.states[:-1]])
+        ledger["n_jumps"], ledger["qv_jump"] = np.zeros((2, model.n_steps, audited))
+        for p, (times, marks) in enumerate(jumps[:audited]):
+            at = _jump_steps(times, dt, model.n_steps)
+            amp = model.sigma.gains[marks, None] * model.sigma.core(pre[at, p])
+            np.add.at(ledger["n_jumps"][:, p], at, 1.0)
+            np.add.at(ledger["qv_jump"][:, p], at, np.sum(amp**2, axis=1))
+        result.ledger = {column: ledger[column] for column in LEDGER_COLUMNS}
     return result
 
 
@@ -682,25 +678,23 @@ def run_pairs(model, xi1, xi2, seed, conv_bound, *, n_out=11, jumps=None):
     pair is blown when either of its rows is.  The integral folds each
     block of `_march`, cut at the output steps, as in `run_paths`.
     """
-    U = np.concatenate([np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)])
-    n_paths = U.shape[0] // 2
+    xi1, xi2 = np.asarray(xi1, dtype=float), np.asarray(xi2, dtype=float)
+    if xi1.ndim != 2 or xi1.shape != xi2.shape or xi1.shape[1] != model.config.level:
+        raise ValueError("xi1 and xi2 must both have shape (pairs, level)")
+    n_paths = xi1.shape[0]
+    jumps = _path_jumps(model, seed, n_paths, jumps)
     blow_steps = np.full(2 * n_paths, -1, dtype=np.int64)
     diss1 = np.zeros(n_paths)
-    wsq0 = np.sum((U[:n_paths] - U[n_paths:]) ** 2, axis=1)
+    wsq0 = np.sum((xi1 - xi2) ** 2, axis=1)
     times, wsq, rho_wsq = [0.0], [wsq0], [wsq0]
     cw = conv_bound**2 / model.params.kappa1
-    if jumps is None:
-        jumps = _draw_jumps(model, seed, n_paths, 0)
     out = _output_steps(model.n_steps, n_out)
-    states = [U]
-    for block in _march([model], states, blow_steps, jumps * 2, cuts=out):
-        k = block.steps.size
-        U1 = block.U1[0].reshape(k, 2, n_paths, -1)[:, 0]  # the xi1 rows
-        h2 = np.sum(model.basis.eigenvalues * U1**2, axis=2)
+    for block in _march(model, np.concatenate([xi1, xi2]), blow_steps, jumps * 2, cuts=out):
+        U1 = block.U1.reshape(block.steps.size, 2, n_paths, -1)  # step, side, pair
+        h2 = np.sum(model.basis.eigenvalues * U1[:, 0]**2, axis=2)
         diss1 = _running_sum(diss1, model.dt * h2, block.live[:, :n_paths])[-1]
         if block.steps[-1] in out:
-            U = states[0]
-            w = np.sum((U[:n_paths] - U[n_paths:]) ** 2, axis=1)
+            w = np.sum((U1[-1, 0] - U1[-1, 1]) ** 2, axis=1)
             times.append(block.t[-1])
             wsq.append(w)
             rho_wsq.append(np.exp(-cw * diss1) * w)
@@ -720,7 +714,10 @@ def run_levels(models, initial_top, seed):
     initial state is the top-level draw truncated to each level.  Returns
     per consecutive pair the squared terminal gap and the time integral
     of the squared energy-norm gap (fields compared by zero-padding).
-    The integrals fold each block of `_march`.
+    Each level is one `_march`, and the integrals fold the levels' blocks
+    side by side.  A path is blown when it blew up at any level; its rows
+    at the other levels step on, and its gap integrals stop at the step
+    it blew up.
     """
     top = models[-1]
     levels = [m.config.level for m in models]
@@ -734,33 +731,34 @@ def run_levels(models, initial_top, seed):
     if X.ndim != 2 or X.shape[1] != levels[-1]:
         raise ValueError("initials must have shape (paths, top level)")
     n_paths = X.shape[0]
-    states = [X[:, :lv].copy() for lv in levels]
-    blow_steps = np.full(n_paths, -1, dtype=np.int64)
+    blow_steps = [np.full(n_paths, -1, dtype=np.int64) for _ in models]
     gap_int = [np.zeros(n_paths) for _ in range(len(models) - 1)]
     eig_top, dt = top.basis.eigenvalues, top.dt
     jumps = _draw_jumps(top, seed, n_paths, 0)
-    for block in _march(models, states, blow_steps, jumps):
-        k = block.steps.size
+    marches = [_march(model, X[:, :lv].copy(), steps, jumps)
+               for model, lv, steps in zip(models, levels, blow_steps)]
+    for blocks in zip(*marches):
+        live = np.logical_and.reduce([block.live for block in blocks])
         for i in range(len(models) - 1):
             lo_lv, hi_lv = levels[i], levels[i + 1]
-            d_lo = block.U1[i + 1][:, :lo_lv] - block.U1[i]
-            d_hi = block.U1[i + 1][:, lo_lv:hi_lv]
+            d_lo = blocks[i + 1].U1[:, :lo_lv] - blocks[i].U1
+            d_hi = blocks[i + 1].U1[:, lo_lv:hi_lv]
             gap_h2 = np.sum(eig_top[:lo_lv] * d_lo**2, axis=1) + np.sum(
                 eig_top[lo_lv:hi_lv] * d_hi**2, axis=1
             )
-            gap_int[i] = _running_sum(gap_int[i], dt * gap_h2.reshape(k, n_paths),
-                                      block.live)[-1]
+            gap_int[i] = _running_sum(gap_int[i], dt * gap_h2.reshape(-1, n_paths), live)[-1]
+    terminals = [block.U1[-n_paths:].copy() for block in blocks]
     gaps_sq = []
     for i in range(len(models) - 1):
-        d = states[i + 1].copy()
-        d[:, : levels[i]] -= states[i]
+        d = terminals[i + 1].copy()
+        d[:, : levels[i]] -= terminals[i]
         gaps_sq.append(np.sum(d**2, axis=1))
     return {
         "levels": levels,
         "terminal_gap_sq": gaps_sq,   # list of (P,)
         "energy_gap_int": gap_int,    # list of (P,)
-        "terminals": states,
-        "blown": blow_steps >= 0,
+        "terminals": terminals,
+        "blown": np.logical_or.reduce([steps >= 0 for steps in blow_steps]),
     }
 
 

@@ -209,6 +209,21 @@ class TestValidateCommand:
         ok = write_cfg(tmp_path, text.replace(bad, "1e-3"))
         assert main(["validate", "--config", ok]) == 0
 
+    @pytest.mark.parametrize("experiment, line", [
+        ("contraction", "contraction.separations = [0.1, inf]"),  # every pair would blow up
+        ("feller", "feller.deltas = [0.0]"),  # a modulus of 0 measures nothing
+        ("feller", "feller.deltas = [-0.1]"),
+    ])
+    def test_distance_that_is_not_positive_and_finite(self, tmp_path, capsys, experiment, line):
+        cfg = write_cfg(tmp_path, f"experiment = {experiment}\ndisc.level = 8\n{line}\n")
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert err[0] == (f"config error: line 3: {line.split(' =')[0]}: need one or more, "
+                          "each positive and finite")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, capsys):
         assert main(["validate", "--config", "/nonexistent.cfg"]) == 2
 

@@ -142,6 +142,11 @@ class TestValidation:
         ("cauchy", "cauchy.levels = [0, 4]"),
         ("contraction", "contraction.separations = []"),
         ("contraction", "contraction.separations = [0.1, 0.0]"),
+        ("contraction", "contraction.separations = [0.1, inf]"),
+        ("contraction", "contraction.separations = [0.1, nan]"),
+        ("feller", "feller.deltas = [0.0]"),
+        ("feller", "feller.deltas = [-0.1]"),
+        ("feller", "feller.deltas = [0.4, inf]"),
         ("moments", "noise.shape_level = 0"),
         ("moments", "ensemble.seed = -1"),
         ("occupation", "occupation.burn_in = 1.0"),  # the horizon, past the first scheduled time

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levyfluid import solver
+from levyfluid import ergodics, solver
 from levyfluid.basis import build_basis
 from levyfluid.ergodics import make_functional
 from levyfluid.noise import (
@@ -288,6 +288,23 @@ class TestCoupledRuns:
         with pytest.raises(ValueError):
             run_levels(models, np.zeros((1, 8)), seed=0)
 
+    @pytest.mark.parametrize("shape2", [(5, 8), (3, 6), (8,)])
+    def test_pair_sides_of_other_shapes_raise(self, shape2):
+        model = make_model(dt=2e-3, horizon=0.05)
+        with pytest.raises(ValueError, match="xi1 and xi2 must both have shape"):
+            run_pairs(model, np.zeros((3, 8)), np.zeros(shape2), seed=0, conv_bound=0.2)
+
+    @pytest.mark.parametrize("driver", ["paths", "pairs"])
+    @pytest.mark.parametrize("n_lists", [2, 4])
+    def test_one_jump_list_per_path(self, driver, n_lists):
+        model = make_model(dt=2e-3, horizon=0.05)
+        X, jumps = np.zeros((3, 8)), _draw_jumps(model, 0, n_lists, 0)
+        with pytest.raises(ValueError, match=f"jumps holds {n_lists} jump lists for 3 paths"):
+            if driver == "paths":
+                run_paths(model, X, 0, jumps=jumps)
+            else:
+                run_pairs(model, X, X, 0, conv_bound=0.2, jumps=jumps)
+
 
 class TestSaturatingNoise:
     def test_state_dependent_amplitude_in_the_loop(self):
@@ -456,10 +473,17 @@ class TestOneKernel:
         assert np.array_equal(out["wsq"][-1], np.sum(d**2, axis=1))
 
     def test_single_level_equals_ensemble_run(self):
-        model = make_model(dt=2e-3, horizon=0.5)
+        # each level is a march of its own under the shared jumps: its
+        # terminals are those of its own `run_paths`
         X = 0.5 * np.random.default_rng(5).standard_normal((5, 8))
-        out = run_levels([model], X, seed=5)
-        assert np.array_equal(out["terminals"][0], run_paths(model, X, 5).terminal)
+        for levels in ((8,), (4, 8), (2, 5, 8)):
+            models = [make_model(level=lv, dt=2e-3, horizon=0.5, sigma=additive_sigma(lv))
+                      for lv in levels]
+            out = run_levels(models, X, seed=5)
+            assert len(out["terminals"]) == len(levels)
+            for model, terminal in zip(models, out["terminals"]):
+                alone = run_paths(model, X[:, :model.config.level], 5).terminal
+                assert np.array_equal(terminal, alone), levels
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_either_row_blowing_up_blows_its_pair(self, side):
@@ -485,22 +509,31 @@ class TestOneKernel:
             want = np.sum((alone[0][p].terminal[0] - alone[1][p].terminal[0]) ** 2)
             assert out["wsq"][-1, p] == pytest.approx(want, rel=1e-12)
 
-    def test_level_blowup_freezes_every_level_at_one_step(self):
-        models = [unstable_model(level=4), unstable_model(level=8)]
-        X = np.vstack([np.zeros(8), np.ones(8)])
-        solo = [run_paths(m, X[:, : m.config.level], 5) for m in models]
-        k = solo[1].blow_steps[1]
-        # level 4 holds only the first shell and would never blow up alone
-        assert not solo[0].blown.any()
-        assert solo[1].blow_steps[0] == -1 and k > 0
+    def test_path_blown_at_one_level_is_dropped_from_every_gap(self, monkeypatch):
+        # in ten steps of `unstable_model` the second shell grows from 1e-3
+        # to about 1e4, and the third (modes 8..11, grown by about 35/25 a
+        # step) from 1e7 past the cap: path 1 blows up at level 12 alone,
+        # and levels 4 and 8 step it on
+        models = [unstable_model(level=lv, horizon=2.5) for lv in (4, 8, 12)]
+        X = np.zeros((3, 12))
+        X[:, 0] = [0.3, 0.2, 0.1]
+        X[:, 4] = [1e-3, 2e-3, 3e-3]
+        X[1, 8:] = 1e7
+        solo = [run_paths(m, X[:, :m.config.level], 5) for m in models]
+        assert [run.blown.tolist() for run in solo] == [[False] * 3] * 2 + [[False, True, False]]
         out = run_levels(models, X, seed=5)
-        assert out["blown"].tolist() == [False, True]
-        jumps = _draw_jumps(models[0], 5, 2, 0)
+        assert out["blown"].tolist() == [False, True, False]
         for run, terminal in zip(solo, out["terminals"]):
-            Xl = X[:, : terminal.shape[1]]
-            assert np.all(np.isfinite(terminal))
-            assert np.array_equal(terminal[0], run.terminal[0])
-            assert np.array_equal(terminal[1], first_steps(Xl, 5, k, jumps)[1])
+            assert np.array_equal(terminal, run.terminal)
+        # the study drops it from the gaps between the levels it did not blow up at too
+        monkeypatch.setattr(ergodics, "draw_initials", lambda spec, basis: X)
+        rows = ergodics.cauchy_study(models, ergodics.EnsembleSpec(3, 5))["rows"]
+        keep = [0, 2]
+        assert len(rows) == 2
+        for row, gap, integral in zip(rows, out["terminal_gap_sq"], out["energy_gap_int"]):
+            assert row["n_blown"] == 1
+            assert row["terminal_gap_sq"] == np.mean(gap[keep]) != np.mean(gap)
+            assert row["energy_gap_int"] == np.mean(integral[keep]) != np.mean(integral)
 
 
 class TestLeanStepping:
@@ -576,12 +609,12 @@ class TestLeanStepping:
         model = make_model()
         U = np.zeros((5, 8))
         none = (np.empty(0, np.int64), np.empty(0, np.int64))
-        M, qv = model.noise_increment(U, *none)
-        assert qv is None and not M.flags.writeable
+        M = model.noise_increment(U, *none)
+        assert not M.flags.writeable
         assert np.array_equal(M, np.tile(model._rows[1], (5, 1)))
-        assert model.noise_increment(U, *none)[0] is M
-        J, qv = model.noise_increment(U, np.array([2]), np.array([1]))
-        assert J.flags.writeable and J is not M and qv[2] > 0
+        assert model.noise_increment(U, *none) is M
+        J = model.noise_increment(U, np.array([2]), np.array([1]))
+        assert J.flags.writeable and J is not M
         assert np.array_equal(J[2], M[2] + model._rows[0][1])
         assert np.array_equal(np.delete(J, 2, axis=0), np.delete(M, 2, axis=0))
 
@@ -598,33 +631,32 @@ class TestLeanStepping:
         assert np.array_equal(ab["blown"], ba["blown"])
 
     @settings(max_examples=25, deadline=None)
-    @given(step=st.integers(1, 18), member=st.integers(0, 2), path=st.integers(0, 2))
-    def test_blowup_freezes_every_member_at_once(self, step, member, path):
+    @given(step=st.integers(1, 18), path=st.integers(0, 2))
+    def test_blowup_freezes_its_row_at_once(self, step, path):
         # `unstable_model` scales the second shell by 5: an amplitude of
         # 3e8 / 5^(step+1) first exceeds the cap 1e8 on step `step`
         model = unstable_model()
-        states = [np.zeros((3, 8)) for _ in range(3)]
-        for U in states:
-            U[:, 0] = 0.2
-        states[member][path, 4] = 3e8 / 5.0 ** (step + 1)
+        U = np.zeros((3, 8))
+        U[:, 0] = 0.2
+        U[path, 4] = 3e8 / 5.0 ** (step + 1)
+        start = U.copy()
         blow_steps = np.full(3, -1)
         jumps = _draw_jumps(model, 11, 3, 0)
-        history = []  # per step, the path's row in every member
-        for s in _march([model] * 3, states, blow_steps, jumps, cuts={5, 11}):
-            rows = [U1.reshape(s.steps.size, 3, 8).copy() for U1 in s.U1]  # U1 is reused
-            history.extend(zip(*(r[:, path] for r in rows)))
+        history = []  # per step, the batch's post-step states
+        for s in _march(model, U, blow_steps, jumps, cuts={5, 11}):
+            history.extend(s.U1.reshape(s.steps.size, 3, 8).copy())  # U1 is reused
         others = [p for p in range(3) if p != path]
         assert blow_steps[path] == step and np.all(blow_steps[others] == -1)
         for n in range(step, model.n_steps):
-            for i in range(3):
-                assert np.array_equal(history[n][i], history[step - 1][i])
-        assert all(np.isfinite(U).all() for U in states)
+            assert np.array_equal(history[n][path], history[step - 1][path])
+        assert np.isfinite(history[-1]).all()
+        assert np.array_equal(U, start)  # the batch it was given is not written
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_state_freezes_every_member(self, bad):
-        # the second member's advance writes `bad` into path 1 on step 4: the
-        # path freezes in every member at its step-3 state and counts as
-        # blown, and the other paths step as in a run without it
+    def test_non_finite_state_freezes_its_row(self, bad):
+        # the advance writes `bad` into path 1 on step 4: the path freezes
+        # at its step-3 state and counts as blown, and the other paths step
+        # as in a run without it
         model = make_model(dt=2e-3, horizon=0.02)
         poisoned = copy.copy(model)
         calls = []
@@ -640,23 +672,21 @@ class TestLeanStepping:
         X = 0.4 * np.random.default_rng(5).standard_normal((3, 8))
         jumps = _draw_jumps(model, 11, 3, 0)
 
-        def history(models):
-            states, blow_steps = [X.copy() for _ in models], np.full(3, -1)
-            rows = [[] for _ in models]
-            for block in _march(models, states, blow_steps, jumps, cuts={3, 7}):
-                for i, U1 in enumerate(block.U1):  # copied: the next block reuses U1
-                    rows[i].append(U1.reshape(block.steps.size, 3, 8).copy())
-            return [np.concatenate(r) for r in rows], blow_steps, states
+        def history(model):
+            blow_steps, rows = np.full(3, -1), []
+            for block in _march(model, X, blow_steps, jumps, cuts={3, 7}):
+                # copied: the next block reuses U1
+                rows.append(block.U1.reshape(block.steps.size, 3, 8).copy())
+            return np.concatenate(rows), blow_steps
 
-        clean, clean_steps, _ = history([model] * 3)
-        got, blow_steps, states = history([model, poisoned, model])
+        clean, clean_steps = history(model)
+        got, blow_steps = history(poisoned)
         assert clean_steps.tolist() == [-1, -1, -1]
         assert blow_steps.tolist() == [-1, 4, -1]
-        for i in range(3):
-            assert np.array_equal(got[i][:4], clean[i][:4])
-            assert np.array_equal(got[i][4:, 1], np.broadcast_to(clean[i][3, 1], (6, 8)))
-            assert np.array_equal(got[i][:, [0, 2]], clean[i][:, [0, 2]])
-        assert all(np.isfinite(U).all() for U in states)
+        assert np.array_equal(got[:4], clean[:4])
+        assert np.array_equal(got[4:, 1], np.broadcast_to(clean[3, 1], (6, 8)))
+        assert np.array_equal(got[:, [0, 2]], clean[:, [0, 2]])
+        assert np.isfinite(got).all()
 
 
 def grouped_initials(sizes, level=8, seed=0):
@@ -746,11 +776,10 @@ class TestSharedDrift:
         jumps = _draw_jumps(model, seed, P, 0)
         first = np.array([np.ceil(t.min() / model.dt) - 1 for t, _ in jumps])
         assert first.max() < model.n_steps - 50  # every path jumps, well before the end
-        states = [np.concatenate([np.tile(xi1, (k * P, 1))]
-                                 + [np.tile(xi1 + sep * np.eye(8)[1], (P, 1))
-                                    for sep in (0.1, 0.01, 0.001)])]
+        U = np.concatenate([np.tile(xi1, (k * P, 1))]
+                           + [np.tile(xi1 + sep * np.eye(8)[1], (P, 1)) for sep in (0.1, 0.01, 0.001)])
         rows = count_drift_rows(model)
-        for _ in _march([model], states, np.full(2 * k * P, -1), jumps * (2 * k)):
+        for block in _march(model, U, np.full(2 * k * P, -1), jumps * (2 * k)):
             pass
         # one drift call per step: one row per path and one per dormant
         # group, once for the k base copies and once per separation's partners
@@ -758,7 +787,7 @@ class TestSharedDrift:
         assert rows == [(k + 1) * r for r in want]
         assert max(rows[int(first.max()) + 1:]) == (k + 1) * P
         # the base rows of one path are one trajectory in every separation
-        ends = states[0][:k * P].reshape(k, P, 8)
+        ends = block.U1[-2 * k * P:-k * P].reshape(k, P, 8)
         assert np.array_equal(ends, np.broadcast_to(ends[0], ends.shape))
         assert not np.array_equal(ends[0, 0], ends[0, 1])
 
@@ -977,28 +1006,38 @@ class TestIntervalFlush:
         assert np.array_equal(a.states[-1], a.terminal[:AUDITED_PATHS])
 
     def test_ledger_equals_per_step_terms(self, monkeypatch):
-        model = make_model(dt=2e-3, horizon=0.3,
-                           sigma=SaturatingNoise(MARKS, np.array([0.4, 0.2])))
+        sigma = SaturatingNoise(MARKS, np.array([0.4, 0.2]))
+        model = make_model(dt=2e-3, horizon=0.3, sigma=sigma)
         X = 0.5 * np.random.default_rng(2).standard_normal((6, 8))
         jumps = _draw_jumps(model, 12, 6, 0)
         res = run_paths(model, X, 12, track_audit=True, jumps=jumps)
         want = {k: [] for k in LEDGER_COLUMNS}
         A = AUDITED_PATHS
         monkeypatch.setattr(solver, "FLUSH_STEPS", 1)  # one-step blocks: the per-step terms
-        for s in _march([model], [X.copy()], np.full(6, -1), jumps, keep_pieces=True):
+        for s in _march(model, X, np.full(6, -1), jumps, keep_pieces=True):
             assert s.steps.size == 1
-            # copied: the block's buffers are reused, and the ledger keeps qv_jump
-            d = _diag_update(model, model.dt,
-                             *(None if a is None else a[:A].copy() for a in s.pieces[0]))
+            # copied: the block's buffers are reused
+            pieces = [None if a is None else a[:A].copy() for a in s.pieces]
+            d = _diag_update(model, model.dt, *pieces)
             # the audited paths' events in the step's window (n*dt, (n+1)*dt]
             lo, hi = (s.steps[0] - 1) * model.dt, s.steps[0] * model.dt
+            events = [marks[(t > lo) & (t <= hi)] for t, marks in jumps[:A]]
+            # the jump variation by a per-event oracle: each event of mark z
+            # adds |g_z c(u)|^2 at the path's pre-step state u
+            amps = [[sigma.gains[z] * sigma.core(u[None, :])[0] for z in zs]
+                    for u, zs in zip(pieces[0], events)]
             d.update(t=np.full(A, s.t[0]), dt=np.full(A, model.dt),
-                     n_jumps=np.array([np.sum((t > lo) & (t <= hi)) for t, _ in jumps[:A]], float))
+                     n_jumps=np.array([zs.size for zs in events], float),
+                     qv_jump=np.array([sum(float(a @ a) for a in amp) for amp in amps]))
             for k in want:
                 want[k].append(d[k])
         assert len(want["t"]) > FLUSH_STEPS and all(t.size > 0 for t, _ in jumps[:A])
+        want = {k: np.array(values) for k, values in want.items()}
+        jumped = want["n_jumps"] > 0
+        assert np.all(want["qv_jump"][jumped] > 0) and np.all(want["qv_jump"][~jumped] == 0)
+        assert res.ledger["qv_jump"] == pytest.approx(want.pop("qv_jump"), rel=1e-13, abs=0.0)
         for k, values in want.items():
-            assert np.array_equal(res.ledger[k], np.array(values)), k
+            assert np.array_equal(res.ledger[k], values), k
 
     def test_blowup_mid_interval(self):
         # the second path blows up on step 100, inside the second cap interval

@@ -344,7 +344,7 @@ def parse_config_text(text, overrides=None):
                                 "dt differs between them: set disc.dt"))
     if "schedule" in options:
         sched = options["schedule"]
-        if sorted(sched) != sched or not sched or abs(sched[-1] - horizon) > 1e-12:
+        if sorted(sched) != sched or not sched or sched[-1] != horizon:
             problems.append(
                 problem("occupation.schedule", "must be increasing and end at disc.horizon"))
         elif all(key != "disc.horizon" for _, key, _ in problems):

@@ -118,8 +118,7 @@ WORKERS_ENV = "LEVYFLUID_WORKERS"
 
 
 def build_model(cfg, **solver_overrides):
-    marks = cfg.marks()
-    return FluidModel(replace(cfg.solver, **solver_overrides), cfg.make_sigma(marks), marks)
+    return FluidModel(replace(cfg.solver, **solver_overrides), cfg.make_sigma(cfg.marks()))
 
 
 def _path_block(models, initials, seed, offset, n_out, track_audit):

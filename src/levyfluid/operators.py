@@ -78,14 +78,14 @@ a few microseconds more than with such tables.
 
 The shear factor gamma is bounded and smooth for reg > 0, so the stress
 collocation error decays spectrally in the grid size.  Measured envelope
-at the default oversampling of 4 per dimension (grid refinement against a
-24x-oversampled reference, m = 16): relative coefficient error ~2e-3 on
-rough unit-variance coefficient vectors, ~3e-5 on spectrally decaying
-unit-norm fields, ~2e-7 on decaying fields of norm 0.3; each doubling of
-the grid gains two to three orders.  Pointwise monotonicity of the stress
-tensor makes the discrete pairing <Ap(u) - Ap(v), u - v> a sum of
-nonnegative grid terms, so it is nonnegative to rounding regardless of
-the quadrature error in its value.
+at the oversampling of 4 per dimension, STRESS_OVERSAMPLE (grid
+refinement against a 24x-oversampled reference, m = 16): relative
+coefficient error ~2e-3 on rough unit-variance coefficient vectors,
+~3e-5 on spectrally decaying unit-norm fields, ~2e-7 on decaying fields
+of norm 0.3; each doubling of the grid gains two to three orders.
+Pointwise monotonicity of the stress tensor makes the discrete pairing
+<Ap(u) - Ap(v), u - v> a sum of nonnegative grid terms, so it is
+nonnegative to rounding regardless of the quadrature error in its value.
 """
 
 from __future__ import annotations
@@ -188,6 +188,9 @@ def _form_coords(ek):
     return full.T, sym.T
 
 
+STRESS_OVERSAMPLE = 4  # the stress grid has STRESS_OVERSAMPLE * (kmax + 1) points per dimension
+
+
 class SpectralOperators:
     """Per-basis workspace: scalar mode waves on the two collocation grids.
 
@@ -224,7 +227,7 @@ class SpectralOperators:
     1e-12 * max|k|.
     """
 
-    def __init__(self, basis, oversample=4):
+    def __init__(self, basis):
         self.basis = basis
         dim = basis.dim
         kmax = int(np.max(np.abs(basis.wavevectors)))
@@ -237,7 +240,7 @@ class SpectralOperators:
         self._strain_coords = coords[:, None, :]  # (k, 1, m)
         self._polarizations = basis.polarizations.T.copy()[:, None, :]  # (d, 1, m)
 
-        self.stress_grid_size = oversample * (kmax + 1)
+        self.stress_grid_size = STRESS_OVERSAMPLE * (kmax + 1)
         _, self._stress_waves, self._stress_weight = _grid_transforms(basis, self.stress_grid_size)
         # the projection's coordinates carry the quadrature weight
         self._stress_out = self._stress_weight * self._strain_coords
@@ -637,18 +640,18 @@ def measure_stress_lipschitz(ops, params, rng):
     return best
 
 
-def stress_lipschitz_reference(params, lambda1, korn_hi=None):
+def stress_lipschitz_reference(params, lambda1):
     """Analytic Lipschitz budget for the stress nonlinearity.
 
     The derivative of the tensor map E -> gamma(E) E is bounded by
     3 * max(reg^((p-2)/2), reg^((p-5)/2)) for p in (1, 2]; combined with
-    the strain/gradient equivalence (factor korn_hi per slot) and the
+    the strain/gradient equivalence (factor 1/sqrt(2) per slot) and the
     step from the gradient norm of the test field to the energy norm
     (factor 1/sqrt(lambda1)) this bounds the dual-norm Lipschitz constant
     of the stress.  A sanity ceiling for the measured constant, not a
     test oracle.
     """
     tilde = max(params.reg ** ((params.p - 2.0) / 2.0), params.reg ** ((params.p - 5.0) / 2.0))
-    k = 1.0 / np.sqrt(2.0) if korn_hi is None else korn_hi
+    k = 1.0 / np.sqrt(2.0)
     return 3.0 * tilde * k * k / np.sqrt(lambda1)
 

@@ -22,7 +22,14 @@ inequality decomposes as
 
     slack = sum |M - (u' - u)|^2 + stress work + convection work,
 
-with the first term nonnegative by construction.
+with the first term nonnegative by construction.  `_step_terms` computes
+every term of the identity per row, once per block on all of a batch's
+rows: an audited `run_paths` adds five of them up over every path (the
+audit series) and keeps all of them for the first AUDITED_PATHS paths.
+The ledger's other columns come from elsewhere: t and dt from the step
+grid, and n_jumps and the jump variation qv_jump = sum |g_j c(u)|^2 from
+the audited paths' own jump lists and pre-step states, once the run is
+done.
 
 The three drivers share one stepping kernel, `_march`.  It steps one
 batch of P rows by one model, row p under its own jump list: it buckets
@@ -69,23 +76,22 @@ output steps of `run_paths` and `run_pairs`), after at most FLUSH_STEPS
 steps, and after the last step; the cap bounds the memory of runs with
 few outputs.  Every fold adds and takes maxima in step order, so no bit
 depends on where a block ends.  Each step's post-step states and live
-flags, and their pieces (U, U1, M, ap, bb) only for a caller that asks,
-go into buffers allocated once and reused, so a block holds only until
-the next one: a driver copies what it keeps, as `run_paths` does its
-audited rows.  The drivers do no arithmetic per step: they fold each
-block into their accumulators in one vectorized pass: running sums by `np.add.accumulate` along the step axis,
-seeded with the running value, which adds in the order of per-step
-in-place sums; maxima by one reduction; norms, functionals and ledger
-terms evaluated once on the block's (k*P, m) states.  Blown paths are
+flags, and for an audited `run_paths` their pieces (U, U1, M, ap, bb),
+which `_step_terms` reads, go into buffers allocated once and reused, so
+a block holds only until the next one: a driver copies what it keeps,
+as `run_paths` does its audited rows.  The drivers do no arithmetic per
+step: they fold each block into their accumulators in one vectorized
+pass: running sums by `np.add.accumulate` along the step axis, seeded
+with the running value, which adds in the order of per-step in-place
+sums; maxima by one reduction; norms, functionals and ledger terms
+evaluated once on the block's (k*P, m) states.  Blown paths are
 masked out of every block (zero for sums, -inf for maxima); a frozen
 path's last state is its last live one.  A FluidModel computes its
 implicit denominator once, and for noise sigma(u, z_j) = g_j c(u) whose
 core is one row h (zero and additive) its K amplitude rows g_j h and its
 compensator row, which fill the increments of any batch size.  Linear and
 saturating noise evaluate their core every step: a precomputed affine
-map would round differently.  Only the audit reads the jump variation
-sum |g_j c(u)|^2, so `run_paths` computes it for the audited paths
-alone, from their jump lists and pre-step states.
+map would round differently.
 """
 
 from __future__ import annotations
@@ -201,19 +207,20 @@ def _read_only(a):
 
 
 class FluidModel:
-    """Config plus the prepared basis, operator workspace and noise."""
+    """Config plus the prepared basis, operator workspace and noise; the
+    jumps are drawn from the noise's own mark space."""
 
-    def __init__(self, config, sigma, marks):
+    def __init__(self, config, sigma):
         self.config = config
         self.params = config.params
         self.basis = build_basis(config.level, config.dim)
         self.ops = SpectralOperators(self.basis)
         self.sigma = sigma
-        self.marks = marks
+        self.marks = sigma.marks  # one mark space for the draws, the compensator and the budgets
         self.dt = config.dt if config.dt is not None else default_dt(self.basis, config.params.kappa1)
         self.n_steps = _whole_steps(config.horizon, self.dt)
         self._denom = _read_only(1.0 + self.dt * self.params.kappa1 * self.basis.eigenvalues)
-        self._comp = -self.dt * float(np.sum(marks.rates * sigma.gains))  # -dt sum_j nu_j g_j
+        self._comp = -self.dt * float(np.sum(self.marks.rates * sigma.gains))  # -dt sum_j nu_j g_j
         self._rows = None  # state-free noise: (amplitude rows g_j h, compensator row)
         self._quiet = None  # state-free noise: the read-only M of a window without jumps
         if sigma.state_free:
@@ -484,30 +491,25 @@ def _running_sum(start, values, live):
     return np.add.accumulate(rows, axis=0)[1:]
 
 
-def _audit_terms(model, dt, U, U1, M, ap, bb):
-    """The ledger terms that `run_paths` adds up over every path: the `_AUDIT_SUMS` columns."""
+def _step_terms(model, dt, U, U1, M, ap, bb):
+    """Per-row terms of the step energy identity on stacked (n, m) pieces:
+    every ledger column but t, dt, n_jumps and qv_jump, each (n,)."""
+    h2 = np.sum(model.basis.eigenvalues * U1**2, axis=1)
     return {
+        "l2_pre_sq": np.sum(U**2, axis=1),
+        "l2_post_sq": np.sum(U1**2, axis=1),
+        "h2_post_sq": h2,
+        "diss": 2.0 * model.params.kappa1 * dt * h2,
+        "ap_pair": _pair(ap, U),
         "ap_work": 4.0 * model.params.kappa0 * dt * _pair(ap, U1),
+        "conv_skew": _pair(bb, U),
         "conv_work": 2.0 * dt * _pair(bb, U1),
+        "backward": np.sum((U - U1) ** 2, axis=1),
         "mart_pre": 2.0 * _pair(M, U),
+        "mart_work": 2.0 * _pair(M, U1),
         "qv_disc": np.sum(M**2, axis=1),
         "resid_sq": np.sum((M - (U1 - U)) ** 2, axis=1),
     }
-
-
-def _diag_update(model, dt, U, U1, M, ap, bb):
-    """Per-path terms of the step energy identity: the ledger columns from
-    l2_pre_sq on but qv_jump and n_jumps, which come from the jump lists."""
-    d = _audit_terms(model, dt, U, U1, M, ap, bb)
-    d["conv_skew"] = _pair(bb, U)
-    d["l2_pre_sq"] = np.sum(U**2, axis=1)
-    d["l2_post_sq"] = np.sum(U1**2, axis=1)
-    d["h2_post_sq"] = np.sum(model.basis.eigenvalues * U1**2, axis=1)
-    d["diss"] = 2.0 * model.params.kappa1 * dt * d["h2_post_sq"]
-    d["ap_pair"] = _pair(ap, U)
-    d["backward"] = np.sum((U - U1) ** 2, axis=1)
-    d["mart_work"] = 2.0 * _pair(M, U1)
-    return d
 
 
 @dataclass
@@ -534,14 +536,6 @@ _SERIES_BASE = (
     "diss_r2_int",
     "sup_energy",
 )
-_SERIES_AUDIT = (
-    "mart_cum",
-    "mart_sup",
-    "qv_disc_cum",
-    "resid_cum",
-    "apwork_cum",
-    "convwork_cum",
-)
 # audit running sums and the ledger column each one adds up
 _AUDIT_SUMS = {
     "mart_cum": "mart_pre",
@@ -550,6 +544,7 @@ _AUDIT_SUMS = {
     "apwork_cum": "ap_work",
     "convwork_cum": "conv_work",
 }
+_SERIES_AUDIT = (*_AUDIT_SUMS, "mart_sup")  # and the running maximum of |mart_cum|
 
 
 def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
@@ -566,10 +561,12 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
     fold each block of `_march`, cut at the output steps, at once, with
     the bits of per-step updates.  Each of `functionals` (name -> a map
     from (n, m) states to (n,) values) is integrated in time as
-    `occ_<name>`: dt * fn(u) added per step.  With `track_audit`, the
-    audit series are snapshotted too, and the result keeps the per-step
-    ledger and the post-step states of the first AUDITED_PATHS paths: the
-    rows of this batch, not a second run of them.
+    `occ_<name>`: dt * fn(u) added per step.  With `track_audit`, each
+    block's `_step_terms` are evaluated once on all its rows: the audit
+    series add up five of their columns over every path, and the result
+    keeps every column as the per-step ledger of the first AUDITED_PATHS
+    paths, with their post-step states: the rows of this batch, not a
+    second run of them.  The audit changes no bit of the other series.
     """
     cfg = model.config
     U = np.array(initials, dtype=float)
@@ -597,7 +594,9 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
 
     snaps, times = [snapshot()], [0.0]  # one per output time
     audited = min(AUDITED_PATHS, n_paths)
-    ledger, kept = {}, []  # the audited rows' per-step values and states
+    if track_audit:  # the audited rows' per-step ledger and post-step states
+        ledger = {column: np.zeros((model.n_steps, audited)) for column in LEDGER_COLUMNS}
+        states = np.empty((model.n_steps, audited, cfg.level))
     out = _output_steps(model.n_steps, n_out)
     for block in _march(model, U, blow_steps, jumps, cuts=out, keep_pieces=track_audit):
         k, live, U1 = block.steps.size, block.live, block.U1
@@ -620,20 +619,17 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
         raise_max("sup_l2_sq", l2)
         raise_max("sup_energy", l2 + two_kappa1 * diss)
         if track_audit:
-            pieces = block.pieces
-            diag = _audit_terms(model, dt, *pieces)
-            diag = {column: v.reshape(k, n_paths) for column, v in diag.items()}
+            terms = _step_terms(model, dt, *block.pieces)
+            terms = {column: v.reshape(k, n_paths) for column, v in terms.items()}
             for name, column in _AUDIT_SUMS.items():
-                running = add(name, diag[column])
+                running = add(name, terms[column])
                 if name == "mart_cum":
                     raise_max("mart_sup", np.abs(running))
-            # the audited rows, copied: the block's buffers are reused
-            rows = [None if a is None else
-                    a.reshape(k, n_paths, *a.shape[1:])[:, :audited].reshape(-1, *a.shape[1:])
-                    .copy() for a in pieces]
-            for column, v in _diag_update(model, dt, *rows).items():
-                ledger.setdefault(column, []).append(v.reshape(k, audited))
-            kept.append(rows[1].reshape(k, audited, -1))
+            # copied: the block's buffers are reused
+            span = slice(block.steps[0] - 1, block.steps[-1])
+            for column, v in terms.items():
+                ledger[column][span] = v[:, :audited]
+            states[span] = U1.reshape(k, n_paths, -1)[:, :audited]
         for name, fn in functionals.items():
             add(f"occ_{name}", dt * fn(U1).reshape(k, n_paths))
         if block.steps[-1] in out:
@@ -648,21 +644,17 @@ def run_paths(model, initials, seed, *, n_out=11, track_audit=False,
         blow_steps=blow_steps,
     )
     if track_audit:
-        ledger = {column: np.concatenate(v) for column, v in ledger.items()}
-        steps = np.arange(1, model.n_steps + 1)
-        ledger["t"] = np.repeat((steps * dt)[:, None], audited, axis=1)
-        ledger["dt"] = np.full(ledger["t"].shape, dt)
-        result.states = np.concatenate(kept)
+        ledger["t"][:] = (np.arange(1, model.n_steps + 1) * dt)[:, None]
+        ledger["dt"][:] = dt
         # each path's event count and jump variation per step, from its own
         # jump list and its pre-step states
-        pre = np.concatenate([U[None, :audited], result.states[:-1]])
-        ledger["n_jumps"], ledger["qv_jump"] = np.zeros((2, model.n_steps, audited))
+        pre = np.concatenate([U[None, :audited], states[:-1]])
         for p, (times, marks) in enumerate(jumps[:audited]):
             at = _jump_steps(times, dt, model.n_steps)
             amp = model.sigma.gains[marks, None] * model.sigma.core(pre[at, p])
             np.add.at(ledger["n_jumps"][:, p], at, 1.0)
             np.add.at(ledger["qv_jump"][:, p], at, np.sum(amp**2, axis=1))
-        result.ledger = {column: ledger[column] for column in LEDGER_COLUMNS}
+        result.ledger, result.states = ledger, states
     return result
 
 

@@ -368,7 +368,7 @@ class TestCriterion7InvariantBound:
             params=FluidParams(kappa0=0.5, kappa1=1.0, reg=1.0, p=1.5),
             level=8, dt=0.005, horizon=30.0,
         )
-        model = FluidModel(cfg, ZeroNoise(marks), marks)
+        model = FluidModel(cfg, ZeroNoise(marks))
         spec = EnsembleSpec(2, 72, ("fixed", 0.5 * np.ones(8)))
         occ = occupation_measure(
             model, ("sq_norm", "energy_norm_sq"), [20.0, 25.0, 30.0], 10.0, spec

@@ -142,7 +142,7 @@ class TestProjection:
     def test_rejects_enlargement(self, rng):
         # a state is never reinterpreted at another level
         cfg = SolverConfig(params=FluidParams(), level=8, dt=1e-2, horizon=0.1)
-        model = FluidModel(cfg, ZeroNoise(MARKS), MARKS)
+        model = FluidModel(cfg, ZeroNoise(MARKS))
         with pytest.raises(ValueError):
             run_paths(model, rng.standard_normal((2, 4)), 0)
 
@@ -162,7 +162,7 @@ class TestProjection:
         # both levels, so the gap is the level-6 field's last two modes
         models = [FluidModel(SolverConfig(params=FluidParams(), level=m, dt=1e-2, horizon=0.1,
                                           convection=False, stress=False),
-                             ZeroNoise(MARKS), MARKS) for m in (4, 6)]
+                             ZeroNoise(MARKS)) for m in (4, 6)]
         res = run_levels(models, np.ones((1, 6)), 0)
         lo, hi = res["terminals"]
         assert np.array_equal(hi[:, :4], lo)

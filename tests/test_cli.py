@@ -125,6 +125,23 @@ class TestValidateCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment", ["occupation", "invariant-bound"])
+    def test_schedule_that_ends_next_to_the_horizon(self, tmp_path, capsys, experiment):
+        # 0.30000000000000004 is one ulp above 0.3: a schedule ends at the
+        # horizon itself, the time its last average is taken at
+        text = (f"experiment = {experiment}\ndisc.level = 8\ndisc.dt = 0.001\n"
+                "disc.horizon = 0.3\nnoise.kind = additive\nensemble.paths = 4\n"
+                "occupation.schedule = [0.1, 0.2, {}]\n")
+        cfg = write_cfg(tmp_path, text.format("0.30000000000000004"))
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: line 7: occupation.schedule: must be increasing and end "
+                       "at disc.horizon"] * 2
+        assert not (tmp_path / "out").exists()
+        ok = write_cfg(tmp_path, text.format("0.3"))
+        assert main(["validate", "--config", ok]) == 0
+
+    @pytest.mark.parametrize("experiment", ["occupation", "invariant-bound"])
     def test_burn_in_that_snaps_onto_the_first_scheduled_time(self, tmp_path, capsys,
                                                               experiment):
         # 1000 steps, 64 output times: 0.995 snaps to the output time 1.0,

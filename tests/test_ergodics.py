@@ -38,7 +38,7 @@ def additive_sigma(scale=1.0, span=4):
 
 def make_model(level=8, dt=2e-3, horizon=1.0, sigma=None, **kw):
     cfg = SolverConfig(params=PARAMS, level=level, dt=dt, horizon=horizon, **kw)
-    return FluidModel(cfg, sigma if sigma is not None else additive_sigma(), MARKS)
+    return FluidModel(cfg, sigma if sigma is not None else additive_sigma())
 
 
 class TestEnsembleSpec:

@@ -333,7 +333,7 @@ class TestCompensatedIncrement:
         gains = np.array([0.3, 0.1])
         sig = make_noise(kind, marks, gains=gains, shape_coeffs=np.linspace(1.0, 0.2, 6))
         cfg = SolverConfig(params=FluidParams(), level=6, dt=0.1, horizon=1.0)
-        model = FluidModel(cfg, sig, marks)
+        model = FluidModel(cfg, sig)
         U = np.random.default_rng(3).standard_normal((3, 6)) * np.array([[0.5], [1.0], [2.0]])
         t0, dt = 0.2, 0.1
         jp = np.array([0, 2, 0, 2, 0, 2])  # six events in the window (0.2, 0.3]
@@ -351,7 +351,7 @@ class TestCompensatedIncrement:
         sig = make_noise(kind, marks, gains=np.array([0.3, 0.1]),
                          shape_coeffs=np.linspace(1.0, 0.2, 6))
         model = FluidModel(SolverConfig(params=FluidParams(), level=6, dt=0.1, horizon=1.0),
-                           sig, marks)
+                           sig)
         U = np.random.default_rng(4).standard_normal((4, 6))
         jp, jm = np.array([0, 3, 0, 2, 3]), np.array([1, 0, 0, 1, 1])
         amp = sig.gains[jm][:, None] * sig.core(U)[jp]

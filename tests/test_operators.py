@@ -43,6 +43,12 @@ def params():
     return FluidParams(kappa0=0.5, kappa1=1.0, reg=0.8, p=1.5)
 
 
+def oversampled(monkeypatch, b, oversample):
+    """The workspace of `b` with `oversample` stress grid points per wavenumber."""
+    monkeypatch.setattr(operators_module, "STRESS_OVERSAMPLE", oversample)
+    return SpectralOperators(b)
+
+
 def random_fields(basis, rng, n, scale=1.0):
     return scale * rng.standard_normal((n, basis.size))
 
@@ -254,12 +260,13 @@ class TestNonlinearStress:
         U = random_fields(ops16.basis, rng, 2000, scale=2.0)
         assert np.all(np.sum(ops16.nonlinear_stress(U, params) * U, axis=1) >= 0.0)
 
-    def test_quadrature_residual_within_documented_envelope(self, params, rng):
+    def test_quadrature_residual_within_documented_envelope(self, monkeypatch, params, rng):
         # grid refinement against a heavily oversampled reference; budgets
         # match the measured envelope stated in the module docstring
         b = build_basis(16, 2)
-        coarse = SpectralOperators(b, oversample=4)
-        ref = SpectralOperators(b, oversample=24)
+        coarse = SpectralOperators(b)
+        assert coarse.stress_grid_size == 4 * (int(np.abs(b.wavevectors).max()) + 1)
+        ref = oversampled(monkeypatch, b, 24)
         rough = random_fields(b, rng, 40, scale=0.3)
         smooth = random_fields(b, rng, 40) / b.ksq
         for U, budget in ((rough, 1e-3), (smooth, 3e-4)):
@@ -268,13 +275,13 @@ class TestNonlinearStress:
             ).max()
             assert drift < budget
 
-    def test_quadrature_residual_decays_spectrally(self, params, rng):
+    def test_quadrature_residual_decays_spectrally(self, monkeypatch, params, rng):
         b = build_basis(16, 2)
-        ref = SpectralOperators(b, oversample=24)
+        ref = oversampled(monkeypatch, b, 24)
         U = random_fields(b, rng, 20)
         errs = []
         for ov in (4, 8):
-            ops = SpectralOperators(b, oversample=ov)
+            ops = oversampled(monkeypatch, b, ov)
             errs.append(
                 np.abs(ops.nonlinear_stress(U, params) - ref.nonlinear_stress(U, params)).max()
             )
@@ -373,14 +380,14 @@ class TestKorn:
             assert hi == pytest.approx(2**-0.5, rel=1e-12)
             assert lo <= hi
 
-    def test_strain_norm_is_measured_on_the_grid(self, rng):
+    def test_strain_norm_is_measured_on_the_grid(self, monkeypatch, rng):
         # the quadrature sees the field itself: a coarser grid than 2*kmax+1
         # aliases |E(u)|^2 and misses the closed form
         b = build_basis(16, 2)
         c = rng.standard_normal((50, 16))
         closed = np.sqrt((b.ksq * c**2).sum(axis=1) / 2.0)
         assert np.allclose(SpectralOperators(b).strain_norm(c), closed, rtol=1e-13)
-        coarse = SpectralOperators(b, oversample=1)
+        coarse = oversampled(monkeypatch, b, 1)
         assert np.abs(coarse.strain_norm(c) / closed - 1).max() > 1e-3
 
 

@@ -84,7 +84,7 @@ class TestSummary:
 def audited():
     marks = MarkSpace(np.array([2.0]))
     cfg = SolverConfig(params=FluidParams(), level=4, dt=1e-2, horizon=0.2)
-    model = FluidModel(cfg, ZeroNoise(marks), marks)
+    model = FluidModel(cfg, ZeroNoise(marks))
     return model, run_paths(model, np.array([[0.5, 0, 0, 0]]), seed=1, track_audit=True)
 
 

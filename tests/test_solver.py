@@ -30,9 +30,9 @@ from levyfluid.solver import (
     BlowUpError,
     FluidModel,
     SolverConfig,
-    _diag_update,
     _draw_jumps,
     _march,
+    _step_terms,
     default_dt,
     energy_audit,
     replay_residual,
@@ -53,7 +53,7 @@ def additive_sigma(level=8, scale=1.0):
 
 def make_model(level=8, dt=1e-3, horizon=1.0, sigma=None, **kw):
     cfg = SolverConfig(params=PARAMS, level=level, dt=dt, horizon=horizon, **kw)
-    return FluidModel(cfg, sigma if sigma is not None else additive_sigma(level), MARKS)
+    return FluidModel(cfg, sigma if sigma is not None else additive_sigma(level))
 
 
 def one_path(model, xi, seed):
@@ -78,7 +78,18 @@ class TestConfig:
     def test_horizon_must_be_step_multiple(self):
         cfg = SolverConfig(params=PARAMS, level=4, dt=0.3, horizon=1.0)
         with pytest.raises(ValueError):
-            FluidModel(cfg, ZeroNoise(MARKS), MARKS)
+            FluidModel(cfg, ZeroNoise(MARKS))
+
+    def test_model_takes_its_mark_space_from_its_noise(self):
+        # the draws, the compensator and the budgets read one mark space
+        marks = MarkSpace(np.array([2.0, 0.5, 1.0]))
+        sigma = LinearNoise(marks, np.array([0.3, 0.1, 0.2]))
+        model = make_model(dt=2e-3, horizon=0.2, sigma=sigma)
+        assert model.marks is sigma.marks
+        assert model._comp == -model.dt * float(np.sum(marks.rates * sigma.gains))
+        # every drawn mark indexes sigma's three atoms
+        drawn = np.concatenate([z for _, z in _draw_jumps(model, 3, 200, 0)])
+        assert set(drawn.tolist()) == {0, 1, 2}
 
     @pytest.mark.parametrize("kind", ["additive", "linear"])
     def test_model_survives_pickle(self, kind):
@@ -194,13 +205,13 @@ class TestOnePath:
         marks = MarkSpace(np.array([2.0]))
         par = FluidParams()
         full_cfg = SolverConfig(params=par, level=6, dt=1e-2, horizon=0.4)
-        model = FluidModel(full_cfg, ZeroNoise(marks), marks)
+        model = FluidModel(full_cfg, ZeroNoise(marks))
         rng = np.random.default_rng(5)
         xi = 0.5 * rng.standard_normal(6)
         full = run_paths(model, xi[None, :], seed=2)
 
         half_cfg = SolverConfig(params=par, level=6, dt=1e-2, horizon=0.2)
-        half_model = FluidModel(half_cfg, ZeroNoise(marks), marks)
+        half_model = FluidModel(half_cfg, ZeroNoise(marks))
         first = run_paths(half_model, xi[None, :], seed=2)
         assert first.times[-1] == pytest.approx(0.2)
         second = run_paths(half_model, first.terminal, seed=3)
@@ -329,7 +340,7 @@ class TestThreeDimensional:
         h[:2] = [0.4, 0.2]
         sigma = AdditiveNoise(marks, np.array([0.3, 0.1]), h)
         cfg = SolverConfig(params=PARAMS, dim=3, level=6, dt=2e-3, horizon=0.2)
-        model = FluidModel(cfg, sigma, marks)
+        model = FluidModel(cfg, sigma)
         res, led = one_path(model, np.zeros(6), seed=1)
         assert np.all(np.isfinite(res.states))
         assert np.abs(replay_residual(led)).max() < 1e-12 * (1 + led["l2_post_sq"].max())
@@ -450,7 +461,7 @@ def unstable_model(level=8, horizon=5.0):
     par = FluidParams(kappa0=0.5, kappa1=12.0, reg=1.0, p=1.5)
     cfg = SolverConfig(params=par, level=level, dt=0.25, horizon=horizon,
                        convection=False, stress=False)
-    return FluidModel(cfg, SecondShellPump(PUMP_MARKS, PUMP_GAINS), PUMP_MARKS)
+    return FluidModel(cfg, SecondShellPump(PUMP_MARKS, PUMP_GAINS))
 
 
 def first_steps(X, seed, k, jumps):
@@ -921,20 +932,46 @@ class TestIntervalFlush:
     """Steps folded a block of `_march` at a time give the bits of per-step updates."""
 
     def test_audit_ledger_is_evaluated_once_per_block(self, monkeypatch):
-        # the ledger keeps every step of the audited paths, and still folds whole blocks
+        # one evaluation of the step terms per block, on all k*P rows: the
+        # audit series and the audited paths' ledger read the same one
         model = make_model(dt=2e-3, horizon=0.3)
-        calls, inner = [], solver._diag_update
+        calls, inner = [], solver._step_terms
 
         def counted(*args):
             calls.append(args[2].shape[0])
             return inner(*args)
 
-        monkeypatch.setattr(solver, "_diag_update", counted)
+        monkeypatch.setattr(solver, "_step_terms", counted)
         X = 0.4 * np.random.default_rng(1).standard_normal((6, 8))
         res = run_paths(model, X, 3, n_out=2, track_audit=True)
         assert res.ledger["t"].shape == (model.n_steps, AUDITED_PATHS)
-        assert len(calls) == -(-model.n_steps // FLUSH_STEPS)
-        assert sum(calls) == model.n_steps * AUDITED_PATHS
+        assert calls == [6 * (b - a) for a, b in solver._blocks(model.n_steps, {model.n_steps})]
+        assert sum(calls) == model.n_steps * 6
+        calls.clear()
+        run_paths(model, X, 3, n_out=2)
+        assert calls == []
+
+    @pytest.mark.parametrize("blowing", [False, True])
+    def test_audit_changes_no_bit_of_the_other_outputs(self, blowing):
+        # the audit only reads the steps: terminal states, blow-ups and the
+        # base and functional series are those of the run without it
+        if blowing:
+            model, X = unstable_model(horizon=40.0), blowing_batch(60)
+        else:
+            model = make_model(dt=2e-3, horizon=0.3,
+                               sigma=SaturatingNoise(MARKS, np.array([0.4, 0.2])))
+            X = 0.5 * np.random.default_rng(4).standard_normal((6, 8))
+        kw = dict(n_out=7, functionals=bump_functionals(model))
+        plain = run_paths(model, X, 5, **kw)
+        audited = run_paths(model, X, 5, track_audit=True, **kw)
+        assert audited.blown.any() == blowing
+        assert np.array_equal(plain.terminal, audited.terminal)
+        assert np.array_equal(plain.blown, audited.blown)
+        assert np.array_equal(plain.blow_steps, audited.blow_steps)
+        assert np.array_equal(plain.times, audited.times)
+        assert set(audited.series) - set(plain.series) == set(solver._SERIES_AUDIT)
+        for name, series in plain.series.items():
+            assert np.array_equal(audited.series[name], series), name
 
     def test_run_paths_blocks_end_at_every_output_step(self, monkeypatch):
         model = make_model(dt=2e-3, horizon=0.3)
@@ -1016,9 +1053,9 @@ class TestIntervalFlush:
         monkeypatch.setattr(solver, "FLUSH_STEPS", 1)  # one-step blocks: the per-step terms
         for s in _march(model, X, np.full(6, -1), jumps, keep_pieces=True):
             assert s.steps.size == 1
-            # copied: the block's buffers are reused
-            pieces = [None if a is None else a[:A].copy() for a in s.pieces]
-            d = _diag_update(model, model.dt, *pieces)
+            # the audited rows' terms, on those rows alone
+            pieces = [None if a is None else a[:A] for a in s.pieces]
+            d = _step_terms(model, model.dt, *pieces)
             # the audited paths' events in the step's window (n*dt, (n+1)*dt]
             lo, hi = (s.steps[0] - 1) * model.dt, s.steps[0] * model.dt
             events = [marks[(t > lo) & (t <= hi)] for t, marks in jumps[:A]]
@@ -1087,7 +1124,7 @@ class TestIntervalFlush:
                  "linear": lambda: LinearNoise(MARKS, gains),
                  "saturating": lambda: SaturatingNoise(MARKS, gains)}[kind]()
         cfg = SolverConfig(params=replace(PARAMS, p=p), level=level, dt=2e-3, horizon=0.2)
-        model = FluidModel(cfg, sigma, MARKS)
+        model = FluidModel(cfg, sigma)
         xi = 0.5 * np.random.default_rng(seed).standard_normal(level)
         _, led = one_path(model, xi, seed)
         assert led["t"].size >= model.n_steps > FLUSH_STEPS
